@@ -3,8 +3,7 @@
 Two paraphrase paths share one request format: an HTTP chat rewriter (the
 online path) and a deterministic rule-table paraphraser used offline and as
 the fallback when the service misbehaves. Expansion derives every random
-decision from (global_seed, dataset, sample_id, step), so results do not
-depend on worker scheduling.
+decision from (global_seed, dataset, sample_id, step).
 """
 
 from __future__ import annotations
@@ -13,11 +12,10 @@ import hashlib
 import json
 import random
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from . import tokens as tok
 from .core import DatasetId, Provenance, QAPair, QAStyle, Sample
@@ -325,23 +323,13 @@ def expand_sample(sample: Sample, policy: ExpansionPolicy, rng: SeededRng,
 
 def expand_dataset(samples: Sequence[Sample], policy: ExpansionPolicy,
                    rng: SeededRng | None = None,
-                   rewriter: Rewriter | None = None,
-                   jobs: int = 1) -> list[Sample]:
+                   rewriter: Rewriter | None = None) -> list[Sample]:
     """Expand a manifest by policy.factor; originals pass through bit-for-bit.
 
-    Output order is input order with each sample's copies following it; the
-    result is identical for any jobs value.
+    Output order is input order with each sample's copies following it.
     """
     rng = rng or SeededRng(0)
     pools = _build_pools(samples)
-
-    def one(sample: Sample) -> list[Sample]:
-        return expand_sample(sample, policy, rng, _pool_for(sample, pools),
-                             rewriter)
-
-    if jobs <= 1 or len(samples) < 2:
-        groups: Iterable[list[Sample]] = map(one, samples)
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool_exec:
-            groups = list(pool_exec.map(one, samples, chunksize=64))
-    return [s for group in groups for s in group]
+    return [s for sample in samples
+            for s in expand_sample(sample, policy, rng, _pool_for(sample, pools),
+                                   rewriter)]

@@ -2,8 +2,8 @@
 
 One binary, subcommand per pipeline step, a single JSON config file as the
 source of truth, and flag overrides for the common knobs. Every run is a pure
-function of (inputs, config.seed): workers never reorder output and no step
-reads the clock or the environment for entropy.
+function of (inputs, config.seed): no step reads the clock or the environment
+for entropy.
 
 Exit codes: 0 success, 1 data violation (bad records, grammar failures,
 provenance refusals), 2 config or I/O trouble.
@@ -19,14 +19,12 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from .augment import ExpansionPolicy, Rewriter, SeededRng, expand_dataset
+from .augment import DEFAULT_FACTORS, ExpansionPolicy, Rewriter, SeededRng, expand_dataset
 from .core import (
     DatasetId,
     MediaKind,
     Provenance,
     Sample,
-    assert_unique_ids,
-    sample_to_json,
     validate_sample,
 )
 from .curriculum import DEFAULT_EXPECTATIONS, build_all_plans, validate_plan_totals, write_stage_plans
@@ -34,7 +32,7 @@ from .errors import DataforgeError, ProvenanceError, SchemaError
 from .ingest import parse_source, read_manifest, write_manifest
 from .metrics import evaluate_records, record_from_dict, report_to_dict
 from .perceptgen import GroundingSpec, annotation_from_dict, build_grounding_sample
-from .promptkit import GridConfig, PromptTemplate, assemble_prompt, check_budget
+from .promptkit import SEQUENCE_LIMIT, GridConfig, PromptTemplate, assemble_prompt, check_budget
 from .standardize import StandardizeConfig, standardize_sample
 
 OFFLINE_ENV = "DATAFORGE_OFFLINE"
@@ -59,7 +57,7 @@ class PipelineConfig:
     mc_fraction: float = 0.2
     rewriter_url: str | None = None
     grid: GridConfig = field(default_factory=GridConfig)
-    budget_limit: int = 8192
+    budget_limit: int = SEQUENCE_LIMIT
     iou_threshold: float = 0.5
     match_radius: float = 1.0
     registry: dict[str, int] | None = None
@@ -98,9 +96,10 @@ def _config_from_dict(data: Mapping[str, Any]) -> PipelineConfig:
                 kwargs["rewriter_url"] = aug["rewriter_url"]
         if "promptkit" in data:
             pk = data["promptkit"]
-            kwargs["grid"] = GridConfig(grid_h=int(pk.get("grid_h", 27)),
-                                        grid_w=int(pk.get("grid_w", 27)))
-            kwargs["budget_limit"] = int(pk.get("limit", 8192))
+            kwargs["grid"] = GridConfig(
+                grid_h=int(pk.get("grid_h", GridConfig.grid_h)),
+                grid_w=int(pk.get("grid_w", GridConfig.grid_w)))
+            kwargs["budget_limit"] = int(pk.get("limit", SEQUENCE_LIMIT))
         if "metrics" in data:
             met = data["metrics"]
             kwargs["iou_threshold"] = float(met.get("iou_threshold", 0.5))
@@ -166,25 +165,22 @@ def _write_json(path: Path, payload: Any) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_ingest(args: argparse.Namespace, cfg: PipelineConfig) -> int:
-    jobs: list[tuple[DatasetId, Path]] = []
+    sources: list[tuple[DatasetId, Path]] = []
     if args.adapter or args.infile:
         if not (args.adapter and args.infile):
             raise ConfigError("ingest needs both --adapter and --in "
                               "(or neither, with sources in the config)")
-        jobs.append((DatasetId(args.adapter), Path(args.infile)))
+        sources.append((DatasetId(args.adapter), Path(args.infile)))
     elif cfg.sources:
-        jobs.extend(sorted(cfg.sources.items(), key=lambda kv: kv[0].value))
+        sources.extend(sorted(cfg.sources.items(), key=lambda kv: kv[0].value))
     else:
         raise ConfigError("nothing to ingest: pass --adapter/--in or list "
                           "sources in the config")
     samples: list[Sample] = []
-    for dataset, path in jobs:
+    for dataset, path in sources:
         samples.extend(parse_source(dataset, _read_text(str(path))))
-    assert_unique_ids(samples)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_manifest(samples, out)
-    print(f"wrote {out} ({len(samples)} samples from {len(jobs)} source(s))")
+    write_manifest(samples, args.out)
+    print(f"wrote {args.out} ({len(samples)} samples from {len(sources)} source(s))")
     return 0
 
 
@@ -233,23 +229,14 @@ def _cmd_augment(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     _guard_not_expanded(samples)
     rng = SeededRng(cfg.seed)
     rewriter = _make_rewriter(cfg)
-    factors = cfg.factors
-    expanded: list[Sample] = []
-    seen_order: list[DatasetId] = []
+    factors = DEFAULT_FACTORS if cfg.factors is None else cfg.factors
     by_dataset: dict[DatasetId, list[Sample]] = {}
     for sample in samples:
-        if sample.dataset not in by_dataset:
-            seen_order.append(sample.dataset)
         by_dataset.setdefault(sample.dataset, []).append(sample)
-    for dataset in seen_order:
-        if factors is None:
-            from .augment import default_policy
-            policy = default_policy(dataset, cfg.mc_fraction)
-        else:
-            policy = ExpansionPolicy(dataset, factors.get(dataset, 1),
-                                     cfg.mc_fraction)
-        expanded.extend(expand_dataset(by_dataset[dataset], policy, rng,
-                                       rewriter, jobs=args.jobs))
+    expanded: list[Sample] = []
+    for dataset, group in by_dataset.items():
+        policy = ExpansionPolicy(dataset, factors.get(dataset, 1), cfg.mc_fraction)
+        expanded.extend(expand_dataset(group, policy, rng, rewriter))
     write_manifest(expanded, args.out)
     print(f"wrote {args.out} ({len(samples)} -> {len(expanded)} samples)")
     return 0
@@ -283,7 +270,6 @@ def _cmd_gen_perception(args: argparse.Namespace, cfg: PipelineConfig) -> int:
             raise SchemaError(f"generated sample invalid: {violations[0].detail}",
                               record_index=idx)
         samples.append(sample)
-    assert_unique_ids(samples)
     write_manifest(samples, args.out)
     print(f"wrote {args.out} ({len(samples)} grounding samples)")
     return 0
@@ -418,9 +404,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--offline", action="store_true",
                         default=argparse.SUPPRESS,
                         help=f"disable network use (or set {OFFLINE_ENV}=1)")
-    common.add_argument("--jobs", type=int, metavar="N",
-                        default=argparse.SUPPRESS,
-                        help="worker threads; never changes output")
 
     parser = argparse.ArgumentParser(
         prog="dataforge", parents=[common],
@@ -481,7 +464,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args.config = getattr(args, "config", None)
     args.seed = getattr(args, "seed", None)
     args.offline = getattr(args, "offline", False)
-    args.jobs = getattr(args, "jobs", 1)
     try:
         cfg = _apply_overrides(load_config(args.config), args)
     except ConfigError as exc:

@@ -60,7 +60,9 @@ NUSCENES_CAMERAS: tuple[CameraId, ...] = (
     CameraId.CAM_BACK_RIGHT,
 )
 
-CAMERA_RANK: dict[CameraId, int] = {c: i for i, c in enumerate(NUSCENES_CAMERAS)}
+# Media order for every camera; CameraId lists the surround views first, in
+# NUSCENES_CAMERAS order.
+CAMERA_RANK: dict[CameraId, int] = {c: i for i, c in enumerate(CameraId)}
 
 
 class MediaKind(Enum):

@@ -16,8 +16,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .errors import MissingDatasetCount
-
-SEQUENCE_LENGTH = 8192
+from .promptkit import SEQUENCE_LIMIT
 
 
 class Trainability(enum.Enum):
@@ -70,7 +69,7 @@ class StagePlan:
     lr_llm: float
     batch_size: int
     epochs: int = 1
-    sequence_length: int = SEQUENCE_LENGTH
+    sequence_length: int = SEQUENCE_LIMIT
 
     def __post_init__(self) -> None:
         if not 1 <= self.stage <= 4:
@@ -204,9 +203,9 @@ def validate_plan_totals(plan: StagePlan,
             violations.append(
                 f"total {total} outside {expectation.rel_tol:.0%} of "
                 f"{expectation.total}")
-    if plan.sequence_length != SEQUENCE_LENGTH:
+    if plan.sequence_length != SEQUENCE_LIMIT:
         violations.append(
-            f"sequence_length {plan.sequence_length} != {SEQUENCE_LENGTH}")
+            f"sequence_length {plan.sequence_length} != {SEQUENCE_LIMIT}")
     if plan.stage != 1 and plan.flags.any_frozen:
         violations.append("frozen components are only allowed in stage 1")
     return PlanReport(stage=plan.stage, total=total,

@@ -19,10 +19,12 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .core import (
+    CAMERA_RANK,
     CameraId,
     DatasetId,
     MediaKind,
     MediaRef,
+    NUSCENES_CAMERAS,
     Provenance,
     QAPair,
     QAStyle,
@@ -35,9 +37,8 @@ from .core import (
     validate_sample,
     video_ref,
 )
-from .errors import SchemaError
-
-_CAMERA_ORDER = {c: i for i, c in enumerate(CameraId)}
+from .errors import SchemaError, UnknownCameraId
+from .standardize import default_camera_map, map_camera_id
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +138,7 @@ def _surround_images(images: Mapping[str, Any], width: int, height: int,
             raise SchemaError("image path must be a string",
                               record_index=idx, path=f"{path}.{name}")
         media.append(image_ref(camera, width, height, uri))
-    media.sort(key=lambda m: _CAMERA_ORDER[m.camera])
+    media.sort(key=lambda m: CAMERA_RANK[m.camera])
     return tuple(media)
 
 
@@ -165,8 +166,6 @@ def _parse_omnidrive(rec: Mapping[str, Any], idx: int) -> Sample:
     if len(cameras) != 6 or not all(isinstance(c, str) for c in cameras):
         raise SchemaError("cameras must list six image paths in surround order",
                           record_index=idx, path="cameras")
-    from .core import NUSCENES_CAMERAS
-
     media = tuple(image_ref(cam, width, height, uri)
                   for cam, uri in zip(NUSCENES_CAMERAS, cameras))
     qa = _qa_list(_req(rec, "conversation", idx, list), idx, "conversation")
@@ -175,8 +174,6 @@ def _parse_omnidrive(rec: Mapping[str, Any], idx: int) -> Sample:
 
 
 def _parse_nuinstruct(rec: Mapping[str, Any], idx: int) -> Sample:
-    from .standardize import default_camera_map, map_camera_id
-
     sid = _req(rec, "sample_id", idx)
     width = _req(rec, "width", idx, int)
     height = _req(rec, "height", idx, int)
@@ -186,14 +183,14 @@ def _parse_nuinstruct(rec: Mapping[str, Any], idx: int) -> Sample:
     for raw_id, uri in views.items():
         try:
             camera = map_camera_id(raw_id, camera_map)
-        except Exception:
+        except UnknownCameraId:
             raise SchemaError(f"unknown view id {raw_id!r}",
                               record_index=idx, path="views") from None
         if not isinstance(uri, str):
             raise SchemaError("view path must be a string",
                               record_index=idx, path=f"views.{raw_id}")
         media.append(image_ref(camera, width, height, uri))
-    media.sort(key=lambda m: _CAMERA_ORDER[m.camera])
+    media.sort(key=lambda m: CAMERA_RANK[m.camera])
     qas_raw = _req(rec, "qas", idx, list)
     qa = []
     tags = set()

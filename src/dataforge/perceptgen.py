@@ -20,6 +20,7 @@ from .core import (
     DatasetId,
     MediaKind,
     MediaRef,
+    NUSCENES_CAMERAS,
     PointPx,
     Provenance,
     QAPair,
@@ -122,7 +123,7 @@ def _check_multiview(anns: Sequence[DetectionAnnotation],
     if not spec.with_camera_prefix:
         raise ValueError("multi-view grounding requires camera-prefixed tokens")
     for ann in anns:
-        if ann.media.camera not in CAMERA_RANK:
+        if ann.media.camera not in NUSCENES_CAMERAS:
             raise ValueError(f"{ann.media.camera} is not a surround camera")
     if len({(a.media.width, a.media.height) for a in anns}) > 1:
         raise MixedResolutionError(
@@ -182,7 +183,7 @@ def build_grounding_sample(sample_id: str,
     else:
         qa = gen_multiview_grounding(anns, spec, rng)
     media = tuple(a.media for a in sorted(
-        anns, key=lambda a: CAMERA_RANK.get(a.media.camera, 99)))
+        anns, key=lambda a: CAMERA_RANK[a.media.camera]))
     return Sample(sample_id, dataset, media, (qa,), frozenset({"perception"}))
 
 

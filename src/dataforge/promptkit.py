@@ -32,12 +32,10 @@ DEFAULT_EXPLANATIONS: dict[CameraId, str] = {
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Patch grid per encoded frame; feature widths ride along as metadata."""
+    """Patch grid per encoded frame."""
 
     grid_h: int = 27
     grid_w: int = 27
-    feature_dim: int | None = None
-    embed_dim: int | None = None
 
     def __post_init__(self) -> None:
         if self.grid_h <= 0 or self.grid_w <= 0:
@@ -46,10 +44,7 @@ class GridConfig:
 
 @dataclass(frozen=True)
 class TokenLayout:
-    n: int
     f: int
-    grid_h: int
-    grid_w: int
     pooled: bool
     tokens_per_frame: int
     total_visual_tokens: int
@@ -63,10 +58,7 @@ def visual_token_count(media: MediaRef, cfg: GridConfig = GridConfig()) -> Token
     else:
         tokens_per_frame = cfg.grid_h * cfg.grid_w
     return TokenLayout(
-        n=1,
         f=media.frame_count,
-        grid_h=cfg.grid_h,
-        grid_w=cfg.grid_w,
         pooled=pooled,
         tokens_per_frame=tokens_per_frame,
         total_visual_tokens=media.frame_count * tokens_per_frame,

@@ -19,6 +19,7 @@ from .core import (
     CameraId,
     DatasetId,
     MediaRef,
+    NUSCENES_CAMERAS,
     ObjectRef,
     PointNorm,
     PointPx,
@@ -78,10 +79,6 @@ def normalize_point(point: PointPx, width: float, height: float,
     )
 
 
-def denormalize_point(point: PointNorm, width: float, height: float) -> PointPx:
-    return PointPx(point.x_center * width / 100, point.y_center * height / 100)
-
-
 @dataclass(frozen=True)
 class CameraIdMap:
     """Ordered raw-id → camera mapping for one dataset."""
@@ -108,8 +105,6 @@ def default_camera_map(dataset: DatasetId) -> CameraIdMap:
     """Per-dataset default: c1..c6 in surround order for NuInstruct, identity
     over canonical names everywhere else."""
     if dataset is DatasetId.NUINSTRUCT:
-        from .core import NUSCENES_CAMERAS
-
         entries = tuple((f"c{i + 1}", cam) for i, cam in enumerate(NUSCENES_CAMERAS))
         return CameraIdMap(dataset, entries)
     return CameraIdMap(dataset, tuple((c.value, c) for c in CameraId))

@@ -26,6 +26,7 @@ from .core import (
     PointNorm,
     PointPx,
 )
+from .errors import TokenGrammarError
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _NUMBER_RE = re.compile(r"-?(?:\d+\.\d*|\.\d+|\d+)")
@@ -148,8 +149,6 @@ def parse_token(token: str) -> ObjectRef:
     Raises:
         TokenGrammarError: if the string is not a single well-formed token.
     """
-    from .errors import TokenGrammarError
-
     matches = scan_tokens(token)
     if len(matches) != 1 or matches[0].text != token.strip():
         raise TokenGrammarError(token, 0)

@@ -216,16 +216,16 @@ def test_expand_preserves_originals_bitwise():
         assert sample_to_json(by_id[s.id]) == sample_to_json(s)
 
 
-def test_expand_deterministic_across_runs_and_jobs(tmp_path):
+def test_expand_deterministic_across_runs(tmp_path):
     samples = _mini_dataset(30)
     policy = default_policy(DatasetId.CODA_LM)
     paths = []
-    for run, jobs in enumerate((1, 1, 4)):
-        out = expand_dataset(samples, policy, SeededRng(7), jobs=jobs)
+    for run in range(2):
+        out = expand_dataset(samples, policy, SeededRng(7))
         p = tmp_path / f"run{run}.jsonl"
         write_manifest(out, p)
         paths.append(p.read_bytes())
-    assert paths[0] == paths[1] == paths[2]
+    assert paths[0] == paths[1]
 
 
 def test_expand_seed_changes_output():

