@@ -32,8 +32,8 @@ from .errors import DataforgeError, ProvenanceError, SchemaError
 from .ingest import parse_source, read_manifest, write_manifest
 from .metrics import evaluate_records, record_from_dict, report_to_dict
 from .perceptgen import GroundingSpec, annotation_from_dict, build_grounding_sample
-from .promptkit import SEQUENCE_LIMIT, GridConfig, PromptTemplate, assemble_prompt, check_budget
-from .standardize import StandardizeConfig, standardize_sample
+from .promptkit import SEQUENCE_LIMIT, GridConfig, PromptTemplate, check_budget
+from .standardize import standardize_sample
 
 OFFLINE_ENV = "DATAFORGE_OFFLINE"
 
@@ -52,7 +52,6 @@ class PipelineConfig:
     offline: bool = False
     out_dir: Path = Path("out")
     sources: dict[DatasetId, Path] = field(default_factory=dict)
-    standardize: StandardizeConfig = field(default_factory=StandardizeConfig)
     factors: dict[DatasetId, int] | None = None
     mc_fraction: float = 0.2
     rewriter_url: str | None = None
@@ -69,9 +68,16 @@ class PipelineConfig:
             raise ConfigError("seed must fit in 64 bits")
 
 
+_CONFIG_KEYS = frozenset({"seed", "offline", "out_dir", "sources", "augment",
+                          "promptkit", "metrics", "registry"})
+
+
 def _config_from_dict(data: Mapping[str, Any]) -> PipelineConfig:
     if not isinstance(data, Mapping):
         raise ConfigError("config must be a JSON object")
+    unknown = sorted(set(data) - _CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
     kwargs: dict[str, Any] = {}
     try:
         if "seed" in data:
@@ -83,8 +89,6 @@ def _config_from_dict(data: Mapping[str, Any]) -> PipelineConfig:
         if "sources" in data:
             kwargs["sources"] = {DatasetId(name): Path(path)
                                  for name, path in data["sources"].items()}
-        if "standardize" in data:
-            kwargs["standardize"] = StandardizeConfig.from_dict(data["standardize"])
         if "augment" in data:
             aug = data["augment"]
             if "factors" in aug:
@@ -190,7 +194,7 @@ def _cmd_standardize(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     failures: list[str] = []
     for sample in samples:
         try:
-            out.append(standardize_sample(sample, cfg.standardize))
+            out.append(standardize_sample(sample))
         except DataforgeError as exc:
             failures.append(str(exc))
     if failures:
@@ -281,15 +285,14 @@ def _cmd_build_prompts(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     rows = []
     over_budget = 0
     for sample in sorted(samples, key=lambda s: s.id):
-        prompt, plan = assemble_prompt(sample, template)
         report = check_budget(sample, template, cfg.grid,
                               limit=cfg.budget_limit)
         if not report.fits:
             over_budget += 1
         rows.append({
             "id": sample.id,
-            "prompt": prompt,
-            "placeholders": [ph for _i, _m, ph in plan],
+            "prompt": report.prompt,
+            "placeholders": list(report.placeholders),
             "text_tokens": report.text_tokens,
             "visual_tokens": report.visual_tokens,
             "limit": report.limit,

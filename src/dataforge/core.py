@@ -246,9 +246,6 @@ def validate_sample(sample: Sample) -> list[Violation]:
         if m.frame_count < 1:
             out.append(Violation(f"media[{i}]", "frame_count",
                                  f"frame_count must be >= 1, got {m.frame_count}"))
-        if m.kind is MediaKind.IMAGE and m.frame_count != 1:
-            out.append(Violation(f"media[{i}]", "image_single_frame",
-                                 f"image media must have frame_count 1, got {m.frame_count}"))
 
     media_cameras = {m.camera for m in sample.media}
     uniform_dims: tuple[int, int] | None = None

@@ -37,7 +37,7 @@ class BoundsError(DataforgeError):
 
 
 class UnknownCameraId(DataforgeError):
-    """A raw camera id is not present in the active camera-id map."""
+    """A raw camera id is not in the raw camera-id table (NuInstruct c1..c6)."""
 
     def __init__(self, raw: str):
         self.raw = raw

@@ -38,7 +38,7 @@ from .core import (
     video_ref,
 )
 from .errors import SchemaError, UnknownCameraId
-from .standardize import default_camera_map, map_camera_id
+from .standardize import map_camera_id
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +178,10 @@ def _parse_nuinstruct(rec: Mapping[str, Any], idx: int) -> Sample:
     width = _req(rec, "width", idx, int)
     height = _req(rec, "height", idx, int)
     views = _req(rec, "views", idx, Mapping)
-    camera_map = default_camera_map(DatasetId.NUINSTRUCT)
     media = []
     for raw_id, uri in views.items():
         try:
-            camera = map_camera_id(raw_id, camera_map)
+            camera = map_camera_id(raw_id, DatasetId.NUINSTRUCT)
         except UnknownCameraId:
             raise SchemaError(f"unknown view id {raw_id!r}",
                               record_index=idx, path="views") from None

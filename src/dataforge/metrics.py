@@ -302,6 +302,8 @@ def _parse_point(entry, path: str) -> CameraPoint:
 
 def record_from_dict(data: dict, *, line: int | None = None) -> PredictionRecord:
     """Parse one predictions-file record, checking shape against its task."""
+    if not isinstance(data, dict):
+        raise SchemaError("record must be a JSON object", line=line)
     for key in ("sample_id", "task", "predicted", "gold"):
         if key not in data:
             raise SchemaError(f"missing key {key!r}", line=line)
@@ -313,8 +315,10 @@ def record_from_dict(data: dict, *, line: int | None = None) -> PredictionRecord
         if not isinstance(predicted, str) or not isinstance(gold, str):
             raise SchemaError(f"{task} records need string fields", line=line)
     elif task == "regression":
-        if not all(isinstance(v, (int, float)) for v in (predicted, gold)):
-            raise SchemaError("regression records need numeric fields", line=line)
+        if not all(isinstance(v, (int, float)) and math.isfinite(v)
+                   for v in (predicted, gold)):
+            raise SchemaError("regression records need finite numeric fields",
+                              line=line)
         predicted, gold = float(predicted), float(gold)
     elif task == "detection":
         if not isinstance(predicted, list) or not isinstance(gold, list):

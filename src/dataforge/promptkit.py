@@ -123,6 +123,8 @@ class BudgetReport:
     text_tokens: int
     visual_tokens: int
     limit: int = SEQUENCE_LIMIT
+    prompt: str = ""  # the assembled prompt that was counted
+    placeholders: tuple[str, ...] = ()  # in order of appearance
 
     @property
     def fits(self) -> bool:
@@ -135,11 +137,14 @@ def check_budget(sample: Sample, tpl: PromptTemplate = PromptTemplate(),
                  limit: int = SEQUENCE_LIMIT,
                  qa_index: int = 0) -> BudgetReport:
     prompt, plan = assemble_prompt(sample, tpl, qa_index)
+    placeholders = tuple(ph for _idx, _media, ph in plan)
     stripped = prompt
-    for _idx, _media, placeholder in plan:
+    for placeholder in placeholders:
         stripped = stripped.replace(placeholder, "", 1)
     return BudgetReport(
         text_tokens=counter(stripped),
         visual_tokens=sample_visual_tokens(sample, cfg),
         limit=limit,
+        prompt=prompt,
+        placeholders=placeholders,
     )

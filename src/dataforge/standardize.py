@@ -1,16 +1,16 @@
 """Rewrite object tokens into the unified grammar.
 
-Coordinates are normalized to [0, 100] with half-up rounding at three
-decimals, raw per-dataset camera ids are resolved to canonical names, and a
+Coordinates are normalized to [0, 100] and quantized half up to three
+decimals, NuInstruct's raw camera ids are resolved to canonical names, and a
 fixed formatting instruction is appended to questions that reference objects.
 All operations are pure; samples can be standardized in parallel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from decimal import ROUND_HALF_EVEN, ROUND_HALF_UP, Decimal
-from typing import Any, Mapping
+from dataclasses import replace
+from decimal import ROUND_HALF_UP, Decimal
+from typing import Callable
 
 from . import tokens as tok
 from .core import (
@@ -29,34 +29,32 @@ from .core import (
 from .errors import (
     BoundsError,
     DataforgeError,
+    MixedResolutionError,
     SampleError,
-    SchemaError,
     UnknownCameraId,
 )
 
-_ROUNDING_MODES = {"half_up": ROUND_HALF_UP, "half_even": ROUND_HALF_EVEN}
 _QUANTUM = Decimal("0.001")
 
 
-def _norm_component(value: float, size: float, rounding: str = "half_up") -> float:
+def _norm_component(value: float, size: float) -> float:
     # Decimal(repr(...)) treats the value as its decimal literal, so 1088.3
     # normalizes like the number printed in the source annotation, not like
     # its binary expansion.
     scaled = Decimal(repr(float(value))) * 100 / Decimal(repr(float(size)))
-    return float(scaled.quantize(_QUANTUM, rounding=_ROUNDING_MODES[rounding]))
+    return float(scaled.quantize(_QUANTUM, ROUND_HALF_UP))
 
 
-def normalize_bbox(box: BBoxPx, width: float, height: float,
-                   rounding: str = "half_up") -> BBoxNorm:
+def normalize_bbox(box: BBoxPx, width: float, height: float) -> BBoxNorm:
     """Scale a pixel box to [0, 100] per axis, rounded to 3 decimals."""
     if not (0 <= box.x_min <= box.x_max <= width
             and 0 <= box.y_min <= box.y_max <= height):
         raise BoundsError(f"box {box.as_tuple()} exceeds {width}x{height} image")
     return BBoxNorm(
-        _norm_component(box.x_min, width, rounding),
-        _norm_component(box.y_min, height, rounding),
-        _norm_component(box.x_max, width, rounding),
-        _norm_component(box.y_max, height, rounding),
+        _norm_component(box.x_min, width),
+        _norm_component(box.y_min, height),
+        _norm_component(box.x_max, width),
+        _norm_component(box.y_max, height),
     )
 
 
@@ -69,148 +67,76 @@ def denormalize_bbox(box: BBoxNorm, width: float, height: float) -> BBoxPx:
     )
 
 
-def normalize_point(point: PointPx, width: float, height: float,
-                    rounding: str = "half_up") -> PointNorm:
+def normalize_point(point: PointPx, width: float, height: float) -> PointNorm:
     if not (0 <= point.x_center <= width and 0 <= point.y_center <= height):
         raise BoundsError(f"point {point.as_tuple()} exceeds {width}x{height} image")
     return PointNorm(
-        _norm_component(point.x_center, width, rounding),
-        _norm_component(point.y_center, height, rounding),
+        _norm_component(point.x_center, width),
+        _norm_component(point.y_center, height),
     )
 
 
-@dataclass(frozen=True)
-class CameraIdMap:
-    """Ordered raw-id → camera mapping for one dataset."""
-
-    dataset: DatasetId
-    entries: tuple[tuple[str, CameraId], ...]
-
-    def __post_init__(self) -> None:
-        raws = [raw for raw, _ in self.entries]
-        if len(set(raws)) != len(raws):
-            raise ValueError(f"duplicate raw camera ids in {self.dataset} map")
-        if self.dataset is DatasetId.NUINSTRUCT:
-            if dict(self.entries).get("c6") is not CameraId.CAM_BACK_RIGHT:
-                raise ValueError("NuInstruct camera map must send 'c6' to CAM_BACK_RIGHT")
-
-    def get(self, raw: str) -> CameraId | None:
-        for key, camera in self.entries:
-            if key == raw:
-                return camera
-        return None
+# The only raw camera ids in any source: NuInstruct numbers its surround
+# views c1..c6, for its view keys and its QA tokens alike. Every other dataset
+# names cameras canonically.
+_RAW_CAMERA_IDS: dict[tuple[DatasetId, str], CameraId] = {
+    (DatasetId.NUINSTRUCT, f"c{i}"): camera
+    for i, camera in enumerate(NUSCENES_CAMERAS, start=1)
+}
 
 
-def default_camera_map(dataset: DatasetId) -> CameraIdMap:
-    """Per-dataset default: c1..c6 in surround order for NuInstruct, identity
-    over canonical names everywhere else."""
-    if dataset is DatasetId.NUINSTRUCT:
-        entries = tuple((f"c{i + 1}", cam) for i, cam in enumerate(NUSCENES_CAMERAS))
-        return CameraIdMap(dataset, entries)
-    return CameraIdMap(dataset, tuple((c.value, c) for c in CameraId))
+def map_camera_id(raw: str, dataset: DatasetId) -> CameraId:
+    """Resolve a raw camera id of ``dataset``; raises UnknownCameraId."""
+    try:
+        return _RAW_CAMERA_IDS[dataset, raw]
+    except KeyError:
+        raise UnknownCameraId(raw) from None
 
 
-def map_camera_id(raw: str, camera_map: CameraIdMap) -> CameraId:
-    camera = camera_map.get(raw)
-    if camera is None:
-        raise UnknownCameraId(raw)
-    return camera
-
-
-@dataclass(frozen=True)
-class FormatInstruction:
-    representation: str  # "box" | "center"
-    text: str
-
-
-BOX_INSTRUCTION = FormatInstruction(
-    "box",
+BOX_INSTRUCTION = (
     "Objects are referred to as <category>[CAMERA, x_min, y_min, x_max, y_max] "
-    "with coordinates from 0 to 100.",
-)
-CENTER_INSTRUCTION = FormatInstruction(
-    "center",
+    "with coordinates from 0 to 100.")
+CENTER_INSTRUCTION = (
     "Objects are referred to as <category>[CAMERA, x_center, y_center] "
-    "with coordinates from 0 to 100.",
-)
+    "with coordinates from 0 to 100.")
 
 
-def append_format_instruction(question: str, instr: FormatInstruction) -> str:
+def append_format_instruction(question: str, instruction: str) -> str:
     """Append the instruction once; re-applying is a no-op."""
-    if question.endswith(instr.text):
+    if question.endswith(instruction):
         return question
     sep = "" if (not question or question.endswith((" ", "\n", "\t"))) else " "
-    return question + sep + instr.text
-
-
-@dataclass(frozen=True)
-class StandardizeConfig:
-    camera_maps: tuple[CameraIdMap, ...] = ()
-    rounding: str = "half_up"
-    box_instruction: FormatInstruction = BOX_INSTRUCTION
-    center_instruction: FormatInstruction = CENTER_INSTRUCTION
-    append_instructions: bool = True
-
-    def __post_init__(self) -> None:
-        if self.rounding not in _ROUNDING_MODES:
-            raise ValueError(f"unknown rounding mode {self.rounding!r}")
-
-    def map_for(self, dataset: DatasetId) -> CameraIdMap:
-        for m in self.camera_maps:
-            if m.dataset is dataset:
-                return m
-        return default_camera_map(dataset)
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "StandardizeConfig":
-        try:
-            maps = []
-            for ds_name, entries in (d.get("camera_maps") or {}).items():
-                dataset = DatasetId(ds_name)
-                maps.append(CameraIdMap(
-                    dataset,
-                    tuple((raw, CameraId(name)) for raw, name in entries.items()),
-                ))
-            instr = d.get("instructions") or {}
-            box = (FormatInstruction("box", instr["box"])
-                   if "box" in instr else BOX_INSTRUCTION)
-            center = (FormatInstruction("center", instr["center"])
-                      if "center" in instr else CENTER_INSTRUCTION)
-            return cls(
-                camera_maps=tuple(maps),
-                rounding=d.get("rounding", "half_up"),
-                box_instruction=box,
-                center_instruction=center,
-                append_instructions=bool(d.get("append_instructions", True)),
-            )
-        except (ValueError, TypeError, AttributeError) as exc:
-            raise SchemaError(f"bad standardize config: {exc}") from None
+    return question + sep + instruction
 
 
 def _render_normalized(ref: ObjectRef, camera: CameraId | None,
-                       width: float, height: float, rounding: str) -> str:
+                       width: float, height: float) -> str:
     if isinstance(ref.geometry, BBoxPx):
-        norm = normalize_bbox(ref.geometry, width, height, rounding)
+        norm = normalize_bbox(ref.geometry, width, height)
         return tok.render_box_token(ref.category, camera, norm)
     assert isinstance(ref.geometry, PointPx)
-    norm = normalize_point(ref.geometry, width, height, rounding)
+    norm = normalize_point(ref.geometry, width, height)
     return tok.render_center_token(ref.category, camera, norm)
 
 
-def rewrite_object_token(raw_token: str, dataset: DatasetId, media: MediaRef,
-                         camera_map: CameraIdMap | None = None,
-                         rounding: str = "half_up") -> str:
+def _rewrite_ref(ref: ObjectRef, dataset: DatasetId,
+                 dims_for: Callable[[CameraId | None], tuple[float, float]]) -> str:
+    """Resolve a pixel-space token's camera, then normalize it to the
+    (width, height) that ``dims_for`` gives for that camera."""
+    camera = ref.camera
+    if camera is None and ref.raw_camera is not None:
+        camera = map_camera_id(ref.raw_camera, dataset)
+    width, height = dims_for(camera)
+    return _render_normalized(ref, camera, width, height)
+
+
+def rewrite_object_token(raw_token: str, dataset: DatasetId, media: MediaRef) -> str:
     """Rewrite one token into the unified grammar; normalized input passes
     through unchanged."""
     ref = tok.parse_token(raw_token)
     if ref.is_normalized:
         return raw_token
-    camera = ref.camera
-    if camera is None and ref.raw_camera is not None:
-        if camera_map is None:
-            camera_map = default_camera_map(dataset)
-        camera = map_camera_id(ref.raw_camera, camera_map)
-    return _render_normalized(ref, camera, media.width, media.height, rounding)
+    return _rewrite_ref(ref, dataset, lambda _camera: (media.width, media.height))
 
 
 def _uniform_dims(sample: Sample) -> tuple[int, int] | None:
@@ -218,33 +144,27 @@ def _uniform_dims(sample: Sample) -> tuple[int, int] | None:
     return next(iter(dims)) if len(dims) == 1 else None
 
 
-def standardize_sample(sample: Sample, cfg: StandardizeConfig | None = None) -> Sample:
+def standardize_sample(sample: Sample) -> Sample:
     """Rewrite every object token in the sample and append format instructions.
 
     Raises:
         SampleError: aggregating every token that could not be rewritten.
     """
-    cfg = cfg or StandardizeConfig()
-    camera_map = cfg.map_for(sample.dataset)
     media_by_camera: dict[CameraId, MediaRef] = {}
     for m in sample.media:
         media_by_camera.setdefault(m.camera, m)
     uniform = _uniform_dims(sample)
     failures: list[str] = []
 
-    def dims_for(camera: CameraId | None, token_text: str) -> tuple[float, float] | None:
+    def dims_for(camera: CameraId | None) -> tuple[int, int]:
         if camera is not None:
             m = media_by_camera.get(camera)
             if m is None:
-                failures.append(
-                    f"{token_text}: camera {camera} not present in sample media")
-                return None
+                raise DataforgeError(f"camera {camera} not present in sample media")
             return (m.width, m.height)
-        if uniform is not None:
-            return uniform
-        failures.append(
-            f"{token_text}: camera-less token over media of mixed resolutions")
-        return None
+        if uniform is None:
+            raise MixedResolutionError("camera-less token over media of mixed resolutions")
+        return uniform
 
     def rewrite_text(text: str) -> str:
         replacements: list[tuple[int, int, str]] = []
@@ -252,21 +172,10 @@ def standardize_sample(sample: Sample, cfg: StandardizeConfig | None = None) -> 
             if match.ref is None:
                 failures.append(f"{match.text}: {match.error}")
                 continue
-            ref = match.ref
-            if ref.is_normalized:
+            if match.ref.is_normalized:
                 continue
             try:
-                camera = ref.camera
-                if camera is None and ref.raw_camera is not None:
-                    camera = map_camera_id(ref.raw_camera, camera_map)
-            except DataforgeError as exc:
-                failures.append(f"{match.text}: {exc}")
-                continue
-            dims = dims_for(camera, match.text)
-            if dims is None:
-                continue
-            try:
-                new = _render_normalized(ref, camera, dims[0], dims[1], cfg.rounding)
+                new = _rewrite_ref(match.ref, sample.dataset, dims_for)
             except DataforgeError as exc:
                 failures.append(f"{match.text}: {exc}")
                 continue
@@ -274,7 +183,7 @@ def standardize_sample(sample: Sample, cfg: StandardizeConfig | None = None) -> 
                 replacements.append((match.start, match.end, new))
         return tok.replace_spans(text, replacements) if replacements else text
 
-    def pick_instruction(question: str, answer: str) -> FormatInstruction | None:
+    def pick_instruction(question: str, answer: str) -> str | None:
         has_box = has_center = False
         for ref in tok.scan_object_refs(question) + tok.scan_object_refs(answer):
             if isinstance(ref.geometry, (BBoxNorm, BBoxPx)):
@@ -282,9 +191,9 @@ def standardize_sample(sample: Sample, cfg: StandardizeConfig | None = None) -> 
             else:
                 has_center = True
         if has_box:
-            return cfg.box_instruction
+            return BOX_INSTRUCTION
         if has_center:
-            return cfg.center_instruction
+            return CENTER_INSTRUCTION
         return None
 
     new_qa: list[QAPair] = []
@@ -294,10 +203,9 @@ def standardize_sample(sample: Sample, cfg: StandardizeConfig | None = None) -> 
         options = qa.options
         if options is not None:
             options = tuple((label, rewrite_text(text)) for label, text in options)
-        if cfg.append_instructions:
-            instr = pick_instruction(question, answer)
-            if instr is not None:
-                question = append_format_instruction(question, instr)
+        instruction = pick_instruction(question, answer)
+        if instruction is not None:
+            question = append_format_instruction(question, instruction)
         new_qa.append(QAPair(question, answer, qa.style, qa.provenance, options))
 
     if failures:

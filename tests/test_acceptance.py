@@ -28,7 +28,6 @@ from dataforge.ingest import BevGridConfig, LidarPoint, project_lidar_bev, read_
 from dataforge.metrics import accuracy, average_precision, bleu, mae
 from dataforge.promptkit import check_budget, sample_visual_tokens
 from dataforge.standardize import (
-    StandardizeConfig,
     denormalize_bbox,
     normalize_bbox,
     rewrite_object_token,
@@ -273,9 +272,8 @@ def test_c08_bev_matches_brute_force():
 def test_c09_standardize_idempotent_1k(tmp_path):
     rng = random.Random(909)
     samples = [random_mixed_sample(rng, i) for i in range(1_000)]
-    cfg = StandardizeConfig()
-    once = [standardize_sample(s, cfg) for s in samples]
-    twice = [standardize_sample(s, cfg) for s in once]
+    once = [standardize_sample(s) for s in samples]
+    twice = [standardize_sample(s) for s in once]
     p1, p2 = tmp_path / "once.jsonl", tmp_path / "twice.jsonl"
     write_manifest(once, p1)
     write_manifest(twice, p2)

@@ -4,6 +4,7 @@ import pytest
 
 from dataforge.cli import main
 from dataforge.ingest import read_manifest
+from dataforge.tokens import scan_object_refs
 
 NUINSTRUCT_SOURCE = [{
     "sample_id": "42",
@@ -133,6 +134,24 @@ def test_standardize_reports_bad_tokens_with_sample_id(workdir, capsys):
     err = capsys.readouterr().err
     assert "nuinstruct/42" in err
     assert not (workdir / "std.jsonl").exists()
+
+
+def test_standardize_nuinstruct_token_gets_its_views_camera(workdir):
+    answer = " ".join(f"<car>[c{k}, 10, 20, 30, 40]" for k in range(1, 7))
+    source = [dict(NUINSTRUCT_SOURCE[0],
+                   qas=[{"question": "Where are the cars?", "answer": answer}])]
+    (workdir / "six.json").write_text(json.dumps(source))
+    raw = workdir / "raw.jsonl"
+    std = workdir / "std.jsonl"
+    assert _run("ingest", "--adapter", "nuinstruct", "--in", workdir / "six.json",
+                "--out", raw) == 0
+    assert _run("standardize", "--in", raw, "--out", std) == 0
+    [ingested] = read_manifest(raw)
+    view_camera = {m.uri: m.camera for m in ingested.media}
+    [out] = read_manifest(std)
+    cameras = [ref.camera for ref in scan_object_refs(out.qa[0].answer)]
+    assert cameras == [view_camera[f"v{k}.jpg"] for k in range(1, 7)]
+    assert len(set(cameras)) == 6
 
 
 # ------------------------------------------------------------------- augment
@@ -377,6 +396,29 @@ def test_evaluate_reports_line_numbers(workdir, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["3", '"text"', "[1, 2]", "null"])
+def test_evaluate_non_object_record_is_data_error(workdir, capsys, line):
+    preds = workdir / "preds.jsonl"
+    preds.write_text(line + "\n")
+    assert _run("evaluate", "--in", preds, "--dataset", "coda_lm") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: record must be a JSON object")
+    assert "line 1" in err[0]
+
+
+def test_evaluate_nan_regression_is_data_error(workdir, capsys):
+    preds = workdir / "preds.jsonl"
+    preds.write_text('{"sample_id": "a/1", "task": "regression", '
+                     '"predicted": NaN, "gold": 6}\n')
+    assert _run("evaluate", "--in", preds, "--dataset", "coda_lm") == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: regression records need finite")
+    assert "mae" not in captured.out
+
+
 # --------------------------------------------------------------------- stats
 
 def test_stats_sections(workdir, capsys):
@@ -415,6 +457,28 @@ def test_config_bad_seed(workdir, capsys):
     bad.write_text(json.dumps({"seed": "zero"}))
     assert _run("stats", "--config", bad, "--in", workdir / "x.jsonl") == 2
     assert "seed" in capsys.readouterr().err
+
+
+def test_config_unknown_key_exits_two(workdir, capsys):
+    bad = workdir / "bad.json"
+    bad.write_text(json.dumps({"seeed": 3}))
+    assert _run("stats", "--config", bad, "--in", workdir / "x.jsonl") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: unknown config key(s): seeed"]
+
+
+def test_config_standardize_section_exits_two(workdir, capsys):
+    raw = workdir / "raw.jsonl"
+    assert _run("ingest", "--adapter", "nuinstruct",
+                "--in", workdir / "nuinstruct.json", "--out", raw) == 0
+    capsys.readouterr()
+    bad = workdir / "bad.json"
+    bad.write_text(json.dumps({"standardize": {"rounding": "half_even"}}))
+    assert _run("standardize", "--config", bad, "--in", raw,
+                "--out", workdir / "std.jsonl") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: unknown config key(s): standardize"]
+    assert not (workdir / "std.jsonl").exists()
 
 
 def test_unknown_subcommand_exits_two(workdir):

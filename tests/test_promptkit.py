@@ -151,6 +151,15 @@ def test_six_view_image_budget():
     assert report.fits
 
 
+@pytest.mark.parametrize("make", [_six_view_sample, _video_mc_sample])
+def test_budget_report_carries_the_counted_prompt(make):
+    s = make()
+    prompt, plan = assemble_prompt(s)
+    report = check_budget(s)
+    assert report.prompt == prompt
+    assert report.placeholders == tuple(ph for _i, _m, ph in plan)
+
+
 def test_six_view_five_frame_video_budget():
     media = tuple(video_ref(c, 5, 1600, 900, f"{c.value}.mp4") for c in SURROUND)
     s = Sample(id="v/1", dataset=DatasetId.NUINSTRUCT, media=media,

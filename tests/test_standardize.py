@@ -18,10 +18,7 @@ from dataforge.errors import BoundsError, SampleError, UnknownCameraId
 from dataforge.standardize import (
     BOX_INSTRUCTION,
     CENTER_INSTRUCTION,
-    CameraIdMap,
-    StandardizeConfig,
     append_format_instruction,
-    default_camera_map,
     denormalize_bbox,
     map_camera_id,
     normalize_bbox,
@@ -70,8 +67,6 @@ def test_normalize_rejects_out_of_bounds():
 def test_rounding_half_up_at_boundary():
     # 0.008 px on a 1600-wide frame is exactly 0.0005 normalized
     assert normalize_point(PointPx(0.008, 0), 1600, 900).x_center == 0.001
-    assert normalize_point(PointPx(0.008, 0), 1600, 900,
-                           rounding="half_even").x_center == 0.0
 
 
 def test_denormalize_identity_corners():
@@ -109,24 +104,21 @@ def test_round_trip_error_bound():
 # --- camera id mapping ---------------------------------------------------------
 
 def test_default_nuinstruct_map():
-    m = default_camera_map(DatasetId.NUINSTRUCT)
-    assert map_camera_id("c6", m) is CameraId.CAM_BACK_RIGHT
-    assert map_camera_id("c1", m) is CameraId.CAM_FRONT
+    assert map_camera_id("c6", DatasetId.NUINSTRUCT) is CameraId.CAM_BACK_RIGHT
+    assert map_camera_id("c1", DatasetId.NUINSTRUCT) is CameraId.CAM_FRONT
     with pytest.raises(UnknownCameraId):
-        map_camera_id("c9", m)
+        map_camera_id("c9", DatasetId.NUINSTRUCT)
 
 
-def test_identity_map_for_named_cameras():
-    m = default_camera_map(DatasetId.DRIVELM)
-    assert map_camera_id("CAM_FRONT", m) is CameraId.CAM_FRONT
-
-
-def test_camera_map_invariants():
-    with pytest.raises(ValueError):
-        CameraIdMap(DatasetId.NUINSTRUCT, (("c6", CameraId.CAM_FRONT),))
-    with pytest.raises(ValueError):
-        CameraIdMap(DatasetId.GENERIC,
-                    (("a", CameraId.CAM_FRONT), ("a", CameraId.CAM_BACK)))
+def test_raw_camera_ids_only_for_nuinstruct():
+    for dataset in DatasetId:
+        if dataset is not DatasetId.NUINSTRUCT:
+            with pytest.raises(UnknownCameraId):
+                map_camera_id("c1", dataset)
+    s = Sample("drivelm/1", DatasetId.DRIVELM, surround_media(1600, 900),
+               (QAPair("Q?", "<car>[c1, 1, 2, 3, 4]"),))
+    with pytest.raises(SampleError, match="unknown camera id: 'c1'"):
+        standardize_sample(s)
 
 
 # --- token rewriting -----------------------------------------------------------
@@ -180,7 +172,7 @@ def test_append_instruction_once():
 
 
 def test_append_instruction_empty_question():
-    assert append_format_instruction("", BOX_INSTRUCTION) == BOX_INSTRUCTION.text
+    assert append_format_instruction("", BOX_INSTRUCTION) == BOX_INSTRUCTION
 
 
 # --- whole-sample standardization ---------------------------------------------
@@ -197,7 +189,7 @@ def test_standardize_sample_reference_string():
     out = standardize_sample(s)
     assert out.qa[0].answer == \
         "The <car>[CAM_BACK_RIGHT, 8.688, 38.111, 94.438, 100.000] is parked."
-    assert out.qa[0].question.endswith(BOX_INSTRUCTION.text)
+    assert out.qa[0].question.endswith(BOX_INSTRUCTION)
 
 
 def test_standardize_sample_without_tokens_is_identity():
@@ -222,7 +214,7 @@ def test_standardize_reports_all_failures():
 def test_standardize_center_instruction():
     s = _nusc_sample(QAPair("Locate it.", "<c1, CAM_FRONT, 800.0, 450.0>"))
     out = standardize_sample(s)
-    assert out.qa[0].question.endswith(CENTER_INSTRUCTION.text)
+    assert out.qa[0].question.endswith(CENTER_INSTRUCTION)
     assert out.qa[0].answer == "<object>[CAM_FRONT, 50.000, 50.000]"
 
 
@@ -231,7 +223,7 @@ def test_standardize_box_wins_over_center():
         "Both forms.",
         "<car>[c1, 1, 2, 3, 4] and <c1, CAM_FRONT, 800.0, 450.0>"))
     out = standardize_sample(s)
-    assert out.qa[0].question.endswith(BOX_INSTRUCTION.text)
+    assert out.qa[0].question.endswith(BOX_INSTRUCTION)
 
 
 def test_standardize_rewrites_mc_options():
@@ -271,22 +263,3 @@ def test_standardize_idempotent_on_random_samples():
         once = standardize_sample(s)
         twice = standardize_sample(once)
         assert sample_to_json(once) == sample_to_json(twice)
-
-
-def test_config_from_dict_overrides():
-    cfg = StandardizeConfig.from_dict({
-        "camera_maps": {"nuinstruct": {
-            "c1": "CAM_BACK", "c6": "CAM_BACK_RIGHT"}},
-        "rounding": "half_even",
-        "instructions": {"box": "Boxes go 0-100 as [x_min, y_min, x_max, y_max]."},
-        "append_instructions": False,
-    })
-    assert cfg.rounding == "half_even"
-    assert not cfg.append_instructions
-    assert map_camera_id("c1", cfg.map_for(DatasetId.NUINSTRUCT)) is CameraId.CAM_BACK
-    assert cfg.box_instruction.text.startswith("Boxes go")
-
-
-def test_config_rejects_bad_rounding():
-    with pytest.raises(Exception):
-        StandardizeConfig(rounding="stochastic")
