@@ -32,7 +32,7 @@ from .errors import DataforgeError, ProvenanceError, SchemaError
 from .ingest import parse_source, read_manifest, write_manifest
 from .metrics import evaluate_records, record_from_dict, report_to_dict
 from .perceptgen import GroundingSpec, annotation_from_dict, build_grounding_sample
-from .promptkit import SEQUENCE_LIMIT, GridConfig, PromptTemplate, check_budget
+from .promptkit import SEQUENCE_LIMIT, check_budget
 from .standardize import standardize_sample
 
 OFFLINE_ENV = "DATAFORGE_OFFLINE"
@@ -55,10 +55,6 @@ class PipelineConfig:
     factors: dict[DatasetId, int] | None = None
     mc_fraction: float = 0.2
     rewriter_url: str | None = None
-    grid: GridConfig = field(default_factory=GridConfig)
-    budget_limit: int = SEQUENCE_LIMIT
-    iou_threshold: float = 0.5
-    match_radius: float = 1.0
     registry: dict[str, int] | None = None
 
     def __post_init__(self) -> None:
@@ -66,24 +62,31 @@ class PipelineConfig:
             raise ConfigError("seed must be an integer")
         if self.seed.bit_length() > 64:
             raise ConfigError("seed must fit in 64 bits")
+        if not isinstance(self.offline, bool):
+            raise ConfigError("offline must be true or false")
 
 
 _CONFIG_KEYS = frozenset({"seed", "offline", "out_dir", "sources", "augment",
-                          "promptkit", "metrics", "registry"})
+                          "registry"})
+_AUGMENT_KEYS = frozenset({"factors", "mc_fraction", "rewriter_url"})
+
+
+def _check_keys(data: Any, allowed: frozenset[str], section: str) -> None:
+    if not isinstance(data, Mapping):
+        raise ConfigError(f"{section} must be a JSON object")
+    unknown = sorted(set(data) - allowed)
+    if unknown:
+        raise ConfigError(f"unknown {section} key(s): {', '.join(unknown)}")
 
 
 def _config_from_dict(data: Mapping[str, Any]) -> PipelineConfig:
-    if not isinstance(data, Mapping):
-        raise ConfigError("config must be a JSON object")
-    unknown = sorted(set(data) - _CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+    _check_keys(data, _CONFIG_KEYS, "config")
     kwargs: dict[str, Any] = {}
     try:
         if "seed" in data:
             kwargs["seed"] = data["seed"]
         if "offline" in data:
-            kwargs["offline"] = bool(data["offline"])
+            kwargs["offline"] = data["offline"]
         if "out_dir" in data:
             kwargs["out_dir"] = Path(data["out_dir"])
         if "sources" in data:
@@ -91,6 +94,7 @@ def _config_from_dict(data: Mapping[str, Any]) -> PipelineConfig:
                                  for name, path in data["sources"].items()}
         if "augment" in data:
             aug = data["augment"]
+            _check_keys(aug, _AUGMENT_KEYS, "augment")
             if "factors" in aug:
                 kwargs["factors"] = {DatasetId(name): int(f)
                                      for name, f in aug["factors"].items()}
@@ -98,16 +102,6 @@ def _config_from_dict(data: Mapping[str, Any]) -> PipelineConfig:
                 kwargs["mc_fraction"] = float(aug["mc_fraction"])
             if "rewriter_url" in aug:
                 kwargs["rewriter_url"] = aug["rewriter_url"]
-        if "promptkit" in data:
-            pk = data["promptkit"]
-            kwargs["grid"] = GridConfig(
-                grid_h=int(pk.get("grid_h", GridConfig.grid_h)),
-                grid_w=int(pk.get("grid_w", GridConfig.grid_w)))
-            kwargs["budget_limit"] = int(pk.get("limit", SEQUENCE_LIMIT))
-        if "metrics" in data:
-            met = data["metrics"]
-            kwargs["iou_threshold"] = float(met.get("iou_threshold", 0.5))
-            kwargs["match_radius"] = float(met.get("match_radius", 1.0))
         if "registry" in data:
             kwargs["registry"] = {str(k): int(v)
                                   for k, v in data["registry"].items()}
@@ -281,12 +275,10 @@ def _cmd_gen_perception(args: argparse.Namespace, cfg: PipelineConfig) -> int:
 
 def _cmd_build_prompts(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     samples = read_manifest(args.infile)
-    template = PromptTemplate()
     rows = []
     over_budget = 0
     for sample in sorted(samples, key=lambda s: s.id):
-        report = check_budget(sample, template, cfg.grid,
-                              limit=cfg.budget_limit)
+        report = check_budget(sample)
         if not report.fits:
             over_budget += 1
         rows.append({
@@ -295,7 +287,7 @@ def _cmd_build_prompts(args: argparse.Namespace, cfg: PipelineConfig) -> int:
             "placeholders": list(report.placeholders),
             "text_tokens": report.text_tokens,
             "visual_tokens": report.visual_tokens,
-            "limit": report.limit,
+            "limit": SEQUENCE_LIMIT,
             "fits": report.fits,
         })
     out = Path(args.out)
@@ -337,9 +329,7 @@ def _cmd_evaluate(args: argparse.Namespace, cfg: PipelineConfig) -> int:
                 raise SchemaError(f"invalid JSON: {exc.msg}",
                                   line=line_no) from None
             records.append(record_from_dict(payload, line=line_no))
-    report = evaluate_records(records, dataset,
-                              iou_threshold=cfg.iou_threshold,
-                              match_radius=cfg.match_radius)
+    report = evaluate_records(records, dataset)
     payload = report_to_dict(report)
     if args.out:
         _write_json(Path(args.out), payload)

@@ -87,14 +87,6 @@ class FrameCountMismatch(DataforgeError):
     """A video view does not carry the configured number of frames."""
 
 
-class MissingExplanation(DataforgeError):
-    """The prompt template has no explanation text for a camera."""
-
-    def __init__(self, camera: str):
-        self.camera = camera
-        super().__init__(f"no explanation configured for camera {camera}")
-
-
 class MissingDatasetCount(DataforgeError):
     """The dataset registry lacks a count required by a stage plan."""
 

@@ -1,21 +1,22 @@
 """Rule-based evaluation: accuracy, BLEU, MAE, detection AP, center matching.
 
-Everything here is deterministic and offline. The only network-shaped piece
-is the judge interface, which builds a grading prompt, hands it to a caller
-supplied transport, and parses a "Score: <number>" reply; in offline mode it
-reports itself as skipped instead of calling anything.
+Everything here is deterministic and offline. `evaluate_records` scores
+detection at one IoU threshold (0.5) and grounding at one match radius (1.0
+in normalized 0-100 units).
 """
 
 from __future__ import annotations
 
 import math
-import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .core import BBoxNorm, CameraId, DatasetId, PointNorm
-from .errors import EmptyInput, ResponseFormatError, SchemaError
+from .errors import EmptyInput, SchemaError
+
+IOU_THRESHOLD = 0.5
+MATCH_RADIUS = 1.0
 
 # ------------------------------------------------------------------ accuracy
 
@@ -46,17 +47,17 @@ def bleu(candidate: str, references: Sequence[str], max_n: int = 4) -> float:
 
     Uniform weights over n=1..max_n, brevity penalty against the closest
     reference length (ties go to the shorter), and add-one smoothing on the
-    n>1 precisions. A candidate sharing no unigram with any reference scores
-    exactly 0.
+    n>1 precisions. An empty candidate, or one sharing no unigram with any
+    reference, scores exactly 0.
     """
-    cand = candidate.split()
-    if not cand:
-        raise EmptyInput("candidate has no tokens")
     if not references:
         raise EmptyInput("need at least one reference")
     refs = [r.split() for r in references]
     if any(not r for r in refs):
         raise EmptyInput("reference has no tokens")
+    cand = candidate.split()
+    if not cand:
+        return 0.0
 
     log_sum = 0.0
     for n in range(1, max_n + 1):
@@ -109,7 +110,7 @@ def iou(a, b) -> float:
 
 
 def average_precision(dets: Sequence[tuple[Box, float]], gts: Sequence[Box],
-                      iou_threshold: float = 0.5) -> float | None:
+                      iou_threshold: float = IOU_THRESHOLD) -> float | None:
     """All-point interpolated AP with greedy highest-IoU matching.
 
     Returns None when there is no ground truth (AP undefined; callers report
@@ -155,33 +156,9 @@ def average_precision(dets: Sequence[tuple[Box, float]], gts: Sequence[Box],
     return ap
 
 
-def mean_average_precision(
-        groups: Mapping[str, tuple[Sequence[tuple[Box, float]], Sequence[Box]]],
-        iou_threshold: float = 0.5) -> tuple[float | None, int]:
-    """Mean of per-group AP; groups without ground truth are skipped.
-
-    Returns (map or None if every group was skipped, number of scored groups).
-    """
-    scores = []
-    for dets, gts in groups.values():
-        ap = average_precision(dets, gts, iou_threshold)
-        if ap is not None:
-            scores.append(ap)
-    if not scores:
-        return None, 0
-    return sum(scores) / len(scores), len(scores)
-
-
 # -------------------------------------------------------------- center match
 
 CameraPoint = tuple[PointNorm, CameraId | None]
-
-
-def default_match_radius(width: int, pixels: float = 16.0) -> float:
-    """A pixel radius expressed in normalized (0-100) units for this width."""
-    if width <= 0:
-        raise ValueError("width must be positive")
-    return pixels * 100.0 / width
 
 
 def center_match_score(preds: Sequence[CameraPoint], gts: Sequence[CameraPoint],
@@ -214,47 +191,6 @@ def center_match_score(preds: Sequence[CameraPoint], gts: Sequence[CameraPoint],
     return len(used_gt) / len(gts)
 
 
-# ------------------------------------------------------------------ judging
-
-JUDGE_SYSTEM_TEXT = "You are an impartial grader of driving-scene answers."
-
-JudgeTransport = Callable[[str, str], str]  # (system, user) -> reply text
-
-_SCORE_RE = re.compile(r"Score:\s*(-?\d+(?:\.\d+)?)")
-
-
-def build_judge_prompt(pred: str, gold: str, rubric: str) -> tuple[str, str]:
-    user = (f"{rubric}\n\n"
-            f"Reference answer: {gold}\n"
-            f"Candidate answer: {pred}\n\n"
-            "Reply with 'Score: <number>'.")
-    return JUDGE_SYSTEM_TEXT, user
-
-
-def parse_judge_score(text: str) -> float:
-    m = _SCORE_RE.search(text)
-    if m is None:
-        raise ResponseFormatError(f"no 'Score: <number>' in reply: {text!r}")
-    return float(m.group(1))
-
-
-@dataclass(frozen=True)
-class JudgeOutcome:
-    status: str  # "scored" | "skipped"
-    score: float | None = None
-
-
-def judge_score(pred: str, gold: str, rubric: str,
-                transport: JudgeTransport | None,
-                offline: bool = False) -> JudgeOutcome:
-    """Forward one grading request; offline (or transport-less) mode skips."""
-    if offline or transport is None:
-        return JudgeOutcome(status="skipped")
-    system, user = build_judge_prompt(pred, gold, rubric)
-    return JudgeOutcome(status="scored", score=parse_judge_score(
-        transport(system, user)))
-
-
 # ----------------------------------------------------- records and reports
 
 TASKS = ("classification", "caption", "regression", "detection", "grounding")
@@ -274,11 +210,19 @@ class MetricReport:
     entries: dict[str, tuple[float, int]] = field(default_factory=dict)
 
 
+def _as_float(value: int | float) -> float:
+    """float(value), with an integer beyond float range mapped to +-inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _parse_box(value, path: str) -> BBoxNorm:
     if (not isinstance(value, (list, tuple)) or len(value) != 4
             or not all(isinstance(v, (int, float)) for v in value)):
         raise SchemaError("bbox must be [x_min, y_min, x_max, y_max]", path=path)
-    x0, y0, x1, y1 = (float(v) for v in value)
+    x0, y0, x1, y1 = (_as_float(v) for v in value)
     if not (0.0 <= x0 <= x1 <= 100.0 and 0.0 <= y0 <= y1 <= 100.0):
         raise SchemaError("bbox must be ordered and within 0..100", path=path)
     return BBoxNorm(x0, y0, x1, y1)
@@ -291,7 +235,7 @@ def _parse_point(entry, path: str) -> CameraPoint:
     if (not isinstance(pt, (list, tuple)) or len(pt) != 2
             or not all(isinstance(v, (int, float)) for v in pt)):
         raise SchemaError("point must be [x, y]", path=path)
-    x, y = float(pt[0]), float(pt[1])
+    x, y = _as_float(pt[0]), _as_float(pt[1])
     if not (0.0 <= x <= 100.0 and 0.0 <= y <= 100.0):
         raise SchemaError("point must be within 0..100", path=path)
     camera = None
@@ -315,7 +259,7 @@ def record_from_dict(data: dict, *, line: int | None = None) -> PredictionRecord
         if not isinstance(predicted, str) or not isinstance(gold, str):
             raise SchemaError(f"{task} records need string fields", line=line)
     elif task == "regression":
-        if not all(isinstance(v, (int, float)) and math.isfinite(v)
+        if not all(isinstance(v, (int, float)) and math.isfinite(_as_float(v))
                    for v in (predicted, gold)):
             raise SchemaError("regression records need finite numeric fields",
                               line=line)
@@ -329,7 +273,8 @@ def record_from_dict(data: dict, *, line: int | None = None) -> PredictionRecord
                 raise SchemaError("expected {bbox, confidence}",
                                   path=f"predicted[{k}]", line=line)
             conf = d["confidence"]
-            if not isinstance(conf, (int, float)) or not math.isfinite(conf):
+            if (not isinstance(conf, (int, float))
+                    or not math.isfinite(_as_float(conf))):
                 raise SchemaError("confidence must be a finite number",
                                   path=f"predicted[{k}]", line=line)
             dets.append((_parse_box(d["bbox"], f"predicted[{k}].bbox"),
@@ -351,9 +296,8 @@ def record_from_dict(data: dict, *, line: int | None = None) -> PredictionRecord
                             predicted=predicted, gold=gold)
 
 
-def evaluate_records(records: Sequence[PredictionRecord], dataset: DatasetId,
-                     *, iou_threshold: float = 0.5,
-                     match_radius: float = 1.0) -> MetricReport:
+def evaluate_records(records: Sequence[PredictionRecord],
+                     dataset: DatasetId) -> MetricReport:
     """Score a batch of records into one report, grouped by task.
 
     Detection and grounding are scored per record and averaged; detection
@@ -380,14 +324,14 @@ def evaluate_records(records: Sequence[PredictionRecord], dataset: DatasetId,
     if "detection" in by_task:
         scores = []
         for r in by_task["detection"]:
-            ap = average_precision(r.predicted, r.gold, iou_threshold)
+            ap = average_precision(r.predicted, r.gold, IOU_THRESHOLD)
             if ap is not None:
                 scores.append(ap)
         if scores:
             entries["detection_ap"] = (sum(scores) / len(scores), len(scores))
     if "grounding" in by_task:
         recs = by_task["grounding"]
-        total = sum(center_match_score(r.predicted, r.gold, match_radius)
+        total = sum(center_match_score(r.predicted, r.gold, MATCH_RADIUS)
                     for r in recs)
         entries["center_match"] = (total / len(recs), len(recs))
     return MetricReport(dataset=dataset, entries=entries)

@@ -1,9 +1,9 @@
-"""Minimal HTTP client for the optional text-rewriting and judging backends.
+"""Minimal HTTP client for the optional text-rewriting backend.
 
-One endpoint shape serves both: POST a JSON object {"system", "user",
-"temperature"} and get back {"text": "..."}. Transport failures are retried
-with exponential backoff and then surface as NetworkError; a well-delivered
-but malformed reply is a ResponseFormatError and is not retried.
+POST a JSON object {"system", "user", "temperature"} and get back
+{"text": "..."}. Transport failures are retried with exponential backoff and
+then surface as NetworkError; a well-delivered but malformed reply is a
+ResponseFormatError and is not retried.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import urllib.request
 
 from .augment import Rewriter, RewriterRequest
 from .errors import NetworkError, ResponseFormatError
-from .metrics import JudgeTransport
 
 
 class RemoteTextClient:
@@ -55,9 +54,6 @@ class RemoteTextClient:
         def call(request: RewriterRequest) -> str:
             return self.complete(request.system_text, request.user_text)
         return call
-
-    def as_judge_transport(self) -> JudgeTransport:
-        return self.complete
 
 
 def _extract_text(body: bytes) -> str:

@@ -317,17 +317,26 @@ def test_build_prompts_rows_and_budget(workdir):
 
 
 def test_build_prompts_flags_overflow(workdir):
-    config = workdir / "config.json"
-    config.write_text(json.dumps({"seed": 0, "promptkit": {"limit": 100}}))
+    cameras = ("CAM_FRONT", "CAM_FRONT_LEFT", "CAM_FRONT_RIGHT",
+               "CAM_BACK", "CAM_BACK_LEFT", "CAM_BACK_RIGHT")
+    twelve_views = {
+        "id": "twelve", "dataset": "generic",
+        "media": [{"kind": "image", "camera": cam, "uri": f"{cam}-{k}.jpg",
+                   "width": 1600, "height": 900, "frame_count": 1}
+                  for k in range(2) for cam in cameras],
+        "qa": [{"question": "What next?", "answer": "Proceed."}],
+        "task_tags": ["planning"],
+    }
+    (workdir / "generic.json").write_text(json.dumps([twelve_views]))
     raw = workdir / "raw.jsonl"
-    _run("ingest", "--adapter", "nuinstruct", "--in", workdir / "nuinstruct.json",
-         "--out", raw)
+    assert _run("ingest", "--adapter", "generic", "--in", workdir / "generic.json",
+                "--out", raw) == 0
     out = workdir / "prompts.jsonl"
-    assert _run("build-prompts", "--config", config, "--in", raw,
-                "--out", out) == 0
+    assert _run("build-prompts", "--in", raw, "--out", out) == 0
     (row,) = [json.loads(line) for line in out.read_text().splitlines()]
+    assert row["visual_tokens"] == 12 * 729 == 8748
     assert row["fits"] is False
-    assert row["limit"] == 100
+    assert row["limit"] == 8192
 
 
 # ----------------------------------------------------------- plan-curriculum
@@ -419,6 +428,37 @@ def test_evaluate_nan_regression_is_data_error(workdir, capsys):
     assert "mae" not in captured.out
 
 
+_HUGE = 10 ** 400  # 401 digits, beyond float range
+
+
+@pytest.mark.parametrize("record", [
+    {"task": "regression", "predicted": _HUGE, "gold": 6},
+    {"task": "detection", "predicted": [{"bbox": [0, 0, 10, 10],
+                                         "confidence": _HUGE}],
+     "gold": [{"bbox": [0, 0, 10, 10]}]},
+    {"task": "detection", "predicted": [],
+     "gold": [{"bbox": [0, 0, 10, _HUGE]}]},
+    {"task": "grounding", "predicted": [{"point": [-_HUGE, 10]}], "gold": []},
+], ids=["regression", "confidence", "bbox", "point"])
+def test_evaluate_number_beyond_float_is_data_error(workdir, capsys, record):
+    preds = workdir / "preds.jsonl"
+    preds.write_text(json.dumps({"sample_id": "a/1", **record}) + "\n")
+    assert _run("evaluate", "--in", preds, "--dataset", "coda_lm") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ")
+
+
+def test_evaluate_empty_caption_scores_zero(workdir, capsys):
+    preds = workdir / "preds.jsonl"
+    preds.write_text("".join(json.dumps(
+        {"sample_id": f"c/{i}", "task": "caption", "predicted": predicted,
+         "gold": "a parked car"}) + "\n"
+        for i, predicted in enumerate(["", "a parked car"])))
+    assert _run("evaluate", "--in", preds, "--dataset", "coda_lm") == 0
+    assert "bleu: 0.500000 (n=2)" in capsys.readouterr().out
+
+
 # --------------------------------------------------------------------- stats
 
 def test_stats_sections(workdir, capsys):
@@ -465,6 +505,19 @@ def test_config_unknown_key_exits_two(workdir, capsys):
     assert _run("stats", "--config", bad, "--in", workdir / "x.jsonl") == 2
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: unknown config key(s): seeed"]
+
+
+@pytest.mark.parametrize("config,error", [
+    ({"promptkit": {"limit": 100}}, "unknown config key(s): promptkit"),
+    ({"metrics": {"iou_threshold": 0.7}}, "unknown config key(s): metrics"),
+    ({"offline": "false"}, "offline must be true or false"),
+    ({"augment": {"factorz": {"coda_lm": 2}}}, "unknown augment key(s): factorz"),
+], ids=["promptkit", "metrics", "offline_string", "augment_typo"])
+def test_config_error_exits_two(workdir, capsys, config, error):
+    bad = workdir / "bad.json"
+    bad.write_text(json.dumps(config))
+    assert _run("stats", "--config", bad, "--in", workdir / "x.jsonl") == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
 
 
 def test_config_standardize_section_exits_two(workdir, capsys):

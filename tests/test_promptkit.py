@@ -14,12 +14,10 @@ from dataforge.core import (
     image_ref,
     video_ref,
 )
-from dataforge.errors import MissingExplanation
 from dataforge.promptkit import (
+    CAMERA_EXPLANATIONS,
     SEQUENCE_LIMIT,
     BudgetReport,
-    GridConfig,
-    PromptTemplate,
     assemble_prompt,
     check_budget,
     estimate_text_tokens,
@@ -84,44 +82,13 @@ def test_golden_prompts(name, builder):
 # ---------------------------------------------------------------- layouts
 
 def test_image_layout_default_grid():
-    lay = visual_token_count(image_ref(CameraId.CAM_FRONT, 1600, 900, "a.jpg"))
-    assert not lay.pooled
-    assert lay.tokens_per_frame == 729
-    assert lay.total_visual_tokens == 729
-    assert lay.f == 1
+    image = image_ref(CameraId.CAM_FRONT, 1600, 900, "a.jpg")
+    assert visual_token_count(image) == 27 * 27 == 729
 
 
 def test_video_layout_floor_pooling():
-    lay = visual_token_count(video_ref(CameraId.FRONT_ONLY, 5, 1280, 720, "v.mp4"))
-    assert lay.pooled
-    assert lay.tokens_per_frame == 13 * 13 == 169
-    assert lay.total_visual_tokens == 5 * 169 == 845
-
-
-def test_layout_invariant_random_grids():
-    rng = random.Random(7)
-    for _ in range(200):
-        gh, gw = rng.randrange(1, 64), rng.randrange(1, 64)
-        cfg = GridConfig(grid_h=gh, grid_w=gw)
-        frames = rng.randrange(1, 9)
-        if rng.random() < 0.5:
-            media = image_ref(CameraId.CAM_FRONT, 100, 100, "a.jpg")
-            expect_tpf = gh * gw
-            frames = 1
-        else:
-            media = video_ref(CameraId.CAM_FRONT, frames, 100, 100, "a.mp4")
-            expect_tpf = (gh // 2) * (gw // 2)
-        lay = visual_token_count(media, cfg)
-        assert lay.tokens_per_frame == expect_tpf
-        assert lay.total_visual_tokens == lay.f * lay.tokens_per_frame
-        assert lay.f == frames
-
-
-def test_grid_config_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        GridConfig(grid_h=0)
-    with pytest.raises(ValueError):
-        GridConfig(grid_w=-3)
+    video = video_ref(CameraId.FRONT_ONLY, 5, 1280, 720, "v.mp4")
+    assert visual_token_count(video) == 5 * 13 * 13 == 845
 
 
 def test_sample_visual_tokens_sums_media():
@@ -137,7 +104,7 @@ def test_sample_visual_tokens_sums_media():
         s = Sample(id="s/0", dataset=DatasetId.GENERIC, media=tuple(media),
                    qa=(QAPair(question="q?", answer="a"),),
                    task_tags=frozenset({"t"}))
-        expected = sum(visual_token_count(m).total_visual_tokens for m in media)
+        expected = sum(visual_token_count(m) for m in media)
         assert sample_visual_tokens(s) == expected
 
 
@@ -182,12 +149,9 @@ def test_twelve_view_image_overflows():
 
 
 def test_fits_is_exact_boundary():
-    s = _six_view_sample()  # 4374 visual
-    headroom = SEQUENCE_LIMIT - 4374
-    at_limit = check_budget(s, counter=lambda text: headroom)
-    assert at_limit.fits
-    over = check_budget(s, counter=lambda text: headroom + 1)
-    assert not over.fits
+    headroom = SEQUENCE_LIMIT - 4374  # beside the six-view image sample
+    assert BudgetReport(text_tokens=headroom, visual_tokens=4374).fits
+    assert not BudgetReport(text_tokens=headroom + 1, visual_tokens=4374).fits
 
 
 # ------------------------------------------------------------ text counter
@@ -205,18 +169,11 @@ def test_estimate_text_tokens(text, expected):
 
 
 def test_budget_counter_sees_prompt_without_placeholders():
-    seen = []
-
-    def spy(text):
-        seen.append(text)
-        return 0
-
-    s = _six_view_sample()
-    check_budget(s, counter=spy)
-    assert len(seen) == 1
-    assert "<image>" not in seen[0]
-    assert "View 1 (CAM_FRONT)" in seen[0]
-    assert "What should the ego vehicle do next?" in seen[0]
+    report = check_budget(_six_view_sample())
+    assert report.prompt.count("<image>") == 6
+    stripped = report.prompt.replace("<image>", "")
+    assert report.text_tokens == estimate_text_tokens(stripped)
+    assert report.text_tokens < estimate_text_tokens(report.prompt)
 
 
 def test_default_counter_matches_hand_count():
@@ -254,11 +211,8 @@ def test_placeholders_appear_once_per_media_in_order():
         assert f"View {i} (" in text
 
 
-def test_missing_explanation_raises():
-    tpl = PromptTemplate(camera_explanations={CameraId.CAM_FRONT: "the front camera"})
-    with pytest.raises(MissingExplanation) as err:
-        assemble_prompt(_lidar_sample(), tpl)
-    assert "LIDAR_BEV" in str(err.value)
+def test_camera_explanations_cover_every_camera():
+    assert set(CAMERA_EXPLANATIONS) == set(CameraId)
 
 
 def test_lidar_explanation_mentions_lidar():
@@ -266,12 +220,6 @@ def test_lidar_explanation_mentions_lidar():
     lidar_line = [ln for ln in text.splitlines() if "LIDAR_BEV" in ln]
     assert len(lidar_line) == 1
     assert "lidar" in lidar_line[0].lower()
-
-
-def test_custom_view_label_format():
-    tpl = PromptTemplate(view_label_format="[{i}/{camera}]")
-    text, _ = assemble_prompt(_lidar_sample(), tpl)
-    assert text.splitlines()[0].startswith("[1/CAM_FRONT] ")
 
 
 def test_mc_options_rendered_as_lines():
@@ -298,6 +246,7 @@ def test_qa_index_selects_turn():
 
 
 def test_budget_report_is_plain_data():
-    rep = BudgetReport(text_tokens=10, visual_tokens=20, limit=31)
+    rep = BudgetReport(text_tokens=10, visual_tokens=20)
     assert rep.fits
-    assert not BudgetReport(text_tokens=12, visual_tokens=20, limit=31).fits
+    assert (rep.prompt, rep.placeholders) == ("", ())
+    assert not BudgetReport(text_tokens=0, visual_tokens=SEQUENCE_LIMIT + 1).fits

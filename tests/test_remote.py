@@ -7,7 +7,6 @@ import pytest
 from dataforge.augment import build_rewriter_request, parse_rewriter_response
 from dataforge.core import QAPair
 from dataforge.errors import NetworkError, ResponseFormatError
-from dataforge.metrics import judge_score
 from dataforge.remote import RemoteTextClient
 
 
@@ -115,12 +114,3 @@ def test_as_rewriter_round_trip(stub_server):
     sent = _StubHandler.requests_seen[0]
     assert sent["system"] == "You are an English improver."
     assert "What do you see?" in sent["user"]
-
-
-def test_as_judge_transport(stub_server):
-    _server, url = stub_server
-    _StubHandler.script = [_reply("Score: 85")]
-    transport = RemoteTextClient(url, sleep=lambda s: None).as_judge_transport()
-    outcome = judge_score("pred", "gold", "Rate it.", transport)
-    assert outcome.status == "scored"
-    assert outcome.score == 85.0
