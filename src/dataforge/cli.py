@@ -25,6 +25,8 @@ from .core import (
     MediaKind,
     Provenance,
     Sample,
+    atomic_writer,
+    encode_json,
     validate_sample,
 )
 from .curriculum import DEFAULT_EXPECTATIONS, build_all_plans, validate_plan_totals, write_stage_plans
@@ -79,6 +81,20 @@ def _check_keys(data: Any, allowed: frozenset[str], section: str) -> None:
         raise ConfigError(f"unknown {section} key(s): {', '.join(unknown)}")
 
 
+def _factor(dataset: str, value: Any) -> int:
+    if type(value) is not int or value < 1:  # a JSON integer, not a bool
+        raise ConfigError(f"augment factor for {dataset} must be an integer >= 1, "
+                          f"got {value!r}")
+    return value
+
+
+def _mc_fraction(value: Any) -> float:
+    if type(value) not in (int, float) or not 0 <= value <= 1:  # NaN fails too
+        raise ConfigError(f"augment mc_fraction must be a number in [0, 1], "
+                          f"got {value!r}")
+    return float(value)
+
+
 def _config_from_dict(data: Mapping[str, Any]) -> PipelineConfig:
     _check_keys(data, _CONFIG_KEYS, "config")
     kwargs: dict[str, Any] = {}
@@ -96,10 +112,10 @@ def _config_from_dict(data: Mapping[str, Any]) -> PipelineConfig:
             aug = data["augment"]
             _check_keys(aug, _AUGMENT_KEYS, "augment")
             if "factors" in aug:
-                kwargs["factors"] = {DatasetId(name): int(f)
+                kwargs["factors"] = {DatasetId(name): _factor(name, f)
                                      for name, f in aug["factors"].items()}
             if "mc_fraction" in aug:
-                kwargs["mc_fraction"] = float(aug["mc_fraction"])
+                kwargs["mc_fraction"] = _mc_fraction(aug["mc_fraction"])
             if "rewriter_url" in aug:
                 kwargs["rewriter_url"] = aug["rewriter_url"]
         if "registry" in data:
@@ -153,9 +169,8 @@ def _read_text(path: str) -> str:
 
 
 def _write_json(path: Path, payload: Any) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, ensure_ascii=False, indent=2) + "\n",
-                    encoding="utf-8")
+    with atomic_writer(path) as fh:
+        fh.write(json.dumps(payload, ensure_ascii=False, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +306,9 @@ def _cmd_build_prompts(args: argparse.Namespace, cfg: PipelineConfig) -> int:
             "fits": report.fits,
         })
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", encoding="utf-8", newline="\n") as fh:
+    with atomic_writer(out) as fh:
         for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+            fh.write(encode_json(row) + "\n")
     print(f"wrote {out} ({len(rows)} prompts, {over_budget} over budget)")
     return 0
 

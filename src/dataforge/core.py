@@ -2,15 +2,20 @@
 
 Everything here is an immutable value object; samples can be shared freely
 between threads. The canonical on-disk form is JSON Lines with one sample per
-line (see ``sample_to_dict`` for the key order).
+line (see ``sample_to_dict`` for the key order). The decoders take parsed JSON:
+``sample_from_dict`` and its helpers accept ``dict`` objects, not arbitrary
+mappings.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, Mapping
+from pathlib import Path
+from typing import Any, Iterable, Iterator, Mapping, TextIO
 
 from .errors import SchemaError
 
@@ -96,7 +101,7 @@ def fmt3(value: float) -> str:
     return f"{value:.3f}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BBoxPx:
     """Axis-aligned box in pixel units, (x_min, y_min, x_max, y_max)."""
 
@@ -109,7 +114,7 @@ class BBoxPx:
         return (self.x_min, self.y_min, self.x_max, self.y_max)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BBoxNorm:
     """Axis-aligned box with coordinates normalized to [0, 100]."""
 
@@ -125,7 +130,7 @@ class BBoxNorm:
         return ", ".join(fmt3(v) for v in self.as_tuple())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PointPx:
     """Region center in pixel units."""
 
@@ -136,7 +141,7 @@ class PointPx:
         return (self.x_center, self.y_center)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PointNorm:
     """Region center with coordinates normalized to [0, 100]."""
 
@@ -153,7 +158,7 @@ class PointNorm:
 Geometry = BBoxPx | BBoxNorm | PointPx | PointNorm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjectRef:
     """A referenced scene object, parsed out of an embedded QA token.
 
@@ -173,7 +178,7 @@ class ObjectRef:
         return isinstance(self.geometry, (BBoxNorm, PointNorm))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MediaRef:
     """Metadata for one visual input; no pixel data is ever loaded."""
 
@@ -197,7 +202,7 @@ def video_ref(camera: CameraId, frames: int, width: int, height: int, uri: str) 
     return MediaRef(MediaKind.VIDEO, camera, frames, width, height, uri)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QAPair:
     question: str
     answer: str
@@ -206,7 +211,7 @@ class QAPair:
     options: tuple[tuple[str, str], ...] | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sample:
     """One training/eval record: media references plus a QA conversation."""
 
@@ -217,7 +222,7 @@ class Sample:
     task_tags: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     field: str
     rule: str
@@ -362,29 +367,48 @@ def sample_to_dict(s: Sample) -> dict[str, Any]:
     }
 
 
+# Shared by the manifest and prompt-row writers; json.dumps would build a new
+# JSONEncoder on every call.
+encode_json = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def sample_to_json(s: Sample) -> str:
-    return json.dumps(sample_to_dict(s), ensure_ascii=False)
+    return encode_json(sample_to_dict(s))
 
 
-def _require(d: Mapping[str, Any], key: str, path: str) -> Any:
-    if key not in d:
-        raise SchemaError(f"missing key {key!r}", path=path)
-    return d[key]
+# {value: member} for each enum the decoders read.
+_DATASETS = {m.value: m for m in DatasetId}
+_CAMERAS = {m.value: m for m in CameraId}
+_MEDIA_KINDS = {m.value: m for m in MediaKind}
+_STYLES = {m.value: m for m in QAStyle}
+_PROVENANCES = {m.value: m for m in Provenance}
 
 
-def media_from_dict(d: Mapping[str, Any], path: str = "media") -> MediaRef:
-    if not isinstance(d, Mapping):
-        raise SchemaError("media entry must be an object", path=path)
+def _member(table: dict[str, Any], enum: type[Enum], value: Any, path: str) -> Any:
+    """``table[value]``; anything else fails with the text ``enum(value)`` gives."""
     try:
-        kind = MediaKind(_require(d, "kind", path))
-        camera = CameraId(_require(d, "camera", path))
-    except ValueError as exc:
-        raise SchemaError(str(exc), path=path) from None
+        return table[value]
+    except (KeyError, TypeError):  # TypeError: unhashable value such as [1]
+        raise SchemaError(f"{value!r} is not a valid {enum.__name__}", path=path) from None
+
+
+def _require(d: dict[str, Any], key: str, path: str) -> Any:
+    try:
+        return d[key]
+    except KeyError:
+        raise SchemaError(f"missing key {key!r}", path=path) from None
+
+
+def media_from_dict(d: dict[str, Any], path: str = "media") -> MediaRef:
+    if not isinstance(d, dict):
+        raise SchemaError("media entry must be an object", path=path)
+    kind = _member(_MEDIA_KINDS, MediaKind, _require(d, "kind", path), path)
+    camera = _member(_CAMERAS, CameraId, _require(d, "camera", path), path)
     frame_count = _require(d, "frame_count", path)
     width = _require(d, "width", path)
     height = _require(d, "height", path)
     for name, v in (("frame_count", frame_count), ("width", width), ("height", height)):
-        if not isinstance(v, int) or isinstance(v, bool):
+        if type(v) is not int and (not isinstance(v, int) or isinstance(v, bool)):
             raise SchemaError(f"{name} must be an integer, got {v!r}", path=path)
     uri = _require(d, "uri", path)
     if not isinstance(uri, str):
@@ -395,21 +419,18 @@ def media_from_dict(d: Mapping[str, Any], path: str = "media") -> MediaRef:
         raise SchemaError(str(exc), path=path) from None
 
 
-def qa_from_dict(d: Mapping[str, Any], path: str = "qa") -> QAPair:
-    if not isinstance(d, Mapping):
+def qa_from_dict(d: dict[str, Any], path: str = "qa") -> QAPair:
+    if not isinstance(d, dict):
         raise SchemaError("qa entry must be an object", path=path)
     question = _require(d, "question", path)
     answer = _require(d, "answer", path)
     if not isinstance(question, str) or not isinstance(answer, str):
         raise SchemaError("question/answer must be strings", path=path)
-    try:
-        style = QAStyle(d.get("style", "open"))
-        provenance = Provenance(d.get("provenance", "original"))
-    except ValueError as exc:
-        raise SchemaError(str(exc), path=path) from None
+    style = _member(_STYLES, QAStyle, d.get("style", "open"), path)
+    provenance = _member(_PROVENANCES, Provenance, d.get("provenance", "original"), path)
     options = None
-    if "options" in d and d["options"] is not None:
-        raw = d["options"]
+    raw = d.get("options")
+    if raw is not None:
         if not isinstance(raw, list):
             raise SchemaError("options must be a list", path=path)
         pairs = []
@@ -423,16 +444,13 @@ def qa_from_dict(d: Mapping[str, Any], path: str = "qa") -> QAPair:
     return QAPair(question, answer, style, provenance, options)
 
 
-def sample_from_dict(d: Mapping[str, Any], path: str = "sample") -> Sample:
-    if not isinstance(d, Mapping):
+def sample_from_dict(d: dict[str, Any], path: str = "sample") -> Sample:
+    if not isinstance(d, dict):
         raise SchemaError("sample must be an object", path=path)
     sid = _require(d, "id", path)
     if not isinstance(sid, str):
         raise SchemaError("id must be a string", path=path)
-    try:
-        dataset = DatasetId(_require(d, "dataset", path))
-    except ValueError as exc:
-        raise SchemaError(str(exc), path=path) from None
+    dataset = _member(_DATASETS, DatasetId, _require(d, "dataset", path), path)
     media_raw = _require(d, "media", path)
     qa_raw = _require(d, "qa", path)
     if not isinstance(media_raw, list) or not isinstance(qa_raw, list):
@@ -459,3 +477,25 @@ def assert_unique_ids(samples: Iterable[Sample]) -> None:
         if s.id in seen:
             raise SchemaError(f"duplicate sample id {s.id!r}")
         seen.add(s.id)
+
+
+@contextmanager
+def atomic_writer(path: str | Path) -> Iterator[TextIO]:
+    """Open ``path`` for UTF-8 text with ``\\n`` line ends, replacing it only
+    once the block completes.
+
+    The text goes to a temp file next to ``path`` (parent directories are
+    created) and is moved onto ``path`` with ``os.replace``. If the block
+    raises, the temp file is deleted and ``path`` keeps its old content, or
+    stays absent, so a crash never leaves a short file behind.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
+from .core import atomic_writer
 from .errors import MissingDatasetCount
 from .promptkit import SEQUENCE_LIMIT
 
@@ -241,10 +242,10 @@ def write_stage_plans(out_dir: str | Path,
                       registry: Mapping[str, int] | None = None) -> list[Path]:
     """Write plans/stage{1..4}.json under out_dir; returns the paths."""
     plans_dir = Path(out_dir) / "plans"
-    plans_dir.mkdir(parents=True, exist_ok=True)
     paths = []
     for plan in build_all_plans(registry):
         path = plans_dir / f"stage{plan.stage}.json"
-        path.write_text(plan_to_json(plan), encoding="utf-8")
+        with atomic_writer(path) as fh:
+            fh.write(plan_to_json(plan))
         paths.append(path)
     return paths

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .core import (
     QAStyle,
     Sample,
     assert_unique_ids,
+    atomic_writer,
     image_ref,
     sample_from_dict,
     sample_from_json,
@@ -45,7 +46,7 @@ from .standardize import map_camera_id
 # Record field helpers
 # ---------------------------------------------------------------------------
 
-def _req(rec: Mapping[str, Any], key: str, idx: int, kind: type | tuple = str) -> Any:
+def _req(rec: dict[str, Any], key: str, idx: int, kind: type | tuple = str) -> Any:
     if key not in rec:
         raise SchemaError("missing field", record_index=idx, path=key)
     value = rec[key]
@@ -57,7 +58,7 @@ def _req(rec: Mapping[str, Any], key: str, idx: int, kind: type | tuple = str) -
     return value
 
 
-def _tags(rec: Mapping[str, Any], idx: int, key: str = "tags") -> frozenset[str]:
+def _tags(rec: dict[str, Any], idx: int, key: str = "tags") -> frozenset[str]:
     raw = rec.get(key, [])
     if isinstance(raw, str):
         raw = [raw]
@@ -73,7 +74,7 @@ def _qa_list(entries: Any, idx: int, path: str,
         raise SchemaError("expected a list of QA entries", record_index=idx, path=path)
     out = []
     for k, entry in enumerate(entries):
-        if not isinstance(entry, Mapping):
+        if not isinstance(entry, dict):
             raise SchemaError("QA entry must be an object",
                               record_index=idx, path=f"{path}[{k}]")
         for key in (q_key, a_key):
@@ -88,9 +89,9 @@ def _qa_list(entries: Any, idx: int, path: str,
 # Per-dataset adapters (source record -> Sample)
 # ---------------------------------------------------------------------------
 
-def _parse_coda_lm(rec: Mapping[str, Any], idx: int) -> Sample:
+def _parse_coda_lm(rec: dict[str, Any], idx: int) -> Sample:
     sid = _req(rec, "id", idx)
-    img = _req(rec, "image", idx, Mapping)
+    img = _req(rec, "image", idx, dict)
     media = (image_ref(CameraId.FRONT_ONLY,
                        _req(img, "width", idx, int), _req(img, "height", idx, int),
                        _req(img, "path", idx)),)
@@ -99,7 +100,7 @@ def _parse_coda_lm(rec: Mapping[str, Any], idx: int) -> Sample:
                   _tags(rec, idx, "task"))
 
 
-def _parse_maplm(rec: Mapping[str, Any], idx: int) -> Sample:
+def _parse_maplm(rec: dict[str, Any], idx: int) -> Sample:
     sid = _req(rec, "frame_id", idx)
     media = (image_ref(CameraId.FRONT_ONLY,
                        _req(rec, "width", idx, int), _req(rec, "height", idx, int),
@@ -115,9 +116,9 @@ def _parse_maplm(rec: Mapping[str, Any], idx: int) -> Sample:
     return Sample(f"maplm/{sid}", DatasetId.MAPLM, media, tuple(qa), _tags(rec, idx))
 
 
-def _parse_lingoqa(rec: Mapping[str, Any], idx: int) -> Sample:
+def _parse_lingoqa(rec: dict[str, Any], idx: int) -> Sample:
     sid = _req(rec, "segment_id", idx)
-    vid = _req(rec, "video", idx, Mapping)
+    vid = _req(rec, "video", idx, dict)
     media = (video_ref(CameraId.FRONT_ONLY, _req(vid, "frames", idx, int),
                        _req(vid, "width", idx, int), _req(vid, "height", idx, int),
                        _req(vid, "path", idx)),)
@@ -125,7 +126,7 @@ def _parse_lingoqa(rec: Mapping[str, Any], idx: int) -> Sample:
     return Sample(f"lingoqa/{sid}", DatasetId.LINGOQA, media, qa, _tags(rec, idx))
 
 
-def _surround_images(images: Mapping[str, Any], width: int, height: int,
+def _surround_images(images: dict[str, Any], width: int, height: int,
                      idx: int, path: str) -> tuple[MediaRef, ...]:
     media = []
     for name, uri in images.items():
@@ -142,13 +143,13 @@ def _surround_images(images: Mapping[str, Any], width: int, height: int,
     return tuple(media)
 
 
-def _parse_drivelm(rec: Mapping[str, Any], idx: int) -> Sample:
+def _parse_drivelm(rec: dict[str, Any], idx: int) -> Sample:
     sid = _req(rec, "scene_id", idx)
     width = _req(rec, "width", idx, int)
     height = _req(rec, "height", idx, int)
-    media = _surround_images(_req(rec, "images", idx, Mapping), width, height,
+    media = _surround_images(_req(rec, "images", idx, dict), width, height,
                              idx, "images")
-    sections = _req(rec, "qa", idx, Mapping)
+    sections = _req(rec, "qa", idx, dict)
     qa: list[QAPair] = []
     tags = set()
     for section, entries in sections.items():
@@ -158,7 +159,7 @@ def _parse_drivelm(rec: Mapping[str, Any], idx: int) -> Sample:
                   frozenset(tags))
 
 
-def _parse_omnidrive(rec: Mapping[str, Any], idx: int) -> Sample:
+def _parse_omnidrive(rec: dict[str, Any], idx: int) -> Sample:
     sid = _req(rec, "token", idx)
     width = _req(rec, "width", idx, int)
     height = _req(rec, "height", idx, int)
@@ -173,11 +174,11 @@ def _parse_omnidrive(rec: Mapping[str, Any], idx: int) -> Sample:
                   _tags(rec, idx))
 
 
-def _parse_nuinstruct(rec: Mapping[str, Any], idx: int) -> Sample:
+def _parse_nuinstruct(rec: dict[str, Any], idx: int) -> Sample:
     sid = _req(rec, "sample_id", idx)
     width = _req(rec, "width", idx, int)
     height = _req(rec, "height", idx, int)
-    views = _req(rec, "views", idx, Mapping)
+    views = _req(rec, "views", idx, dict)
     media = []
     for raw_id, uri in views.items():
         try:
@@ -194,7 +195,7 @@ def _parse_nuinstruct(rec: Mapping[str, Any], idx: int) -> Sample:
     qa = []
     tags = set()
     for k, entry in enumerate(qas_raw):
-        if not isinstance(entry, Mapping):
+        if not isinstance(entry, dict):
             raise SchemaError("QA entry must be an object",
                               record_index=idx, path=f"qas[{k}]")
         for key in ("question", "answer"):
@@ -209,13 +210,13 @@ def _parse_nuinstruct(rec: Mapping[str, Any], idx: int) -> Sample:
                   tuple(qa), frozenset(tags))
 
 
-def _parse_generic(rec: Mapping[str, Any], idx: int) -> Sample:
+def _parse_generic(rec: dict[str, Any], idx: int) -> Sample:
     s = sample_from_dict(rec, path=f"record[{idx}]")
     sid = s.id if s.id.startswith("generic/") else f"generic/{s.id}"
     return Sample(sid, DatasetId.GENERIC, s.media, s.qa, s.task_tags)
 
 
-_ADAPTERS: dict[DatasetId, Callable[[Mapping[str, Any], int], Sample]] = {
+_ADAPTERS: dict[DatasetId, Callable[[dict[str, Any], int], Sample]] = {
     DatasetId.CODA_LM: _parse_coda_lm,
     DatasetId.MAPLM: _parse_maplm,
     DatasetId.DRIVELM: _parse_drivelm,
@@ -243,7 +244,7 @@ def parse_source(adapter: DatasetId, payload: bytes | str) -> list[Sample]:
     parse = _ADAPTERS[adapter]
     samples = []
     for idx, rec in enumerate(data):
-        if not isinstance(rec, Mapping):
+        if not isinstance(rec, dict):
             raise SchemaError("record must be an object", record_index=idx)
         sample = parse(rec, idx)
         violations = validate_sample(sample)
@@ -327,11 +328,10 @@ def project_lidar_bev(points: Sequence[LidarPoint],
 
 def write_manifest(samples: Iterable[Sample], path: str | Path) -> None:
     """Write samples as JSONL sorted by id; identical inputs (any order)
-    produce byte-identical files."""
+    produce byte-identical files. The file is replaced atomically."""
     ordered = sorted(samples, key=lambda s: s.id)
     assert_unique_ids(ordered)
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_writer(path) as fh:
         for s in ordered:
             fh.write(sample_to_json(s))
             fh.write("\n")

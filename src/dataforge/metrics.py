@@ -210,6 +210,11 @@ class MetricReport:
     entries: dict[str, tuple[float, int]] = field(default_factory=dict)
 
 
+def _is_number(value: object) -> bool:
+    """A JSON number: int or float, but not a bool (``bool`` is an ``int``)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_float(value: int | float) -> float:
     """float(value), with an integer beyond float range mapped to +-inf."""
     try:
@@ -220,7 +225,7 @@ def _as_float(value: int | float) -> float:
 
 def _parse_box(value, path: str) -> BBoxNorm:
     if (not isinstance(value, (list, tuple)) or len(value) != 4
-            or not all(isinstance(v, (int, float)) for v in value)):
+            or not all(_is_number(v) for v in value)):
         raise SchemaError("bbox must be [x_min, y_min, x_max, y_max]", path=path)
     x0, y0, x1, y1 = (_as_float(v) for v in value)
     if not (0.0 <= x0 <= x1 <= 100.0 and 0.0 <= y0 <= y1 <= 100.0):
@@ -233,7 +238,7 @@ def _parse_point(entry, path: str) -> CameraPoint:
         raise SchemaError("expected {point: [x, y], camera?}", path=path)
     pt = entry["point"]
     if (not isinstance(pt, (list, tuple)) or len(pt) != 2
-            or not all(isinstance(v, (int, float)) for v in pt)):
+            or not all(_is_number(v) for v in pt)):
         raise SchemaError("point must be [x, y]", path=path)
     x, y = _as_float(pt[0]), _as_float(pt[1])
     if not (0.0 <= x <= 100.0 and 0.0 <= y <= 100.0):
@@ -259,7 +264,7 @@ def record_from_dict(data: dict, *, line: int | None = None) -> PredictionRecord
         if not isinstance(predicted, str) or not isinstance(gold, str):
             raise SchemaError(f"{task} records need string fields", line=line)
     elif task == "regression":
-        if not all(isinstance(v, (int, float)) and math.isfinite(_as_float(v))
+        if not all(_is_number(v) and math.isfinite(_as_float(v))
                    for v in (predicted, gold)):
             raise SchemaError("regression records need finite numeric fields",
                               line=line)
@@ -273,8 +278,7 @@ def record_from_dict(data: dict, *, line: int | None = None) -> PredictionRecord
                 raise SchemaError("expected {bbox, confidence}",
                                   path=f"predicted[{k}]", line=line)
             conf = d["confidence"]
-            if (not isinstance(conf, (int, float))
-                    or not math.isfinite(_as_float(conf))):
+            if not _is_number(conf) or not math.isfinite(_as_float(conf)):
                 raise SchemaError("confidence must be a finite number",
                                   path=f"predicted[{k}]", line=line)
             dets.append((_parse_box(d["bbox"], f"predicted[{k}].bbox"),

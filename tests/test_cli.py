@@ -3,8 +3,11 @@ import json
 import pytest
 
 from dataforge.cli import main
-from dataforge.ingest import read_manifest
+from dataforge.core import atomic_writer, encode_json, sample_to_json
+from dataforge.ingest import read_manifest, write_manifest
 from dataforge.tokens import scan_object_refs
+
+from helpers import plain_sample
 
 NUINSTRUCT_SOURCE = [{
     "sample_id": "42",
@@ -449,6 +452,25 @@ def test_evaluate_number_beyond_float_is_data_error(workdir, capsys, record):
     assert err[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("record", [
+    {"task": "regression", "predicted": True, "gold": False},
+    {"task": "detection", "predicted": [{"bbox": [0, 0, 10, 10],
+                                         "confidence": True}],
+     "gold": [{"bbox": [0, 0, 10, 10]}]},
+    {"task": "detection", "predicted": [],
+     "gold": [{"bbox": [0, 0, True, 10]}]},
+    {"task": "grounding", "predicted": [{"point": [False, 10]}], "gold": []},
+], ids=["regression", "confidence", "bbox", "point"])
+def test_evaluate_bool_is_not_a_number(workdir, capsys, record):
+    preds = workdir / "preds.jsonl"
+    preds.write_text(json.dumps({"sample_id": "a/1", **record}) + "\n")
+    assert _run("evaluate", "--in", preds, "--dataset", "coda_lm") == 1
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
 def test_evaluate_empty_caption_scores_zero(workdir, capsys):
     preds = workdir / "preds.jsonl"
     preds.write_text("".join(json.dumps(
@@ -520,6 +542,43 @@ def test_config_error_exits_two(workdir, capsys, config, error):
     assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
 
 
+@pytest.mark.parametrize("augment,error", [
+    ({"mc_fraction": 7}, "augment mc_fraction must be a number in [0, 1], got 7"),
+    ({"mc_fraction": True},
+     "augment mc_fraction must be a number in [0, 1], got True"),
+    ({"mc_fraction": "0.5"},
+     "augment mc_fraction must be a number in [0, 1], got '0.5'"),
+    ({"factors": {"coda_lm": 0}},
+     "augment factor for coda_lm must be an integer >= 1, got 0"),
+    ({"factors": {"coda_lm": 2.7}},
+     "augment factor for coda_lm must be an integer >= 1, got 2.7"),
+    ({"factors": {"coda_lm": True}},
+     "augment factor for coda_lm must be an integer >= 1, got True"),
+], ids=["fraction_7", "fraction_true", "fraction_string", "factor_0",
+        "factor_2.7", "factor_true"])
+def test_augment_config_numbers_exit_two(workdir, capsys, augment, error):
+    raw = _ingest_coda(workdir)
+    capsys.readouterr()
+    bad = workdir / "bad.json"
+    bad.write_text(json.dumps({"augment": augment}))
+    out = workdir / "aug.jsonl"
+    assert _run("augment", "--config", bad, "--offline", "--in", raw,
+                "--out", out) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+    assert not out.exists()
+
+
+def test_augment_config_numbers_at_their_bounds(workdir, capsys):
+    raw = _ingest_coda(workdir)
+    good = workdir / "good.json"
+    good.write_text(json.dumps({"augment": {"factors": {"coda_lm": 1},
+                                            "mc_fraction": 0}}))
+    out = workdir / "aug.jsonl"
+    assert _run("augment", "--config", good, "--offline", "--in", raw,
+                "--out", out) == 0
+    assert read_manifest(out) == read_manifest(raw)
+
+
 def test_config_standardize_section_exits_two(workdir, capsys):
     raw = workdir / "raw.jsonl"
     assert _run("ingest", "--adapter", "nuinstruct",
@@ -538,3 +597,86 @@ def test_unknown_subcommand_exits_two(workdir):
     with pytest.raises(SystemExit) as exc:
         _run("no-such-command")
     assert exc.value.code == 2
+
+
+# ------------------------------------------------------------- atomic writes
+
+def _temp_files(root):
+    return sorted(p.name for p in root.rglob("*.tmp"))
+
+
+def test_atomic_writer_keeps_old_file_on_error(tmp_path):
+    target = tmp_path / "out.txt"
+    target.write_text("old\n")
+    with pytest.raises(RuntimeError):
+        with atomic_writer(target) as fh:
+            fh.write("new, but cut short")
+            raise RuntimeError("crash mid-write")
+    assert target.read_text() == "old\n"
+    with pytest.raises(RuntimeError):
+        with atomic_writer(tmp_path / "sub" / "absent.txt") as fh:
+            fh.write("partial")
+            raise RuntimeError("crash mid-write")
+    assert not (tmp_path / "sub" / "absent.txt").exists()
+    assert _temp_files(tmp_path) == []
+
+
+def test_write_manifest_crash_keeps_previous_manifest(workdir, monkeypatch):
+    raw = _ingest_coda(workdir)
+    before = raw.read_bytes()
+    calls = []
+
+    def encode_then_crash(sample):
+        calls.append(sample.id)
+        if len(calls) == 2:
+            raise RuntimeError("crash mid-write")
+        return sample_to_json(sample)
+
+    monkeypatch.setattr("dataforge.ingest.sample_to_json", encode_then_crash)
+    with pytest.raises(RuntimeError):
+        write_manifest(read_manifest(raw)[:1] + [plain_sample(1)], raw)
+    assert raw.read_bytes() == before
+    assert _temp_files(workdir) == []
+
+
+def test_build_prompts_crash_keeps_previous_output(workdir, monkeypatch, capsys):
+    raw = _ingest_coda(workdir)
+    out = workdir / "prompts.jsonl"
+    assert _run("build-prompts", "--in", raw, "--out", out) == 0
+    before = out.read_bytes()
+    rows = []
+
+    def encode_then_fail(row):
+        rows.append(row)
+        if len(rows) == 2:
+            raise OSError("disk full")
+        return encode_json(row)
+
+    monkeypatch.setattr("dataforge.cli.encode_json", encode_then_fail)
+    capsys.readouterr()
+    assert _run("build-prompts", "--in", raw, "--out", out) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: disk full"]
+    assert out.read_bytes() == before
+    assert _temp_files(workdir) == []
+
+
+@pytest.mark.parametrize("command", ["stats", "plan-curriculum"])
+def test_failed_replace_keeps_previous_output(workdir, monkeypatch, capsys, command):
+    if command == "stats":
+        argv = ["stats", "--in", _ingest_coda(workdir), "--out", workdir / "stats.json"]
+        target = workdir / "stats.json"
+    else:
+        argv = ["plan-curriculum", "--out", workdir]
+        target = workdir / "plans" / "stage1.json"
+    assert _run(*argv) == 0
+    target.write_bytes(b"previous\n")
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr("os.replace", refuse)
+    capsys.readouterr()
+    assert _run(*argv) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: replace refused"]
+    assert target.read_bytes() == b"previous\n"
+    assert _temp_files(workdir) == []
