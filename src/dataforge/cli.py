@@ -7,11 +7,16 @@ for entropy.
 
 Exit codes: 0 success, 1 data violation (bad records, grammar failures,
 provenance refusals), 2 config or I/O trouble.
+
+A subcommand runs with the cyclic garbage collector paused: a stage holds
+tens of thousands of samples and creates no reference cycles, so the collector
+would only re-walk a growing heap. Reference counting still frees everything.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -31,9 +36,9 @@ from .core import (
 )
 from .curriculum import DEFAULT_EXPECTATIONS, build_all_plans, validate_plan_totals, write_stage_plans
 from .errors import DataforgeError, ProvenanceError, SchemaError
-from .ingest import parse_source, read_manifest, write_manifest
+from .ingest import iter_manifest, parse_source, read_manifest, write_manifest
 from .metrics import evaluate_records, record_from_dict, report_to_dict
-from .perceptgen import GroundingSpec, annotation_from_dict, build_grounding_sample
+from .perceptgen import build_grounding_sample, grounding_record_from_dict
 from .promptkit import SEQUENCE_LIMIT, check_budget
 from .standardize import standardize_sample
 
@@ -81,10 +86,9 @@ def _check_keys(data: Any, allowed: frozenset[str], section: str) -> None:
         raise ConfigError(f"unknown {section} key(s): {', '.join(unknown)}")
 
 
-def _factor(dataset: str, value: Any) -> int:
+def _count(what: str, value: Any) -> int:
     if type(value) is not int or value < 1:  # a JSON integer, not a bool
-        raise ConfigError(f"augment factor for {dataset} must be an integer >= 1, "
-                          f"got {value!r}")
+        raise ConfigError(f"{what} must be an integer >= 1, got {value!r}")
     return value
 
 
@@ -112,15 +116,17 @@ def _config_from_dict(data: Mapping[str, Any]) -> PipelineConfig:
             aug = data["augment"]
             _check_keys(aug, _AUGMENT_KEYS, "augment")
             if "factors" in aug:
-                kwargs["factors"] = {DatasetId(name): _factor(name, f)
-                                     for name, f in aug["factors"].items()}
+                kwargs["factors"] = {
+                    DatasetId(name): _count(f"augment factor for {name}", f)
+                    for name, f in aug["factors"].items()}
             if "mc_fraction" in aug:
                 kwargs["mc_fraction"] = _mc_fraction(aug["mc_fraction"])
             if "rewriter_url" in aug:
                 kwargs["rewriter_url"] = aug["rewriter_url"]
         if "registry" in data:
-            kwargs["registry"] = {str(k): int(v)
-                                  for k, v in data["registry"].items()}
+            kwargs["registry"] = {
+                name: _count(f"registry count for {name}", count)
+                for name, count in data["registry"].items()}
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError, SchemaError) as exc:
@@ -265,19 +271,13 @@ def _cmd_gen_perception(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     rng = SeededRng(cfg.seed)
     samples = []
     for idx, rec in enumerate(data):
-        if not isinstance(rec, dict) or "id" not in rec or "annotations" not in rec:
-            raise SchemaError("expected {id, annotations, ...}", record_index=idx)
+        sample_id, spec, anns = grounding_record_from_dict(rec, idx)
         try:
-            spec = GroundingSpec(
-                representation=rec.get("representation"),
-                with_camera_prefix=bool(rec.get("with_camera_prefix", False)),
-                frames_per_view=int(rec.get("frames_per_view", 1)))
-        except ValueError as exc:
+            sample = build_grounding_sample(
+                sample_id, anns, spec,
+                rng.stream("perceptgen", sample_id, "grounding"))
+        except ValueError as exc:  # e.g. a FRONT_ONLY view on the multi-view path
             raise SchemaError(str(exc), record_index=idx) from None
-        anns = [annotation_from_dict(a, idx) for a in rec["annotations"]]
-        sample = build_grounding_sample(
-            str(rec["id"]), anns, spec,
-            rng.stream("perceptgen", str(rec["id"]), "grounding"))
         violations = validate_sample(sample)
         if violations:
             raise SchemaError(f"generated sample invalid: {violations[0].detail}",
@@ -289,27 +289,25 @@ def _cmd_gen_perception(args: argparse.Namespace, cfg: PipelineConfig) -> int:
 
 
 def _cmd_build_prompts(args: argparse.Namespace, cfg: PipelineConfig) -> int:
-    samples = read_manifest(args.infile)
-    rows = []
-    over_budget = 0
-    for sample in sorted(samples, key=lambda s: s.id):
-        report = check_budget(sample)
-        if not report.fits:
-            over_budget += 1
-        rows.append({
-            "id": sample.id,
-            "prompt": report.prompt,
-            "placeholders": list(report.placeholders),
-            "text_tokens": report.text_tokens,
-            "visual_tokens": report.visual_tokens,
-            "limit": SEQUENCE_LIMIT,
-            "fits": report.fits,
-        })
+    samples = iter_manifest(args.infile)  # opens the input before the output
     out = Path(args.out)
+    prompts = over_budget = 0
     with atomic_writer(out) as fh:
-        for row in rows:
-            fh.write(encode_json(row) + "\n")
-    print(f"wrote {out} ({len(rows)} prompts, {over_budget} over budget)")
+        for sample in samples:
+            report = check_budget(sample)
+            if not report.fits:
+                over_budget += 1
+            fh.write(encode_json({
+                "id": sample.id,
+                "prompt": report.prompt,
+                "placeholders": list(report.placeholders),
+                "text_tokens": report.text_tokens,
+                "visual_tokens": report.visual_tokens,
+                "limit": SEQUENCE_LIMIT,
+                "fits": report.fits,
+            }) + "\n")
+            prompts += 1
+    print(f"wrote {out} ({prompts} prompts, {over_budget} over budget)")
     return 0
 
 
@@ -362,13 +360,13 @@ def _modality(sample: Sample) -> str:
 
 
 def _cmd_stats(args: argparse.Namespace, cfg: PipelineConfig) -> int:
-    samples = read_manifest(args.infile)
     by_dataset: dict[str, int] = {}
     by_modality: dict[str, int] = {}
     by_provenance: dict[str, int] = {}
     by_style: dict[str, int] = {}
-    qa_total = 0
-    for sample in samples:
+    samples = qa_total = 0
+    for sample in iter_manifest(args.infile):
+        samples += 1
         by_dataset[sample.dataset.value] = by_dataset.get(sample.dataset.value, 0) + 1
         modality = _modality(sample)
         by_modality[modality] = by_modality.get(modality, 0) + 1
@@ -378,7 +376,7 @@ def _cmd_stats(args: argparse.Namespace, cfg: PipelineConfig) -> int:
                 by_provenance.get(qa.provenance.value, 0) + 1
             by_style[qa.style.value] = by_style.get(qa.style.value, 0) + 1
     payload = {
-        "samples": len(samples),
+        "samples": samples,
         "qa_pairs": qa_total,
         "by_dataset": dict(sorted(by_dataset.items())),
         "by_modality": dict(sorted(by_modality.items())),
@@ -476,6 +474,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args, cfg)
     except ConfigError as exc:
@@ -487,6 +487,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 Each dataset keeps its native annotation style (field names, token grammar);
 the adapters here translate those into Samples without touching token text —
 coordinate/token rewriting belongs to standardize. Also hosts the LiDAR
-bird's-eye-view rasterizer and JSONL manifest I/O.
+bird's-eye-view rasterizer (the only user of numpy, imported there so that no
+CLI call pays for it) and JSONL manifest I/O.
 
 Source schemas are documented in docs/source-schemas.md with one fixture each.
 """
@@ -14,9 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence, TextIO
 
 from .core import (
     CAMERA_RANK,
@@ -40,6 +39,9 @@ from .core import (
 )
 from .errors import SchemaError, UnknownCameraId
 from .standardize import map_camera_id
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +305,8 @@ def project_lidar_bev(points: Sequence[LidarPoint],
     analogous x slab; the ego origin lands in the central cell. Values are in
     [0, 1]: occupancy flags or per-cell max intensity.
     """
+    import numpy as np
+
     rows, cols = cfg.dims
     raster = np.zeros((rows, cols), dtype=np.float64)
     media = MediaRef(MediaKind.IMAGE, CameraId.LIDAR_BEV, 1, cols, rows, uri)
@@ -337,17 +341,40 @@ def write_manifest(samples: Iterable[Sample], path: str | Path) -> None:
             fh.write("\n")
 
 
-def read_manifest(path: str | Path) -> list[Sample]:
-    samples = []
-    with open(path, "r", encoding="utf-8") as fh:
+def iter_manifest(path: str | Path) -> Iterator[Sample]:
+    """Yield a manifest's samples in file order, decoding one line at a time.
+
+    The file is opened by this call, so a missing manifest fails here, before
+    the caller opens any output. A manifest is sorted by id with no id twice,
+    as ``write_manifest`` writes it. Each id must be strictly greater than the
+    one before; otherwise, as for a line that does not decode, iteration
+    raises SchemaError naming the line.
+    """
+    return _decode_manifest(open(path, "r", encoding="utf-8"))
+
+
+def _decode_manifest(fh: TextIO) -> Iterator[Sample]:
+    previous = None
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 raise SchemaError("blank manifest line", line=lineno)
             try:
-                samples.append(sample_from_json(line))
+                sample = sample_from_json(line)
             except SchemaError as exc:
                 raise SchemaError(exc.reason, record_index=exc.record_index,
                                   path=exc.path, line=lineno) from None
-    assert_unique_ids(samples)
-    return samples
+            if previous is not None and sample.id <= previous:
+                if sample.id == previous:
+                    raise SchemaError(f"duplicate sample id {sample.id!r}",
+                                      line=lineno)
+                raise SchemaError(f"manifest not sorted by id: {sample.id!r} "
+                                  f"follows {previous!r}", line=lineno)
+            previous = sample.id
+            yield sample
+
+
+def read_manifest(path: str | Path) -> list[Sample]:
+    """Every sample of a manifest, checked as ``iter_manifest`` checks it."""
+    return list(iter_manifest(path))

@@ -191,22 +191,93 @@ def build_grounding_sample(sample_id: str,
 # JSON source schema (docs/source-schemas.md)
 # ---------------------------------------------------------------------------
 
-def annotation_from_dict(d: Mapping[str, Any], idx: int = 0) -> DetectionAnnotation:
+# A JSON value of each kind, as json.loads returns it; a bool is no integer.
+_JSON_KINDS: dict[str, tuple[type, ...]] = {
+    "integer": (int,),
+    "number": (int, float),
+    "bool": (bool,),
+    "string": (str,),
+}
+
+_REQUIRED = object()
+
+
+def _field(d: Mapping[str, Any], key: str, kind: str, idx: int, path: str,
+           default: Any = _REQUIRED) -> Any:
+    """``d[key]``, which must be a JSON ``kind``, or ``default`` when absent."""
+    if key not in d:
+        if default is _REQUIRED:
+            raise SchemaError(f"missing field {key!r}", record_index=idx, path=path)
+        return default
+    value = d[key]
+    if type(value) not in _JSON_KINDS[kind]:
+        raise SchemaError(f"{key} must be a JSON {kind}, got {value!r}",
+                          record_index=idx, path=path)
+    return value
+
+
+def _list(d: Mapping[str, Any], key: str, idx: int, path: str) -> list[Any]:
+    value = d.get(key)
+    if not isinstance(value, list):
+        raise SchemaError(f"{key} must be a list", record_index=idx, path=path)
+    return value
+
+
+def _box(o: Mapping[str, Any], idx: int, path: str) -> BBoxPx:
+    raw = o.get("bbox")
+    if not (isinstance(raw, list) and len(raw) == 4
+            and all(type(v) in _JSON_KINDS["number"] for v in raw)):
+        raise SchemaError(f"bbox must be four JSON numbers, got {raw!r}",
+                          record_index=idx, path=path)
+    return BBoxPx(*(float(v) for v in raw))
+
+
+def annotation_from_dict(d: Mapping[str, Any], idx: int = 0,
+                         path: str = "annotation") -> DetectionAnnotation:
+    """One annotated view; every field must have its documented JSON type."""
+    if not isinstance(d, dict):
+        raise SchemaError("annotation must be an object", record_index=idx, path=path)
+    frames = _field(d, "frames", "integer", idx, path, default=1)
+    kind = MediaKind.VIDEO if frames > 1 else MediaKind.IMAGE
     try:
-        camera = CameraId(d["camera"])
-        frames = int(d.get("frames", 1))
-        kind = MediaKind.VIDEO if frames > 1 else MediaKind.IMAGE
-        media = MediaRef(kind, camera, frames, int(d["width"]), int(d["height"]),
-                         str(d["uri"]))
+        media = MediaRef(kind, CameraId(_field(d, "camera", "string", idx, path)),
+                         frames, _field(d, "width", "integer", idx, path),
+                         _field(d, "height", "integer", idx, path),
+                         _field(d, "uri", "string", idx, path))
         objects = []
-        for o in d["objects"]:
-            x1, y1, x2, y2 = (float(v) for v in o["bbox"])
-            objects.append(DetectedObject(str(o["category"]),
-                                          BBoxPx(x1, y1, x2, y2),
-                                          int(o.get("frame_index", 0))))
+        for k, o in enumerate(_list(d, "objects", idx, path)):
+            where = f"{path}.objects[{k}]"
+            if not isinstance(o, dict):
+                raise SchemaError("object must be an object", record_index=idx,
+                                  path=where)
+            objects.append(DetectedObject(
+                _field(o, "category", "string", idx, where), _box(o, idx, where),
+                _field(o, "frame_index", "integer", idx, where, default=0)))
         return DetectionAnnotation(media, tuple(objects))
-    except SchemaError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: float(10**400)
         raise SchemaError(f"bad detection annotation: {exc}",
-                          record_index=idx) from None
+                          record_index=idx, path=path) from None
+
+
+def grounding_record_from_dict(
+        rec: Any, idx: int) -> tuple[str, GroundingSpec, list[DetectionAnnotation]]:
+    """One gen-perception input record: its id, spec and annotated views."""
+    if not isinstance(rec, dict):
+        raise SchemaError("record must be an object", record_index=idx)
+    sample_id = _field(rec, "id", "string", idx, "id")
+    try:
+        spec = GroundingSpec(
+            representation=rec.get("representation"),
+            with_camera_prefix=_field(rec, "with_camera_prefix", "bool", idx,
+                                      "with_camera_prefix", default=False),
+            frames_per_view=_field(rec, "frames_per_view", "integer", idx,
+                                   "frames_per_view", default=1))
+    except ValueError as exc:
+        raise SchemaError(str(exc), record_index=idx) from None
+    raw = _list(rec, "annotations", idx, "annotations")
+    if not raw:
+        raise SchemaError("annotations must not be empty", record_index=idx,
+                          path="annotations")
+    anns = [annotation_from_dict(a, idx, f"annotations[{k}]")
+            for k, a in enumerate(raw)]
+    return sample_id, spec, anns

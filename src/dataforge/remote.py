@@ -3,7 +3,8 @@
 POST a JSON object {"system", "user", "temperature"} and get back
 {"text": "..."}. Transport failures are retried with exponential backoff and
 then surface as NetworkError; a well-delivered but malformed reply is a
-ResponseFormatError and is not retried.
+ResponseFormatError and is not retried. The rewriter callable stops calling a
+dead service: see ``as_rewriter``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,9 @@ import urllib.request
 
 from .augment import Rewriter, RewriterRequest
 from .errors import NetworkError, ResponseFormatError
+
+# Consecutive NetworkErrors after which a rewriter stops calling the service.
+BREAKER_FAILURES = 3
 
 
 class RemoteTextClient:
@@ -51,8 +55,27 @@ class RemoteTextClient:
                            f"{self.retries + 1} attempts: {last}")
 
     def as_rewriter(self) -> Rewriter:
+        """A rewriter that posts each request through ``complete``.
+
+        After ``BREAKER_FAILURES`` calls in a row end in NetworkError, every
+        later call raises NetworkError at once, without a POST or a backoff
+        sleep, so a dead service costs a bounded time per run. A success
+        resets the count.
+        """
+        failures = 0
+
         def call(request: RewriterRequest) -> str:
-            return self.complete(request.system_text, request.user_text)
+            nonlocal failures
+            if failures >= BREAKER_FAILURES:
+                raise NetworkError(f"POST {self.url} skipped after {failures} "
+                                   "failed calls in a row")
+            try:
+                text = self.complete(request.system_text, request.user_text)
+            except NetworkError:
+                failures += 1
+                raise
+            failures = 0
+            return text
         return call
 
 

@@ -1,6 +1,12 @@
+import gc
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import dataforge
 
 from dataforge.cli import main
 from dataforge.core import atomic_writer, encode_json, sample_to_json
@@ -301,6 +307,64 @@ def test_gen_perception_duplicate_id(workdir, capsys):
     assert not out.exists()
 
 
+_FRONT_VIEW = {"camera": "FRONT_ONLY", "width": 1280, "height": 720,
+               "uri": "img/1.jpg",
+               "objects": [{"category": "car", "bbox": [100, 100, 400, 300]}]}
+
+
+def _with_object(**fields):
+    obj = dict(_FRONT_VIEW["objects"][0], **fields)
+    return {"id": "p", "annotations": [dict(_FRONT_VIEW, objects=[obj])]}
+
+
+@pytest.mark.parametrize("record,error", [
+    ({"id": "p", "with_camera_prefix": True, "annotations": [_FRONT_VIEW]},
+     "FRONT_ONLY is not a surround camera (record 0)"),
+    ({"id": "p", "annotations": [dict(_FRONT_VIEW, camera="CAM_FRONT"),
+                                 dict(_FRONT_VIEW, camera="CAM_BACK")]},
+     "multi-view grounding requires camera-prefixed tokens (record 0)"),
+    ({"id": "p", "annotations": []},
+     "annotations must not be empty (record 0, at annotations)"),
+    ({"id": "p", "with_camera_prefix": "false", "annotations": [_FRONT_VIEW]},
+     "with_camera_prefix must be a JSON bool, got 'false' "
+     "(record 0, at with_camera_prefix)"),
+    ({"id": "p", "frames_per_view": 1.9, "annotations": [_FRONT_VIEW]},
+     "frames_per_view must be a JSON integer, got 1.9 (record 0, at frames_per_view)"),
+    ({"id": "p", "annotations": [dict(_FRONT_VIEW, width=100.7)]},
+     "width must be a JSON integer, got 100.7 (record 0, at annotations[0])"),
+    ({"id": "p", "annotations": [dict(_FRONT_VIEW, height=True)]},
+     "height must be a JSON integer, got True (record 0, at annotations[0])"),
+    ({"id": "p", "annotations": [dict(_FRONT_VIEW, frames="1")]},
+     "frames must be a JSON integer, got '1' (record 0, at annotations[0])"),
+    ({"id": "p", "annotations": [dict(_FRONT_VIEW, uri=7)]},
+     "uri must be a JSON string, got 7 (record 0, at annotations[0])"),
+    (_with_object(frame_index=0.0),
+     "frame_index must be a JSON integer, got 0.0 "
+     "(record 0, at annotations[0].objects[0])"),
+    (_with_object(category=["car"]),
+     "category must be a JSON string, got ['car'] "
+     "(record 0, at annotations[0].objects[0])"),
+    (_with_object(bbox=[100, 100, "400", 300]),
+     "bbox must be four JSON numbers, got [100, 100, '400', 300] "
+     "(record 0, at annotations[0].objects[0])"),
+    (_with_object(bbox=[True, 100, 400, 300]),
+     "bbox must be four JSON numbers, got [True, 100, 400, 300] "
+     "(record 0, at annotations[0].objects[0])"),
+    ({"id": 7, "annotations": [_FRONT_VIEW]},
+     "id must be a JSON string, got 7 (record 0, at id)"),
+], ids=["front_only_prefixed", "two_views_unprefixed", "no_annotations",
+        "prefix_string", "frames_per_view_float", "width_float", "height_bool",
+        "frames_string", "uri_int", "frame_index_float", "category_list",
+        "bbox_string", "bbox_bool", "id_int"])
+def test_gen_perception_bad_record_is_one_error_line(workdir, capsys, record, error):
+    (workdir / "percept.json").write_text(json.dumps([record]))
+    out = workdir / "p.jsonl"
+    assert _run("gen-perception", "--offline", "--in", workdir / "percept.json",
+                "--out", out) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+    assert not out.exists()
+
+
 # ------------------------------------------------------------- build-prompts
 
 def test_build_prompts_rows_and_budget(workdir):
@@ -500,6 +564,66 @@ def test_stats_sections(workdir, capsys):
     assert "by_dataset.coda_lm: 20" in text
 
 
+# ----------------------------------------------------------- manifest order
+
+def _write_lines(path, samples):
+    path.write_text("".join(sample_to_json(s) + "\n" for s in samples),
+                    encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["standardize", "augment", "build-prompts",
+                                     "stats"])
+@pytest.mark.parametrize("ids,error", [
+    ((0, 2, 1), "manifest not sorted by id: 'lingoqa/000001' follows "
+                "'lingoqa/000002' (line 3)"),
+    ((0, 1, 1), "duplicate sample id 'lingoqa/000001' (line 3)"),
+], ids=["unsorted", "duplicate"])
+def test_manifest_readers_reject_unsorted_or_duplicate_ids(workdir, capsys,
+                                                           command, ids, error):
+    manifest = workdir / "m.jsonl"
+    _write_lines(manifest, [plain_sample(i) for i in ids])
+    out = workdir / "out.json"
+    assert _run(command, "--offline", "--in", manifest, "--out", out) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+    assert not out.exists()
+
+
+def test_build_prompts_missing_input_creates_nothing(workdir, capsys):
+    out = workdir / "new" / "prompts.jsonl"
+    assert _run("build-prompts", "--in", workdir / "missing.jsonl", "--out", out) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not (workdir / "new").exists()
+
+
+# ------------------------------------------------------------ process state
+
+@pytest.mark.parametrize("argv,code", [
+    (["plan-curriculum", "--out", "{dir}"], 0),
+    (["stats", "--in", "{dir}/m.jsonl"], 1),
+    (["stats", "--in", "{dir}/missing.jsonl"], 2),
+], ids=["exit0", "exit1", "exit2"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
+def test_main_restores_gc_state(workdir, capsys, argv, code, enabled):
+    _write_lines(workdir / "m.jsonl", [plain_sample(1), plain_sample(0)])
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        assert _run(*[a.format(dir=workdir) for a in argv]) == code
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+
+
+def test_importing_the_cli_does_not_import_numpy():
+    src = str(Path(dataforge.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, dataforge.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, check=True, timeout=60,
+        env={"PYTHONPATH": src})
+    assert result.stdout.strip() == "False"
+
+
 # ------------------------------------------------------------- config errors
 
 def test_missing_config_file(workdir, capsys):
@@ -577,6 +701,17 @@ def test_augment_config_numbers_at_their_bounds(workdir, capsys):
     assert _run("augment", "--config", good, "--offline", "--in", raw,
                 "--out", out) == 0
     assert read_manifest(out) == read_manifest(raw)
+
+
+@pytest.mark.parametrize("count", [2.7, True, "12", 0, -5],
+                         ids=["float", "bool", "string", "zero", "negative"])
+def test_registry_count_must_be_positive_integer(workdir, capsys, count):
+    bad = workdir / "bad.json"
+    bad.write_text(json.dumps({"registry": {"CODA-LM": count}}))
+    assert _run("plan-curriculum", "--config", bad, "--out", workdir) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: registry count for CODA-LM must be an integer >= 1, got {count!r}"]
+    assert not (workdir / "plans").exists()
 
 
 def test_config_standardize_section_exits_two(workdir, capsys):

@@ -3,23 +3,61 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from dataforge.cli import load_config, main
 from dataforge.curriculum import DEFAULT_REGISTRY
 
 DOC = Path(__file__).resolve().parent.parent / "docs" / "source-schemas.md"
 
+ADAPTERS = ("coda_lm", "maplm", "lingoqa", "drivelm", "omnidrive", "nuinstruct")
+
+
+def _block(heading):
+    """The text of the first ```json block under the `heading` line."""
+    section = DOC.read_text(encoding="utf-8").split(f"\n{heading}\n", 1)[1]
+    return section.split("```json\n", 1)[1].split("\n```", 1)[0] + "\n"
+
 
 def _json_block(heading):
-    """The first ```json block under the `## heading` section."""
-    section = DOC.read_text(encoding="utf-8").split(f"\n## {heading}\n", 1)[1]
-    return json.loads(section.split("```json\n", 1)[1].split("\n```", 1)[0])
+    return json.loads(_block(heading))
 
 
 def test_documented_config_plans_documented_stage1(tmp_path):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(_json_block("Pipeline config (`--config`)")))
+    config.write_text(json.dumps(_json_block("## Pipeline config (`--config`)")))
     assert load_config(config).registry == DEFAULT_REGISTRY
     assert main(["plan-curriculum", "--config", str(config),
                  "--out", str(tmp_path)]) == 0
     written = json.loads((tmp_path / "plans" / "stage1.json").read_text())
-    assert written == _json_block("Stage plans (`plan-curriculum`)")
+    assert written == _json_block("## Stage plans (`plan-curriculum`)")
+
+
+@pytest.mark.parametrize("adapter", ADAPTERS)
+def test_documented_source_example_runs_through_prompts(tmp_path, adapter):
+    source = tmp_path / "source.json"
+    source.write_text(json.dumps([_json_block(f"### {adapter}")]))
+    raw, std, prompts = (tmp_path / n for n in ("raw.jsonl", "std.jsonl",
+                                                "prompts.jsonl"))
+    assert main(["ingest", "--adapter", adapter, "--in", str(source),
+                 "--out", str(raw)]) == 0
+    assert main(["standardize", "--in", str(raw), "--out", str(std)]) == 0
+    assert main(["build-prompts", "--in", str(std), "--out", str(prompts)]) == 0
+    assert len(prompts.read_text().splitlines()) == 1
+
+
+def test_documented_perception_example_runs(tmp_path):
+    source = tmp_path / "annotations.json"
+    source.write_text(json.dumps(
+        [_json_block("## Perception annotation input (`gen-perception`)")]))
+    out = tmp_path / "grounding.jsonl"
+    assert main(["gen-perception", "--in", str(source), "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1
+
+
+def test_documented_predictions_example_evaluates(tmp_path, capsys):
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text(_block("## Predictions file (`evaluate`)"), encoding="utf-8")
+    assert main(["evaluate", "--in", str(preds), "--dataset", "coda_lm"]) == 0
+    scored = {line.split(":")[0] for line in capsys.readouterr().out.splitlines()}
+    assert scored == {"accuracy", "bleu", "mae", "detection_ap", "center_match"}

@@ -1,5 +1,6 @@
 import json
 import threading
+import urllib.error
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from dataforge.augment import build_rewriter_request, parse_rewriter_response
 from dataforge.core import QAPair
 from dataforge.errors import NetworkError, ResponseFormatError
-from dataforge.remote import RemoteTextClient
+from dataforge.remote import BREAKER_FAILURES, RemoteTextClient
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -114,3 +115,78 @@ def test_as_rewriter_round_trip(stub_server):
     sent = _StubHandler.requests_seen[0]
     assert sent["system"] == "You are an English improver."
     assert "What do you see?" in sent["user"]
+
+
+class _ScriptedUrlopen:
+    """Stands in for ``urllib.request.urlopen``: each POST pops one outcome,
+    True for a reply, False for a refused connection."""
+
+    def __init__(self, outcomes):
+        self.outcomes = list(outcomes)
+        self.posts = 0
+
+    def __call__(self, request, timeout):
+        self.posts += 1
+        if not self.outcomes.pop(0):
+            raise urllib.error.URLError("connection refused")
+        return _Reply()
+
+
+class _Reply:
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def read(self):
+        return json.dumps({"text": "Question: Q? Answer: A."}).encode("utf-8")
+
+
+def _request():
+    return build_rewriter_request(QAPair(question="Q?", answer="A."))
+
+
+def test_breaker_stops_posting_after_consecutive_failures(monkeypatch):
+    urlopen = _ScriptedUrlopen([False] * 3 * BREAKER_FAILURES)
+    monkeypatch.setattr("urllib.request.urlopen", urlopen)
+    slept = []
+    rewriter = RemoteTextClient("http://127.0.0.1:9/", retries=2,
+                                sleep=slept.append).as_rewriter()
+    for _ in range(BREAKER_FAILURES):
+        with pytest.raises(NetworkError):
+            rewriter(_request())
+    assert (urlopen.posts, len(slept)) == (3 * BREAKER_FAILURES, 2 * BREAKER_FAILURES)
+    for _ in range(20):
+        with pytest.raises(NetworkError, match="skipped"):
+            rewriter(_request())
+    assert (urlopen.posts, len(slept)) == (3 * BREAKER_FAILURES, 2 * BREAKER_FAILURES)
+
+
+def test_breaker_count_resets_on_success(monkeypatch):
+    # two failed calls, one success, two failed calls, one success: never
+    # three failures in a row, so every call reaches the service
+    calls = [False, False, True] * 2
+    urlopen = _ScriptedUrlopen(calls)
+    monkeypatch.setattr("urllib.request.urlopen", urlopen)
+    rewriter = RemoteTextClient("http://127.0.0.1:9/", retries=0,
+                                sleep=lambda s: None).as_rewriter()
+    for ok in calls:
+        if ok:
+            assert rewriter(_request()) == "Question: Q? Answer: A."
+        else:
+            with pytest.raises(NetworkError, match="failed after"):
+                rewriter(_request())
+    assert urlopen.posts == len(calls)
+
+
+def test_each_rewriter_has_its_own_breaker(monkeypatch):
+    urlopen = _ScriptedUrlopen([False] * BREAKER_FAILURES + [True])
+    monkeypatch.setattr("urllib.request.urlopen", urlopen)
+    client = RemoteTextClient("http://127.0.0.1:9/", retries=0,
+                              sleep=lambda s: None)
+    first = client.as_rewriter()
+    for _ in range(BREAKER_FAILURES):
+        with pytest.raises(NetworkError):
+            first(_request())
+    assert client.as_rewriter()(_request()) == "Question: Q? Answer: A."
