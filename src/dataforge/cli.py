@@ -22,7 +22,8 @@ import os
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
+from urllib.parse import urlsplit
 
 from .augment import DEFAULT_FACTORS, ExpansionPolicy, Rewriter, SeededRng, expand_dataset
 from .core import (
@@ -30,8 +31,15 @@ from .core import (
     MediaKind,
     Provenance,
     Sample,
+    _DATASETS,
+    _member,
     atomic_writer,
     encode_json,
+    json_bool,
+    json_int,
+    json_number,
+    json_object,
+    json_str,
     validate_sample,
 )
 from .curriculum import DEFAULT_EXPECTATIONS, build_all_plans, validate_plan_totals, write_stage_plans
@@ -65,12 +73,8 @@ class PipelineConfig:
     registry: dict[str, int] | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ConfigError("seed must be an integer")
         if self.seed.bit_length() > 64:
             raise ConfigError("seed must fit in 64 bits")
-        if not isinstance(self.offline, bool):
-            raise ConfigError("offline must be true or false")
 
 
 _CONFIG_KEYS = frozenset({"seed", "offline", "out_dir", "sources", "augment",
@@ -78,59 +82,64 @@ _CONFIG_KEYS = frozenset({"seed", "offline", "out_dir", "sources", "augment",
 _AUGMENT_KEYS = frozenset({"factors", "mc_fraction", "rewriter_url"})
 
 
-def _check_keys(data: Any, allowed: frozenset[str], section: str) -> None:
-    if not isinstance(data, Mapping):
-        raise ConfigError(f"{section} must be a JSON object")
+def _check_keys(data: Any, allowed: frozenset[str], section: str) -> dict[str, Any]:
+    json_object(data, section)
     unknown = sorted(set(data) - allowed)
     if unknown:
         raise ConfigError(f"unknown {section} key(s): {', '.join(unknown)}")
+    return data
 
 
-def _count(what: str, value: Any) -> int:
-    if type(value) is not int or value < 1:  # a JSON integer, not a bool
-        raise ConfigError(f"{what} must be an integer >= 1, got {value!r}")
-    return value
-
-
-def _mc_fraction(value: Any) -> float:
-    if type(value) not in (int, float) or not 0 <= value <= 1:  # NaN fails too
-        raise ConfigError(f"augment mc_fraction must be a number in [0, 1], "
-                          f"got {value!r}")
-    return float(value)
-
-
-def _config_from_dict(data: Mapping[str, Any]) -> PipelineConfig:
-    _check_keys(data, _CONFIG_KEYS, "config")
-    kwargs: dict[str, Any] = {}
+def _rewriter_url(value: Any) -> str:
+    """An http(s) URL that urllib can POST to: http.client rejects spaces and
+    control characters with an error no retry handles."""
+    url = json_str(value, "augment rewriter_url")
     try:
+        parts = urlsplit(url)
+        valid = (parts.scheme in ("http", "https") and parts.hostname is not None
+                 and parts.port != 0 and url.isprintable() and " " not in url)
+    except ValueError:  # an unclosed IPv6 bracket, a port above 65535
+        valid = False
+    if not valid:
+        raise ConfigError(f"augment rewriter_url must be an http(s) URL, got {url!r}")
+    return url
+
+
+def _config_from_dict(data: Any) -> PipelineConfig:
+    """The config a decoded config file describes; every value is read at
+    its JSON type, and any other value is a ConfigError."""
+    try:
+        _check_keys(data, _CONFIG_KEYS, "config")
+        kwargs: dict[str, Any] = {}
         if "seed" in data:
-            kwargs["seed"] = data["seed"]
+            kwargs["seed"] = json_int(data["seed"], "seed")
         if "offline" in data:
-            kwargs["offline"] = data["offline"]
+            kwargs["offline"] = json_bool(data["offline"], "offline")
         if "out_dir" in data:
-            kwargs["out_dir"] = Path(data["out_dir"])
+            kwargs["out_dir"] = Path(json_str(data["out_dir"], "out_dir"))
         if "sources" in data:
-            kwargs["sources"] = {DatasetId(name): Path(path)
-                                 for name, path in data["sources"].items()}
+            kwargs["sources"] = {
+                _member(_DATASETS, DatasetId, name, "sources"):
+                    Path(json_str(path, f"source path for {name}"))
+                for name, path in json_object(data["sources"], "sources").items()}
         if "augment" in data:
-            aug = data["augment"]
-            _check_keys(aug, _AUGMENT_KEYS, "augment")
+            aug = _check_keys(data["augment"], _AUGMENT_KEYS, "augment")
             if "factors" in aug:
                 kwargs["factors"] = {
-                    DatasetId(name): _count(f"augment factor for {name}", f)
-                    for name, f in aug["factors"].items()}
+                    _member(_DATASETS, DatasetId, name, "augment factors"):
+                        json_int(f, f"augment factor for {name}", minimum=1)
+                    for name, f in json_object(aug["factors"], "augment factors").items()}
             if "mc_fraction" in aug:
-                kwargs["mc_fraction"] = _mc_fraction(aug["mc_fraction"])
+                kwargs["mc_fraction"] = json_number(
+                    aug["mc_fraction"], "augment mc_fraction", minimum=0, maximum=1)
             if "rewriter_url" in aug:
-                kwargs["rewriter_url"] = aug["rewriter_url"]
+                kwargs["rewriter_url"] = _rewriter_url(aug["rewriter_url"])
         if "registry" in data:
             kwargs["registry"] = {
-                name: _count(f"registry count for {name}", count)
-                for name, count in data["registry"].items()}
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError, SchemaError) as exc:
-        raise ConfigError(f"bad config: {exc}") from None
+                name: json_int(count, f"registry count for {name}", minimum=1)
+                for name, count in json_object(data["registry"], "registry").items()}
+    except SchemaError as exc:
+        raise ConfigError(str(exc)) from None
     return PipelineConfig(**kwargs)
 
 
@@ -156,14 +165,7 @@ def _apply_overrides(cfg: PipelineConfig, args: argparse.Namespace) -> PipelineC
         updates["offline"] = True
     if getattr(args, "out", None) is not None and hasattr(cfg, "out_dir"):
         updates["out_dir"] = Path(args.out)
-    if not updates:
-        return cfg
-    try:
-        return replace(cfg, **updates)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad override: {exc}") from None
+    return replace(cfg, **updates) if updates else cfg
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ mappings.
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -45,13 +46,6 @@ class CameraId(Enum):
 
     def __str__(self) -> str:
         return self.value
-
-    @classmethod
-    def parse(cls, name: str) -> "CameraId":
-        try:
-            return cls(name)
-        except ValueError:
-            raise SchemaError(f"unknown camera name {name!r}") from None
 
 
 # Fixed ordering of the six surround cameras; used wherever answers or media
@@ -192,6 +186,11 @@ class MediaRef:
     def __post_init__(self) -> None:
         if self.kind is MediaKind.IMAGE and self.frame_count != 1:
             raise ValueError(f"image media must have frame_count 1, got {self.frame_count}")
+        if self.frame_count < 1 or self.width < 1 or self.height < 1:
+            for name in ("frame_count", "width", "height"):
+                value = getattr(self, name)
+                if value < 1:
+                    raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def image_ref(camera: CameraId, width: int, height: int, uri: str) -> MediaRef:
@@ -243,14 +242,6 @@ def validate_sample(sample: Sample) -> list[Violation]:
         out.append(Violation("id", "non_empty", "sample id is empty"))
     if not sample.media:
         out.append(Violation("media", "non_empty", "sample carries no media"))
-
-    for i, m in enumerate(sample.media):
-        if m.width <= 0 or m.height <= 0:
-            out.append(Violation(f"media[{i}]", "positive_dims",
-                                 f"width/height must be > 0, got {m.width}x{m.height}"))
-        if m.frame_count < 1:
-            out.append(Violation(f"media[{i}]", "frame_count",
-                                 f"frame_count must be >= 1, got {m.frame_count}"))
 
     media_cameras = {m.camera for m in sample.media}
     uniform_dims: tuple[int, int] | None = None
@@ -392,25 +383,90 @@ def _member(table: dict[str, Any], enum: type[Enum], value: Any, path: str) -> A
         raise SchemaError(f"{value!r} is not a valid {enum.__name__}", path=path) from None
 
 
-def _require(d: dict[str, Any], key: str, path: str) -> Any:
+# ---------------------------------------------------------------------------
+# Readers for decoded JSON values, shared by every input format. Each returns
+# the value if it has the named kind and otherwise raises
+# SchemaError("<name> must be <what>, got <value!r>") at ``path``. The loop
+# that owns a record adds its index or line to the error. A bool is never a
+# number. No reader takes **kwargs: the manifest decoder would pay for them.
+# ---------------------------------------------------------------------------
+
+_MISSING: Any = object()
+
+
+def json_key(d: dict[str, Any], key: str, path: str | None = None,
+             default: Any = _MISSING) -> Any:
+    """``d[key]``; when the key is absent, ``default`` if one is given."""
     try:
         return d[key]
     except KeyError:
+        if default is not _MISSING:
+            return default
         raise SchemaError(f"missing key {key!r}", path=path) from None
+
+
+def _wrong(name: str, what: str, value: Any, path: str | None) -> SchemaError:
+    return SchemaError(f"{name} must be {what}, got {value!r}", path=path)
+
+
+def json_int(value: Any, name: str, path: str | None = None, *,
+             minimum: int | None = None) -> int:
+    """``value`` if it is a JSON integer, and at least ``minimum`` if given."""
+    if type(value) is int and (minimum is None or value >= minimum):
+        return value
+    raise _wrong(name, "an integer" if minimum is None else f"an integer >= {minimum}",
+                 value, path)
+
+
+def json_number(value: Any, name: str, path: str | None = None, *,
+                minimum: float = -math.inf, maximum: float = math.inf) -> float:
+    """``value`` as a float if it is a finite JSON number in [minimum, maximum].
+    NaN, +-inf and an integer too large for a float fail."""
+    if type(value) is float or type(value) is int:
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number) and minimum <= number <= maximum:
+            return number
+    bounded = minimum != -math.inf or maximum != math.inf
+    raise _wrong(name, f"a number in [{minimum}, {maximum}]" if bounded else "a number",
+                 value, path)
+
+
+def json_bool(value: Any, name: str, path: str | None = None) -> bool:
+    if value is True or value is False:
+        return value
+    raise _wrong(name, "true or false", value, path)
+
+
+def json_str(value: Any, name: str, path: str | None = None) -> str:
+    if type(value) is str:
+        return value
+    raise _wrong(name, "a string", value, path)
+
+
+def json_list(value: Any, name: str, path: str | None = None) -> list[Any]:
+    if type(value) is list:
+        return value
+    raise _wrong(name, "a list", value, path)
+
+
+def json_object(value: Any, name: str, path: str | None = None) -> dict[str, Any]:
+    if type(value) is dict:
+        return value
+    raise _wrong(name, "an object", value, path)
 
 
 def media_from_dict(d: dict[str, Any], path: str = "media") -> MediaRef:
     if not isinstance(d, dict):
         raise SchemaError("media entry must be an object", path=path)
-    kind = _member(_MEDIA_KINDS, MediaKind, _require(d, "kind", path), path)
-    camera = _member(_CAMERAS, CameraId, _require(d, "camera", path), path)
-    frame_count = _require(d, "frame_count", path)
-    width = _require(d, "width", path)
-    height = _require(d, "height", path)
-    for name, v in (("frame_count", frame_count), ("width", width), ("height", height)):
-        if type(v) is not int and (not isinstance(v, int) or isinstance(v, bool)):
-            raise SchemaError(f"{name} must be an integer, got {v!r}", path=path)
-    uri = _require(d, "uri", path)
+    kind = _member(_MEDIA_KINDS, MediaKind, json_key(d, "kind", path), path)
+    camera = _member(_CAMERAS, CameraId, json_key(d, "camera", path), path)
+    frame_count = json_int(json_key(d, "frame_count", path), "frame_count", path)
+    width = json_int(json_key(d, "width", path), "width", path)
+    height = json_int(json_key(d, "height", path), "height", path)
+    uri = json_key(d, "uri", path)
     if not isinstance(uri, str):
         raise SchemaError("uri must be a string", path=path)
     try:
@@ -422,8 +478,8 @@ def media_from_dict(d: dict[str, Any], path: str = "media") -> MediaRef:
 def qa_from_dict(d: dict[str, Any], path: str = "qa") -> QAPair:
     if not isinstance(d, dict):
         raise SchemaError("qa entry must be an object", path=path)
-    question = _require(d, "question", path)
-    answer = _require(d, "answer", path)
+    question = json_key(d, "question", path)
+    answer = json_key(d, "answer", path)
     if not isinstance(question, str) or not isinstance(answer, str):
         raise SchemaError("question/answer must be strings", path=path)
     style = _member(_STYLES, QAStyle, d.get("style", "open"), path)
@@ -447,12 +503,12 @@ def qa_from_dict(d: dict[str, Any], path: str = "qa") -> QAPair:
 def sample_from_dict(d: dict[str, Any], path: str = "sample") -> Sample:
     if not isinstance(d, dict):
         raise SchemaError("sample must be an object", path=path)
-    sid = _require(d, "id", path)
+    sid = json_key(d, "id", path)
     if not isinstance(sid, str):
         raise SchemaError("id must be a string", path=path)
-    dataset = _member(_DATASETS, DatasetId, _require(d, "dataset", path), path)
-    media_raw = _require(d, "media", path)
-    qa_raw = _require(d, "qa", path)
+    dataset = _member(_DATASETS, DatasetId, json_key(d, "dataset", path), path)
+    media_raw = json_key(d, "media", path)
+    qa_raw = json_key(d, "qa", path)
     if not isinstance(media_raw, list) or not isinstance(qa_raw, list):
         raise SchemaError("media and qa must be lists", path=path)
     media = tuple(media_from_dict(m, f"{path}.media[{i}]") for i, m in enumerate(media_raw))

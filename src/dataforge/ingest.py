@@ -28,9 +28,16 @@ from .core import (
     QAPair,
     QAStyle,
     Sample,
+    _CAMERAS,
+    _member,
     assert_unique_ids,
     atomic_writer,
     image_ref,
+    json_int,
+    json_key,
+    json_list,
+    json_object,
+    json_str,
     sample_from_dict,
     sample_from_json,
     sample_to_json,
@@ -45,45 +52,31 @@ if TYPE_CHECKING:
 
 
 # ---------------------------------------------------------------------------
-# Record field helpers
+# Record field helpers. parse_source adds the record index to their errors.
 # ---------------------------------------------------------------------------
 
-def _req(rec: dict[str, Any], key: str, idx: int, kind: type | tuple = str) -> Any:
-    if key not in rec:
-        raise SchemaError("missing field", record_index=idx, path=key)
-    value = rec[key]
-    if kind is int and isinstance(value, bool):
-        raise SchemaError("expected integer, got bool", record_index=idx, path=key)
-    if not isinstance(value, kind):
-        raise SchemaError(f"expected {getattr(kind, '__name__', kind)}, got "
-                          f"{type(value).__name__}", record_index=idx, path=key)
-    return value
+def _req(rec: dict[str, Any], key: str, read: Callable[..., Any] = json_str) -> Any:
+    """``rec[key]``, checked by the core reader ``read``."""
+    return read(json_key(rec, key, key), key, key)
 
 
-def _tags(rec: dict[str, Any], idx: int, key: str = "tags") -> frozenset[str]:
+def _tags(rec: dict[str, Any], key: str = "tags") -> frozenset[str]:
     raw = rec.get(key, [])
     if isinstance(raw, str):
         raw = [raw]
     if not isinstance(raw, list) or not all(isinstance(t, str) for t in raw):
-        raise SchemaError("tags must be a string or list of strings",
-                          record_index=idx, path=key)
+        raise SchemaError("tags must be a string or list of strings", path=key)
     return frozenset(raw)
 
 
-def _qa_list(entries: Any, idx: int, path: str,
+def _qa_list(entries: Any, path: str,
              q_key: str = "question", a_key: str = "answer") -> list[QAPair]:
-    if not isinstance(entries, list):
-        raise SchemaError("expected a list of QA entries", record_index=idx, path=path)
     out = []
-    for k, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise SchemaError("QA entry must be an object",
-                              record_index=idx, path=f"{path}[{k}]")
-        for key in (q_key, a_key):
-            if key not in entry or not isinstance(entry[key], str):
-                raise SchemaError(f"missing string field {key!r}",
-                                  record_index=idx, path=f"{path}[{k}]")
-        out.append(QAPair(entry[q_key], entry[a_key]))
+    for k, entry in enumerate(json_list(entries, path, path)):
+        where = f"{path}[{k}]"
+        json_object(entry, "QA entry", where)
+        out.append(QAPair(json_str(json_key(entry, q_key, where), q_key, where),
+                          json_str(json_key(entry, a_key, where), a_key, where)))
     return out
 
 
@@ -91,134 +84,102 @@ def _qa_list(entries: Any, idx: int, path: str,
 # Per-dataset adapters (source record -> Sample)
 # ---------------------------------------------------------------------------
 
-def _parse_coda_lm(rec: dict[str, Any], idx: int) -> Sample:
-    sid = _req(rec, "id", idx)
-    img = _req(rec, "image", idx, dict)
-    media = (image_ref(CameraId.FRONT_ONLY,
-                       _req(img, "width", idx, int), _req(img, "height", idx, int),
-                       _req(img, "path", idx)),)
-    qa = _qa_list(_req(rec, "qa", idx, list), idx, "qa")
-    return Sample(f"coda_lm/{sid}", DatasetId.CODA_LM, media, tuple(qa),
-                  _tags(rec, idx, "task"))
+def _parse_coda_lm(rec: dict[str, Any]) -> Sample:
+    sid = _req(rec, "id")
+    img = _req(rec, "image", json_object)
+    media = (image_ref(CameraId.FRONT_ONLY, _req(img, "width", json_int),
+                       _req(img, "height", json_int), _req(img, "path")),)
+    qa = _qa_list(_req(rec, "qa", json_list), "qa")
+    return Sample(f"coda_lm/{sid}", DatasetId.CODA_LM, media, tuple(qa), _tags(rec, "task"))
 
 
-def _parse_maplm(rec: dict[str, Any], idx: int) -> Sample:
-    sid = _req(rec, "frame_id", idx)
-    media = (image_ref(CameraId.FRONT_ONLY,
-                       _req(rec, "width", idx, int), _req(rec, "height", idx, int),
-                       _req(rec, "image", idx)),)
-    pairs_raw = _req(rec, "qa_pairs", idx, list)
+def _parse_maplm(rec: dict[str, Any]) -> Sample:
+    sid = _req(rec, "frame_id")
+    media = (image_ref(CameraId.FRONT_ONLY, _req(rec, "width", json_int),
+                       _req(rec, "height", json_int), _req(rec, "image")),)
     qa = []
-    for k, pair in enumerate(pairs_raw):
+    for k, pair in enumerate(_req(rec, "qa_pairs", json_list)):
         if not (isinstance(pair, list) and len(pair) == 2
                 and all(isinstance(x, str) for x in pair)):
             raise SchemaError("qa_pairs entries must be [question, answer]",
-                              record_index=idx, path=f"qa_pairs[{k}]")
+                              path=f"qa_pairs[{k}]")
         qa.append(QAPair(pair[0], pair[1]))
-    return Sample(f"maplm/{sid}", DatasetId.MAPLM, media, tuple(qa), _tags(rec, idx))
+    return Sample(f"maplm/{sid}", DatasetId.MAPLM, media, tuple(qa), _tags(rec))
 
 
-def _parse_lingoqa(rec: dict[str, Any], idx: int) -> Sample:
-    sid = _req(rec, "segment_id", idx)
-    vid = _req(rec, "video", idx, dict)
-    media = (video_ref(CameraId.FRONT_ONLY, _req(vid, "frames", idx, int),
-                       _req(vid, "width", idx, int), _req(vid, "height", idx, int),
-                       _req(vid, "path", idx)),)
-    qa = (QAPair(_req(rec, "question", idx), _req(rec, "answer", idx)),)
-    return Sample(f"lingoqa/{sid}", DatasetId.LINGOQA, media, qa, _tags(rec, idx))
+def _parse_lingoqa(rec: dict[str, Any]) -> Sample:
+    sid = _req(rec, "segment_id")
+    vid = _req(rec, "video", json_object)
+    media = (video_ref(CameraId.FRONT_ONLY, _req(vid, "frames", json_int),
+                       _req(vid, "width", json_int), _req(vid, "height", json_int),
+                       _req(vid, "path")),)
+    qa = (QAPair(_req(rec, "question"), _req(rec, "answer")),)
+    return Sample(f"lingoqa/{sid}", DatasetId.LINGOQA, media, qa, _tags(rec))
 
 
 def _surround_images(images: dict[str, Any], width: int, height: int,
-                     idx: int, path: str) -> tuple[MediaRef, ...]:
+                     path: str) -> tuple[MediaRef, ...]:
     media = []
     for name, uri in images.items():
-        try:
-            camera = CameraId(name)
-        except ValueError:
-            raise SchemaError(f"unknown camera name {name!r}",
-                              record_index=idx, path=path) from None
-        if not isinstance(uri, str):
-            raise SchemaError("image path must be a string",
-                              record_index=idx, path=f"{path}.{name}")
-        media.append(image_ref(camera, width, height, uri))
+        camera = _member(_CAMERAS, CameraId, name, path)
+        media.append(image_ref(camera, width, height,
+                               json_str(uri, "image path", f"{path}.{name}")))
     media.sort(key=lambda m: CAMERA_RANK[m.camera])
     return tuple(media)
 
 
-def _parse_drivelm(rec: dict[str, Any], idx: int) -> Sample:
-    sid = _req(rec, "scene_id", idx)
-    width = _req(rec, "width", idx, int)
-    height = _req(rec, "height", idx, int)
-    media = _surround_images(_req(rec, "images", idx, dict), width, height,
-                             idx, "images")
-    sections = _req(rec, "qa", idx, dict)
+def _parse_drivelm(rec: dict[str, Any]) -> Sample:
+    sid = _req(rec, "scene_id")
+    media = _surround_images(_req(rec, "images", json_object), _req(rec, "width", json_int),
+                             _req(rec, "height", json_int), "images")
+    sections = _req(rec, "qa", json_object)
     qa: list[QAPair] = []
-    tags = set()
     for section, entries in sections.items():
-        qa.extend(_qa_list(entries, idx, f"qa.{section}", q_key="q", a_key="a"))
-        tags.add(section)
+        qa.extend(_qa_list(entries, f"qa.{section}", q_key="q", a_key="a"))
     return Sample(f"drivelm/{sid}", DatasetId.DRIVELM, media, tuple(qa),
-                  frozenset(tags))
+                  frozenset(sections))
 
 
-def _parse_omnidrive(rec: dict[str, Any], idx: int) -> Sample:
-    sid = _req(rec, "token", idx)
-    width = _req(rec, "width", idx, int)
-    height = _req(rec, "height", idx, int)
-    cameras = _req(rec, "cameras", idx, list)
+def _parse_omnidrive(rec: dict[str, Any]) -> Sample:
+    sid = _req(rec, "token")
+    width = _req(rec, "width", json_int)
+    height = _req(rec, "height", json_int)
+    cameras = _req(rec, "cameras", json_list)
     if len(cameras) != 6 or not all(isinstance(c, str) for c in cameras):
         raise SchemaError("cameras must list six image paths in surround order",
-                          record_index=idx, path="cameras")
+                          path="cameras")
     media = tuple(image_ref(cam, width, height, uri)
                   for cam, uri in zip(NUSCENES_CAMERAS, cameras))
-    qa = _qa_list(_req(rec, "conversation", idx, list), idx, "conversation")
-    return Sample(f"omnidrive/{sid}", DatasetId.OMNIDRIVE, media, tuple(qa),
-                  _tags(rec, idx))
+    qa = _qa_list(_req(rec, "conversation", json_list), "conversation")
+    return Sample(f"omnidrive/{sid}", DatasetId.OMNIDRIVE, media, tuple(qa), _tags(rec))
 
 
-def _parse_nuinstruct(rec: dict[str, Any], idx: int) -> Sample:
-    sid = _req(rec, "sample_id", idx)
-    width = _req(rec, "width", idx, int)
-    height = _req(rec, "height", idx, int)
-    views = _req(rec, "views", idx, dict)
+def _parse_nuinstruct(rec: dict[str, Any]) -> Sample:
+    sid = _req(rec, "sample_id")
+    width = _req(rec, "width", json_int)
+    height = _req(rec, "height", json_int)
     media = []
-    for raw_id, uri in views.items():
+    for raw_id, uri in _req(rec, "views", json_object).items():
         try:
             camera = map_camera_id(raw_id, DatasetId.NUINSTRUCT)
         except UnknownCameraId:
-            raise SchemaError(f"unknown view id {raw_id!r}",
-                              record_index=idx, path="views") from None
-        if not isinstance(uri, str):
-            raise SchemaError("view path must be a string",
-                              record_index=idx, path=f"views.{raw_id}")
-        media.append(image_ref(camera, width, height, uri))
+            raise SchemaError(f"unknown view id {raw_id!r}", path="views") from None
+        media.append(image_ref(camera, width, height,
+                               json_str(uri, "view path", f"views.{raw_id}")))
     media.sort(key=lambda m: CAMERA_RANK[m.camera])
-    qas_raw = _req(rec, "qas", idx, list)
-    qa = []
-    tags = set()
-    for k, entry in enumerate(qas_raw):
-        if not isinstance(entry, dict):
-            raise SchemaError("QA entry must be an object",
-                              record_index=idx, path=f"qas[{k}]")
-        for key in ("question", "answer"):
-            if not isinstance(entry.get(key), str):
-                raise SchemaError(f"missing string field {key!r}",
-                                  record_index=idx, path=f"qas[{k}]")
-        qa.append(QAPair(entry["question"], entry["answer"]))
-        task = entry.get("task")
-        if isinstance(task, str):
-            tags.add(task)
-    return Sample(f"nuinstruct/{sid}", DatasetId.NUINSTRUCT, tuple(media),
-                  tuple(qa), frozenset(tags))
+    qas_raw = _req(rec, "qas", json_list)
+    qa = _qa_list(qas_raw, "qas")
+    tags = frozenset(e["task"] for e in qas_raw if isinstance(e.get("task"), str))
+    return Sample(f"nuinstruct/{sid}", DatasetId.NUINSTRUCT, tuple(media), tuple(qa), tags)
 
 
-def _parse_generic(rec: dict[str, Any], idx: int) -> Sample:
-    s = sample_from_dict(rec, path=f"record[{idx}]")
+def _parse_generic(rec: dict[str, Any]) -> Sample:
+    s = sample_from_dict(rec)
     sid = s.id if s.id.startswith("generic/") else f"generic/{s.id}"
     return Sample(sid, DatasetId.GENERIC, s.media, s.qa, s.task_tags)
 
 
-_ADAPTERS: dict[DatasetId, Callable[[dict[str, Any], int], Sample]] = {
+_ADAPTERS: dict[DatasetId, Callable[[dict[str, Any]], Sample]] = {
     DatasetId.CODA_LM: _parse_coda_lm,
     DatasetId.MAPLM: _parse_maplm,
     DatasetId.DRIVELM: _parse_drivelm,
@@ -246,9 +207,12 @@ def parse_source(adapter: DatasetId, payload: bytes | str) -> list[Sample]:
     parse = _ADAPTERS[adapter]
     samples = []
     for idx, rec in enumerate(data):
-        if not isinstance(rec, dict):
-            raise SchemaError("record must be an object", record_index=idx)
-        sample = parse(rec, idx)
+        try:
+            sample = parse(json_object(rec, "record"))
+        except SchemaError as exc:
+            raise SchemaError(exc.reason, record_index=idx, path=exc.path) from None
+        except ValueError as exc:  # a MediaRef rule, such as width >= 1
+            raise SchemaError(str(exc), record_index=idx) from None
         violations = validate_sample(sample)
         if violations:
             v = violations[0]

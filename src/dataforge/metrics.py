@@ -12,7 +12,18 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .core import BBoxNorm, CameraId, DatasetId, PointNorm
+from .core import (
+    BBoxNorm,
+    CameraId,
+    DatasetId,
+    PointNorm,
+    _CAMERAS,
+    _member,
+    json_key,
+    json_list,
+    json_number,
+    json_str,
+)
 from .errors import EmptyInput, SchemaError
 
 IOU_THRESHOLD = 0.5
@@ -210,26 +221,13 @@ class MetricReport:
     entries: dict[str, tuple[float, int]] = field(default_factory=dict)
 
 
-def _is_number(value: object) -> bool:
-    """A JSON number: int or float, but not a bool (``bool`` is an ``int``)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _as_float(value: int | float) -> float:
-    """float(value), with an integer beyond float range mapped to +-inf."""
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
-
-
 def _parse_box(value, path: str) -> BBoxNorm:
-    if (not isinstance(value, (list, tuple)) or len(value) != 4
-            or not all(_is_number(v) for v in value)):
+    if not isinstance(value, list) or len(value) != 4:
         raise SchemaError("bbox must be [x_min, y_min, x_max, y_max]", path=path)
-    x0, y0, x1, y1 = (_as_float(v) for v in value)
-    if not (0.0 <= x0 <= x1 <= 100.0 and 0.0 <= y0 <= y1 <= 100.0):
-        raise SchemaError("bbox must be ordered and within 0..100", path=path)
+    x0, y0, x1, y1 = (json_number(v, "bbox coordinate", path, minimum=0, maximum=100)
+                      for v in value)
+    if x0 > x1 or y0 > y1:
+        raise SchemaError("bbox must have x_min <= x_max and y_min <= y_max", path=path)
     return BBoxNorm(x0, y0, x1, y1)
 
 
@@ -237,66 +235,56 @@ def _parse_point(entry, path: str) -> CameraPoint:
     if not isinstance(entry, dict) or "point" not in entry:
         raise SchemaError("expected {point: [x, y], camera?}", path=path)
     pt = entry["point"]
-    if (not isinstance(pt, (list, tuple)) or len(pt) != 2
-            or not all(_is_number(v) for v in pt)):
+    if not isinstance(pt, list) or len(pt) != 2:
         raise SchemaError("point must be [x, y]", path=path)
-    x, y = _as_float(pt[0]), _as_float(pt[1])
-    if not (0.0 <= x <= 100.0 and 0.0 <= y <= 100.0):
-        raise SchemaError("point must be within 0..100", path=path)
-    camera = None
-    if entry.get("camera") is not None:
-        camera = CameraId.parse(entry["camera"])
+    x, y = (json_number(v, "point coordinate", path, minimum=0, maximum=100) for v in pt)
+    camera = entry.get("camera")
+    if camera is not None:
+        camera = _member(_CAMERAS, CameraId, camera, path)
     return PointNorm(x, y), camera
 
 
 def record_from_dict(data: dict, *, line: int | None = None) -> PredictionRecord:
-    """Parse one predictions-file record, checking shape against its task."""
+    """Parse one predictions-file record, checking shape against its task.
+    Every error names ``line``."""
+    try:
+        return _record_from_dict(data)
+    except SchemaError as exc:
+        raise SchemaError(exc.reason, path=exc.path, line=line) from None
+
+
+def _record_from_dict(data) -> PredictionRecord:
     if not isinstance(data, dict):
-        raise SchemaError("record must be a JSON object", line=line)
-    for key in ("sample_id", "task", "predicted", "gold"):
-        if key not in data:
-            raise SchemaError(f"missing key {key!r}", line=line)
-    task = data["task"]
+        raise SchemaError("record must be a JSON object")
+    sample_id = json_str(json_key(data, "sample_id"), "sample_id")
+    task = json_key(data, "task")
+    predicted = json_key(data, "predicted")
+    gold = json_key(data, "gold")
     if task not in TASKS:
-        raise SchemaError(f"unknown task {task!r}", line=line)
-    predicted, gold = data["predicted"], data["gold"]
+        raise SchemaError(f"unknown task {task!r}")
     if task in ("classification", "caption"):
-        if not isinstance(predicted, str) or not isinstance(gold, str):
-            raise SchemaError(f"{task} records need string fields", line=line)
+        predicted, gold = json_str(predicted, "predicted"), json_str(gold, "gold")
     elif task == "regression":
-        if not all(_is_number(v) and math.isfinite(_as_float(v))
-                   for v in (predicted, gold)):
-            raise SchemaError("regression records need finite numeric fields",
-                              line=line)
-        predicted, gold = float(predicted), float(gold)
+        predicted, gold = json_number(predicted, "predicted"), json_number(gold, "gold")
     elif task == "detection":
-        if not isinstance(predicted, list) or not isinstance(gold, list):
-            raise SchemaError("detection records need list fields", line=line)
         dets = []
-        for k, d in enumerate(predicted):
+        for k, d in enumerate(json_list(predicted, "predicted")):
             if not isinstance(d, dict) or "bbox" not in d or "confidence" not in d:
-                raise SchemaError("expected {bbox, confidence}",
-                                  path=f"predicted[{k}]", line=line)
-            conf = d["confidence"]
-            if not _is_number(conf) or not math.isfinite(_as_float(conf)):
-                raise SchemaError("confidence must be a finite number",
-                                  path=f"predicted[{k}]", line=line)
+                raise SchemaError("expected {bbox, confidence}", path=f"predicted[{k}]")
             dets.append((_parse_box(d["bbox"], f"predicted[{k}].bbox"),
-                         float(conf)))
+                         json_number(d["confidence"], "confidence", f"predicted[{k}]")))
         gts = []
-        for k, d in enumerate(gold):
+        for k, d in enumerate(json_list(gold, "gold")):
             if not isinstance(d, dict) or "bbox" not in d:
-                raise SchemaError("expected {bbox}", path=f"gold[{k}]", line=line)
+                raise SchemaError("expected {bbox}", path=f"gold[{k}]")
             gts.append(_parse_box(d["bbox"], f"gold[{k}].bbox"))
         predicted, gold = tuple(dets), tuple(gts)
     else:  # grounding
-        if not isinstance(predicted, list) or not isinstance(gold, list):
-            raise SchemaError("grounding records need list fields", line=line)
         predicted = tuple(_parse_point(e, f"predicted[{k}]")
-                          for k, e in enumerate(predicted))
+                          for k, e in enumerate(json_list(predicted, "predicted")))
         gold = tuple(_parse_point(e, f"gold[{k}]")
-                     for k, e in enumerate(gold))
-    return PredictionRecord(sample_id=data["sample_id"], task=task,
+                     for k, e in enumerate(json_list(gold, "gold")))
+    return PredictionRecord(sample_id=sample_id, task=task,
                             predicted=predicted, gold=gold)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 from .core import (
     BBoxPx,
@@ -26,6 +26,15 @@ from .core import (
     QAPair,
     QAStyle,
     Sample,
+    _CAMERAS,
+    _member,
+    json_bool,
+    json_int,
+    json_key,
+    json_list,
+    json_number,
+    json_object,
+    json_str,
 )
 from .errors import (
     EmptyAnnotation,
@@ -191,93 +200,58 @@ def build_grounding_sample(sample_id: str,
 # JSON source schema (docs/source-schemas.md)
 # ---------------------------------------------------------------------------
 
-# A JSON value of each kind, as json.loads returns it; a bool is no integer.
-_JSON_KINDS: dict[str, tuple[type, ...]] = {
-    "integer": (int,),
-    "number": (int, float),
-    "bool": (bool,),
-    "string": (str,),
-}
-
-_REQUIRED = object()
-
-
-def _field(d: Mapping[str, Any], key: str, kind: str, idx: int, path: str,
-           default: Any = _REQUIRED) -> Any:
-    """``d[key]``, which must be a JSON ``kind``, or ``default`` when absent."""
-    if key not in d:
-        if default is _REQUIRED:
-            raise SchemaError(f"missing field {key!r}", record_index=idx, path=path)
-        return default
-    value = d[key]
-    if type(value) not in _JSON_KINDS[kind]:
-        raise SchemaError(f"{key} must be a JSON {kind}, got {value!r}",
-                          record_index=idx, path=path)
-    return value
-
-
-def _list(d: Mapping[str, Any], key: str, idx: int, path: str) -> list[Any]:
-    value = d.get(key)
-    if not isinstance(value, list):
-        raise SchemaError(f"{key} must be a list", record_index=idx, path=path)
-    return value
-
-
-def _box(o: Mapping[str, Any], idx: int, path: str) -> BBoxPx:
+def _box(o: dict[str, Any], path: str) -> BBoxPx:
     raw = o.get("bbox")
-    if not (isinstance(raw, list) and len(raw) == 4
-            and all(type(v) in _JSON_KINDS["number"] for v in raw)):
-        raise SchemaError(f"bbox must be four JSON numbers, got {raw!r}",
-                          record_index=idx, path=path)
-    return BBoxPx(*(float(v) for v in raw))
+    if not (isinstance(raw, list) and len(raw) == 4):
+        raise SchemaError(f"bbox must be four numbers, got {raw!r}", path=path)
+    return BBoxPx(*(json_number(v, "bbox coordinate", path) for v in raw))
 
 
-def annotation_from_dict(d: Mapping[str, Any], idx: int = 0,
+def annotation_from_dict(d: dict[str, Any],
                          path: str = "annotation") -> DetectionAnnotation:
     """One annotated view; every field must have its documented JSON type."""
-    if not isinstance(d, dict):
-        raise SchemaError("annotation must be an object", record_index=idx, path=path)
-    frames = _field(d, "frames", "integer", idx, path, default=1)
-    kind = MediaKind.VIDEO if frames > 1 else MediaKind.IMAGE
+    json_object(d, "annotation", path)
+    frames = json_int(json_key(d, "frames", default=1), "frames", path)
+    camera = _member(_CAMERAS, CameraId, json_key(d, "camera", path), path)
+    width = json_int(json_key(d, "width", path), "width", path)
+    height = json_int(json_key(d, "height", path), "height", path)
+    uri = json_str(json_key(d, "uri", path), "uri", path)
+    objects = []
+    for k, o in enumerate(json_list(json_key(d, "objects", path), "objects", path)):
+        where = f"{path}.objects[{k}]"
+        json_object(o, "object", where)
+        category = json_str(json_key(o, "category", where), "category", where)
+        box = _box(o, where)
+        frame_index = json_int(json_key(o, "frame_index", default=0), "frame_index", where)
+        objects.append(DetectedObject(category, box, frame_index))
     try:
-        media = MediaRef(kind, CameraId(_field(d, "camera", "string", idx, path)),
-                         frames, _field(d, "width", "integer", idx, path),
-                         _field(d, "height", "integer", idx, path),
-                         _field(d, "uri", "string", idx, path))
-        objects = []
-        for k, o in enumerate(_list(d, "objects", idx, path)):
-            where = f"{path}.objects[{k}]"
-            if not isinstance(o, dict):
-                raise SchemaError("object must be an object", record_index=idx,
-                                  path=where)
-            objects.append(DetectedObject(
-                _field(o, "category", "string", idx, where), _box(o, idx, where),
-                _field(o, "frame_index", "integer", idx, where, default=0)))
+        kind = MediaKind.VIDEO if frames > 1 else MediaKind.IMAGE
+        media = MediaRef(kind, camera, frames, width, height, uri)
         return DetectionAnnotation(media, tuple(objects))
-    except (ValueError, OverflowError) as exc:  # OverflowError: float(10**400)
-        raise SchemaError(f"bad detection annotation: {exc}",
-                          record_index=idx, path=path) from None
+    except ValueError as exc:
+        raise SchemaError(f"bad detection annotation: {exc}", path=path) from None
 
 
 def grounding_record_from_dict(
         rec: Any, idx: int) -> tuple[str, GroundingSpec, list[DetectionAnnotation]]:
-    """One gen-perception input record: its id, spec and annotated views."""
-    if not isinstance(rec, dict):
-        raise SchemaError("record must be an object", record_index=idx)
-    sample_id = _field(rec, "id", "string", idx, "id")
+    """One gen-perception input record: its id, spec and annotated views.
+    Every error names record ``idx``."""
     try:
+        json_object(rec, "record")
+        sample_id = json_str(json_key(rec, "id", "id"), "id", "id")
         spec = GroundingSpec(
-            representation=rec.get("representation"),
-            with_camera_prefix=_field(rec, "with_camera_prefix", "bool", idx,
-                                      "with_camera_prefix", default=False),
-            frames_per_view=_field(rec, "frames_per_view", "integer", idx,
-                                   "frames_per_view", default=1))
-    except ValueError as exc:
+            rec.get("representation"),
+            json_bool(json_key(rec, "with_camera_prefix", default=False),
+                      "with_camera_prefix", "with_camera_prefix"),
+            json_int(json_key(rec, "frames_per_view", default=1),
+                     "frames_per_view", "frames_per_view", minimum=1))
+        raw = json_list(json_key(rec, "annotations", "annotations"), "annotations",
+                        "annotations")
+        if not raw:
+            raise SchemaError("annotations must not be empty", path="annotations")
+        anns = [annotation_from_dict(a, f"annotations[{k}]") for k, a in enumerate(raw)]
+    except SchemaError as exc:
+        raise SchemaError(exc.reason, record_index=idx, path=exc.path) from None
+    except ValueError as exc:  # GroundingSpec: an unknown representation
         raise SchemaError(str(exc), record_index=idx) from None
-    raw = _list(rec, "annotations", idx, "annotations")
-    if not raw:
-        raise SchemaError("annotations must not be empty", record_index=idx,
-                          path="annotations")
-    anns = [annotation_from_dict(a, idx, f"annotations[{k}]")
-            for k, a in enumerate(raw)]
     return sample_id, spec, anns

@@ -40,9 +40,10 @@ _QUANTUM = Decimal("0.001")
 def _norm_component(value: float, size: float) -> float:
     # Decimal(repr(...)) treats the value as its decimal literal, so 1088.3
     # normalizes like the number printed in the source annotation, not like
-    # its binary expansion.
+    # its binary expansion. Adding 0.0 turns the -0.0 of a "-0" coordinate
+    # into 0.0: "-0.000" would read as an un-normalized token.
     scaled = Decimal(repr(float(value))) * 100 / Decimal(repr(float(size)))
-    return float(scaled.quantize(_QUANTUM, ROUND_HALF_UP))
+    return float(scaled.quantize(_QUANTUM, ROUND_HALF_UP)) + 0.0
 
 
 def normalize_bbox(box: BBoxPx, width: float, height: float) -> BBoxNorm:

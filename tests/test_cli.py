@@ -326,32 +326,32 @@ def _with_object(**fields):
     ({"id": "p", "annotations": []},
      "annotations must not be empty (record 0, at annotations)"),
     ({"id": "p", "with_camera_prefix": "false", "annotations": [_FRONT_VIEW]},
-     "with_camera_prefix must be a JSON bool, got 'false' "
+     "with_camera_prefix must be true or false, got 'false' "
      "(record 0, at with_camera_prefix)"),
     ({"id": "p", "frames_per_view": 1.9, "annotations": [_FRONT_VIEW]},
-     "frames_per_view must be a JSON integer, got 1.9 (record 0, at frames_per_view)"),
+     "frames_per_view must be an integer >= 1, got 1.9 (record 0, at frames_per_view)"),
     ({"id": "p", "annotations": [dict(_FRONT_VIEW, width=100.7)]},
-     "width must be a JSON integer, got 100.7 (record 0, at annotations[0])"),
+     "width must be an integer, got 100.7 (record 0, at annotations[0])"),
     ({"id": "p", "annotations": [dict(_FRONT_VIEW, height=True)]},
-     "height must be a JSON integer, got True (record 0, at annotations[0])"),
+     "height must be an integer, got True (record 0, at annotations[0])"),
     ({"id": "p", "annotations": [dict(_FRONT_VIEW, frames="1")]},
-     "frames must be a JSON integer, got '1' (record 0, at annotations[0])"),
+     "frames must be an integer, got '1' (record 0, at annotations[0])"),
     ({"id": "p", "annotations": [dict(_FRONT_VIEW, uri=7)]},
-     "uri must be a JSON string, got 7 (record 0, at annotations[0])"),
+     "uri must be a string, got 7 (record 0, at annotations[0])"),
     (_with_object(frame_index=0.0),
-     "frame_index must be a JSON integer, got 0.0 "
+     "frame_index must be an integer, got 0.0 "
      "(record 0, at annotations[0].objects[0])"),
     (_with_object(category=["car"]),
-     "category must be a JSON string, got ['car'] "
+     "category must be a string, got ['car'] "
      "(record 0, at annotations[0].objects[0])"),
     (_with_object(bbox=[100, 100, "400", 300]),
-     "bbox must be four JSON numbers, got [100, 100, '400', 300] "
+     "bbox coordinate must be a number, got '400' "
      "(record 0, at annotations[0].objects[0])"),
     (_with_object(bbox=[True, 100, 400, 300]),
-     "bbox must be four JSON numbers, got [True, 100, 400, 300] "
+     "bbox coordinate must be a number, got True "
      "(record 0, at annotations[0].objects[0])"),
     ({"id": 7, "annotations": [_FRONT_VIEW]},
-     "id must be a JSON string, got 7 (record 0, at id)"),
+     "id must be a string, got 7 (record 0, at id)"),
 ], ids=["front_only_prefixed", "two_views_unprefixed", "no_annotations",
         "prefix_string", "frames_per_view_float", "width_float", "height_bool",
         "frames_string", "uri_int", "frame_index_float", "category_list",
@@ -404,6 +404,43 @@ def test_build_prompts_flags_overflow(workdir):
     assert row["visual_tokens"] == 12 * 729 == 8748
     assert row["fits"] is False
     assert row["limit"] == 8192
+
+
+def _one_media_manifest(path, **media):
+    line = {"id": "generic/1", "dataset": "generic",
+            "media": [dict({"kind": "image", "camera": "FRONT_ONLY", "frame_count": 1,
+                            "width": 64, "height": 48, "uri": "a.jpg"}, **media)],
+            "qa": [{"question": "Where is it?", "answer": "<car>[0, 0, 0, 0]",
+                    "style": "open", "provenance": "original"}],
+            "task_tags": []}
+    path.write_text(json.dumps(line) + "\n")
+
+
+@pytest.mark.parametrize("command,media,error", [
+    ("standardize", {"width": 0, "height": 0},
+     "width must be an integer >= 1, got 0 (at sample.media[0], line 1)"),
+    ("build-prompts", {"kind": "video", "frame_count": -40},
+     "frame_count must be an integer >= 1, got -40 (at sample.media[0], line 1)"),
+], ids=["standardize_zero_width", "build_prompts_negative_frames"])
+def test_manifest_media_sizes_must_be_positive(workdir, capsys, command, media, error):
+    manifest = workdir / "m.jsonl"
+    _one_media_manifest(manifest, **media)
+    out = workdir / "out.jsonl"
+    assert _run(command, "--in", manifest, "--out", out) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+    assert not out.exists()
+
+
+def test_ingest_zero_width_is_one_error_line(workdir, capsys):
+    records = _coda_source(2)
+    records[1]["image"]["width"] = 0
+    (workdir / "coda0.json").write_text(json.dumps(records))
+    out = workdir / "raw.jsonl"
+    assert _run("ingest", "--adapter", "coda_lm", "--in", workdir / "coda0.json",
+                "--out", out) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: width must be an integer >= 1, got 0 (record 1)"]
+    assert not out.exists()
 
 
 # ----------------------------------------------------------- plan-curriculum
@@ -491,7 +528,7 @@ def test_evaluate_nan_regression_is_data_error(workdir, capsys):
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert len(err) == 1
-    assert err[0].startswith("error: regression records need finite")
+    assert err[0].startswith("error: predicted must be a number, got nan")
     assert "mae" not in captured.out
 
 
@@ -532,6 +569,26 @@ def test_evaluate_bool_is_not_a_number(workdir, capsys, record):
     captured = capsys.readouterr()
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("record,error", [
+    ({"sample_id": 5, "task": "classification", "predicted": "a", "gold": "a"},
+     "sample_id must be a string, got 5 (line 2)"),
+    ({"sample_id": "g/1", "task": "grounding",
+      "predicted": [{"point": [1, 2], "camera": "BOGUS"}], "gold": []},
+     "'BOGUS' is not a valid CameraId (at predicted[0], line 2)"),
+    ({"sample_id": "d/1", "task": "detection", "predicted": [],
+      "gold": [{"bbox": [0, 0, 150, 10]}]},
+     "bbox coordinate must be a number in [0, 100], got 150 (at gold[0].bbox, line 2)"),
+], ids=["sample_id_int", "camera_bogus", "bbox_over_100"])
+def test_evaluate_bad_record_names_its_line(workdir, capsys, record, error):
+    preds = workdir / "preds.jsonl"
+    good = {"sample_id": "a/1", "task": "classification", "predicted": "x", "gold": "x"}
+    preds.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n")
+    assert _run("evaluate", "--in", preds, "--dataset", "coda_lm") == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {error}"]
     assert captured.out == ""
 
 
@@ -656,9 +713,24 @@ def test_config_unknown_key_exits_two(workdir, capsys):
 @pytest.mark.parametrize("config,error", [
     ({"promptkit": {"limit": 100}}, "unknown config key(s): promptkit"),
     ({"metrics": {"iou_threshold": 0.7}}, "unknown config key(s): metrics"),
-    ({"offline": "false"}, "offline must be true or false"),
+    ({"offline": "false"}, "offline must be true or false, got 'false'"),
     ({"augment": {"factorz": {"coda_lm": 2}}}, "unknown augment key(s): factorz"),
-], ids=["promptkit", "metrics", "offline_string", "augment_typo"])
+    ({"sources": []}, "sources must be an object, got []"),
+    ({"sources": {"coda": "c.json"}}, "'coda' is not a valid DatasetId (at sources)"),
+    ({"out_dir": 3}, "out_dir must be a string, got 3"),
+    ({"augment": {"rewriter_url": 5}}, "augment rewriter_url must be a string, got 5"),
+    ({"augment": {"rewriter_url": "not a url"}},
+     "augment rewriter_url must be an http(s) URL, got 'not a url'"),
+    ({"augment": {"rewriter_url": "ftp://h/x"}},
+     "augment rewriter_url must be an http(s) URL, got 'ftp://h/x'"),
+    ({"augment": {"rewriter_url": "http://a b/x"}},
+     "augment rewriter_url must be an http(s) URL, got 'http://a b/x'"),
+    ({"augment": {"rewriter_url": "http://h:99999/x"}},
+     "augment rewriter_url must be an http(s) URL, got 'http://h:99999/x'"),
+], ids=["promptkit", "metrics", "offline_string", "augment_typo", "sources_list",
+        "sources_unknown_dataset", "out_dir_int", "rewriter_url_int",
+        "rewriter_url_not_url", "rewriter_url_ftp", "rewriter_url_space",
+        "rewriter_url_port"])
 def test_config_error_exits_two(workdir, capsys, config, error):
     bad = workdir / "bad.json"
     bad.write_text(json.dumps(config))

@@ -25,15 +25,15 @@ from dataforge.errors import SchemaError
 # ------------------------------------------------------------------ round trip
 
 _text = st.text(max_size=40)
-_ints = st.integers(min_value=-(2 ** 70), max_value=2 ** 70)
+_sizes = st.integers(min_value=1, max_value=2 ** 70)
 
 
 @st.composite
 def _media(draw) -> MediaRef:
     kind = draw(st.sampled_from(MediaKind))
-    frames = 1 if kind is MediaKind.IMAGE else draw(_ints)
+    frames = 1 if kind is MediaKind.IMAGE else draw(_sizes)
     return MediaRef(kind, draw(st.sampled_from(CameraId)), frames,
-                    draw(_ints), draw(_ints), draw(_text))
+                    draw(_sizes), draw(_sizes), draw(_text))
 
 
 _qa = st.builds(

@@ -1,8 +1,12 @@
+import ast
 import random
 import re
+from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
+import dataforge
 from dataforge.core import (
     BBoxNorm,
     CameraId,
@@ -13,7 +17,16 @@ from dataforge.core import (
     QAPair,
     QAStyle,
     Sample,
+    _CAMERAS,
+    _member,
     image_ref,
+    json_bool,
+    json_int,
+    json_key,
+    json_list,
+    json_number,
+    json_object,
+    json_str,
     sample_from_json,
     sample_to_json,
     validate_sample,
@@ -30,9 +43,93 @@ def test_image_media_rejects_multiframe():
 
 def test_camera_id_round_trip():
     for cam in CameraId:
-        assert CameraId.parse(str(cam)) is cam
+        assert _member(_CAMERAS, CameraId, str(cam), "camera") is cam
     with pytest.raises(SchemaError):
-        CameraId.parse("CAM_TOP")
+        _member(_CAMERAS, CameraId, "CAM_TOP", "camera")
+
+
+def test_media_sizes_must_be_positive():
+    for fields in ((0, 1600, 900), (8, 0, 900), (8, 1600, -1), (-40, 1600, 900)):
+        with pytest.raises(ValueError, match="must be an integer >= 1, got"):
+            MediaRef(MediaKind.VIDEO, CameraId.CAM_FRONT, *fields, "a.mp4")
+    with pytest.raises(ValueError, match="image media must have frame_count 1, got 0"):
+        MediaRef(MediaKind.IMAGE, CameraId.CAM_FRONT, 0, 1600, 900, "a.jpg")
+
+
+class Fails(NamedTuple):
+    message: str
+
+
+# (reader, bounds, value, the value returned or the SchemaError text)
+_READER_CASES = [
+    (json_int, {}, 7, 7),
+    (json_int, {}, -(10 ** 30), -(10 ** 30)),
+    (json_int, {}, True, Fails("n must be an integer, got True")),
+    (json_int, {}, 1.0, Fails("n must be an integer, got 1.0")),
+    (json_int, {}, "1", Fails("n must be an integer, got '1'")),
+    (json_int, {"minimum": 1}, 1, 1),
+    (json_int, {"minimum": 1}, 0, Fails("n must be an integer >= 1, got 0")),
+    (json_number, {}, 3, 3.0),
+    (json_number, {}, -2.5, -2.5),
+    (json_number, {}, True, Fails("n must be a number, got True")),
+    (json_number, {}, False, Fails("n must be a number, got False")),
+    (json_number, {}, None, Fails("n must be a number, got None")),
+    (json_number, {}, 10 ** 400, Fails(f"n must be a number, got {10 ** 400!r}")),
+    (json_number, {}, float("nan"), Fails("n must be a number, got nan")),
+    (json_number, {}, float("inf"), Fails("n must be a number, got inf")),
+    (json_number, {}, float("-inf"), Fails("n must be a number, got -inf")),
+    (json_number, {"minimum": 0, "maximum": 1}, 0, 0.0),
+    (json_number, {"minimum": 0, "maximum": 1}, 1, 1.0),
+    (json_number, {"minimum": 0, "maximum": 1}, 1.5,
+     Fails("n must be a number in [0, 1], got 1.5")),
+    (json_number, {"minimum": 0, "maximum": 1}, -0.001,
+     Fails("n must be a number in [0, 1], got -0.001")),
+    (json_number, {"minimum": 0, "maximum": 100}, float("nan"),
+     Fails("n must be a number in [0, 100], got nan")),
+    (json_bool, {}, False, False),
+    (json_bool, {}, 1, Fails("n must be true or false, got 1")),
+    (json_bool, {}, "true", Fails("n must be true or false, got 'true'")),
+    (json_str, {}, "", ""),
+    (json_str, {}, 5, Fails("n must be a string, got 5")),
+    (json_list, {}, [1], [1]),
+    (json_list, {}, (1,), Fails("n must be a list, got (1,)")),
+    (json_object, {}, {}, {}),
+    (json_object, {}, [], Fails("n must be an object, got []")),
+]
+
+
+@pytest.mark.parametrize("reader,bounds,value,expected", _READER_CASES,
+                         ids=[f"{r.__name__}-{v!r:.20}-{b}" for r, b, v, _ in _READER_CASES])
+def test_json_readers(reader, bounds, value, expected):
+    if isinstance(expected, Fails):
+        with pytest.raises(SchemaError) as exc:
+            reader(value, "n", **bounds)
+        assert str(exc.value) == expected.message
+        with pytest.raises(SchemaError) as exc:
+            reader(value, "n", "a.b", **bounds)
+        assert str(exc.value) == f"{expected.message} (at a.b)"
+    else:
+        result = reader(value, "n", **bounds)
+        assert result == expected and type(result) is type(expected)
+
+
+def test_json_key():
+    assert json_key({"k": None}, "k") is None
+    assert json_key({}, "k", default=3) == 3
+    with pytest.raises(SchemaError) as exc:
+        json_key({}, "k", "a.b")
+    assert str(exc.value) == "missing key 'k' (at a.b)"
+
+
+@pytest.mark.parametrize("module", ["cli", "ingest", "perceptgen", "metrics"])
+def test_decoders_read_json_through_core_readers(module):
+    """These modules read decoded JSON only through core's readers, so no
+    builtin int/float/bool call may coerce a value there."""
+    source = Path(dataforge.__file__).with_name(f"{module}.py").read_text(encoding="utf-8")
+    calls = [f"line {node.lineno}: {node.func.id}()" for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in ("int", "float", "bool")]
+    assert calls == []
 
 
 def test_bbox_norm_render_pattern():
