@@ -34,6 +34,7 @@ from .core import (
     _DATASETS,
     _member,
     atomic_writer,
+    decode_json,
     encode_json,
     json_bool,
     json_int,
@@ -152,7 +153,7 @@ def load_config(path: str | Path | None) -> PipelineConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer over 4300 digits
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     return _config_from_dict(data)
 
@@ -264,10 +265,7 @@ def _cmd_augment(args: argparse.Namespace, cfg: PipelineConfig) -> int:
 
 
 def _cmd_gen_perception(args: argparse.Namespace, cfg: PipelineConfig) -> int:
-    try:
-        data = json.loads(_read_text(args.infile))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc.msg}", line=exc.lineno) from None
+    data = decode_json(_read_text(args.infile))
     if not isinstance(data, list):
         raise SchemaError("perception input must be a JSON array")
     rng = SeededRng(cfg.seed)
@@ -337,18 +335,17 @@ def _cmd_evaluate(args: argparse.Namespace, cfg: PipelineConfig) -> int:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 raise SchemaError("blank line in predictions file", line=line_no)
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"invalid JSON: {exc.msg}",
-                                  line=line_no) from None
-            records.append(record_from_dict(payload, line=line_no))
+            records.append(record_from_dict(decode_json(line, line_no),
+                                            line=line_no))
     report = evaluate_records(records, dataset)
     payload = report_to_dict(report)
     if args.out:
         _write_json(Path(args.out), payload)
     for name, entry in payload["entries"].items():
         print(f"{name}: {entry['value']:.6f} (n={entry['n_samples']})")
+    if report.detection_skipped:
+        print(f"detection: {report.detection_skipped} record(s) skipped "
+              "(no ground truth)", file=sys.stderr)
     return 0
 
 

@@ -519,11 +519,26 @@ def sample_from_dict(d: dict[str, Any], path: str = "sample") -> Sample:
     return Sample(sid, dataset, media, qa, frozenset(tags_raw))
 
 
+def decode_json(text: str, line: int | None = None) -> Any:
+    """``json.loads`` with every failure a SchemaError naming ``line``, or
+    else the line a JSONDecodeError reports. Besides JSONDecodeError,
+    ``json.loads`` raises a plain ValueError for an integer literal over
+    Python's int-string limit (4300 digits), which knows no line."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid JSON: {exc.msg}",
+                          line=exc.lineno if line is None else line) from None
+    except ValueError as exc:
+        raise SchemaError(f"invalid JSON: {exc}", line=line) from None
+
+
 def sample_from_json(line: str) -> Sample:
+    """One manifest line; errors name no line, which the reader adds."""
     try:
         payload = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc.msg}") from None
+    except ValueError as exc:  # see decode_json
+        raise SchemaError(f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
     return sample_from_dict(payload)
 
 

@@ -11,7 +11,6 @@ Source schemas are documented in docs/source-schemas.md with one fixture each.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,6 +31,7 @@ from .core import (
     _member,
     assert_unique_ids,
     atomic_writer,
+    decode_json,
     image_ref,
     json_int,
     json_key,
@@ -198,10 +198,7 @@ def parse_source(adapter: DatasetId, payload: bytes | str) -> list[Sample]:
     """
     if isinstance(payload, bytes):
         payload = payload.decode("utf-8")
-    try:
-        data = json.loads(payload)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc.msg}", line=exc.lineno) from None
+    data = decode_json(payload)
     if not isinstance(data, list):
         raise SchemaError("source payload must be a JSON array")
     parse = _ADAPTERS[adapter]

@@ -8,8 +8,10 @@ in normalized 0-100 units).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .core import (
@@ -124,6 +126,23 @@ def average_precision(dets: Sequence[tuple[Box, float]], gts: Sequence[Box],
                       iou_threshold: float = IOU_THRESHOLD) -> float | None:
     """All-point interpolated AP with greedy highest-IoU matching.
 
+    Detections are taken by descending confidence, ties by index. Each takes
+    the unmatched ground-truth box of highest `iou`, ties to the lowest
+    index, and is a true positive when that IoU is >= ``iou_threshold``
+    (and > 0). AP sums, over the true positives, the recall step times the
+    precision envelope: the highest precision at that rank or any later one
+    (Everingham et al., IJCV 2010), found by one right-to-left running max.
+
+    Only a box that overlaps the detection in x can have a positive IoU, so
+    the ground truth is sorted by x_min once, a matched box leaves that list,
+    and each detection scans only the slice with x_min in
+    ``[x_min - W, x_max)``, W being the widest ground-truth box plus a
+    margin for the rounding of each width; the IoU expression decides every
+    box in the slice. The result equals the plain scan over every box bit
+    for bit. When every box overlaps every other the slice is the whole
+    list, and matching stays O(D*G) for D detections and G ground-truth
+    boxes.
+
     Returns None when there is no ground truth (AP undefined; callers report
     the group as skipped).
     """
@@ -132,38 +151,48 @@ def average_precision(dets: Sequence[tuple[Box, float]], gts: Sequence[Box],
             raise ValueError("confidences must be finite")
     if not gts:
         return None
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i][1], i))
-    matched = [False] * len(gts)
-    tps: list[bool] = []
-    for i in order:
-        box = dets[i][0]
-        best_iou, best_j = 0.0, -1
-        for j, gt in enumerate(gts):
-            if matched[j]:
-                continue
-            v = iou(box, gt)
-            if v > best_iou:
-                best_iou, best_j = v, j
-        if best_j >= 0 and best_iou >= iou_threshold:
-            matched[best_j] = True
-            tps.append(True)
-        else:
-            tps.append(False)
-
+    # A box without positive width (or with a NaN x bound) overlaps nothing.
+    rows = sorted((b.x_min, j, b.y_min, b.x_max, b.y_max,
+                   (b.x_max - b.x_min) * (b.y_max - b.y_min))
+                  for j, b in enumerate(gts) if b.x_min < b.x_max)
+    x_mins = [row[0] for row in rows]
+    reach = max([row[3] - row[0] for row in rows], default=0.0) * (1 + 1e-9)
     precisions: list[float] = []
-    recalls: list[float] = []
-    tp_cum = 0
-    for k, is_tp in enumerate(tps, start=1):
-        tp_cum += is_tp
-        precisions.append(tp_cum / k)
-        recalls.append(tp_cum / len(gts))
+    tp_ranks: list[int] = []
+    for rank, i in enumerate(sorted(range(len(dets)),
+                                    key=lambda i: (-dets[i][1], i))):
+        a = dets[i][0]
+        ax0, ay0, ax1, ay1 = a.x_min, a.y_min, a.x_max, a.y_max
+        area_a = (ax1 - ax0) * (ay1 - ay0)
+        # The same expression, in the same order, as `iou`; a box whose
+        # IoU would be 0 or NaN can never be the best, so it is skipped.
+        best_iou, best_j, best_pos = 0.0, -1, -1
+        for pos in range(bisect_left(x_mins, ax0 - reach), bisect_left(x_mins, ax1)):
+            bx0, j, by0, bx1, by1, area_b = rows[pos]
+            ix = (bx1 if bx1 < ax1 else ax1) - (bx0 if bx0 > ax0 else ax0)
+            if not ix > 0.0:
+                continue
+            iy = (by1 if by1 < ay1 else ay1) - (by0 if by0 > ay0 else ay0)
+            if not iy > 0.0:
+                continue
+            inter = ix * iy
+            if inter == 0.0:
+                continue
+            v = inter / (area_a + area_b - inter)
+            if v > best_iou or (v == best_iou and j < best_j):
+                best_iou, best_j, best_pos = v, j, pos
+        if best_j >= 0 and best_iou >= iou_threshold:
+            del rows[best_pos], x_mins[best_pos]
+            tp_ranks.append(rank)
+        precisions.append(len(tp_ranks) / (rank + 1))
 
+    envelope = list(accumulate(reversed(precisions), max))[::-1]
     ap = 0.0
     prev_recall = 0.0
-    for k, is_tp in enumerate(tps):
-        if is_tp:
-            ap += (recalls[k] - prev_recall) * max(precisions[k:])
-            prev_recall = recalls[k]
+    for tp, rank in enumerate(tp_ranks, start=1):
+        recall = tp / len(gts)
+        ap += (recall - prev_recall) * envelope[rank]
+        prev_recall = recall
     return ap
 
 
@@ -219,6 +248,7 @@ class PredictionRecord:
 class MetricReport:
     dataset: DatasetId
     entries: dict[str, tuple[float, int]] = field(default_factory=dict)
+    detection_skipped: int = 0  # detection records without ground truth
 
 
 def _parse_box(value, path: str) -> BBoxNorm:
@@ -293,7 +323,8 @@ def evaluate_records(records: Sequence[PredictionRecord],
     """Score a batch of records into one report, grouped by task.
 
     Detection and grounding are scored per record and averaged; detection
-    records without ground truth are skipped. Aggregation is order-free.
+    records without ground truth are skipped and counted in
+    ``detection_skipped``. Aggregation is order-free.
     """
     if not records:
         raise EmptyInput("no prediction records to evaluate")
@@ -302,6 +333,7 @@ def evaluate_records(records: Sequence[PredictionRecord],
         by_task.setdefault(rec.task, []).append(rec)
 
     entries: dict[str, tuple[float, int]] = {}
+    skipped = 0
     if "classification" in by_task:
         recs = by_task["classification"]
         entries["accuracy"] = (
@@ -314,11 +346,13 @@ def evaluate_records(records: Sequence[PredictionRecord],
         recs = by_task["regression"]
         entries["mae"] = (mae((r.predicted, r.gold) for r in recs), len(recs))
     if "detection" in by_task:
+        recs = by_task["detection"]
         scores = []
-        for r in by_task["detection"]:
+        for r in recs:
             ap = average_precision(r.predicted, r.gold, IOU_THRESHOLD)
             if ap is not None:
                 scores.append(ap)
+        skipped = len(recs) - len(scores)
         if scores:
             entries["detection_ap"] = (sum(scores) / len(scores), len(scores))
     if "grounding" in by_task:
@@ -326,7 +360,7 @@ def evaluate_records(records: Sequence[PredictionRecord],
         total = sum(center_match_score(r.predicted, r.gold, MATCH_RADIUS)
                     for r in recs)
         entries["center_match"] = (total / len(recs), len(recs))
-    return MetricReport(dataset=dataset, entries=entries)
+    return MetricReport(dataset=dataset, entries=entries, detection_skipped=skipped)
 
 
 def report_to_dict(report: MetricReport) -> dict:

@@ -82,7 +82,7 @@ class RemoteTextClient:
 def _extract_text(body: bytes) -> str:
     try:
         data = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8, bad JSON, an integer over 4300 digits
         raise ResponseFormatError(f"reply is not JSON: {exc}") from exc
     if not isinstance(data, dict) or not isinstance(data.get("text"), str):
         raise ResponseFormatError(

@@ -553,6 +553,60 @@ def test_evaluate_number_beyond_float_is_data_error(workdir, capsys, record):
     assert err[0].startswith("error: ")
 
 
+# json.loads raises a plain ValueError, not a JSONDecodeError, for an integer
+# literal over Python's int-string limit (4300 digits).
+_DIGITS = "9" * 5000
+
+
+@pytest.mark.parametrize("command,text,code,where", [
+    ("ingest", f'[{{"id": {_DIGITS}}}]', 1, None),
+    ("gen-perception", f'[{{"frames_per_view": {_DIGITS}}}]', 1, None),
+    ("evaluate", '{"sample_id": "a/1", "task": "regression", "predicted": 1, "gold": 1}\n'
+     f'{{"sample_id": "a/2", "task": "regression", "predicted": {_DIGITS}, "gold": 1}}\n',
+     1, "line 2"),
+    ("stats", f'{{"id": {_DIGITS}}}\n', 1, "line 1"),  # the manifest reader
+    ("config", f'{{"seed": {_DIGITS}}}', 2, "config"),
+], ids=["ingest", "gen-perception", "evaluate", "manifest", "config"])
+def test_huge_integer_literal_is_one_error_line(workdir, capsys, command, text,
+                                                code, where):
+    path = workdir / "input.json"
+    path.write_text(text)
+    argv = {"ingest": ["ingest", "--adapter", "coda_lm", "--in", path],
+            "gen-perception": ["gen-perception", "--in", path],
+            "evaluate": ["evaluate", "--dataset", "coda_lm", "--in", path],
+            "stats": ["stats", "--in", path],
+            "config": ["stats", "--config", path, "--in", path]}[command]
+    assert _run(*argv, "--out", workdir / "out") == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and "integer string conversion" in err[0]
+    assert where is None or where in err[0]
+
+
+def test_evaluate_reports_skipped_detection_records(workdir, capsys):
+    preds = workdir / "preds.jsonl"
+    records = [{"sample_id": f"d/{i}", "task": "detection",
+                "predicted": [{"bbox": [0, 0, 10, 10], "confidence": 0.5}],
+                "gold": []} for i in range(2)]
+    preds.write_text("".join(json.dumps(r) + "\n" for r in records))
+    report_path = workdir / "report.json"
+    assert _run("evaluate", "--in", preds, "--dataset", "coda_lm",
+                "--out", report_path) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "detection: 2 record(s) skipped (no ground truth)"]
+    assert json.loads(report_path.read_text()) == {"dataset": "coda_lm",
+                                                   "entries": {}}
+    # one scored record and one skipped: the report counts only the scored
+    records[0]["gold"] = [{"bbox": [0, 0, 10, 10]}]
+    preds.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert _run("evaluate", "--in", preds, "--dataset", "coda_lm") == 0
+    captured = capsys.readouterr()
+    assert captured.out == "detection_ap: 1.000000 (n=1)\n"
+    assert captured.err == "detection: 1 record(s) skipped (no ground truth)\n"
+
+
 @pytest.mark.parametrize("record", [
     {"task": "regression", "predicted": True, "gold": False},
     {"task": "detection", "predicted": [{"bbox": [0, 0, 10, 10],

@@ -169,6 +169,16 @@ def test_non_object_line_error_text(line, message):
     assert str(exc.value) == message
 
 
+def test_huge_integer_line_error_text():
+    # json.loads raises a plain ValueError for an integer over 4300 digits
+    with pytest.raises(SchemaError) as exc:
+        sample_from_json('{"id": ' + "9" * 5000 + "}")
+    assert str(exc.value) == (
+        "invalid JSON: Exceeds the limit (4300 digits) for integer string "
+        "conversion: value has 5000 digits; use sys.set_int_max_str_digits() "
+        "to increase the limit")
+
+
 def test_base_line_decodes():
     s = sample_from_json(json.dumps(_BASE))
     assert s.dataset is DatasetId.GENERIC

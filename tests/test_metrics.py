@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dataforge.core import BBoxNorm, CameraId, DatasetId, PointNorm
 from dataforge.errors import EmptyInput, SchemaError
@@ -202,6 +204,43 @@ def test_ap_three_dets_two_gts_hand_value():
     assert average_precision(dets, [gt1, gt2]) == pytest.approx(5 / 6, abs=1e-12)
 
 
+def _quadratic_ap(dets, gts, thr=0.5):
+    """The float reference: the plain scan over every ground-truth box and a
+    max over the precision suffix at every true positive, quadratic twice
+    over. `average_precision` must equal it bit for bit."""
+    if not gts:
+        return None
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i][1], i))
+    matched = [False] * len(gts)
+    tps = []
+    for i in order:
+        best_iou, best_j = 0.0, -1
+        for j, gt in enumerate(gts):
+            if matched[j]:
+                continue
+            v = iou(dets[i][0], gt)
+            if v > best_iou:
+                best_iou, best_j = v, j
+        if best_j >= 0 and best_iou >= thr:
+            matched[best_j] = True
+            tps.append(True)
+        else:
+            tps.append(False)
+    precisions, recalls = [], []
+    tp_cum = 0
+    for k, is_tp in enumerate(tps, start=1):
+        tp_cum += is_tp
+        precisions.append(tp_cum / k)
+        recalls.append(tp_cum / len(gts))
+    ap = 0.0
+    prev_recall = 0.0
+    for k, is_tp in enumerate(tps):
+        if is_tp:
+            ap += (recalls[k] - prev_recall) * max(precisions[k:])
+            prev_recall = recalls[k]
+    return ap
+
+
 def _oracle_ap(dets, gts, thr=0.5):
     """Exact-fraction PR integration with a suffix precision envelope."""
     order = sorted(range(len(dets)), key=lambda i: (-dets[i][1], i))
@@ -258,8 +297,65 @@ def test_ap_matches_bruteforce_oracle():
     rng = random.Random(31337)
     for _ in range(200):
         dets, gts = _random_detection_case(rng)
-        assert average_precision(dets, gts) == pytest.approx(
-            _oracle_ap(dets, gts), abs=1e-9)
+        expected = _quadratic_ap(dets, gts)
+        assert average_precision(dets, gts) == expected
+        assert expected == pytest.approx(_oracle_ap(dets, gts), abs=1e-9)
+
+
+# Grid values make duplicate, identical, zero-area and edge-touching boxes
+# common; [0, 0, 10, 10] against [0, 0, 10, 20] has an IoU of exactly 0.5.
+_GRID = (0.0, 5.0, 10.0, 12.5, 20.0, 25.0, 50.0, 100.0)
+
+
+def _grid_record(seed, n_gts, n_dets):
+    """Detections that copy, stretch, shift or miss the ground truth, with
+    tied confidences. Drawn from a seed: Hypothesis drawing every coordinate
+    would spend most of the test generating data."""
+    rng = random.Random(seed)
+
+    def coord():
+        r = rng.random()
+        if r < 0.5:
+            return rng.choice(_GRID)
+        return float(rng.randrange(101)) if r < 0.75 else round(rng.uniform(0, 100), 3)
+
+    def box():
+        x0, x1 = sorted((coord(), coord()))
+        y0, y1 = sorted((coord(), coord()))
+        return _box(x0, y0, x1, y1)
+
+    gts = [box() for _ in range(n_gts)]
+    dets = []
+    for _ in range(n_dets):
+        kind = rng.choice(("copy", "stretch", "shift", "fresh")) if gts else "fresh"
+        if kind == "fresh":
+            det = box()
+        else:
+            gt = rng.choice(gts)
+            grow = rng.choice((0.5, 5.0, 10.0)) if kind == "stretch" else 0.0
+            shift = rng.choice((-10.0, -5.0, 5.0, 10.0)) if kind == "shift" else 0.0
+            det = _box(gt.x_min + shift, gt.y_min, gt.x_max + shift, gt.y_max + grow)
+        dets.append((det, rng.choice((0.25, 0.5, 0.9, rng.random()))))
+    return dets, gts
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.builds(_grid_record, st.integers(0, 2**32 - 1), st.integers(0, 80),
+                 st.integers(0, 120)),
+       st.sampled_from([0.3, 0.5, 0.9]))
+@example(([(_box(0, 0, 10, 10), 0.9)], [_box(0, 0, 10, 20)]), 0.5)
+@example(([(_box(0, 0, 10, 10), 0.9), (_box(0, 0, 10, 10), 0.9)],
+          [_box(0, 0, 10, 10), _box(0, 0, 10, 10), _box(10, 0, 20, 10)]), 0.5)
+# The first detection overlaps both boxes by a third and takes box 0, the
+# later one in x order in the first case and the earlier in the second, so
+# the second detection finds nothing left.
+@example(([(_box(10, 0, 20, 10), 0.9), (_box(15, 0, 25, 10), 0.8)],
+          [_box(15, 0, 25, 10), _box(5, 0, 15, 10)]), 0.3)
+@example(([(_box(10, 0, 20, 10), 0.9), (_box(5, 0, 15, 10), 0.8)],
+          [_box(5, 0, 15, 10), _box(15, 0, 25, 10)]), 0.3)
+def test_ap_equals_quadratic_reference(record, thr):
+    dets, gts = record
+    assert average_precision(dets, gts, thr) == _quadratic_ap(dets, gts, thr)
 
 
 def test_ap_confidence_scale_invariance():

@@ -102,6 +102,16 @@ def test_missing_text_field_is_format_error(stub_server):
         client.complete("s", "u")
 
 
+def test_huge_integer_reply_is_format_error(stub_server):
+    # json.loads raises a plain ValueError for an integer over 4300 digits
+    _server, url = stub_server
+    _StubHandler.script = [(200, b'{"text": "hi", "n": ' + b"9" * 5000 + b"}")]
+    client = RemoteTextClient(url, retries=3, sleep=lambda s: None)
+    with pytest.raises(ResponseFormatError, match="not JSON"):
+        client.complete("s", "u")
+    assert len(_StubHandler.requests_seen) == 1
+
+
 def test_as_rewriter_round_trip(stub_server):
     _server, url = stub_server
     _StubHandler.script = [_reply(
