@@ -151,6 +151,8 @@ def load_config(path: str | Path | None) -> PipelineConfig:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid UTF-8: {exc}") from None
     try:
         data = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer over 4300 digits
@@ -465,23 +467,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    args.config = getattr(args, "config", None)
-    args.seed = getattr(args, "seed", None)
-    args.offline = getattr(args, "offline", False)
-    try:
-        cfg = _apply_overrides(load_config(args.config), args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args, cfg)
+        cfg = load_config(getattr(args, "config", None))
+        return args.func(args, _apply_overrides(cfg, args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DataforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as exc:  # reading any input file
+        print(f"error: input is not valid UTF-8: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,10 +1,9 @@
 """Domain types shared by all pipeline stages, plus structural validation.
 
-Everything here is an immutable value object; samples can be shared freely
-between threads. The canonical on-disk form is JSON Lines with one sample per
-line (see ``sample_to_dict`` for the key order). The decoders take parsed JSON:
-``sample_from_dict`` and its helpers accept ``dict`` objects, not arbitrary
-mappings.
+Everything here is an immutable value object. The canonical on-disk form is
+JSON Lines with one sample per line (see ``sample_to_dict`` for the key
+order). The decoders take parsed JSON: ``sample_from_dict`` and its helpers
+accept ``dict`` objects, not arbitrary mappings.
 """
 
 from __future__ import annotations
@@ -243,14 +242,7 @@ def validate_sample(sample: Sample) -> list[Violation]:
     if not sample.media:
         out.append(Violation("media", "non_empty", "sample carries no media"))
 
-    media_cameras = {m.camera for m in sample.media}
-    uniform_dims: tuple[int, int] | None = None
-    dims = {(m.width, m.height) for m in sample.media}
-    if len(dims) == 1:
-        uniform_dims = next(iter(dims))
-    media_by_camera: dict[CameraId, MediaRef] = {}
-    for m in sample.media:
-        media_by_camera.setdefault(m.camera, m)
+    sizes, uniform = media_sizes(sample)
 
     for j, qa in enumerate(sample.qa):
         if qa.style is QAStyle.MULTIPLE_CHOICE:
@@ -272,20 +264,29 @@ def validate_sample(sample: Sample) -> list[Violation]:
                     out.append(Violation(where, "token_grammar",
                                          f"malformed token {match.text!r}: {match.error}"))
                     continue
-                out.extend(_check_object_ref(match.ref, where,
-                                             media_cameras, media_by_camera, uniform_dims))
+                out.extend(_check_object_ref(match.ref, where, sizes, uniform))
 
     return out
 
 
+def media_sizes(sample: Sample) -> tuple[dict[CameraId, tuple[int, int]],
+                                         tuple[int, int] | None]:
+    """Each camera's (width, height), taken from its first media, and the one
+    size every media shares (None if the sizes differ)."""
+    sizes: dict[CameraId, tuple[int, int]] = {}
+    for m in sample.media:
+        sizes.setdefault(m.camera, (m.width, m.height))
+    shared = {(m.width, m.height) for m in sample.media}
+    return sizes, (next(iter(shared)) if len(shared) == 1 else None)
+
+
 def _check_object_ref(ref: ObjectRef, where: str,
-                      media_cameras: set[CameraId],
-                      media_by_camera: Mapping[CameraId, MediaRef],
-                      uniform_dims: tuple[int, int] | None) -> list[Violation]:
+                      sizes: Mapping[CameraId, tuple[int, int]],
+                      uniform: tuple[int, int] | None) -> list[Violation]:
     out: list[Violation] = []
     geom = ref.geometry
 
-    if ref.camera is not None and ref.camera not in media_cameras:
+    if ref.camera is not None and ref.camera not in sizes:
         out.append(Violation(where, "token_camera_in_media",
                              f"token {ref.source_tag!r} references camera "
                              f"{ref.camera} absent from media"))
@@ -303,12 +304,7 @@ def _check_object_ref(ref: ObjectRef, where: str,
     else:
         # Pixel geometry is bounds-checked against the owning media when that
         # media can be identified (resolved camera, or uniform dims).
-        wh: tuple[int, int] | None = None
-        if ref.camera is not None and ref.camera in media_by_camera:
-            m = media_by_camera[ref.camera]
-            wh = (m.width, m.height)
-        elif ref.camera is None:
-            wh = uniform_dims
+        wh = uniform if ref.camera is None else sizes.get(ref.camera)
         if wh is not None:
             w, h = wh
             xs = (geom.x_min, geom.x_max) if isinstance(geom, BBoxPx) else (geom.x_center,)

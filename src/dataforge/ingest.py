@@ -197,7 +197,10 @@ def parse_source(adapter: DatasetId, payload: bytes | str) -> list[Sample]:
     returned.
     """
     if isinstance(payload, bytes):
-        payload = payload.decode("utf-8")
+        try:
+            payload = payload.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"input is not valid UTF-8: {exc}") from None
     data = decode_json(payload)
     if not isinstance(data, list):
         raise SchemaError("source payload must be a JSON array")

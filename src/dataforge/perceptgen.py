@@ -43,7 +43,7 @@ from .errors import (
     SchemaError,
 )
 from .standardize import normalize_bbox, normalize_point
-from .tokens import render_box_token, render_center_token
+from .tokens import is_category, render_token
 
 SINGLE_IMAGE_TEMPLATE = "Detect all {category} in the image."
 MULTIVIEW_TEMPLATE = "Detect all {category} across the camera views."
@@ -101,13 +101,13 @@ def _pick_representation(spec: GroundingSpec, rng: random.Random) -> str:
 
 def _token(obj: DetectedObject, media: MediaRef, representation: str,
            camera: CameraId | None) -> str:
+    b = obj.box
     if representation == "box":
-        norm = normalize_bbox(obj.box, media.width, media.height)
-        return render_box_token(obj.category, camera, norm)
-    center = PointPx((obj.box.x_min + obj.box.x_max) / 2,
-                     (obj.box.y_min + obj.box.y_max) / 2)
-    norm = normalize_point(center, media.width, media.height)
-    return render_center_token(obj.category, camera, norm)
+        norm = normalize_bbox(b, media.width, media.height)
+    else:
+        center = PointPx((b.x_min + b.x_max) / 2, (b.y_min + b.y_max) / 2)
+        norm = normalize_point(center, media.width, media.height)
+    return render_token(obj.category, camera, norm)
 
 
 def _answer(tokens: Sequence[str]) -> str:
@@ -221,6 +221,9 @@ def annotation_from_dict(d: dict[str, Any],
         where = f"{path}.objects[{k}]"
         json_object(o, "object", where)
         category = json_str(json_key(o, "category", where), "category", where)
+        if not is_category(category):
+            raise SchemaError("category must be non-blank, with no surrounding whitespace, "
+                              f"'<', '>', '[', ']' or newline, got {category!r}", path=where)
         box = _box(o, where)
         frame_index = json_int(json_key(o, "frame_index", default=0), "frame_index", where)
         objects.append(DetectedObject(category, box, frame_index))

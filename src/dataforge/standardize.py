@@ -3,7 +3,7 @@
 Coordinates are normalized to [0, 100] and quantized half up to three
 decimals, NuInstruct's raw camera ids are resolved to canonical names, and a
 fixed formatting instruction is appended to questions that reference objects.
-All operations are pure; samples can be standardized in parallel.
+All operations are pure.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .core import (
     PointPx,
     QAPair,
     Sample,
+    media_sizes,
 )
 from .errors import (
     BoundsError,
@@ -114,10 +115,9 @@ def _render_normalized(ref: ObjectRef, camera: CameraId | None,
                        width: float, height: float) -> str:
     if isinstance(ref.geometry, BBoxPx):
         norm = normalize_bbox(ref.geometry, width, height)
-        return tok.render_box_token(ref.category, camera, norm)
-    assert isinstance(ref.geometry, PointPx)
-    norm = normalize_point(ref.geometry, width, height)
-    return tok.render_center_token(ref.category, camera, norm)
+    else:  # PointPx
+        norm = normalize_point(ref.geometry, width, height)
+    return tok.render_token(ref.category, camera, norm)
 
 
 def _rewrite_ref(ref: ObjectRef, dataset: DatasetId,
@@ -140,43 +140,41 @@ def rewrite_object_token(raw_token: str, dataset: DatasetId, media: MediaRef) ->
     return _rewrite_ref(ref, dataset, lambda _camera: (media.width, media.height))
 
 
-def _uniform_dims(sample: Sample) -> tuple[int, int] | None:
-    dims = {(m.width, m.height) for m in sample.media}
-    return next(iter(dims)) if len(dims) == 1 else None
-
-
 def standardize_sample(sample: Sample) -> Sample:
     """Rewrite every object token in the sample and append format instructions.
+
+    A question gets ``BOX_INSTRUCTION`` if it or its answer holds a box token,
+    else ``CENTER_INSTRUCTION`` if either holds a center; options do not count.
 
     Raises:
         SampleError: aggregating every token that could not be rewritten.
     """
-    media_by_camera: dict[CameraId, MediaRef] = {}
-    for m in sample.media:
-        media_by_camera.setdefault(m.camera, m)
-    uniform = _uniform_dims(sample)
+    sizes, uniform = media_sizes(sample)
     failures: list[str] = []
 
     def dims_for(camera: CameraId | None) -> tuple[int, int]:
         if camera is not None:
-            m = media_by_camera.get(camera)
-            if m is None:
+            if camera not in sizes:
                 raise DataforgeError(f"camera {camera} not present in sample media")
-            return (m.width, m.height)
+            return sizes[camera]
         if uniform is None:
             raise MixedResolutionError("camera-less token over media of mixed resolutions")
         return uniform
 
-    def rewrite_text(text: str) -> str:
+    def rewrite_text(text: str, shapes: set[type]) -> str:
+        """``text`` with its tokens rewritten; adds each token's geometry type
+        to ``shapes``."""
         replacements: list[tuple[int, int, str]] = []
         for match in tok.scan_tokens(text):
-            if match.ref is None:
+            ref = match.ref
+            if ref is None:
                 failures.append(f"{match.text}: {match.error}")
                 continue
-            if match.ref.is_normalized:
+            shapes.add(type(ref.geometry))
+            if ref.is_normalized:
                 continue
             try:
-                new = _rewrite_ref(match.ref, sample.dataset, dims_for)
+                new = _rewrite_ref(ref, sample.dataset, dims_for)
             except DataforgeError as exc:
                 failures.append(f"{match.text}: {exc}")
                 continue
@@ -184,29 +182,18 @@ def standardize_sample(sample: Sample) -> Sample:
                 replacements.append((match.start, match.end, new))
         return tok.replace_spans(text, replacements) if replacements else text
 
-    def pick_instruction(question: str, answer: str) -> str | None:
-        has_box = has_center = False
-        for ref in tok.scan_object_refs(question) + tok.scan_object_refs(answer):
-            if isinstance(ref.geometry, (BBoxNorm, BBoxPx)):
-                has_box = True
-            else:
-                has_center = True
-        if has_box:
-            return BOX_INSTRUCTION
-        if has_center:
-            return CENTER_INSTRUCTION
-        return None
-
     new_qa: list[QAPair] = []
     for qa in sample.qa:
-        question = rewrite_text(qa.question)
-        answer = rewrite_text(qa.answer)
+        shapes: set[type] = set()
+        question = rewrite_text(qa.question, shapes)
+        answer = rewrite_text(qa.answer, shapes)
         options = qa.options
         if options is not None:
-            options = tuple((label, rewrite_text(text)) for label, text in options)
-        instruction = pick_instruction(question, answer)
-        if instruction is not None:
-            question = append_format_instruction(question, instruction)
+            options = tuple((label, rewrite_text(text, set())) for label, text in options)
+        if BBoxPx in shapes or BBoxNorm in shapes:
+            question = append_format_instruction(question, BOX_INSTRUCTION)
+        elif shapes:
+            question = append_format_instruction(question, CENTER_INSTRUCTION)
         new_qa.append(QAPair(question, answer, qa.style, qa.provenance, options))
 
     if failures:

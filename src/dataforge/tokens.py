@@ -10,7 +10,9 @@ Two source grammars appear in QA text:
   first field is a class id, not a category; parsed with category "object".
 
 The unified output grammar is the bracket form with a canonical camera name
-and 3-decimal coordinates in [0, 100].
+and 3-decimal coordinates in [0, 100]. A category holds no ``<``, ``>``,
+``[``, ``]`` or newline; the scanner strips it, and a blank one is malformed.
+A category written into a token must read back as itself (``is_category``).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .core import (
     BBoxNorm,
     BBoxPx,
     CameraId,
+    Geometry,
     ObjectRef,
     PointNorm,
     PointPx,
@@ -33,11 +36,25 @@ _NUMBER_RE = re.compile(r"-?(?:\d+\.\d*|\.\d+|\d+)")
 # A coordinate as emitted by the unified renderer: 3 decimals, no sign.
 _NORM_STYLE_RE = re.compile(r"\d{1,3}\.\d{3}")
 
-BRACKET_TOKEN_RE = re.compile(r"<(?P<cat>[^<>\[\]\n]+?)>\[(?P<body>[^<>\[\]\n]*?)\]")
+# One character of a category, or of a bracket token's field list.
+_FIELD_CHAR = r"[^<>\[\]\n]"
+_CATEGORY_RE = re.compile(f"{_FIELD_CHAR}+")
+
+BRACKET_TOKEN_RE = re.compile(rf"<(?P<cat>{_FIELD_CHAR}+?)>\[(?P<body>{_FIELD_CHAR}*?)\]")
 ANGLE_TOKEN_RE = re.compile(
     rf"<\s*(?P<cls>{_IDENT})\s*,\s*(?P<cam>{_IDENT})\s*,\s*"
     rf"(?P<x>-?(?:\d+\.\d*|\.\d+|\d+))\s*,\s*(?P<y>-?(?:\d+\.\d*|\.\d+|\d+))\s*>"
 )
+# Either token form. "<" is the first character of both and appears nowhere
+# else in either, so two matches can only overlap by starting at the same "<".
+_TOKEN_RE = re.compile(f"{BRACKET_TOKEN_RE.pattern}|{ANGLE_TOKEN_RE.pattern}")
+
+
+def is_category(name: str) -> bool:
+    """True if ``<name>[...]`` scans back with category ``name``: not blank,
+    no surrounding whitespace, and no ``<``, ``>``, ``[``, ``]`` or newline."""
+    return name == name.strip() and _CATEGORY_RE.fullmatch(name) is not None
+
 
 _CAMERA_NAMES = {c.value for c in CameraId}
 
@@ -68,6 +85,9 @@ def _parse_bracket(text: str, cat: str, body: str) -> tuple[ObjectRef | None, st
     parts = [p.strip() for p in body.split(",")] if body.strip() else []
     if not any(_NUMBER_RE.fullmatch(p) for p in parts):
         return None, None
+    category = cat.strip()
+    if not category:
+        return None, "empty category"
 
     camera: CameraId | None = None
     raw_camera: str | None = None
@@ -99,7 +119,7 @@ def _parse_bracket(text: str, cat: str, body: str) -> tuple[ObjectRef | None, st
         geometry = BBoxNorm(*values) if normalized else BBoxPx(*values)
     else:
         geometry = PointNorm(*values) if normalized else PointPx(*values)
-    return ObjectRef(cat.strip(), camera, geometry, text, raw_camera), None
+    return ObjectRef(category, camera, geometry, text, raw_camera), None
 
 
 def _parse_angle(text: str, cam: str, x: str, y: str) -> tuple[ObjectRef | None, str | None]:
@@ -115,26 +135,20 @@ def scan_tokens(text: str) -> list[TokenMatch]:
     Candidates that match a token shape but fail to parse are returned with
     ``error`` set so callers can report them at the right position.
     """
-    candidates: list[tuple[int, int, TokenMatch]] = []
-    for m in BRACKET_TOKEN_RE.finditer(text):
-        ref, err = _parse_bracket(m.group(0), m.group("cat"), m.group("body"))
-        if ref is None and err is None:
-            continue  # bracketed text, but not an object token
-        candidates.append((m.start(), -m.end(),
-                           TokenMatch(m.start(), m.end(), m.group(0), ref, err)))
-    for m in ANGLE_TOKEN_RE.finditer(text):
-        ref, err = _parse_angle(m.group(0), m.group("cam"), m.group("x"), m.group("y"))
-        candidates.append((m.start(), -m.end(),
-                           TokenMatch(m.start(), m.end(), m.group(0), ref, err)))
-
-    candidates.sort(key=lambda t: (t[0], t[1]))
     out: list[TokenMatch] = []
-    last_end = -1
-    for start, _neg_end, match in candidates:
-        if start < last_end:
-            continue  # nested inside an earlier, longer match
-        out.append(match)
-        last_end = match.end
+    for m in _TOKEN_RE.finditer(text):
+        if m.group("cat") is not None:
+            ref, err = _parse_bracket(m.group(0), m.group("cat"), m.group("body"))
+            if ref is not None or err is not None:
+                out.append(TokenMatch(m.start(), m.end(), m.group(0), ref, err))
+                continue
+            # Bracketed text, but not an object token: an angle token may
+            # still start at the same "<".
+            m = ANGLE_TOKEN_RE.match(text, m.start())
+            if m is None:
+                continue
+        ref, err = _parse_angle(m.group(0), m.group("cam"), m.group("x"), m.group("y"))
+        out.append(TokenMatch(m.start(), m.end(), m.group(0), ref, err))
     return out
 
 
@@ -158,23 +172,13 @@ def parse_token(token: str) -> ObjectRef:
     return m.ref
 
 
-def render_box_token(category: str, camera: CameraId | None, box: BBoxNorm) -> str:
+def render_token(category: str, camera: CameraId | None, geometry: Geometry) -> str:
+    """Render normalized geometry in the unified grammar; pixel geometry
+    raises ValueError."""
+    if not isinstance(geometry, (BBoxNorm, PointNorm)):
+        raise ValueError(f"cannot render pixel-space geometry: {geometry!r}")
     camera_part = f"{camera.value}, " if camera is not None else ""
-    return f"<{category}>[{camera_part}{box.render()}]"
-
-
-def render_center_token(category: str, camera: CameraId | None, point: PointNorm) -> str:
-    camera_part = f"{camera.value}, " if camera is not None else ""
-    return f"<{category}>[{camera_part}{point.render()}]"
-
-
-def render_object_ref(ref: ObjectRef) -> str:
-    """Render a normalized ObjectRef in the unified grammar."""
-    if isinstance(ref.geometry, BBoxNorm):
-        return render_box_token(ref.category, ref.camera, ref.geometry)
-    if isinstance(ref.geometry, PointNorm):
-        return render_center_token(ref.category, ref.camera, ref.geometry)
-    raise ValueError(f"cannot render pixel-space geometry: {ref.geometry!r}")
+    return f"<{category}>[{camera_part}{geometry.render()}]"
 
 
 def replace_spans(text: str, replacements: list[tuple[int, int, str]]) -> str:
@@ -190,15 +194,3 @@ def replace_spans(text: str, replacements: list[tuple[int, int, str]]) -> str:
     pieces.append(text[cursor:])
     return "".join(pieces)
 
-
-__all__ = [
-    "TokenMatch",
-    "scan_tokens",
-    "scan_object_refs",
-    "parse_token",
-    "render_box_token",
-    "render_center_token",
-    "render_object_ref",
-    "replace_spans",
-    "PLACEHOLDER_CATEGORY",
-]

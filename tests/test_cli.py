@@ -365,6 +365,20 @@ def test_gen_perception_bad_record_is_one_error_line(workdir, capsys, record, er
     assert not out.exists()
 
 
+@pytest.mark.parametrize("category", ["", "a>b", " car "],
+                         ids=["empty", "angle_bracket", "padded"])
+def test_gen_perception_rejects_category_a_token_cannot_read_back(workdir, capsys,
+                                                                 category):
+    (workdir / "percept.json").write_text(json.dumps([_with_object(category=category)]))
+    out = workdir / "p.jsonl"
+    assert _run("gen-perception", "--in", workdir / "percept.json", "--out", out) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: category must be non-blank, with no surrounding whitespace, "
+        f"'<', '>', '[', ']' or newline, got {category!r} "
+        "(record 0, at annotations[0].objects[0])"]
+    assert not out.exists()
+
+
 # ------------------------------------------------------------- build-prompts
 
 def test_build_prompts_rows_and_budget(workdir):
@@ -581,6 +595,26 @@ def test_huge_integer_literal_is_one_error_line(workdir, capsys, command, text,
     assert len(err) == 1
     assert err[0].startswith("error: ") and "integer string conversion" in err[0]
     assert where is None or where in err[0]
+
+
+@pytest.mark.parametrize("command,code", [
+    ("ingest", 1), ("manifest", 1), ("evaluate", 1), ("gen-perception", 1),
+    ("config", 2),
+])
+def test_invalid_utf8_is_one_error_line(workdir, capsys, command, code):
+    path = workdir / "input.json"
+    path.write_bytes(b'[{"id": "\xff"}]\n')
+    argv = {"ingest": ["ingest", "--adapter", "coda_lm", "--in", path],
+            "manifest": ["stats", "--in", path],
+            "evaluate": ["evaluate", "--dataset", "coda_lm", "--in", path],
+            "gen-perception": ["gen-perception", "--in", path],
+            "config": ["stats", "--config", path, "--in", path]}[command]
+    assert _run(*argv, "--out", workdir / "out") == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "not valid UTF-8" in err
+    assert not (workdir / "out").exists()
 
 
 def test_evaluate_reports_skipped_detection_records(workdir, capsys):

@@ -173,6 +173,22 @@ def test_invalid_token_geometry_rejected_at_ingest():
     assert "pixel" in exc_info.value.reason
 
 
+def test_blank_token_category_rejected_at_ingest():
+    rec = json.loads(json.dumps(NUINSTRUCT_RECORD))
+    rec["qas"] = [{"question": "Q?", "answer": "<  >[c6, 10, 20, 30, 40]",
+                   "task": "perception"}]
+    with pytest.raises(SchemaError) as exc_info:
+        parse_source(DatasetId.NUINSTRUCT, json.dumps([rec]))
+    assert "(token_grammar)" in exc_info.value.reason
+    assert "empty category" in exc_info.value.reason
+
+
+def test_invalid_utf8_bytes_is_schema_error():
+    with pytest.raises(SchemaError) as exc_info:
+        parse_source(DatasetId.CODA_LM, b'[{"id": "\xff"}]')
+    assert "not valid UTF-8" in exc_info.value.reason
+
+
 def test_adapter_fuzz_never_partial(tmp_path):
     # structurally valid records parse; any single mutation that breaks the
     # schema raises SchemaError rather than producing partial output

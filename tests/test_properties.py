@@ -1,14 +1,17 @@
 """Property tests over QA text built from the object-token alphabet, for every
-dataset and camera: token scanning never raises, and standardize is
-idempotent."""
+dataset and camera: token scanning never raises and agrees with a two-regex
+reference scanner, and standardize is idempotent and writes normalized tokens
+with the matching format instruction."""
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dataforge.core import CameraId, DatasetId, MediaKind, MediaRef, QAPair, Sample
+from dataforge.core import (BBoxNorm, CameraId, DatasetId, MediaKind, MediaRef,
+                            QAPair, Sample)
 from dataforge.errors import DataforgeError
-from dataforge.standardize import standardize_sample
-from dataforge.tokens import scan_tokens
+from dataforge.standardize import BOX_INSTRUCTION, CENTER_INSTRUCTION, standardize_sample
+from dataforge.tokens import (ANGLE_TOKEN_RE, BRACKET_TOKEN_RE, TokenMatch,
+                              _parse_angle, _parse_bracket, scan_tokens)
 
 _CAMERAS = [c.value for c in CameraId]
 _NAMES = _CAMERAS + ["c1", "c2", "c3", "c4", "c5", "c6", "c7", "c23", "CAM_TOP",
@@ -68,14 +71,62 @@ def test_scan_tokens_never_raises(text):
         assert (match.ref is None) or (match.error is None)
 
 
+def _reference_scan(text):
+    """Each regex on its own, then the matches sorted by start, longest
+    first, dropping any that starts inside an earlier one."""
+    candidates = []
+    for m in BRACKET_TOKEN_RE.finditer(text):
+        ref, err = _parse_bracket(m.group(0), m.group("cat"), m.group("body"))
+        if ref is None and err is None:
+            continue  # bracketed text, but not an object token
+        candidates.append((m.start(), -m.end(),
+                           TokenMatch(m.start(), m.end(), m.group(0), ref, err)))
+    for m in ANGLE_TOKEN_RE.finditer(text):
+        ref, err = _parse_angle(m.group(0), m.group("cam"), m.group("x"), m.group("y"))
+        candidates.append((m.start(), -m.end(),
+                           TokenMatch(m.start(), m.end(), m.group(0), ref, err)))
+    candidates.sort(key=lambda t: (t[0], t[1]))
+    out = []
+    last_end = -1
+    for start, _neg_end, match in candidates:
+        if start < last_end:
+            continue
+        out.append(match)
+        last_end = match.end
+    return out
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(_text)
+@example("<c1, CAM_FRONT, 1, 2>[x] <c2, CAM_BACK, 3, 4>[5, 6]")
+def test_scan_tokens_matches_two_regex_reference(text):
+    assert scan_tokens(text) == _reference_scan(text)
+
+
+def _single_view(*qa):
+    media = (MediaRef(MediaKind.IMAGE, CameraId.CAM_FRONT, 1, 1600, 900, "m.jpg"),)
+    return Sample("p/1", DatasetId.CODA_LM, media, qa)
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(_samples())
-@example(Sample("p/1", DatasetId.CODA_LM,  # "-0" used to render as "-0.000"
-                (MediaRef(MediaKind.IMAGE, CameraId.CAM_FRONT, 1, 1600, 900, "m.jpg"),),
-                (QAPair("", "<CAM_FRONT>[-0, 834]"),)))
+@example(_single_view(QAPair("", "<CAM_FRONT>[-0, 834]")))  # was "-0.000"
+@example(_single_view(QAPair("<  >[10, 20, 30, 40]", "")))  # was "<>[...]"
 def test_standardize_sample_is_idempotent(sample):
     try:
         once = standardize_sample(sample)
     except DataforgeError:
         return
     assert standardize_sample(once) == once
+    for before, qa in zip(sample.qa, once.qa):
+        refs = []
+        for text in (qa.question, qa.answer):
+            for match in scan_tokens(text):
+                assert match.ref is not None and match.ref.is_normalized, match
+                refs.append(match.ref)
+        if any(isinstance(ref.geometry, BBoxNorm) for ref in refs):
+            assert qa.question.endswith(BOX_INSTRUCTION)
+        elif refs:
+            assert qa.question.endswith(CENTER_INSTRUCTION)
+        else:  # every token rewritten still scans
+            assert (qa.question, qa.answer) == (before.question, before.answer)

@@ -2,13 +2,11 @@ import random
 
 import pytest
 
-from dataforge.core import BBoxNorm, BBoxPx, CameraId, ObjectRef, PointNorm, PointPx
+from dataforge.core import BBoxNorm, BBoxPx, CameraId, PointNorm, PointPx
 from dataforge.errors import TokenGrammarError
 from dataforge.tokens import (
     parse_token,
-    render_box_token,
-    render_center_token,
-    render_object_ref,
+    render_token,
     replace_spans,
     scan_object_refs,
     scan_tokens,
@@ -98,6 +96,9 @@ def test_scan_reports_malformed_candidates():
     assert "2 or 4" in matches[0].error
     matches = scan_tokens("<car>[c1, 12..5, 3, 4, 5]")
     assert len(matches) == 1 and not matches[0].ok
+    # a blank category would render as "<>[...]", which no longer scans
+    matches = scan_tokens("<  >[10, 20, 30, 40]")
+    assert len(matches) == 1 and matches[0].error == "empty category"
 
 
 def test_scan_object_refs_skips_errors():
@@ -123,23 +124,22 @@ def test_render_parse_closure():
             a, b = sorted(rng.randrange(0, 100_001) for _ in range(2))
             c, d = sorted(rng.randrange(0, 100_001) for _ in range(2))
             geom = BBoxNorm(a / 1000, c / 1000, b / 1000, d / 1000)
-            text = render_box_token(category, camera, geom)
+            text = render_token(category, camera, geom)
         else:
             geom = PointNorm(rng.randrange(0, 100_001) / 1000,
                              rng.randrange(0, 100_001) / 1000)
-            text = render_center_token(category, camera, geom)
+            text = render_token(category, camera, geom)
         ref = parse_token(text)
         assert ref.category == category
         assert ref.camera is camera
         assert ref.geometry == geom
         assert ref.is_normalized
-        assert render_object_ref(ref) == text
+        assert render_token(ref.category, ref.camera, ref.geometry) == text
 
 
-def test_render_object_ref_requires_normalized():
-    ref = ObjectRef("car", CameraId.CAM_FRONT, BBoxPx(1, 2, 3, 4), "<raw>")
+def test_render_token_requires_normalized():
     with pytest.raises(ValueError):
-        render_object_ref(ref)
+        render_token("car", CameraId.CAM_FRONT, BBoxPx(1, 2, 3, 4))
 
 
 def test_replace_spans():
