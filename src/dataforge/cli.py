@@ -166,8 +166,6 @@ def _apply_overrides(cfg: PipelineConfig, args: argparse.Namespace) -> PipelineC
         updates["seed"] = args.seed
     if getattr(args, "offline", False) or os.environ.get(OFFLINE_ENV) == "1":
         updates["offline"] = True
-    if getattr(args, "out", None) is not None and hasattr(cfg, "out_dir"):
-        updates["out_dir"] = Path(args.out)
     return replace(cfg, **updates) if updates else cfg
 
 
@@ -296,6 +294,8 @@ def _cmd_build_prompts(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     prompts = over_budget = 0
     with atomic_writer(out) as fh:
         for sample in samples:
+            if not sample.qa:
+                raise SchemaError(f"sample {sample.id} has no QA to prompt")
             report = check_budget(sample)
             if not report.fits:
                 over_budget += 1
@@ -315,8 +315,9 @@ def _cmd_build_prompts(args: argparse.Namespace, cfg: PipelineConfig) -> int:
 
 def _cmd_plan_curriculum(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     out_dir = Path(args.out) if args.out else cfg.out_dir
+    plans = build_all_plans(cfg.registry)
     violations: list[str] = []
-    for plan in build_all_plans(cfg.registry):
+    for plan in plans:
         report = validate_plan_totals(plan, DEFAULT_EXPECTATIONS[plan.stage])
         print(f"stage {plan.stage}: {report.total} samples"
               + ("" if report.ok else "  [VIOLATION]"))
@@ -325,7 +326,7 @@ def _cmd_plan_curriculum(args: argparse.Namespace, cfg: PipelineConfig) -> int:
         for message in violations:
             print(f"error: {message}", file=sys.stderr)
         return 1
-    paths = write_stage_plans(out_dir, cfg.registry)
+    paths = write_stage_plans(out_dir, plans)
     print(f"wrote {len(paths)} plans under {out_dir / 'plans'}")
     return 0
 

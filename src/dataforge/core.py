@@ -17,7 +17,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, TextIO
 
-from .errors import SchemaError
+from .errors import DataforgeError, MixedResolutionError, SchemaError, UnknownCameraId
 
 
 class DatasetId(Enum):
@@ -227,11 +227,70 @@ class Violation:
     detail: str
 
 
+# The only raw camera ids in any source: NuInstruct numbers its surround
+# views c1..c6, for its view keys and its QA tokens alike. Every other dataset
+# names cameras canonically.
+_RAW_CAMERA_IDS: dict[tuple[DatasetId, str], CameraId] = {
+    (DatasetId.NUINSTRUCT, f"c{i}"): camera
+    for i, camera in enumerate(NUSCENES_CAMERAS, start=1)
+}
+
+
+def map_camera_id(raw: str, dataset: DatasetId) -> CameraId:
+    """Resolve a raw camera id of ``dataset``; raises UnknownCameraId."""
+    try:
+        return _RAW_CAMERA_IDS[dataset, raw]
+    except KeyError:
+        raise UnknownCameraId(raw) from None
+
+
+def media_sizes(sample: Sample) -> tuple[dict[CameraId, tuple[int, int]],
+                                         tuple[int, int] | None]:
+    """Each camera's (width, height), taken from its first media, and the one
+    size every media shares (None if the sizes differ)."""
+    sizes: dict[CameraId, tuple[int, int]] = {}
+    for m in sample.media:
+        sizes.setdefault(m.camera, (m.width, m.height))
+    shared = {(m.width, m.height) for m in sample.media}
+    return sizes, (next(iter(shared)) if len(shared) == 1 else None)
+
+
+def resolve_token_size(ref: ObjectRef, dataset: DatasetId,
+                       sizes: Mapping[CameraId, tuple[int, int]],
+                       uniform: tuple[int, int] | None
+                       ) -> tuple[CameraId | None, tuple[int, int]]:
+    """The camera a token names, a raw id resolved for ``dataset``, and the
+    (width, height) its coordinates are read against: that camera's entry in
+    ``sizes``, or ``uniform`` for a camera-less token (both as ``media_sizes``
+    gives them). Raises DataforgeError if there is no such camera or size."""
+    camera = ref.camera
+    if camera is None and ref.raw_camera is not None:
+        camera = map_camera_id(ref.raw_camera, dataset)
+    if camera is not None:
+        if camera not in sizes:
+            raise DataforgeError(f"camera {camera} not present in sample media")
+        return camera, sizes[camera]
+    if uniform is None:
+        raise MixedResolutionError("camera-less token over media of mixed resolutions")
+    return None, uniform
+
+
+def pixel_inside(geometry: BBoxPx | PointPx, width: float, height: float) -> bool:
+    """True if pixel geometry lies in a ``width`` x ``height`` image, edges
+    included; a box must also have x_min <= x_max and y_min <= y_max."""
+    if isinstance(geometry, BBoxPx):
+        return (0 <= geometry.x_min <= geometry.x_max <= width
+                and 0 <= geometry.y_min <= geometry.y_max <= height)
+    return 0 <= geometry.x_center <= width and 0 <= geometry.y_center <= height
+
+
 def validate_sample(sample: Sample) -> list[Violation]:
     """Check every structural invariant; an empty list means the sample is valid.
 
-    Violations are data, not errors: the input is never mutated and malformed
-    content never raises.
+    Tokens are checked in every text ``standardize_sample`` rewrites
+    (question, answer and each option text), against the media each token
+    resolves to, so a valid sample always standardizes. Violations are data,
+    not errors: the input is never mutated and malformed content never raises.
     """
     from . import tokens  # deferred: tokens depends on the types above
 
@@ -241,6 +300,8 @@ def validate_sample(sample: Sample) -> list[Violation]:
         out.append(Violation("id", "non_empty", "sample id is empty"))
     if not sample.media:
         out.append(Violation("media", "non_empty", "sample carries no media"))
+    if not sample.qa:
+        out.append(Violation("qa", "non_empty", "sample carries no QA"))
 
     sizes, uniform = media_sizes(sample)
 
@@ -257,63 +318,40 @@ def validate_sample(sample: Sample) -> list[Violation]:
                 if qa.answer not in labels:
                     out.append(Violation(f"qa[{j}].answer", "mc_answer_is_label",
                                          f"answer {qa.answer!r} is not an option label"))
-        for field_name, text in (("question", qa.question), ("answer", qa.answer)):
+        texts = [("question", qa.question), ("answer", qa.answer)]
+        if qa.options:
+            texts += [(f"options[{k}]", text) for k, (_, text) in enumerate(qa.options)]
+        for field_name, text in texts:
+            where = f"qa[{j}].{field_name}"
             for match in tokens.scan_tokens(text):
-                where = f"qa[{j}].{field_name}"
                 if match.ref is None:
                     out.append(Violation(where, "token_grammar",
                                          f"malformed token {match.text!r}: {match.error}"))
                     continue
-                out.extend(_check_object_ref(match.ref, where, sizes, uniform))
+                out.extend(_check_object_ref(match.ref, where, sample.dataset, sizes, uniform))
 
     return out
 
 
-def media_sizes(sample: Sample) -> tuple[dict[CameraId, tuple[int, int]],
-                                         tuple[int, int] | None]:
-    """Each camera's (width, height), taken from its first media, and the one
-    size every media shares (None if the sizes differ)."""
-    sizes: dict[CameraId, tuple[int, int]] = {}
-    for m in sample.media:
-        sizes.setdefault(m.camera, (m.width, m.height))
-    shared = {(m.width, m.height) for m in sample.media}
-    return sizes, (next(iter(shared)) if len(shared) == 1 else None)
-
-
-def _check_object_ref(ref: ObjectRef, where: str,
+def _check_object_ref(ref: ObjectRef, where: str, dataset: DatasetId,
                       sizes: Mapping[CameraId, tuple[int, int]],
                       uniform: tuple[int, int] | None) -> list[Violation]:
-    out: list[Violation] = []
+    """The first rule one token breaks, if any."""
     geom = ref.geometry
-
-    if ref.camera is not None and ref.camera not in sizes:
-        out.append(Violation(where, "token_camera_in_media",
-                             f"token {ref.source_tag!r} references camera "
-                             f"{ref.camera} absent from media"))
-
-    if isinstance(geom, (BBoxNorm, BBoxPx)):
-        if geom.x_min > geom.x_max or geom.y_min > geom.y_max:
-            out.append(Violation(where, "bbox_ordering",
-                                 f"{type(geom).__name__} in {ref.source_tag!r} has "
-                                 f"x_min > x_max or y_min > y_max"))
-    if isinstance(geom, (BBoxNorm, PointNorm)):
-        values = geom.as_tuple()
-        if any(v < 0.0 or v > 100.0 for v in values):
-            out.append(Violation(where, "norm_range",
-                                 f"normalized coordinates outside [0, 100] in {ref.source_tag!r}"))
-    else:
-        # Pixel geometry is bounds-checked against the owning media when that
-        # media can be identified (resolved camera, or uniform dims).
-        wh = uniform if ref.camera is None else sizes.get(ref.camera)
-        if wh is not None:
-            w, h = wh
-            xs = (geom.x_min, geom.x_max) if isinstance(geom, BBoxPx) else (geom.x_center,)
-            ys = (geom.y_min, geom.y_max) if isinstance(geom, BBoxPx) else (geom.y_center,)
-            if any(x < 0 or x > w for x in xs) or any(y < 0 or y > h for y in ys):
-                out.append(Violation(where, "pixel_bounds",
-                                     f"pixel geometry in {ref.source_tag!r} exceeds "
-                                     f"{w}x{h} image"))
-    return out
+    if isinstance(geom, (BBoxNorm, BBoxPx)) and (geom.x_min > geom.x_max
+                                                 or geom.y_min > geom.y_max):
+        return [Violation(where, "bbox_ordering", f"{type(geom).__name__} in "
+                          f"{ref.source_tag!r} has x_min > x_max or y_min > y_max")]
+    if ref.is_normalized and ref.camera is None:
+        return []  # in [0, 100] already; standardize leaves it as it is
+    try:
+        _, (w, h) = resolve_token_size(ref, dataset, sizes, uniform)
+    except DataforgeError as exc:
+        return [Violation(where, "token_camera_in_media", f"token {ref.source_tag!r}: {exc}")]
+    if ref.is_normalized or pixel_inside(geom, w, h):
+        return []
+    return [Violation(where, "pixel_bounds",
+                      f"pixel geometry in {ref.source_tag!r} exceeds {w}x{h} image")]
 
 
 # ---------------------------------------------------------------------------

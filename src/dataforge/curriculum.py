@@ -13,7 +13,7 @@ import enum
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .core import atomic_writer
 from .errors import MissingDatasetCount
@@ -238,12 +238,11 @@ def plan_to_json(plan: StagePlan) -> str:
     return json.dumps(plan_to_dict(plan), ensure_ascii=False, indent=2) + "\n"
 
 
-def write_stage_plans(out_dir: str | Path,
-                      registry: Mapping[str, int] | None = None) -> list[Path]:
-    """Write plans/stage{1..4}.json under out_dir; returns the paths."""
+def write_stage_plans(out_dir: str | Path, plans: Iterable[StagePlan]) -> list[Path]:
+    """Write each plan as plans/stage<N>.json under out_dir; returns the paths."""
     plans_dir = Path(out_dir) / "plans"
     paths = []
-    for plan in build_all_plans(registry):
+    for plan in plans:
         path = plans_dir / f"stage{plan.stage}.json"
         with atomic_writer(path) as fh:
             fh.write(plan_to_json(plan))

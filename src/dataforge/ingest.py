@@ -38,6 +38,7 @@ from .core import (
     json_list,
     json_object,
     json_str,
+    map_camera_id,
     sample_from_dict,
     sample_from_json,
     sample_to_json,
@@ -45,7 +46,6 @@ from .core import (
     video_ref,
 )
 from .errors import SchemaError, UnknownCameraId
-from .standardize import map_camera_id
 
 if TYPE_CHECKING:
     import numpy as np

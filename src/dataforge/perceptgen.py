@@ -35,6 +35,7 @@ from .core import (
     json_number,
     json_object,
     json_str,
+    pixel_inside,
 )
 from .errors import (
     EmptyAnnotation,
@@ -69,10 +70,8 @@ class DetectionAnnotation:
                 raise ValueError(
                     f"frame_index {obj.frame_index} outside media with "
                     f"{self.media.frame_count} frame(s)")
-            b = obj.box
-            if not (0 <= b.x_min <= b.x_max <= self.media.width
-                    and 0 <= b.y_min <= b.y_max <= self.media.height):
-                raise ValueError(f"box {b.as_tuple()} exceeds media bounds "
+            if not pixel_inside(obj.box, self.media.width, self.media.height):
+                raise ValueError(f"box {obj.box.as_tuple()} exceeds media bounds "
                                  f"{self.media.width}x{self.media.height}")
 
 

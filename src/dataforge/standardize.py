@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Callable
 
 from . import tokens as tok
 from .core import (
@@ -19,21 +18,16 @@ from .core import (
     CameraId,
     DatasetId,
     MediaRef,
-    NUSCENES_CAMERAS,
     ObjectRef,
     PointNorm,
     PointPx,
     QAPair,
     Sample,
     media_sizes,
+    pixel_inside,
+    resolve_token_size,
 )
-from .errors import (
-    BoundsError,
-    DataforgeError,
-    MixedResolutionError,
-    SampleError,
-    UnknownCameraId,
-)
+from .errors import BoundsError, DataforgeError, SampleError
 
 _QUANTUM = Decimal("0.001")
 
@@ -49,8 +43,7 @@ def _norm_component(value: float, size: float) -> float:
 
 def normalize_bbox(box: BBoxPx, width: float, height: float) -> BBoxNorm:
     """Scale a pixel box to [0, 100] per axis, rounded to 3 decimals."""
-    if not (0 <= box.x_min <= box.x_max <= width
-            and 0 <= box.y_min <= box.y_max <= height):
+    if not pixel_inside(box, width, height):
         raise BoundsError(f"box {box.as_tuple()} exceeds {width}x{height} image")
     return BBoxNorm(
         _norm_component(box.x_min, width),
@@ -70,29 +63,12 @@ def denormalize_bbox(box: BBoxNorm, width: float, height: float) -> BBoxPx:
 
 
 def normalize_point(point: PointPx, width: float, height: float) -> PointNorm:
-    if not (0 <= point.x_center <= width and 0 <= point.y_center <= height):
+    if not pixel_inside(point, width, height):
         raise BoundsError(f"point {point.as_tuple()} exceeds {width}x{height} image")
     return PointNorm(
         _norm_component(point.x_center, width),
         _norm_component(point.y_center, height),
     )
-
-
-# The only raw camera ids in any source: NuInstruct numbers its surround
-# views c1..c6, for its view keys and its QA tokens alike. Every other dataset
-# names cameras canonically.
-_RAW_CAMERA_IDS: dict[tuple[DatasetId, str], CameraId] = {
-    (DatasetId.NUINSTRUCT, f"c{i}"): camera
-    for i, camera in enumerate(NUSCENES_CAMERAS, start=1)
-}
-
-
-def map_camera_id(raw: str, dataset: DatasetId) -> CameraId:
-    """Resolve a raw camera id of ``dataset``; raises UnknownCameraId."""
-    try:
-        return _RAW_CAMERA_IDS[dataset, raw]
-    except KeyError:
-        raise UnknownCameraId(raw) from None
 
 
 BOX_INSTRUCTION = (
@@ -120,24 +96,17 @@ def _render_normalized(ref: ObjectRef, camera: CameraId | None,
     return tok.render_token(ref.category, camera, norm)
 
 
-def _rewrite_ref(ref: ObjectRef, dataset: DatasetId,
-                 dims_for: Callable[[CameraId | None], tuple[float, float]]) -> str:
-    """Resolve a pixel-space token's camera, then normalize it to the
-    (width, height) that ``dims_for`` gives for that camera."""
-    camera = ref.camera
-    if camera is None and ref.raw_camera is not None:
-        camera = map_camera_id(ref.raw_camera, dataset)
-    width, height = dims_for(camera)
-    return _render_normalized(ref, camera, width, height)
-
-
 def rewrite_object_token(raw_token: str, dataset: DatasetId, media: MediaRef) -> str:
-    """Rewrite one token into the unified grammar; normalized input passes
+    """Rewrite one token into the unified grammar against the size of
+    ``media``, whatever camera the token names; normalized input passes
     through unchanged."""
     ref = tok.parse_token(raw_token)
     if ref.is_normalized:
         return raw_token
-    return _rewrite_ref(ref, dataset, lambda _camera: (media.width, media.height))
+    size = (media.width, media.height)
+    camera, (width, height) = resolve_token_size(
+        ref, dataset, dict.fromkeys(CameraId, size), size)
+    return _render_normalized(ref, camera, width, height)
 
 
 def standardize_sample(sample: Sample) -> Sample:
@@ -152,15 +121,6 @@ def standardize_sample(sample: Sample) -> Sample:
     sizes, uniform = media_sizes(sample)
     failures: list[str] = []
 
-    def dims_for(camera: CameraId | None) -> tuple[int, int]:
-        if camera is not None:
-            if camera not in sizes:
-                raise DataforgeError(f"camera {camera} not present in sample media")
-            return sizes[camera]
-        if uniform is None:
-            raise MixedResolutionError("camera-less token over media of mixed resolutions")
-        return uniform
-
     def rewrite_text(text: str, shapes: set[type]) -> str:
         """``text`` with its tokens rewritten; adds each token's geometry type
         to ``shapes``."""
@@ -174,7 +134,9 @@ def standardize_sample(sample: Sample) -> Sample:
             if ref.is_normalized:
                 continue
             try:
-                new = _rewrite_ref(ref, sample.dataset, dims_for)
+                camera, (width, height) = resolve_token_size(
+                    ref, sample.dataset, sizes, uniform)
+                new = _render_normalized(ref, camera, width, height)
             except DataforgeError as exc:
                 failures.append(f"{match.text}: {exc}")
                 continue

@@ -2,6 +2,7 @@ import gc
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -9,11 +10,12 @@ import pytest
 import dataforge
 
 from dataforge.cli import main
-from dataforge.core import atomic_writer, encode_json, sample_to_json
+from dataforge.core import (DatasetId, QAPair, Sample, atomic_writer, encode_json,
+                            sample_to_json)
 from dataforge.ingest import read_manifest, write_manifest
 from dataforge.tokens import scan_object_refs
 
-from helpers import plain_sample
+from helpers import plain_sample, surround_media
 
 NUINSTRUCT_SOURCE = [{
     "sample_id": "42",
@@ -105,6 +107,51 @@ def test_missing_input_file_is_io_error(workdir, capsys):
                 "--in", workdir / "nope.json", "--out", workdir / "x.jsonl") == 2
 
 
+def _generic_record(qa, media=(("FRONT_ONLY", 1600, 900),)):
+    return {"id": "g1", "dataset": "generic",
+            "media": [{"kind": "image", "camera": camera, "frame_count": 1,
+                       "width": width, "height": height, "uri": f"{camera}.jpg"}
+                      for camera, width, height in media],
+            "qa": qa}
+
+
+def _choice(option):
+    return [{"question": "Which one?", "answer": "A", "style": "multiple_choice",
+             "options": [["A", option], ["B", "None of them."]]}]
+
+
+# Each record has no QA or holds a token standardize cannot rewrite; ingest
+# checks every text standardize rewrites, against the media it would use.
+@pytest.mark.parametrize("record,where,error", [
+    (_generic_record([{"question": "Where?", "answer": "<car>[c6, 1, 2, 3, 4]"}]),
+     "qa[0].answer", "unknown camera id: 'c6'"),
+    (_generic_record(_choice("<car>[FRONT_ONLY, 1, 2, 3]")),
+     "qa[0].options[0]", "expected 2 or 4 coordinates, got 3"),
+    (_generic_record(_choice("<bus>[CAM_BACK, 500, 500]")),
+     "qa[0].options[0]", "camera CAM_BACK not present in sample media"),
+    (_generic_record([{"question": "Where?", "answer": "<car>[0, 0]"}],
+                     media=(("CAM_FRONT", 1600, 900), ("CAM_BACK", 1280, 720))),
+     "qa[0].answer", "camera-less token over media of mixed resolutions"),
+    (_generic_record(_choice("<car>[FRONT_ONLY, 0, 0, 1601, 900]")),
+     "qa[0].options[0]", "exceeds 1600x900 image"),
+    (_generic_record([]), "qa", "sample carries no QA"),
+], ids=["raw_id_outside_nuinstruct", "malformed_option", "option_camera_absent",
+        "camera_less_over_mixed_sizes", "option_box_out_of_bounds", "no_qa"])
+def test_ingest_rejects_what_standardize_cannot_rewrite(workdir, capsys, record,
+                                                        where, error):
+    good = dict(_generic_record([{"question": "Where?", "answer": "<car>[0, 0]"}]),
+                id="g0")
+    (workdir / "generic.json").write_text(json.dumps([good, record]))
+    out = workdir / "raw.jsonl"
+    assert _run("ingest", "--adapter", "generic", "--in", workdir / "generic.json",
+                "--out", out) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: invalid sample (")
+    assert error in line
+    assert line.endswith(f"(record 1, at {where})")
+    assert not out.exists()
+
+
 # --------------------------------------------------------------- standardize
 
 def test_standardize_rewrites_reference_token(workdir):
@@ -129,15 +176,22 @@ def test_standardize_is_idempotent_byte_level(workdir):
 
 
 def test_standardize_reports_bad_tokens_with_sample_id(workdir, capsys):
-    source = [dict(NUINSTRUCT_SOURCE[0])]
-    source[0] = dict(source[0],
-                     qas=[{"question": "Where is it?",
-                           "answer": "At <car>[c9, 1, 2, 3, 4].",
-                           "task": "perception"}])
+    source = [dict(NUINSTRUCT_SOURCE[0],
+                   qas=[{"question": "Where is it?",
+                         "answer": "At <car>[c9, 1, 2, 3, 4].",
+                         "task": "perception"}])]
     (workdir / "badcam.json").write_text(json.dumps(source))
+    refused = workdir / "refused.jsonl"
+    assert _run("ingest", "--adapter", "nuinstruct", "--in", workdir / "badcam.json",
+                "--out", refused) == 1
+    assert "unknown camera id: 'c9'" in capsys.readouterr().err
+    assert not refused.exists()
+    # A manifest written by other means still reaches standardize's own check.
     raw = workdir / "raw.jsonl"
-    _run("ingest", "--adapter", "nuinstruct", "--in", workdir / "badcam.json",
-         "--out", raw)
+    sample = Sample("nuinstruct/42", DatasetId.NUINSTRUCT, surround_media(1600, 900),
+                    (QAPair("Where is it?", "At <car>[c9, 1, 2, 3, 4]."),),
+                    frozenset({"perception"}))
+    raw.write_text(sample_to_json(sample) + "\n", encoding="utf-8")
     rc = _run("standardize", "--in", raw, "--out", workdir / "std.jsonl")
     assert rc == 1
     err = capsys.readouterr().err
@@ -418,6 +472,16 @@ def test_build_prompts_flags_overflow(workdir):
     assert row["visual_tokens"] == 12 * 729 == 8748
     assert row["fits"] is False
     assert row["limit"] == 8192
+
+
+def test_build_prompts_sample_without_qa_is_one_error_line(workdir, capsys):
+    manifest = workdir / "m.jsonl"
+    _write_lines(manifest, [plain_sample(0), replace(plain_sample(1), qa=())])
+    out = workdir / "prompts.jsonl"
+    assert _run("build-prompts", "--in", manifest, "--out", out) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: sample {plain_sample(1).id} has no QA to prompt"]
+    assert not out.exists()
 
 
 def _one_media_manifest(path, **media):

@@ -203,7 +203,7 @@ def test_stage1_json_golden():
 
 
 def test_write_stage_plans_layout(tmp_path):
-    paths = write_stage_plans(tmp_path)
+    paths = write_stage_plans(tmp_path, build_all_plans())
     assert [p.name for p in paths] == [
         "stage1.json", "stage2.json", "stage3.json", "stage4.json"]
     assert all(p.parent.name == "plans" for p in paths)
@@ -214,7 +214,7 @@ def test_write_stage_plans_layout(tmp_path):
 
 
 def test_write_stage_plans_byte_identical(tmp_path):
-    first = write_stage_plans(tmp_path / "a")
-    second = write_stage_plans(tmp_path / "b")
+    first = write_stage_plans(tmp_path / "a", build_all_plans())
+    second = write_stage_plans(tmp_path / "b", build_all_plans())
     for p1, p2 in zip(first, second):
         assert p1.read_bytes() == p2.read_bytes()

@@ -1,13 +1,14 @@
 """Property tests over QA text built from the object-token alphabet, for every
 dataset and camera: token scanning never raises and agrees with a two-regex
-reference scanner, and standardize is idempotent and writes normalized tokens
-with the matching format instruction."""
+reference scanner, standardize is idempotent and writes normalized tokens
+with the matching format instruction, and every sample that validates clean
+standardizes into one that validates clean."""
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dataforge.core import (BBoxNorm, CameraId, DatasetId, MediaKind, MediaRef,
-                            QAPair, Sample)
+                            QAPair, QAStyle, Sample, image_ref, validate_sample)
 from dataforge.errors import DataforgeError
 from dataforge.standardize import BOX_INSTRUCTION, CENTER_INSTRUCTION, standardize_sample
 from dataforge.tokens import (ANGLE_TOKEN_RE, BRACKET_TOKEN_RE, TokenMatch,
@@ -130,3 +131,56 @@ def test_standardize_sample_is_idempotent(sample):
             assert qa.question.endswith(CENTER_INSTRUCTION)
         else:  # every token rewritten still scans
             assert (qa.question, qa.answer) == (before.question, before.answer)
+
+
+@st.composite
+def _fitting_token(draw, cameras) -> str:
+    """A bracket token whose pixel coordinates fit every view size drawn by
+    ``_mixed_size_samples``. Its camera field is blank, a raw id, one of
+    ``cameras`` or any canonical name."""
+    xs = sorted(draw(st.lists(st.integers(0, 720), min_size=2, max_size=2)))
+    ys = sorted(draw(st.lists(st.integers(0, 720), min_size=2, max_size=2)))
+    coords = [xs[0], ys[0], xs[1], ys[1]] if draw(st.booleans()) else [xs[0], ys[0]]
+    head = draw(st.sampled_from([f"{c}, " for c in cameras])
+                | st.sampled_from(["", "c1, ", "c6, ", "c9, "] + [f"{c}, " for c in _CAMERAS]))
+    return f"<car>[{head}{', '.join(map(str, coords))}]"
+
+
+@st.composite
+def _mixed_size_samples(draw) -> Sample:
+    """A sample whose views may differ in size, with open and
+    multiple-choice QA whose options hold tokens too."""
+    media = []
+    for camera in draw(st.lists(st.sampled_from(CameraId), min_size=1, max_size=4)):
+        width, height = draw(st.sampled_from([(1600, 900), (1280, 720), (6000, 6000)]))
+        media.append(image_ref(camera, width, height, "m.jpg"))
+    fitting = _fitting_token([m.camera.value for m in media])
+    text = st.lists(st.one_of(fitting, _token(), st.just("Where? ")),
+                    max_size=2).map("".join)
+    qa = []
+    for _ in range(draw(st.integers(1, 2))):
+        labels = draw(st.lists(st.sampled_from("ABCD"), max_size=4, unique=True))
+        options = tuple((label, draw(text)) for label in labels)
+        if options and draw(st.booleans()):
+            qa.append(QAPair(draw(text), draw(st.sampled_from(labels)),
+                             QAStyle.MULTIPLE_CHOICE, options=options))
+        else:
+            qa.append(QAPair(draw(text), draw(text), options=options or None))
+    return Sample("p/1", draw(st.sampled_from(DatasetId)), tuple(media), tuple(qa))
+
+
+_MIXED_SIZES = (image_ref(CameraId.CAM_FRONT, 1600, 900, "f.jpg"),
+                image_ref(CameraId.CAM_BACK, 1280, 720, "b.jpg"))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_mixed_size_samples())
+@example(Sample("p/1", DatasetId.GENERIC, _MIXED_SIZES,
+                (QAPair("", "<CAM_FRONT>[0, 0]"),)))  # camera-less over mixed sizes
+@example(Sample("p/1", DatasetId.GENERIC, _MIXED_SIZES,
+                (QAPair("Which?", "A", QAStyle.MULTIPLE_CHOICE,
+                        options=(("A", "<bus>[CAM_FRONT_LEFT, 5, 5]"),)),)))
+def test_valid_sample_standardizes_to_a_valid_sample(sample):
+    if validate_sample(sample):
+        return
+    assert validate_sample(standardize_sample(sample)) == []

@@ -12,6 +12,7 @@ from dataforge.core import (
     QAStyle,
     Sample,
     image_ref,
+    map_camera_id,
     sample_to_json,
 )
 from dataforge.errors import BoundsError, SampleError, UnknownCameraId
@@ -20,7 +21,6 @@ from dataforge.standardize import (
     CENTER_INSTRUCTION,
     append_format_instruction,
     denormalize_bbox,
-    map_camera_id,
     normalize_bbox,
     normalize_point,
     rewrite_object_token,
