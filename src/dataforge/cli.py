@@ -21,6 +21,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Sequence
 from urllib.parse import urlsplit
@@ -35,7 +36,6 @@ from .core import (
     _member,
     atomic_writer,
     decode_json,
-    encode_json,
     json_bool,
     json_int,
     json_number,
@@ -48,7 +48,7 @@ from .errors import DataforgeError, ProvenanceError, SchemaError
 from .ingest import iter_manifest, parse_source, read_manifest, write_manifest
 from .metrics import evaluate_records, record_from_dict, report_to_dict
 from .perceptgen import build_grounding_sample, grounding_record_from_dict
-from .promptkit import SEQUENCE_LIMIT, check_budget
+from .promptkit import SEQUENCE_LIMIT, BudgetReport, check_budget
 from .standardize import standardize_sample
 
 OFFLINE_ENV = "DATAFORGE_OFFLINE"
@@ -288,6 +288,18 @@ def _cmd_gen_perception(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     return 0
 
 
+def _prompt_row(sample_id: str, report: BudgetReport) -> str:
+    """One prompts.jsonl line, with its line end: the text
+    json.JSONEncoder(ensure_ascii=False) gives for the row, built as
+    ``core.sample_to_json`` builds a manifest line."""
+    placeholders = ", ".join(map(encode_basestring, report.placeholders))
+    return (f'{{"id": {encode_basestring(sample_id)}, '
+            f'"prompt": {encode_basestring(report.prompt)}, '
+            f'"placeholders": [{placeholders}], "text_tokens": {report.text_tokens!r}, '
+            f'"visual_tokens": {report.visual_tokens!r}, "limit": {SEQUENCE_LIMIT!r}, '
+            f'"fits": {"true" if report.fits else "false"}}}\n')
+
+
 def _cmd_build_prompts(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     samples = iter_manifest(args.infile)  # opens the input before the output
     out = Path(args.out)
@@ -299,15 +311,7 @@ def _cmd_build_prompts(args: argparse.Namespace, cfg: PipelineConfig) -> int:
             report = check_budget(sample)
             if not report.fits:
                 over_budget += 1
-            fh.write(encode_json({
-                "id": sample.id,
-                "prompt": report.prompt,
-                "placeholders": list(report.placeholders),
-                "text_tokens": report.text_tokens,
-                "visual_tokens": report.visual_tokens,
-                "limit": SEQUENCE_LIMIT,
-                "fits": report.fits,
-            }) + "\n")
+            fh.write(_prompt_row(sample.id, report))
             prompts += 1
     print(f"wrote {out} ({prompts} prompts, {over_budget} over budget)")
     return 0
@@ -481,6 +485,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except UnicodeDecodeError as exc:  # reading any input file
         print(f"error: input is not valid UTF-8: {exc}", file=sys.stderr)
+        return 1
+    except UnicodeEncodeError as exc:  # a lone surrogate, from a "\ud800" escape
+        print(f"error: text cannot be written as UTF-8: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,7 +1,7 @@
 """Domain types shared by all pipeline stages, plus structural validation.
 
 Everything here is an immutable value object. The canonical on-disk form is
-JSON Lines with one sample per line (see ``sample_to_dict`` for the key
+JSON Lines with one sample per line (see ``sample_to_json`` for the key
 order). The decoders take parsed JSON: ``sample_from_dict`` and its helpers
 accept ``dict`` objects, not arbitrary mappings.
 """
@@ -14,6 +14,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, TextIO
 
@@ -289,8 +290,9 @@ def validate_sample(sample: Sample) -> list[Violation]:
 
     Tokens are checked in every text ``standardize_sample`` rewrites
     (question, answer and each option text), against the media each token
-    resolves to, so a valid sample always standardizes. Violations are data,
-    not errors: the input is never mutated and malformed content never raises.
+    resolves to, so a valid sample always standardizes; an option label may
+    hold no token at all. Violations are data, not errors: the input is never
+    mutated and malformed content never raises.
     """
     from . import tokens  # deferred: tokens depends on the types above
 
@@ -321,6 +323,12 @@ def validate_sample(sample: Sample) -> list[Violation]:
         texts = [("question", qa.question), ("answer", qa.answer)]
         if qa.options:
             texts += [(f"options[{k}]", text) for k, (_, text) in enumerate(qa.options)]
+            # standardize never rewrites a label, so a token there would no
+            # longer match the rewritten answer
+            out.extend(Violation(f"qa[{j}].options[{k}]", "mc_label_token",
+                                 f"option label {label!r} holds an object token")
+                       for k, (label, _) in enumerate(qa.options)
+                       if tokens.scan_tokens(label))
         for field_name, text in texts:
             where = f"qa[{j}].{field_name}"
             for match in tokens.scan_tokens(text):
@@ -356,49 +364,35 @@ def _check_object_ref(ref: ObjectRef, where: str, dataset: DatasetId,
 
 # ---------------------------------------------------------------------------
 # Serialization. Key order is part of the manifest contract and must not
-# change: samples round-trip byte-identically through read/write.
+# change: samples round-trip byte-identically through read/write. A line is
+# the text json.JSONEncoder(ensure_ascii=False) gives, built directly: strings
+# through its escaper, encode_basestring; enum values (``_value_`` skips the
+# ``value`` property) as literal text, since none needs escaping.
 # ---------------------------------------------------------------------------
 
-def media_to_dict(m: MediaRef) -> dict[str, Any]:
-    return {
-        "kind": m.kind.value,
-        "camera": m.camera.value,
-        "frame_count": m.frame_count,
-        "width": m.width,
-        "height": m.height,
-        "uri": m.uri,
-    }
+def _media_json(m: MediaRef) -> str:
+    return (f'{{"kind": "{m.kind._value_}", "camera": "{m.camera._value_}", '
+            f'"frame_count": {m.frame_count!r}, "width": {m.width!r}, '
+            f'"height": {m.height!r}, "uri": {encode_basestring(m.uri)}}}')
 
 
-def qa_to_dict(qa: QAPair) -> dict[str, Any]:
-    d: dict[str, Any] = {
-        "question": qa.question,
-        "answer": qa.answer,
-        "style": qa.style.value,
-        "provenance": qa.provenance.value,
-    }
-    if qa.options is not None:
-        d["options"] = [[label, text] for label, text in qa.options]
-    return d
-
-
-def sample_to_dict(s: Sample) -> dict[str, Any]:
-    return {
-        "id": s.id,
-        "dataset": s.dataset.value,
-        "media": [media_to_dict(m) for m in s.media],
-        "qa": [qa_to_dict(q) for q in s.qa],
-        "task_tags": sorted(s.task_tags),
-    }
-
-
-# Shared by the manifest and prompt-row writers; json.dumps would build a new
-# JSONEncoder on every call.
-encode_json = json.JSONEncoder(ensure_ascii=False).encode
+def _qa_json(qa: QAPair) -> str:
+    head = (f'{{"question": {encode_basestring(qa.question)}, '
+            f'"answer": {encode_basestring(qa.answer)}, "style": "{qa.style._value_}", '
+            f'"provenance": "{qa.provenance._value_}"')
+    if qa.options is None:
+        return head + "}"
+    options = ", ".join([f"[{encode_basestring(label)}, {encode_basestring(text)}]"
+                         for label, text in qa.options])
+    return f'{head}, "options": [{options}]}}'
 
 
 def sample_to_json(s: Sample) -> str:
-    return encode_json(sample_to_dict(s))
+    """One manifest line, without its line end; task_tags are sorted."""
+    return (f'{{"id": {encode_basestring(s.id)}, "dataset": "{s.dataset._value_}", '
+            f'"media": [{", ".join(map(_media_json, s.media))}], '
+            f'"qa": [{", ".join(map(_qa_json, s.qa))}], '
+            f'"task_tags": [{", ".join(map(encode_basestring, sorted(s.task_tags)))}]}}')
 
 
 # {value: member} for each enum the decoders read.
@@ -535,6 +529,49 @@ def qa_from_dict(d: dict[str, Any], path: str = "qa") -> QAPair:
 
 
 def sample_from_dict(d: dict[str, Any], path: str = "sample") -> Sample:
+    """The sample a decoded manifest line or generic record describes. Absent
+    style/provenance/options/task_tags take their defaults; unknown keys are
+    ignored. A failed type guard, KeyError, TypeError or ValueError in the
+    first part falls through to the field-by-field checks, which accept the
+    same samples and raise the SchemaError that names the fault."""
+    try:
+        if type(d) is not dict:
+            raise TypeError
+        sid, media_raw, qa_raw = d["id"], d["media"], d["qa"]
+        tags = d.get("task_tags", [])
+        if (type(sid) is not str or type(media_raw) is not list
+                or type(qa_raw) is not list or type(tags) is not list):
+            raise TypeError
+        media = []
+        for m in media_raw:
+            n, w, h, uri = m["frame_count"], m["width"], m["height"], m["uri"]
+            if (type(n) is not int or type(w) is not int or type(h) is not int
+                    or type(uri) is not str):
+                raise TypeError
+            media.append(MediaRef(_MEDIA_KINDS[m["kind"]], _CAMERAS[m["camera"]],
+                                  n, w, h, uri))  # ValueError: a MediaRef rule
+        qa = []
+        for q in qa_raw:
+            question, answer, options = q["question"], q["answer"], q.get("options")
+            if type(question) is not str or type(answer) is not str:
+                raise TypeError
+            if options is not None:
+                if type(options) is not list:
+                    raise TypeError
+                for item in options:
+                    if (type(item) is not list or len(item) != 2
+                            or type(item[0]) is not str or type(item[1]) is not str):
+                        raise TypeError
+                options = tuple([(label, text) for label, text in options])
+            qa.append(QAPair(question, answer, _STYLES[q.get("style", "open")],
+                             _PROVENANCES[q.get("provenance", "original")], options))
+        for tag in tags:
+            if type(tag) is not str:
+                raise TypeError
+        return Sample(sid, _DATASETS[d["dataset"]], tuple(media), tuple(qa),
+                      frozenset(tags))
+    except (KeyError, TypeError, ValueError):
+        pass
     if not isinstance(d, dict):
         raise SchemaError("sample must be an object", path=path)
     sid = json_key(d, "id", path)

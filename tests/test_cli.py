@@ -10,7 +10,8 @@ import pytest
 import dataforge
 
 from dataforge.cli import main
-from dataforge.core import (DatasetId, QAPair, Sample, atomic_writer, encode_json,
+from dataforge import cli
+from dataforge.core import (DatasetId, Provenance, QAPair, Sample, atomic_writer,
                             sample_to_json)
 from dataforge.ingest import read_manifest, write_manifest
 from dataforge.tokens import scan_object_refs
@@ -135,8 +136,13 @@ def _choice(option):
     (_generic_record(_choice("<car>[FRONT_ONLY, 0, 0, 1601, 900]")),
      "qa[0].options[0]", "exceeds 1600x900 image"),
     (_generic_record([]), "qa", "sample carries no QA"),
+    (_generic_record([{"question": "Which one?", "answer": "<car>[1, 2]",
+                       "style": "multiple_choice",
+                       "options": [["<car>[1, 2]", "A car."], ["B", "A bus."]]}]),
+     "qa[0].options[0]", "option label '<car>[1, 2]' holds an object token"),
 ], ids=["raw_id_outside_nuinstruct", "malformed_option", "option_camera_absent",
-        "camera_less_over_mixed_sizes", "option_box_out_of_bounds", "no_qa"])
+        "camera_less_over_mixed_sizes", "option_box_out_of_bounds", "no_qa",
+        "token_in_option_label"])
 def test_ingest_rejects_what_standardize_cannot_rewrite(workdir, capsys, record,
                                                         where, error):
     good = dict(_generic_record([{"question": "Where?", "answer": "<car>[0, 0]"}]),
@@ -271,10 +277,27 @@ def test_augment_refuses_its_own_output(workdir, capsys):
     raw = _ingest_coda(workdir)
     out = workdir / "aug.jsonl"
     _run("augment", "--seed", 7, "--offline", "--in", raw, "--out", out)
+    capsys.readouterr()
     rc = _run("augment", "--seed", 7, "--offline", "--in", out,
               "--out", workdir / "again.jsonl")
     assert rc == 1
-    assert "#aug" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [
+        "error: sample coda_lm/0000#aug1 is already an expansion copy; "
+        "augment refuses to re-expand its own output"]
+    assert not (workdir / "again.jsonl").exists()
+
+
+def test_augment_refuses_non_original_qa(workdir, capsys):
+    manifest = workdir / "m.jsonl"
+    paraphrased = replace(plain_sample(1), qa=(
+        QAPair("Could you tell me what to do?", "Yield.", provenance=Provenance.PARAPHRASE),))
+    _write_lines(manifest, [plain_sample(0), paraphrased])
+    out = workdir / "aug.jsonl"
+    assert _run("augment", "--offline", "--in", manifest, "--out", out) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: sample lingoqa/000001 carries paraphrase QA; "
+        "augment only accepts original data"]
+    assert not out.exists()
 
 
 def test_augment_flag_position_irrelevant(workdir):
@@ -681,6 +704,30 @@ def test_invalid_utf8_is_one_error_line(workdir, capsys, command, code):
     assert not (workdir / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["ingest", "standardize", "build-prompts"])
+def test_lone_surrogate_is_one_error_line(workdir, capsys, command):
+    # "\ud800" is a valid JSON escape, but the text it decodes to has no
+    # UTF-8 form, so the first write of it fails
+    if command == "ingest":
+        text = json.dumps(_coda_source(1))
+        question = "Describe the hazards ahead."
+        argv = ["ingest", "--adapter", "coda_lm"]
+    else:
+        text = sample_to_json(plain_sample(0)) + "\n"
+        question = "What should the driver do next?"
+        argv = [command]
+    path = workdir / "input.json"
+    path.write_text(text.replace(question, "what \\ud800?"))
+    out = workdir / "out.jsonl"
+    assert _run(*argv, "--in", path, "--out", out) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: text cannot be written as UTF-8: ")
+    assert "surrogates not allowed" in err[0]
+    assert not out.exists()
+    assert _temp_files(workdir) == []
+
+
 def test_evaluate_reports_skipped_detection_records(workdir, capsys):
     preds = workdir / "preds.jsonl"
     records = [{"sample_id": f"d/{i}", "task": "detection",
@@ -1004,14 +1051,15 @@ def test_build_prompts_crash_keeps_previous_output(workdir, monkeypatch, capsys)
     assert _run("build-prompts", "--in", raw, "--out", out) == 0
     before = out.read_bytes()
     rows = []
+    prompt_row = cli._prompt_row
 
-    def encode_then_fail(row):
-        rows.append(row)
+    def encode_then_fail(sample_id, report):
+        rows.append(sample_id)
         if len(rows) == 2:
             raise OSError("disk full")
-        return encode_json(row)
+        return prompt_row(sample_id, report)
 
-    monkeypatch.setattr("dataforge.cli.encode_json", encode_then_fail)
+    monkeypatch.setattr("dataforge.cli._prompt_row", encode_then_fail)
     capsys.readouterr()
     assert _run("build-prompts", "--in", raw, "--out", out) == 2
     assert capsys.readouterr().err.splitlines() == ["error: disk full"]

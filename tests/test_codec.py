@@ -1,5 +1,6 @@
-"""The manifest codec: round trip over generated samples, and the exact error
-text for malformed manifest lines."""
+"""The manifest codec: round trip over generated samples, the encoders against
+json.JSONEncoder over a reference dict, and the exact error text for
+malformed manifest lines."""
 
 import copy
 import json
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dataforge.cli import _prompt_row
 from dataforge.core import (
     CameraId,
     DatasetId,
@@ -21,6 +23,7 @@ from dataforge.core import (
     sample_to_json,
 )
 from dataforge.errors import SchemaError
+from dataforge.promptkit import SEQUENCE_LIMIT, BudgetReport
 
 # ------------------------------------------------------------------ round trip
 
@@ -29,22 +32,23 @@ _sizes = st.integers(min_value=1, max_value=2 ** 70)
 
 
 @st.composite
-def _media(draw) -> MediaRef:
+def _media(draw, text) -> MediaRef:
     kind = draw(st.sampled_from(MediaKind))
     frames = 1 if kind is MediaKind.IMAGE else draw(_sizes)
     return MediaRef(kind, draw(st.sampled_from(CameraId)), frames,
-                    draw(_sizes), draw(_sizes), draw(_text))
+                    draw(_sizes), draw(_sizes), draw(text))
 
 
-_qa = st.builds(
-    QAPair, _text, _text, st.sampled_from(QAStyle), st.sampled_from(Provenance),
-    st.none() | st.lists(st.tuples(_text, _text), max_size=4).map(tuple))
+def _samples_of(text):
+    qa = st.builds(
+        QAPair, text, text, st.sampled_from(QAStyle), st.sampled_from(Provenance),
+        st.none() | st.lists(st.tuples(text, text), max_size=4).map(tuple))
+    return st.builds(
+        Sample, text, st.sampled_from(DatasetId),
+        st.lists(_media(text), max_size=4).map(tuple),
+        st.lists(qa, max_size=4).map(tuple),
+        st.frozensets(text, max_size=4))
 
-_samples = st.builds(
-    Sample, _text, st.sampled_from(DatasetId),
-    st.lists(_media(), max_size=4).map(tuple),
-    st.lists(_qa, max_size=4).map(tuple),
-    st.frozensets(_text, max_size=4))
 
 _NON_ASCII = Sample(
     "generic/ß-車-🚗", DatasetId.GENERIC,
@@ -55,13 +59,88 @@ _NON_ASCII = Sample(
 
 
 @settings(max_examples=300, deadline=None)
-@given(_samples)
+@given(_samples_of(_text))
 @example(_NON_ASCII)
 def test_round_trip_is_identity_and_byte_stable(sample):
     line = sample_to_json(sample)
     decoded = sample_from_json(line)
     assert decoded == sample
     assert sample_to_json(decoded) == line
+
+
+# ------------------------------------------------- reference encoder
+# The manifest's dict form, encoded by the stdlib: the f-string encoders must
+# give the same text for every sample and prompt row.
+
+_reference_encode = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def _media_to_dict(m: MediaRef) -> dict:
+    return {
+        "kind": m.kind.value,
+        "camera": m.camera.value,
+        "frame_count": m.frame_count,
+        "width": m.width,
+        "height": m.height,
+        "uri": m.uri,
+    }
+
+
+def _qa_to_dict(qa: QAPair) -> dict:
+    d = {
+        "question": qa.question,
+        "answer": qa.answer,
+        "style": qa.style.value,
+        "provenance": qa.provenance.value,
+    }
+    if qa.options is not None:
+        d["options"] = [[label, text] for label, text in qa.options]
+    return d
+
+
+def _sample_to_dict(s: Sample) -> dict:
+    return {
+        "id": s.id,
+        "dataset": s.dataset.value,
+        "media": [_media_to_dict(m) for m in s.media],
+        "qa": [_qa_to_dict(q) for q in s.qa],
+        "task_tags": sorted(s.task_tags),
+    }
+
+
+# Every character JSON escapes, quotes, backslashes, the line and paragraph
+# separators JSON leaves alone, and non-ASCII text. The round trip above draws
+# from all of Unicode.
+_tricky_text = st.text(st.sampled_from(
+    [chr(c) for c in range(0x20)]
+    + ['"', "\\", "/", "\x7f", "\u2028", "\u2029", "a", " ", "<", "é", "車", "🚗"]),
+    max_size=20)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_samples_of(_tricky_text))
+@example(_NON_ASCII)
+def test_sample_to_json_equals_reference_encoder(sample):
+    assert sample_to_json(sample) == _reference_encode(_sample_to_dict(sample))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_tricky_text, _tricky_text, st.lists(_tricky_text, max_size=4),
+       st.integers(min_value=0, max_value=2 ** 70), st.integers(min_value=0, max_value=2 ** 70))
+@example("coda_lm/1", "View 1 (FRONT_ONLY)\n<image>\nWhat?", ["<image>"], 17, 729)
+@example("x", "", [], SEQUENCE_LIMIT, 1)
+def test_prompt_row_equals_reference_encoder(sample_id, prompt, placeholders,
+                                              text_tokens, visual_tokens):
+    report = BudgetReport(text_tokens, visual_tokens, prompt, tuple(placeholders))
+    assert _prompt_row(sample_id, report) == _reference_encode({
+        "id": sample_id,
+        "prompt": prompt,
+        "placeholders": placeholders,
+        "text_tokens": text_tokens,
+        "visual_tokens": visual_tokens,
+        "limit": SEQUENCE_LIMIT,
+        "fits": report.fits,
+    }) + "\n"
 
 
 def test_non_ascii_text_is_written_verbatim():
@@ -183,3 +262,22 @@ def test_base_line_decodes():
     s = sample_from_json(json.dumps(_BASE))
     assert s.dataset is DatasetId.GENERIC
     assert sample_to_json(s) == json.dumps(_BASE)
+
+
+def test_unknown_keys_are_ignored():
+    d = copy.deepcopy(_BASE)
+    d["extra"] = {"nested": [1]}
+    d["media"][0]["exposure"] = 0.5
+    d["qa"][0]["score"] = None
+    assert sample_from_json(json.dumps(d)) == sample_from_json(json.dumps(_BASE))
+
+
+def test_absent_optional_keys_take_defaults():
+    d = copy.deepcopy(_BASE)
+    del d["task_tags"]
+    for key in ("style", "provenance"):
+        del d["qa"][0][key]
+    s = sample_from_json(json.dumps(d))
+    assert s.task_tags == frozenset()
+    assert s.qa == (QAPair("q", "a", QAStyle.OPEN, Provenance.ORIGINAL, None),)
+    assert sample_to_json(s) == json.dumps({**d, "qa": _BASE["qa"], "task_tags": []})

@@ -206,6 +206,20 @@ def test_validate_flags_mc_answer_not_a_label():
     assert any(v.rule == "mc_answer_is_label" for v in validate_sample(s))
 
 
+@pytest.mark.parametrize("label", ["<car>[1, 2]", "<c1, FRONT_ONLY, 5, 5>", "<car>[1, 2, 3]"],
+                         ids=["bracket", "angle", "malformed"])
+def test_validate_flags_token_in_option_label(label):
+    # standardize rewrites the answer but never a label, so a token label
+    # would stop matching its answer
+    s = Sample(
+        "x/2", DatasetId.GENERIC, (image_ref(CameraId.FRONT_ONLY, 1600, 900, "f.jpg"),),
+        (QAPair("Pick.", "B", QAStyle.MULTIPLE_CHOICE, Provenance.ORIGINAL,
+                ((label, "one"), ("B", "two"))),),
+    )
+    assert [(v.field, v.rule) for v in validate_sample(s)] == [
+        ("qa[0].options[0]", "mc_label_token")]
+
+
 def test_validate_flags_token_camera_missing_from_media():
     s = Sample(
         "x/3", DatasetId.LINGOQA, (image_ref(CameraId.FRONT_ONLY, 1280, 720, "f.jpg"),),
