@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 from . import tokens as tok
 from .core import DatasetId, Provenance, QAPair, QAStyle, Sample
-from .errors import DataforgeError, PoolTooSmall, ResponseFormatError
+from .errors import DataforgeError, PoolTooSmall
 
 SYSTEM_TEXT = "You are an English improver."
 
@@ -56,15 +56,15 @@ def parse_rewriter_response(text: str) -> QAPair:
     q_marker, a_marker = "Question:", "Answer:"
     q_at = text.find(q_marker)
     if q_at < 0:
-        raise ResponseFormatError(f"no {q_marker!r} marker in: {text[:80]!r}")
+        raise DataforgeError(f"no {q_marker!r} marker in: {text[:80]!r}")
     a_at = text.find(a_marker, q_at + len(q_marker))
     if a_at < 0:
-        raise ResponseFormatError(f"no {a_marker!r} marker after question in: "
-                                  f"{text[:80]!r}")
+        raise DataforgeError(f"no {a_marker!r} marker after question in: "
+                             f"{text[:80]!r}")
     question = text[q_at + len(q_marker):a_at].strip()
     answer = text[a_at + len(a_marker):].strip()
     if not question or not answer:
-        raise ResponseFormatError(f"empty question or answer in: {text[:80]!r}")
+        raise DataforgeError(f"empty question or answer in: {text[:80]!r}")
     return QAPair(question, answer, QAStyle.OPEN, Provenance.PARAPHRASE)
 
 

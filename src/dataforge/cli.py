@@ -44,7 +44,7 @@ from .core import (
     validate_sample,
 )
 from .curriculum import DEFAULT_EXPECTATIONS, build_all_plans, validate_plan_totals, write_stage_plans
-from .errors import DataforgeError, ProvenanceError, SchemaError
+from .errors import DataforgeError, SchemaError
 from .ingest import iter_manifest, parse_source, read_manifest, write_manifest
 from .metrics import evaluate_records, record_from_dict, report_to_dict
 from .perceptgen import build_grounding_sample, grounding_record_from_dict
@@ -229,12 +229,12 @@ def _cmd_standardize(args: argparse.Namespace, cfg: PipelineConfig) -> int:
 def _guard_not_expanded(samples: Sequence[Sample]) -> None:
     for sample in samples:
         if "#aug" in sample.id:
-            raise ProvenanceError(
+            raise DataforgeError(
                 f"sample {sample.id} is already an expansion copy; "
                 "augment refuses to re-expand its own output")
         for qa in sample.qa:
             if qa.provenance is not Provenance.ORIGINAL:
-                raise ProvenanceError(
+                raise DataforgeError(
                     f"sample {sample.id} carries {qa.provenance.value} QA; "
                     "augment only accepts original data")
 
@@ -276,7 +276,7 @@ def _cmd_gen_perception(args: argparse.Namespace, cfg: PipelineConfig) -> int:
             sample = build_grounding_sample(
                 sample_id, anns, spec,
                 rng.stream("perceptgen", sample_id, "grounding"))
-        except ValueError as exc:  # e.g. a FRONT_ONLY view on the multi-view path
+        except (ValueError, DataforgeError) as exc:  # e.g. a FRONT_ONLY view, no objects
             raise SchemaError(str(exc), record_index=idx) from None
         violations = validate_sample(sample)
         if violations:

@@ -18,7 +18,7 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, TextIO
 
-from .errors import DataforgeError, MixedResolutionError, SchemaError, UnknownCameraId
+from .errors import DataforgeError, SchemaError
 
 
 class DatasetId(Enum):
@@ -238,11 +238,11 @@ _RAW_CAMERA_IDS: dict[tuple[DatasetId, str], CameraId] = {
 
 
 def map_camera_id(raw: str, dataset: DatasetId) -> CameraId:
-    """Resolve a raw camera id of ``dataset``; raises UnknownCameraId."""
+    """Resolve a raw camera id of ``dataset``; raises DataforgeError."""
     try:
         return _RAW_CAMERA_IDS[dataset, raw]
     except KeyError:
-        raise UnknownCameraId(raw) from None
+        raise DataforgeError(f"unknown camera id: {raw!r}") from None
 
 
 def media_sizes(sample: Sample) -> tuple[dict[CameraId, tuple[int, int]],
@@ -272,7 +272,7 @@ def resolve_token_size(ref: ObjectRef, dataset: DatasetId,
             raise DataforgeError(f"camera {camera} not present in sample media")
         return camera, sizes[camera]
     if uniform is None:
-        raise MixedResolutionError("camera-less token over media of mixed resolutions")
+        raise DataforgeError("camera-less token over media of mixed resolutions")
     return None, uniform
 
 

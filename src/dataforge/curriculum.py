@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .core import atomic_writer
-from .errors import MissingDatasetCount
+from .errors import DataforgeError
 from .promptkit import SEQUENCE_LIMIT
 
 
@@ -121,7 +121,7 @@ def _lookup(registry: Mapping[str, int], name: str) -> int:
     try:
         return registry[name]
     except KeyError:
-        raise MissingDatasetCount(name) from None
+        raise DataforgeError(f"registry has no sample count for dataset {name}") from None
 
 
 def build_stage_plan(stage: int,
@@ -129,7 +129,7 @@ def build_stage_plan(stage: int,
     """Assemble one stage's plan; registry feeds stages 1 and 4.
 
     Raises:
-        MissingDatasetCount: if the registry lacks a referenced dataset.
+        DataforgeError: if the registry lacks a referenced dataset.
         ValueError: for a stage outside 1..4.
     """
     reg = DEFAULT_REGISTRY if registry is None else registry

@@ -45,7 +45,7 @@ from .core import (
     validate_sample,
     video_ref,
 )
-from .errors import SchemaError, UnknownCameraId
+from .errors import DataforgeError, SchemaError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -162,7 +162,7 @@ def _parse_nuinstruct(rec: dict[str, Any]) -> Sample:
     for raw_id, uri in _req(rec, "views", json_object).items():
         try:
             camera = map_camera_id(raw_id, DatasetId.NUINSTRUCT)
-        except UnknownCameraId:
+        except DataforgeError:
             raise SchemaError(f"unknown view id {raw_id!r}", path="views") from None
         media.append(image_ref(camera, width, height,
                                json_str(uri, "view path", f"views.{raw_id}")))

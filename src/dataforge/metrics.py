@@ -26,7 +26,7 @@ from .core import (
     json_number,
     json_str,
 )
-from .errors import EmptyInput, SchemaError
+from .errors import DataforgeError, SchemaError
 
 IOU_THRESHOLD = 0.5
 MATCH_RADIUS = 1.0
@@ -41,7 +41,7 @@ def accuracy(pairs: Iterable[tuple[str, str]], *, strict: bool = False) -> float
     """Exact-match ratio; whitespace runs and case are ignored unless strict."""
     pairs = list(pairs)
     if not pairs:
-        raise EmptyInput("accuracy needs at least one (predicted, gold) pair")
+        raise DataforgeError("accuracy needs at least one (predicted, gold) pair")
     if strict:
         hits = sum(1 for p, g in pairs if p == g)
     else:
@@ -64,10 +64,10 @@ def bleu(candidate: str, references: Sequence[str], max_n: int = 4) -> float:
     reference, scores exactly 0.
     """
     if not references:
-        raise EmptyInput("need at least one reference")
+        raise DataforgeError("need at least one reference")
     refs = [r.split() for r in references]
     if any(not r for r in refs):
-        raise EmptyInput("reference has no tokens")
+        raise DataforgeError("reference has no tokens")
     cand = candidate.split()
     if not cand:
         return 0.0
@@ -102,7 +102,7 @@ def bleu(candidate: str, references: Sequence[str], max_n: int = 4) -> float:
 def mae(pairs: Iterable[tuple[float, float]]) -> float:
     pairs = list(pairs)
     if not pairs:
-        raise EmptyInput("mae needs at least one (predicted, gold) pair")
+        raise DataforgeError("mae needs at least one (predicted, gold) pair")
     return sum(abs(p - g) for p, g in pairs) / len(pairs)
 
 
@@ -294,6 +294,8 @@ def _record_from_dict(data) -> PredictionRecord:
         raise SchemaError(f"unknown task {task!r}")
     if task in ("classification", "caption"):
         predicted, gold = json_str(predicted, "predicted"), json_str(gold, "gold")
+        if task == "caption" and not gold.split():  # bleu needs a reference word
+            raise SchemaError("reference has no tokens", path="gold")
     elif task == "regression":
         predicted, gold = json_number(predicted, "predicted"), json_number(gold, "gold")
     elif task == "detection":
@@ -327,7 +329,7 @@ def evaluate_records(records: Sequence[PredictionRecord],
     ``detection_skipped``. Aggregation is order-free.
     """
     if not records:
-        raise EmptyInput("no prediction records to evaluate")
+        raise DataforgeError("no prediction records to evaluate")
     by_task: dict[str, list[PredictionRecord]] = {}
     for rec in records:
         by_task.setdefault(rec.task, []).append(rec)

@@ -37,12 +37,7 @@ from .core import (
     json_str,
     pixel_inside,
 )
-from .errors import (
-    EmptyAnnotation,
-    FrameCountMismatch,
-    MixedResolutionError,
-    SchemaError,
-)
+from .errors import DataforgeError, SchemaError
 from .standardize import normalize_bbox, normalize_point
 from .tokens import is_category, render_token
 
@@ -116,7 +111,7 @@ def _answer(tokens: Sequence[str]) -> str:
 def gen_single_image_grounding(ann: DetectionAnnotation, spec: GroundingSpec,
                                rng: random.Random) -> QAPair:
     if not ann.objects:
-        raise EmptyAnnotation("annotation has no objects")
+        raise DataforgeError("annotation has no objects")
     category = _pick_category(ann.objects, rng)
     representation = _pick_representation(spec, rng)
     camera = ann.media.camera if spec.with_camera_prefix else None
@@ -134,7 +129,7 @@ def _check_multiview(anns: Sequence[DetectionAnnotation],
         if ann.media.camera not in NUSCENES_CAMERAS:
             raise ValueError(f"{ann.media.camera} is not a surround camera")
     if len({(a.media.width, a.media.height) for a in anns}) > 1:
-        raise MixedResolutionError(
+        raise DataforgeError(
             "camera views disagree on resolution; per-camera handling not configured")
 
 
@@ -149,7 +144,7 @@ def _multiview_qa(anns: Sequence[DetectionAnnotation], spec: GroundingSpec,
                 continue
             pool.append((ann, obj))
     if not pool:
-        raise EmptyAnnotation("no objects to ground")
+        raise DataforgeError("no objects to ground")
     category = rng.choice(sorted({o.category for _, o in pool}))
     representation = _pick_representation(spec, rng)
     tokens = [_token(obj, ann.media, representation, ann.media.camera)
@@ -172,7 +167,7 @@ def gen_multiview_video_grounding(anns: Sequence[DetectionAnnotation],
     for ann in anns:
         if ann.media.kind is not MediaKind.VIDEO \
                 or ann.media.frame_count != spec.frames_per_view:
-            raise FrameCountMismatch(
+            raise DataforgeError(
                 f"{ann.media.camera}: expected {spec.frames_per_view}-frame "
                 f"video, got {ann.media.kind} with {ann.media.frame_count}")
     return _multiview_qa(anns, spec, rng, VIDEO_TEMPLATE, keyframe_only=True)

@@ -1,21 +1,22 @@
 """Minimal HTTP client for the optional text-rewriting backend.
 
 POST a JSON object {"system", "user", "temperature"} and get back
-{"text": "..."}. Transport failures are retried with exponential backoff and
-then surface as NetworkError; a well-delivered but malformed reply is a
-ResponseFormatError and is not retried. The rewriter callable stops calling a
-dead service: see ``as_rewriter``.
+{"text": "..."}. Transport failures, a reply that is not valid HTTP among
+them, are retried with exponential backoff and then surface as NetworkError;
+a well-delivered reply whose body is malformed is a DataforgeError and is not
+retried. The rewriter callable stops calling a dead service: see
+``as_rewriter``.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import time
-import urllib.error
 import urllib.request
 
 from .augment import Rewriter, RewriterRequest
-from .errors import NetworkError, ResponseFormatError
+from .errors import DataforgeError, NetworkError
 
 # Consecutive NetworkErrors after which a rewriter stops calling the service.
 BREAKER_FAILURES = 3
@@ -45,7 +46,9 @@ class RemoteTextClient:
             try:
                 with urllib.request.urlopen(request, timeout=self.timeout) as resp:
                     body = resp.read()
-            except (urllib.error.URLError, TimeoutError, OSError) as exc:
+            # OSError covers URLError and TimeoutError; HTTPException a bad
+            # status line or a body cut short.
+            except (OSError, http.client.HTTPException) as exc:
                 last = exc
                 if attempt < self.retries:
                     self._sleep(self.backoff * (2 ** attempt))
@@ -83,8 +86,8 @@ def _extract_text(body: bytes) -> str:
     try:
         data = json.loads(body.decode("utf-8"))
     except ValueError as exc:  # bad UTF-8, bad JSON, an integer over 4300 digits
-        raise ResponseFormatError(f"reply is not JSON: {exc}") from exc
+        raise DataforgeError(f"reply is not JSON: {exc}") from exc
     if not isinstance(data, dict) or not isinstance(data.get("text"), str):
-        raise ResponseFormatError(
+        raise DataforgeError(
             "reply must be a JSON object with a string 'text' field")
     return data["text"]

@@ -27,7 +27,7 @@ from .core import (
     pixel_inside,
     resolve_token_size,
 )
-from .errors import BoundsError, DataforgeError, SampleError
+from .errors import DataforgeError
 
 _QUANTUM = Decimal("0.001")
 
@@ -44,7 +44,7 @@ def _norm_component(value: float, size: float) -> float:
 def normalize_bbox(box: BBoxPx, width: float, height: float) -> BBoxNorm:
     """Scale a pixel box to [0, 100] per axis, rounded to 3 decimals."""
     if not pixel_inside(box, width, height):
-        raise BoundsError(f"box {box.as_tuple()} exceeds {width}x{height} image")
+        raise DataforgeError(f"box {box.as_tuple()} exceeds {width}x{height} image")
     return BBoxNorm(
         _norm_component(box.x_min, width),
         _norm_component(box.y_min, height),
@@ -64,7 +64,7 @@ def denormalize_bbox(box: BBoxNorm, width: float, height: float) -> BBoxPx:
 
 def normalize_point(point: PointPx, width: float, height: float) -> PointNorm:
     if not pixel_inside(point, width, height):
-        raise BoundsError(f"point {point.as_tuple()} exceeds {width}x{height} image")
+        raise DataforgeError(f"point {point.as_tuple()} exceeds {width}x{height} image")
     return PointNorm(
         _norm_component(point.x_center, width),
         _norm_component(point.y_center, height),
@@ -116,7 +116,7 @@ def standardize_sample(sample: Sample) -> Sample:
     else ``CENTER_INSTRUCTION`` if either holds a center; options do not count.
 
     Raises:
-        SampleError: aggregating every token that could not be rewritten.
+        DataforgeError: naming the sample and every token that could not be rewritten.
     """
     sizes, uniform = media_sizes(sample)
     failures: list[str] = []
@@ -159,5 +159,5 @@ def standardize_sample(sample: Sample) -> Sample:
         new_qa.append(QAPair(question, answer, qa.style, qa.provenance, options))
 
     if failures:
-        raise SampleError(sample.id, failures)
+        raise DataforgeError(f"sample {sample.id}: {'; '.join(failures)}")
     return replace(sample, qa=tuple(new_qa))

@@ -29,7 +29,7 @@ from .core import (
     PointNorm,
     PointPx,
 )
-from .errors import TokenGrammarError
+from .errors import DataforgeError
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _NUMBER_RE = re.compile(r"-?(?:\d+\.\d*|\.\d+|\d+)")
@@ -161,14 +161,14 @@ def parse_token(token: str) -> ObjectRef:
     """Parse a string that is exactly one object token.
 
     Raises:
-        TokenGrammarError: if the string is not a single well-formed token.
+        DataforgeError: if the string is not a single well-formed token.
     """
     matches = scan_tokens(token)
     if len(matches) != 1 or matches[0].text != token.strip():
-        raise TokenGrammarError(token, 0)
+        raise DataforgeError(f"malformed object token at 0: {token!r}")
     m = matches[0]
     if m.ref is None:
-        raise TokenGrammarError(token, m.start)
+        raise DataforgeError(f"malformed object token at {m.start}: {token!r}")
     return m.ref
 
 

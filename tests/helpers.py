@@ -6,6 +6,10 @@ Everything here takes an explicit random.Random so tests stay reproducible.
 from __future__ import annotations
 
 import random
+import re
+import socket
+import threading
+from contextlib import contextmanager
 
 from dataforge.core import (
     CameraId,
@@ -17,6 +21,46 @@ from dataforge.core import (
     Sample,
     image_ref,
 )
+
+
+def exactly(message: str) -> str:
+    """A ``pytest.raises(match=...)`` pattern that matches only ``message``."""
+    return f"^{re.escape(message)}$"
+
+
+@contextmanager
+def raw_reply_server(reply: bytes):
+    """A 127.0.0.1 server that reads each POST whole, answers it with the
+    bytes ``reply`` as they are (valid HTTP or not) and closes the
+    connection. Yields its URL and the list of request bodies it read."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    bodies: list[bytes] = []
+    stop = threading.Event()
+
+    def serve():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except TimeoutError:
+                continue
+            with conn, conn.makefile("rb") as rfile:
+                length = 0
+                while (line := rfile.readline()) not in (b"\r\n", b""):
+                    if line.lower().startswith(b"content-length:"):
+                        length = int(line.split(b":")[1])
+                bodies.append(rfile.read(length))
+                conn.sendall(reply)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}/", bodies
+    finally:
+        stop.set()
+        thread.join()
+        listener.close()
+
 
 CATEGORIES = ["car", "truck", "pedestrian", "traffic cone", "bus", "bicycle"]
 

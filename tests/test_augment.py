@@ -22,11 +22,11 @@ from dataforge.core import (
     Sample,
     sample_to_json,
 )
-from dataforge.errors import NetworkError, PoolTooSmall, ResponseFormatError
+from dataforge.errors import DataforgeError, NetworkError, PoolTooSmall
 from dataforge.ingest import write_manifest
 from dataforge.tokens import scan_tokens
 
-from helpers import single_view_media
+from helpers import exactly, single_view_media
 
 
 # --- rewriter request/response ---------------------------------------------------
@@ -69,11 +69,15 @@ def test_parse_response_multiline_answer():
 
 
 def test_parse_response_rejects_bad_shapes():
-    for bad in ["no markers at all",
-                "Answer: x Question: y",   # reversed
-                "Question: only a question",
-                "Question:  Answer: no question text"]:
-        with pytest.raises(ResponseFormatError):
+    for bad, message in [
+            ("no markers at all", "no 'Question:' marker in: 'no markers at all'"),
+            ("Answer: x Question: y",  # reversed
+             "no 'Answer:' marker after question in: 'Answer: x Question: y'"),
+            ("Question: only a question",
+             "no 'Answer:' marker after question in: 'Question: only a question'"),
+            ("Question:  Answer: no question text",
+             "empty question or answer in: 'Question:  Answer: no question text'")]:
+        with pytest.raises(DataforgeError, match=exactly(message)):
             parse_rewriter_response(bad)
 
 

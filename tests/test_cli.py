@@ -1,3 +1,4 @@
+import functools
 import gc
 import json
 import subprocess
@@ -10,13 +11,13 @@ import pytest
 import dataforge
 
 from dataforge.cli import main
-from dataforge import cli
+from dataforge import cli, remote
 from dataforge.core import (DatasetId, Provenance, QAPair, Sample, atomic_writer,
                             sample_to_json)
 from dataforge.ingest import read_manifest, write_manifest
 from dataforge.tokens import scan_object_refs
 
-from helpers import plain_sample, surround_media
+from helpers import plain_sample, raw_reply_server, surround_media
 
 NUINSTRUCT_SOURCE = [{
     "sample_id": "42",
@@ -321,6 +322,32 @@ def test_offline_env_var(workdir, monkeypatch):
     assert out_flag.read_bytes() == out_env.read_bytes()
 
 
+@pytest.mark.parametrize("reply", [
+    b"HELLO\r\n\r\n",
+    b'HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{"text": ',
+], ids=["bad_status_line", "truncated_body"])
+def test_augment_falls_back_when_rewriter_reply_is_not_http(workdir, monkeypatch,
+                                                           capsys, reply):
+    raw = _ingest_coda(workdir)
+    offline = workdir / "offline.jsonl"
+    assert _run("augment", "--seed", 7, "--offline", "--in", raw,
+                "--out", offline) == 0
+    monkeypatch.delenv("DATAFORGE_OFFLINE", raising=False)
+    # the same client with its backoff sleeps skipped
+    monkeypatch.setattr(remote, "RemoteTextClient", functools.partial(
+        remote.RemoteTextClient, sleep=lambda s: None))
+    with raw_reply_server(reply) as (url, bodies):
+        config = workdir / "config.json"
+        config.write_text(json.dumps({"augment": {"rewriter_url": url}}))
+        out = workdir / "online.jsonl"
+        capsys.readouterr()
+        assert _run("augment", "--seed", 7, "--config", config, "--in", raw,
+                    "--out", out) == 0
+    assert capsys.readouterr().err == ""
+    assert len(bodies) == 3 * remote.BREAKER_FAILURES  # 3 tries per call
+    assert out.read_bytes() == offline.read_bytes()
+
+
 def test_augment_custom_factors_via_config(workdir):
     raw = _ingest_coda(workdir)
     config = workdir / "config.json"
@@ -429,10 +456,21 @@ def _with_object(**fields):
      "(record 0, at annotations[0].objects[0])"),
     ({"id": 7, "annotations": [_FRONT_VIEW]},
      "id must be a string, got 7 (record 0, at id)"),
+    ({"id": "p", "annotations": [dict(_FRONT_VIEW, objects=[])]},
+     "annotation has no objects (record 0)"),
+    ({"id": "p", "with_camera_prefix": True,
+      "annotations": [dict(_FRONT_VIEW, camera="CAM_FRONT"),
+                      dict(_FRONT_VIEW, camera="CAM_BACK", width=1600, height=900)]},
+     "camera views disagree on resolution; per-camera handling not configured "
+     "(record 0)"),
+    ({"id": "p", "with_camera_prefix": True, "frames_per_view": 4,
+      "annotations": [dict(_FRONT_VIEW, camera="CAM_FRONT", frames=3)]},
+     "CAM_FRONT: expected 4-frame video, got video with 3 (record 0)"),
 ], ids=["front_only_prefixed", "two_views_unprefixed", "no_annotations",
         "prefix_string", "frames_per_view_float", "width_float", "height_bool",
         "frames_string", "uri_int", "frame_index_float", "category_list",
-        "bbox_string", "bbox_bool", "id_int"])
+        "bbox_string", "bbox_bool", "id_int", "no_objects", "mixed_view_sizes",
+        "frame_count"])
 def test_gen_perception_bad_record_is_one_error_line(workdir, capsys, record, error):
     (workdir / "percept.json").write_text(json.dumps([record]))
     out = workdir / "p.jsonl"
@@ -608,6 +646,18 @@ def test_evaluate_reports_line_numbers(workdir, capsys):
     preds.write_text(json.dumps(good) + "\n" + "{broken\n")
     assert _run("evaluate", "--in", preds, "--dataset", "coda_lm") == 1
     assert "line 2" in capsys.readouterr().err
+
+
+def test_evaluate_caption_with_empty_gold_names_its_line(workdir, capsys):
+    preds = workdir / "preds.jsonl"
+    good = {"sample_id": "a/1", "task": "caption", "predicted": "a car", "gold": "a car"}
+    empty = dict(good, sample_id="a/2", gold="  ")
+    preds.write_text(json.dumps(good) + "\n" + json.dumps(empty) + "\n")
+    assert _run("evaluate", "--in", preds, "--dataset", "coda_lm") == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: reference has no tokens (at gold, line 2)"]
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("line", ["3", '"text"', "[1, 2]", "null"])

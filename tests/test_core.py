@@ -1,4 +1,5 @@
 import ast
+import importlib
 import random
 import re
 from pathlib import Path
@@ -130,6 +131,25 @@ def test_decoders_read_json_through_core_readers(module):
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id in ("int", "float", "bool")]
     assert calls == []
+
+
+def test_every_exception_class_is_caught_by_name():
+    """An exception class pays for itself only where a handler in src/ names
+    it; a refusal nothing singles out raises DataforgeError with its text."""
+    defined, caught = set(), set()
+    for path in sorted(Path(dataforge.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"dataforge.{path.stem}".removesuffix(".__init__"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                cls = getattr(module, node.name, None)
+                if isinstance(cls, type) and issubclass(cls, BaseException):
+                    defined.add(node.name)
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                caught.update(t.attr if isinstance(t, ast.Attribute) else t.id
+                              for t in types)
+    assert {"DataforgeError", "SchemaError"} <= defined
+    assert sorted(defined - caught) == []
 
 
 def test_bbox_norm_render_pattern():

@@ -18,7 +18,9 @@ from dataforge.curriculum import (
     validate_plan_totals,
     write_stage_plans,
 )
-from dataforge.errors import MissingDatasetCount
+from dataforge.errors import DataforgeError
+
+from helpers import exactly
 
 # Hand-computed totals the plans must reproduce.
 STAGE3_TOTAL = 1_500_000 + 760_000 + 501_000 + 145_000
@@ -92,10 +94,11 @@ def test_stage_numbers_ascend():
 
 def test_missing_registry_entries():
     partial = {k: v for k, v in DEFAULT_REGISTRY.items() if k != "MAPLM"}
-    with pytest.raises(MissingDatasetCount) as err:
+    with pytest.raises(DataforgeError, match=exactly(
+            "registry has no sample count for dataset MAPLM")):
         build_stage_plan(4, partial)
-    assert "MAPLM" in str(err.value)
-    with pytest.raises(MissingDatasetCount):
+    with pytest.raises(DataforgeError, match=exactly(
+            "registry has no sample count for dataset LCS-558K")):
         build_stage_plan(1, {"DriveLM": 1})
 
 

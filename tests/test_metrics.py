@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dataforge.core import BBoxNorm, CameraId, DatasetId, PointNorm
-from dataforge.errors import EmptyInput, SchemaError
+from dataforge.errors import DataforgeError, SchemaError
 from dataforge.metrics import (
     MetricReport,
     PredictionRecord,
@@ -22,6 +22,8 @@ from dataforge.metrics import (
     record_from_dict,
     report_to_dict,
 )
+
+from helpers import exactly
 
 # ----------------------------------------------------------------- accuracy
 
@@ -44,7 +46,8 @@ def test_accuracy_normalizes_whitespace_and_case():
 
 
 def test_accuracy_empty_input():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(DataforgeError, match=exactly(
+            "accuracy needs at least one (predicted, gold) pair")):
         accuracy([])
 
 
@@ -146,9 +149,9 @@ def test_bleu_max_n_override():
 def test_bleu_empty_inputs():
     assert bleu("", ["ref"]) == 0.0
     assert bleu("   ", ["ref"]) == 0.0
-    with pytest.raises(EmptyInput):
+    with pytest.raises(DataforgeError, match=exactly("need at least one reference")):
         bleu("cand", [])
-    with pytest.raises(EmptyInput):
+    with pytest.raises(DataforgeError, match=exactly("reference has no tokens")):
         bleu("cand", ["ok", ""])
 
 
@@ -167,7 +170,8 @@ def test_mae_cases():
     assert mae([(1.0, 1.0), (4.0, 4.0)]) == 0.0
     assert mae([(v + 1, v) for v in (3.0, 7.0, 9.0)]) == 1.0
     assert mae([(1, 1), (2, 4), (8, 4)]) == pytest.approx(2.0)
-    with pytest.raises(EmptyInput):
+    with pytest.raises(DataforgeError, match=exactly(
+            "mae needs at least one (predicted, gold) pair")):
         mae([])
 
 
@@ -613,7 +617,7 @@ def test_evaluate_records_detection_all_skipped():
 
 
 def test_evaluate_records_empty():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(DataforgeError, match=exactly("no prediction records to evaluate")):
         evaluate_records([], DatasetId.GENERIC)
 
 

@@ -17,12 +17,7 @@ from dataforge.core import (
     image_ref,
     validate_sample,
 )
-from dataforge.errors import (
-    EmptyAnnotation,
-    FrameCountMismatch,
-    MixedResolutionError,
-    SchemaError,
-)
+from dataforge.errors import DataforgeError, SchemaError
 from dataforge.perceptgen import (
     DetectedObject,
     DetectionAnnotation,
@@ -34,6 +29,8 @@ from dataforge.perceptgen import (
     gen_single_image_grounding,
 )
 from dataforge.tokens import scan_object_refs
+
+from helpers import exactly
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "grounding.json").read_text())
@@ -212,9 +209,9 @@ def test_representation_flip_is_balanced():
 
 def test_empty_annotation_errors():
     empty = _ann(CameraId.CAM_FRONT)
-    with pytest.raises(EmptyAnnotation):
+    with pytest.raises(DataforgeError, match=exactly("annotation has no objects")):
         gen_single_image_grounding(empty, GroundingSpec(), random.Random(0))
-    with pytest.raises(EmptyAnnotation):
+    with pytest.raises(DataforgeError, match=exactly("no objects to ground")):
         gen_multiview_grounding(
             [empty], GroundingSpec(with_camera_prefix=True), random.Random(0))
 
@@ -224,7 +221,7 @@ def test_video_with_no_keyframe_objects_is_empty():
                  frames=5)
             for cam in NUSCENES_CAMERAS]
     spec = GroundingSpec(with_camera_prefix=True, frames_per_view=5)
-    with pytest.raises(EmptyAnnotation):
+    with pytest.raises(DataforgeError, match=exactly("no objects to ground")):
         gen_multiview_video_grounding(anns, spec, random.Random(0))
 
 
@@ -233,7 +230,8 @@ def test_frame_count_mismatch():
                  frames=4 if cam is CameraId.CAM_BACK else 5)
             for cam in NUSCENES_CAMERAS]
     spec = GroundingSpec(with_camera_prefix=True, frames_per_view=5)
-    with pytest.raises(FrameCountMismatch):
+    with pytest.raises(DataforgeError, match=exactly(
+            "CAM_BACK: expected 5-frame video, got video with 4")):
         gen_multiview_video_grounding(anns, spec, random.Random(0))
 
 
@@ -241,7 +239,8 @@ def test_mixed_resolution_rejected():
     anns = [_ann(CameraId.CAM_FRONT, DetectedObject("car", BBoxPx(0, 0, 5, 5))),
             _ann(CameraId.CAM_BACK, DetectedObject("car", BBoxPx(0, 0, 5, 5)),
                  width=1920, height=1080)]
-    with pytest.raises(MixedResolutionError):
+    with pytest.raises(DataforgeError, match=exactly(
+            "camera views disagree on resolution; per-camera handling not configured")):
         gen_multiview_grounding(anns, GroundingSpec(with_camera_prefix=True),
                                 random.Random(0))
 

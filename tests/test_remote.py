@@ -7,8 +7,10 @@ import pytest
 
 from dataforge.augment import build_rewriter_request, parse_rewriter_response
 from dataforge.core import QAPair
-from dataforge.errors import NetworkError, ResponseFormatError
+from dataforge.errors import DataforgeError, NetworkError
 from dataforge.remote import BREAKER_FAILURES, RemoteTextClient
+
+from helpers import exactly, raw_reply_server
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -89,7 +91,8 @@ def test_malformed_reply_is_format_error_not_retried(stub_server):
     _server, url = stub_server
     _StubHandler.script = [(200, b"this is not json")]
     client = RemoteTextClient(url, retries=3, sleep=lambda s: None)
-    with pytest.raises(ResponseFormatError):
+    with pytest.raises(DataforgeError, match=exactly(
+            "reply is not JSON: Expecting value: line 1 column 1 (char 0)")):
         client.complete("s", "u")
     assert len(_StubHandler.requests_seen) == 1  # no retry on 200 + bad body
 
@@ -98,7 +101,8 @@ def test_missing_text_field_is_format_error(stub_server):
     _server, url = stub_server
     _StubHandler.script = [(200, b'{"result": "hi"}')]
     client = RemoteTextClient(url, sleep=lambda s: None)
-    with pytest.raises(ResponseFormatError):
+    with pytest.raises(DataforgeError, match=exactly(
+            "reply must be a JSON object with a string 'text' field")):
         client.complete("s", "u")
 
 
@@ -107,9 +111,26 @@ def test_huge_integer_reply_is_format_error(stub_server):
     _server, url = stub_server
     _StubHandler.script = [(200, b'{"text": "hi", "n": ' + b"9" * 5000 + b"}")]
     client = RemoteTextClient(url, retries=3, sleep=lambda s: None)
-    with pytest.raises(ResponseFormatError, match="not JSON"):
+    with pytest.raises(ValueError) as int_error:
+        int("9" * 5000)
+    with pytest.raises(DataforgeError,
+                       match=exactly(f"reply is not JSON: {int_error.value}")):
         client.complete("s", "u")
     assert len(_StubHandler.requests_seen) == 1
+
+
+@pytest.mark.parametrize("reply, error", [
+    (b"HELLO\r\n\r\n", "HELLO\r\n"),  # http.client.BadStatusLine
+    (b'HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{"text": ',
+     "IncompleteRead(9 bytes read, 91 more expected)"),
+], ids=["bad_status_line", "truncated_body"])
+def test_reply_that_is_not_http_is_retried_then_network_error(reply, error):
+    with raw_reply_server(reply) as (url, bodies):
+        client = RemoteTextClient(url, retries=2, sleep=lambda s: None)
+        with pytest.raises(NetworkError, match=exactly(
+                f"POST {url} failed after 3 attempts: {error}")):
+            client.complete("s", "u")
+    assert len(bodies) == 3
 
 
 def test_as_rewriter_round_trip(stub_server):

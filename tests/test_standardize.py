@@ -15,7 +15,7 @@ from dataforge.core import (
     map_camera_id,
     sample_to_json,
 )
-from dataforge.errors import BoundsError, SampleError, UnknownCameraId
+from dataforge.errors import DataforgeError
 from dataforge.standardize import (
     BOX_INSTRUCTION,
     CENTER_INSTRUCTION,
@@ -28,7 +28,7 @@ from dataforge.standardize import (
 )
 from dataforge.tokens import parse_token
 
-from helpers import random_mixed_sample, surround_media
+from helpers import exactly, random_mixed_sample, surround_media
 
 
 NUSC_FRAME = image_ref(CameraId.CAM_BACK_RIGHT, 1600, 900, "f.jpg")
@@ -56,11 +56,14 @@ def test_normalize_full_frame_box():
 
 
 def test_normalize_rejects_out_of_bounds():
-    with pytest.raises(BoundsError):
+    with pytest.raises(DataforgeError,
+                       match=exactly("box (0, 0, 1601, 900) exceeds 1600x900 image")):
         normalize_bbox(BBoxPx(0, 0, 1601, 900), 1600, 900)
-    with pytest.raises(BoundsError):
+    with pytest.raises(DataforgeError,
+                       match=exactly("box (-1, 0, 10, 10) exceeds 1600x900 image")):
         normalize_bbox(BBoxPx(-1, 0, 10, 10), 1600, 900)
-    with pytest.raises(BoundsError):
+    with pytest.raises(DataforgeError,
+                       match=exactly("box (20, 0, 10, 10) exceeds 1600x900 image")):
         normalize_bbox(BBoxPx(20, 0, 10, 10), 1600, 900)  # inverted
 
 
@@ -106,18 +109,19 @@ def test_round_trip_error_bound():
 def test_default_nuinstruct_map():
     assert map_camera_id("c6", DatasetId.NUINSTRUCT) is CameraId.CAM_BACK_RIGHT
     assert map_camera_id("c1", DatasetId.NUINSTRUCT) is CameraId.CAM_FRONT
-    with pytest.raises(UnknownCameraId):
+    with pytest.raises(DataforgeError, match=exactly("unknown camera id: 'c9'")):
         map_camera_id("c9", DatasetId.NUINSTRUCT)
 
 
 def test_raw_camera_ids_only_for_nuinstruct():
     for dataset in DatasetId:
         if dataset is not DatasetId.NUINSTRUCT:
-            with pytest.raises(UnknownCameraId):
+            with pytest.raises(DataforgeError, match=exactly("unknown camera id: 'c1'")):
                 map_camera_id("c1", dataset)
     s = Sample("drivelm/1", DatasetId.DRIVELM, surround_media(1600, 900),
                (QAPair("Q?", "<car>[c1, 1, 2, 3, 4]"),))
-    with pytest.raises(SampleError, match="unknown camera id: 'c1'"):
+    with pytest.raises(DataforgeError, match=exactly(
+            "sample drivelm/1: <car>[c1, 1, 2, 3, 4]: unknown camera id: 'c1'")):
         standardize_sample(s)
 
 
@@ -202,13 +206,12 @@ def test_standardize_reports_all_failures():
         QAPair("Q1?", "ok <car>[c1, 1, 2, 3, 4] bad <car>[c1, 1, 2, 3]"),
         QAPair("Q2?", "unknown camera <car>[c9, 1, 2, 3, 4]"),
     )
-    with pytest.raises(SampleError) as exc_info:
+    # Both failures, in text order, joined by "; "; the good token is absent.
+    with pytest.raises(DataforgeError, match=exactly(
+            "sample nuinstruct/000001: "
+            "<car>[c1, 1, 2, 3]: expected 2 or 4 coordinates, got 3; "
+            "<car>[c9, 1, 2, 3, 4]: unknown camera id: 'c9'")):
         standardize_sample(s)
-    failures = exc_info.value.failures
-    assert len(failures) == 2
-    assert any("<car>[c1, 1, 2, 3]" in f for f in failures)
-    assert any("c9" in f for f in failures)
-    assert not any("<car>[c1, 1, 2, 3, 4]" in f for f in failures)
 
 
 def test_standardize_center_instruction():
@@ -242,7 +245,9 @@ def test_standardize_mixed_resolution_bare_token_fails():
              image_ref(CameraId.CAM_BACK, 1920, 1080, "b.jpg"))
     s = Sample("x/1", DatasetId.GENERIC, media,
                (QAPair("Q?", "<car>[10, 10, 20, 20]"),))
-    with pytest.raises(SampleError):
+    with pytest.raises(DataforgeError, match=exactly(
+            "sample x/1: <car>[10, 10, 20, 20]: "
+            "camera-less token over media of mixed resolutions")):
         standardize_sample(s)
 
 

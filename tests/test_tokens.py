@@ -3,7 +3,7 @@ import random
 import pytest
 
 from dataforge.core import BBoxNorm, BBoxPx, CameraId, PointNorm, PointPx
-from dataforge.errors import TokenGrammarError
+from dataforge.errors import DataforgeError
 from dataforge.tokens import (
     parse_token,
     render_token,
@@ -11,6 +11,8 @@ from dataforge.tokens import (
     scan_object_refs,
     scan_tokens,
 )
+
+from helpers import exactly
 
 
 def test_parse_raw_camera_id_box():
@@ -110,8 +112,14 @@ def test_scan_object_refs_skips_errors():
 def test_parse_token_rejects_non_tokens():
     for bad in ["no token here", "<car>[CAM_FRONT, 1, 2, 3]",
                 "<a>[1, 2] <b>[3, 4]", "x <a>[1, 2]"]:
-        with pytest.raises(TokenGrammarError):
+        with pytest.raises(DataforgeError,
+                           match=exactly(f"malformed object token at 0: {bad!r}")):
             parse_token(bad)
+    # A malformed token after leading space is reported at its offset.
+    bad = " <car>[CAM_FRONT, 1, 2, 3]"
+    with pytest.raises(DataforgeError,
+                       match=exactly(f"malformed object token at 1: {bad!r}")):
+        parse_token(bad)
 
 
 def test_render_parse_closure():
