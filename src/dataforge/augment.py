@@ -2,8 +2,9 @@
 
 Two paraphrase paths share one request format: an HTTP chat rewriter (the
 online path) and a deterministic rule-table paraphraser used offline and as
-the fallback when the service misbehaves. Expansion derives every random
-decision from (global_seed, dataset, sample_id, step).
+the fallback when the service misbehaves or changes an object token.
+Expansion derives every random decision from (global_seed, dataset,
+sample_id, step).
 """
 
 from __future__ import annotations
@@ -12,10 +13,11 @@ import hashlib
 import json
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import tokens as tok
 from .core import DatasetId, Provenance, QAPair, QAStyle, Sample
@@ -31,24 +33,15 @@ USER_TEMPLATE = (
     "and answer in the format: Question: <question> Answer: <answer>."
 )
 
-
-@dataclass(frozen=True)
-class RewriterRequest:
-    system_text: str
-    user_text: str
-
-    def __post_init__(self) -> None:
-        if self.system_text != SYSTEM_TEXT:
-            raise ValueError("rewriter system text is fixed")
+# A rewriter takes a request's user text and returns the raw model text; the
+# system text is always SYSTEM_TEXT.
+Rewriter = Callable[[str], str]
 
 
-# A rewriter takes a request and returns the raw model text.
-Rewriter = Callable[[RewriterRequest], str]
-
-
-def build_rewriter_request(qa: QAPair) -> RewriterRequest:
+def build_rewriter_request(qa: QAPair) -> str:
+    """The user text asking the rewriter to paraphrase ``qa``."""
     payload = f"Question: {qa.question} Answer: {qa.answer}"
-    return RewriterRequest(SYSTEM_TEXT, USER_TEMPLATE.replace("{QA}", payload))
+    return USER_TEMPLATE.replace("{QA}", payload)
 
 
 def parse_rewriter_response(text: str) -> QAPair:
@@ -160,9 +153,7 @@ def _apply_synonyms(text: str, rng: random.Random, rules: ParaphraseRules) -> st
     return rules.synonym_re.sub(swap, text)
 
 
-def _lead_in(text: str, rng: random.Random, lead_ins: Sequence[str],
-             decapitalize: bool) -> str:
-    lead = rng.choice(lead_ins)
+def _lead_in(text: str, lead: str, decapitalize: bool) -> str:
     if not lead:
         return text
     if decapitalize and text and text[0].isupper():
@@ -179,18 +170,17 @@ def _transform(text: str, rng: random.Random, lead_ins: Sequence[str],
     protected, saved = _protect_tokens(text)
     out = _rotate_lead_clause(protected, rng, rules)
     out = _apply_synonyms(out, rng, rules)
-    out = _lead_in(out, rng, lead_ins, decapitalize)
+    out = _lead_in(out, rng.choice(lead_ins), decapitalize)
     if out == protected:
         # force a visible change: first non-empty lead-in
-        out = _lead_in(out, random.Random(1), [lead_ins[1]], decapitalize)
+        out = _lead_in(out, lead_ins[1], decapitalize)
     return _restore_tokens(out, saved)
 
 
-def local_paraphrase(qa: QAPair, rng: random.Random,
-                     rules: ParaphraseRules | None = None) -> QAPair:
+def local_paraphrase(qa: QAPair, rng: random.Random) -> QAPair:
     """Deterministic meaning-preserving rewrite driven by the shipped rule
     table; object tokens pass through untouched."""
-    rules = rules or load_rules()
+    rules = load_rules()
     question = _transform(qa.question, rng, rules.question_lead_ins, rules, False)
     answer = _transform(qa.answer, rng, rules.answer_lead_ins, rules, True)
     return QAPair(question, answer, QAStyle.OPEN, Provenance.PARAPHRASE)
@@ -228,19 +218,6 @@ def to_multiple_choice(qa: QAPair, distractor_pool: Sequence[str],
 # Dataset expansion
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExpansionPolicy:
-    dataset: DatasetId
-    factor: int
-    mc_fraction: float = 0.2
-
-    def __post_init__(self) -> None:
-        if self.factor < 1:
-            raise ValueError("expansion factor must be >= 1")
-        if not 0.0 <= self.mc_fraction <= 1.0:
-            raise ValueError("mc_fraction must be in [0, 1]")
-
-
 # Ratios taken from the shipped stage-4 data recipe; everything else passes
 # through unexpanded.
 DEFAULT_FACTORS: dict[DatasetId, int] = {
@@ -249,59 +226,68 @@ DEFAULT_FACTORS: dict[DatasetId, int] = {
 }
 
 
-def default_policy(dataset: DatasetId, mc_fraction: float = 0.2) -> ExpansionPolicy:
-    return ExpansionPolicy(dataset, DEFAULT_FACTORS.get(dataset, 1), mc_fraction)
-
-
 # Distractor pools are capped so conversion cost stays flat as manifests grow.
 _POOL_CAP = 64
 
 
-def _build_pools(samples: Sequence[Sample]) -> dict[str, list[str]]:
-    pools: dict[str, list[str]] = {}
-    seen: dict[str, set] = {}
+def _build_pools(samples: Sequence[Sample]) -> dict[tuple[DatasetId, str], list[str]]:
+    """The first _POOL_CAP distinct open answers per (dataset, tag), in input
+    order."""
+    pools: dict[tuple[DatasetId, str], list[str]] = {}
+    seen: dict[tuple[DatasetId, str], set] = {}
     for s in samples:
         for qa in s.qa:
             if qa.style is not QAStyle.OPEN:
                 continue
             for tag in sorted(s.task_tags):
-                bucket = pools.setdefault(tag, [])
+                key = (s.dataset, tag)
+                bucket = pools.setdefault(key, [])
                 if len(bucket) >= _POOL_CAP:
                     continue
-                marks = seen.setdefault(tag, set())
+                marks = seen.setdefault(key, set())
                 if qa.answer not in marks:
                     marks.add(qa.answer)
                     bucket.append(qa.answer)
     return pools
 
 
-def _pool_for(sample: Sample, pools: dict[str, list[str]]) -> list[str]:
+def _pool_for(sample: Sample, pools: dict[tuple[DatasetId, str], list[str]]) -> list[str]:
     out: list[str] = []
     seen: set[str] = set()
     for tag in sorted(sample.task_tags):
-        for answer in pools.get(tag, ()):
+        for answer in pools.get((sample.dataset, tag), ()):
             if answer not in seen:
                 seen.add(answer)
                 out.append(answer)
     return out
 
 
+def _token_texts(qa: QAPair) -> Counter:
+    return Counter(m.text for text in (qa.question, qa.answer)
+                   for m in tok.scan_tokens(text))
+
+
 def _paraphrase_qa(qa: QAPair, stream: random.Random,
                    rewriter: Rewriter | None) -> QAPair:
+    """The rewriter's pair if it holds exactly ``qa``'s object tokens,
+    verbatim; otherwise, or when the service fails, the local rules' pair."""
     if rewriter is not None:
         try:
-            return parse_rewriter_response(rewriter(build_rewriter_request(qa)))
+            new = parse_rewriter_response(rewriter(build_rewriter_request(qa)))
         except DataforgeError:
             pass  # service failure: fall back to the offline path
+        else:
+            if _token_texts(new) == _token_texts(qa):
+                return new
     return local_paraphrase(qa, stream)
 
 
-def expand_sample(sample: Sample, policy: ExpansionPolicy, rng: SeededRng,
+def expand_sample(sample: Sample, factor: int, mc_fraction: float, rng: SeededRng,
                   pool: Sequence[str], rewriter: Rewriter | None = None
                   ) -> list[Sample]:
     """One original plus (factor - 1) derived copies with '#augN' id suffixes."""
     out = [sample]
-    for copy_no in range(1, policy.factor):
+    for copy_no in range(1, factor):
         new_qa = []
         for j, qa in enumerate(sample.qa):
             if qa.style is not QAStyle.OPEN:
@@ -310,7 +296,7 @@ def expand_sample(sample: Sample, policy: ExpansionPolicy, rng: SeededRng,
             stream = rng.stream(sample.dataset, sample.id, f"para/{copy_no}/{j}")
             new = _paraphrase_qa(qa, stream, rewriter)
             mc_stream = rng.stream(sample.dataset, sample.id, f"mc/{copy_no}/{j}")
-            if mc_stream.random() < policy.mc_fraction:
+            if mc_stream.random() < mc_fraction:
                 try:
                     new = to_multiple_choice(new, pool, mc_stream)
                 except PoolTooSmall:
@@ -321,15 +307,15 @@ def expand_sample(sample: Sample, policy: ExpansionPolicy, rng: SeededRng,
     return out
 
 
-def expand_dataset(samples: Sequence[Sample], policy: ExpansionPolicy,
-                   rng: SeededRng | None = None,
+def expand_dataset(samples: Sequence[Sample], factors: Mapping[DatasetId, int],
+                   mc_fraction: float, rng: SeededRng,
                    rewriter: Rewriter | None = None) -> list[Sample]:
-    """Expand a manifest by policy.factor; originals pass through bit-for-bit.
+    """Expand each sample by its dataset's factor (1 if absent); originals
+    pass through bit-for-bit.
 
     Output order is input order with each sample's copies following it.
     """
-    rng = rng or SeededRng(0)
     pools = _build_pools(samples)
     return [s for sample in samples
-            for s in expand_sample(sample, policy, rng, _pool_for(sample, pools),
-                                   rewriter)]
+            for s in expand_sample(sample, factors.get(sample.dataset, 1), mc_fraction,
+                                   rng, _pool_for(sample, pools), rewriter)]

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Any, Sequence
 from urllib.parse import urlsplit
 
-from .augment import DEFAULT_FACTORS, ExpansionPolicy, Rewriter, SeededRng, expand_dataset
+from .augment import DEFAULT_FACTORS, Rewriter, SeededRng, expand_dataset
 from .core import (
     DatasetId,
     MediaKind,
@@ -249,16 +249,9 @@ def _make_rewriter(cfg: PipelineConfig) -> Rewriter | None:
 def _cmd_augment(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     samples = read_manifest(args.infile)
     _guard_not_expanded(samples)
-    rng = SeededRng(cfg.seed)
-    rewriter = _make_rewriter(cfg)
     factors = DEFAULT_FACTORS if cfg.factors is None else cfg.factors
-    by_dataset: dict[DatasetId, list[Sample]] = {}
-    for sample in samples:
-        by_dataset.setdefault(sample.dataset, []).append(sample)
-    expanded: list[Sample] = []
-    for dataset, group in by_dataset.items():
-        policy = ExpansionPolicy(dataset, factors.get(dataset, 1), cfg.mc_fraction)
-        expanded.extend(expand_dataset(group, policy, rng, rewriter))
+    expanded = expand_dataset(samples, factors, cfg.mc_fraction, SeededRng(cfg.seed),
+                              _make_rewriter(cfg))
     write_manifest(expanded, args.out)
     print(f"wrote {args.out} ({len(samples)} -> {len(expanded)} samples)")
     return 0

@@ -39,15 +39,6 @@ class ComponentFlag:
     projector: Trainability
     llm: Trainability
 
-    def __post_init__(self) -> None:
-        if all(f is Trainability.FROZEN for f in
-               (self.vision_encoder, self.projector, self.llm)):
-            raise ValueError("at least one component must be trainable")
-
-    @property
-    def any_frozen(self) -> bool:
-        return Trainability.FROZEN in (self.vision_encoder, self.projector, self.llm)
-
 
 @dataclass(frozen=True)
 class DataMixEntry:
@@ -62,6 +53,9 @@ class DataMixEntry:
 
 @dataclass(frozen=True)
 class StagePlan:
+    """One stage's settings. Every stage trains 1 epoch on sequences of
+    ``SEQUENCE_LIMIT`` tokens; ``plan_to_dict`` writes both."""
+
     stage: int
     mix: tuple[DataMixEntry, ...]
     flags: ComponentFlag
@@ -69,14 +63,6 @@ class StagePlan:
     lr_projector: float
     lr_llm: float
     batch_size: int
-    epochs: int = 1
-    sequence_length: int = SEQUENCE_LIMIT
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.stage <= 4:
-            raise ValueError("stage must be 1..4")
-        if self.batch_size <= 0 or self.epochs <= 0:
-            raise ValueError("batch_size and epochs must be positive")
 
     @property
     def total_samples(self) -> int:
@@ -138,7 +124,7 @@ def build_stage_plan(stage: int,
                             _lookup(reg, ALIGNMENT_DATASET)),)
         return StagePlan(stage=1, mix=mix, flags=_PROJECTOR_ONLY,
                          lr_vision=0.0, lr_projector=1e-3, lr_llm=0.0,
-                         batch_size=512, epochs=1)
+                         batch_size=512)
     if stage == 2:
         mix = (DataMixEntry("single-image", Modality.SINGLE_IMAGE, 3_000_000),
                DataMixEntry("language", Modality.LANGUAGE, 143_000))
@@ -154,7 +140,7 @@ def build_stage_plan(stage: int,
         raise ValueError("stage must be 1..4")
     return StagePlan(stage=stage, mix=mix, flags=_ALL_TRAINABLE,
                      lr_vision=_LR_VISION, lr_projector=_LR_OTHERS,
-                     lr_llm=_LR_OTHERS, batch_size=_MAIN_BATCH, epochs=1)
+                     lr_llm=_LR_OTHERS, batch_size=_MAIN_BATCH)
 
 
 def build_all_plans(registry: Mapping[str, int] | None = None) -> tuple[StagePlan, ...]:
@@ -191,8 +177,6 @@ class PlanReport:
 def validate_plan_totals(plan: StagePlan,
                          expectation: TotalExpectation) -> PlanReport:
     violations: list[str] = []
-    if not plan.mix:
-        violations.append("mix is empty: every stage needs at least one entry")
     total = plan.total_samples
     if expectation.rel_tol == 0.0:
         if total != expectation.total:
@@ -204,11 +188,6 @@ def validate_plan_totals(plan: StagePlan,
             violations.append(
                 f"total {total} outside {expectation.rel_tol:.0%} of "
                 f"{expectation.total}")
-    if plan.sequence_length != SEQUENCE_LIMIT:
-        violations.append(
-            f"sequence_length {plan.sequence_length} != {SEQUENCE_LIMIT}")
-    if plan.stage != 1 and plan.flags.any_frozen:
-        violations.append("frozen components are only allowed in stage 1")
     return PlanReport(stage=plan.stage, total=total,
                       violations=tuple(violations))
 
@@ -229,8 +208,8 @@ def plan_to_dict(plan: StagePlan) -> dict:
         "lr_projector": plan.lr_projector,
         "lr_llm": plan.lr_llm,
         "batch_size": plan.batch_size,
-        "epochs": plan.epochs,
-        "sequence_length": plan.sequence_length,
+        "epochs": 1,
+        "sequence_length": SEQUENCE_LIMIT,
     }
 
 

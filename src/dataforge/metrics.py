@@ -30,6 +30,7 @@ from .errors import DataforgeError, SchemaError
 
 IOU_THRESHOLD = 0.5
 MATCH_RADIUS = 1.0
+BLEU_MAX_N = 4
 
 # ------------------------------------------------------------------ accuracy
 
@@ -37,15 +38,12 @@ def _normalize_text(s: str) -> str:
     return " ".join(s.split()).casefold()
 
 
-def accuracy(pairs: Iterable[tuple[str, str]], *, strict: bool = False) -> float:
-    """Exact-match ratio; whitespace runs and case are ignored unless strict."""
+def accuracy(pairs: Iterable[tuple[str, str]]) -> float:
+    """Exact-match ratio; whitespace runs and case are ignored."""
     pairs = list(pairs)
     if not pairs:
         raise DataforgeError("accuracy needs at least one (predicted, gold) pair")
-    if strict:
-        hits = sum(1 for p, g in pairs if p == g)
-    else:
-        hits = sum(1 for p, g in pairs if _normalize_text(p) == _normalize_text(g))
+    hits = sum(1 for p, g in pairs if _normalize_text(p) == _normalize_text(g))
     return hits / len(pairs)
 
 
@@ -55,10 +53,10 @@ def _ngrams(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
-def bleu(candidate: str, references: Sequence[str], max_n: int = 4) -> float:
+def bleu(candidate: str, references: Sequence[str]) -> float:
     """Corpus-standard sentence BLEU on whitespace tokens.
 
-    Uniform weights over n=1..max_n, brevity penalty against the closest
+    Uniform weights over n=1..BLEU_MAX_N, brevity penalty against the closest
     reference length (ties go to the shorter), and add-one smoothing on the
     n>1 precisions. An empty candidate, or one sharing no unigram with any
     reference, scores exactly 0.
@@ -73,7 +71,7 @@ def bleu(candidate: str, references: Sequence[str], max_n: int = 4) -> float:
         return 0.0
 
     log_sum = 0.0
-    for n in range(1, max_n + 1):
+    for n in range(1, BLEU_MAX_N + 1):
         cand_counts = _ngrams(cand, n)
         total = sum(cand_counts.values())
         max_ref = Counter()
@@ -89,7 +87,7 @@ def bleu(candidate: str, references: Sequence[str], max_n: int = 4) -> float:
             precision = clipped / total
         else:
             precision = (clipped + 1) / (total + 1)
-        log_sum += math.log(precision) / max_n
+        log_sum += math.log(precision) / BLEU_MAX_N
 
     c = len(cand)
     r = min((abs(len(ref) - c), len(ref)) for ref in refs)[1]

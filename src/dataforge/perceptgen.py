@@ -176,8 +176,7 @@ def gen_multiview_video_grounding(anns: Sequence[DetectionAnnotation],
 def build_grounding_sample(sample_id: str,
                            anns: Sequence[DetectionAnnotation],
                            spec: GroundingSpec,
-                           rng: random.Random,
-                           dataset: DatasetId = DatasetId.GENERIC) -> Sample:
+                           rng: random.Random) -> Sample:
     """Wrap one generated grounding QA with its media into a Sample."""
     if len(anns) == 1 and not spec.with_camera_prefix:
         qa = gen_single_image_grounding(anns[0], spec, rng)
@@ -187,7 +186,7 @@ def build_grounding_sample(sample_id: str,
         qa = gen_multiview_grounding(anns, spec, rng)
     media = tuple(a.media for a in sorted(
         anns, key=lambda a: CAMERA_RANK[a.media.camera]))
-    return Sample(sample_id, dataset, media, (qa,), frozenset({"perception"}))
+    return Sample(sample_id, DatasetId.GENERIC, media, (qa,), frozenset({"perception"}))
 
 
 # ---------------------------------------------------------------------------

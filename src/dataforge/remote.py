@@ -1,6 +1,6 @@
 """Minimal HTTP client for the optional text-rewriting backend.
 
-POST a JSON object {"system", "user", "temperature"} and get back
+POST a JSON object {"system", "user", "temperature": 0.0} and get back
 {"text": "..."}. Transport failures, a reply that is not valid HTTP among
 them, are retried with exponential backoff and then surface as NetworkError;
 a well-delivered reply whose body is malformed is a DataforgeError and is not
@@ -15,7 +15,7 @@ import json
 import time
 import urllib.request
 
-from .augment import Rewriter, RewriterRequest
+from .augment import SYSTEM_TEXT, Rewriter
 from .errors import DataforgeError, NetworkError
 
 # Consecutive NetworkErrors after which a rewriter stops calling the service.
@@ -23,12 +23,9 @@ BREAKER_FAILURES = 3
 
 
 class RemoteTextClient:
-    def __init__(self, url: str, *, temperature: float = 0.0,
-                 timeout: float = 10.0, retries: int = 2,
-                 backoff: float = 0.25,
-                 sleep=time.sleep) -> None:
+    def __init__(self, url: str, *, timeout: float = 10.0, retries: int = 2,
+                 backoff: float = 0.25, sleep=time.sleep) -> None:
         self.url = url
-        self.temperature = temperature
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
@@ -36,7 +33,7 @@ class RemoteTextClient:
 
     def complete(self, system: str, user: str) -> str:
         payload = json.dumps(
-            {"system": system, "user": user, "temperature": self.temperature},
+            {"system": system, "user": user, "temperature": 0.0},
             ensure_ascii=False).encode("utf-8")
         last: Exception | None = None
         for attempt in range(self.retries + 1):
@@ -58,7 +55,8 @@ class RemoteTextClient:
                            f"{self.retries + 1} attempts: {last}")
 
     def as_rewriter(self) -> Rewriter:
-        """A rewriter that posts each request through ``complete``.
+        """A rewriter that posts ``SYSTEM_TEXT`` and each user text through
+        ``complete``.
 
         After ``BREAKER_FAILURES`` calls in a row end in NetworkError, every
         later call raises NetworkError at once, without a POST or a backoff
@@ -67,13 +65,13 @@ class RemoteTextClient:
         """
         failures = 0
 
-        def call(request: RewriterRequest) -> str:
+        def call(user_text: str) -> str:
             nonlocal failures
             if failures >= BREAKER_FAILURES:
                 raise NetworkError(f"POST {self.url} skipped after {failures} "
                                    "failed calls in a row")
             try:
-                text = self.complete(request.system_text, request.user_text)
+                text = self.complete(SYSTEM_TEXT, user_text)
             except NetworkError:
                 failures += 1
                 raise

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from dataforge.augment import SeededRng, default_policy, expand_dataset, to_multiple_choice
+from dataforge.augment import DEFAULT_FACTORS, SeededRng, expand_dataset, to_multiple_choice
 from dataforge.cli import main
 from dataforge.core import (
     BBoxPx,
@@ -113,10 +113,7 @@ def test_c03_expansion_ratios_and_determinism(tmp_path):
     maplm = _expansion_fixture(DatasetId.MAPLM, 150)
     outputs = []
     for run in ("a", "b"):
-        expanded = []
-        rng = SeededRng(3)
-        expanded += expand_dataset(coda, default_policy(DatasetId.CODA_LM), rng)
-        expanded += expand_dataset(maplm, default_policy(DatasetId.MAPLM), rng)
+        expanded = expand_dataset(coda + maplm, DEFAULT_FACTORS, 0.2, SeededRng(3))
         path = tmp_path / f"run_{run}.jsonl"
         write_manifest(expanded, path)
         outputs.append(path.read_bytes())

@@ -4,11 +4,9 @@ from collections import Counter
 import pytest
 
 from dataforge.augment import (
-    ExpansionPolicy,
-    RewriterRequest,
+    DEFAULT_FACTORS,
     SeededRng,
     build_rewriter_request,
-    default_policy,
     expand_dataset,
     local_paraphrase,
     parse_rewriter_response,
@@ -21,6 +19,7 @@ from dataforge.core import (
     QAStyle,
     Sample,
     sample_to_json,
+    validate_sample,
 )
 from dataforge.errors import DataforgeError, NetworkError, PoolTooSmall
 from dataforge.ingest import write_manifest
@@ -33,8 +32,7 @@ from helpers import exactly, single_view_media
 
 def test_rewriter_request_golden():
     req = build_rewriter_request(QAPair("What is ahead?", "A truck."))
-    assert req.system_text == "You are an English improver."
-    assert req.user_text == (
+    assert req == (
         "I have a question and its corresponding answer. I need your "
         "assistance in revising and refining them. Please make some changes "
         "to the written content while preserving the meaning. The question "
@@ -46,12 +44,7 @@ def test_rewriter_request_golden():
 
 def test_rewriter_request_allows_empty_answer():
     req = build_rewriter_request(QAPair("Q?", ""))
-    assert "Question: Q? Answer: ." in req.user_text
-
-
-def test_rewriter_request_system_text_is_fixed():
-    with pytest.raises(ValueError):
-        RewriterRequest("You are a poet.", "x")
+    assert "Question: Q? Answer: ." in req
 
 
 def test_parse_response_direct():
@@ -200,7 +193,7 @@ def _mini_dataset(n=40, dataset=DatasetId.CODA_LM):
 
 def test_expand_count_law_and_ids():
     samples = _mini_dataset(40)
-    out = expand_dataset(samples, ExpansionPolicy(DatasetId.CODA_LM, 5))
+    out = expand_dataset(samples, {DatasetId.CODA_LM: 5}, 0.2, SeededRng(0))
     assert len(out) == 200
     assert out[0].id == "coda_lm/00000"
     assert [s.id for s in out[1:5]] == [f"coda_lm/00000#aug{k}" for k in range(1, 5)]
@@ -208,13 +201,13 @@ def test_expand_count_law_and_ids():
 
 def test_expand_identity_policy():
     samples = _mini_dataset(10)
-    out = expand_dataset(samples, ExpansionPolicy(DatasetId.CODA_LM, 1, 0.0))
+    out = expand_dataset(samples, {DatasetId.CODA_LM: 1}, 0.0, SeededRng(0))
     assert out == samples
 
 
 def test_expand_preserves_originals_bitwise():
     samples = _mini_dataset(25)
-    out = expand_dataset(samples, default_policy(DatasetId.CODA_LM))
+    out = expand_dataset(samples, DEFAULT_FACTORS, 0.2, SeededRng(0))
     by_id = {s.id: s for s in out}
     for s in samples:
         assert sample_to_json(by_id[s.id]) == sample_to_json(s)
@@ -222,10 +215,9 @@ def test_expand_preserves_originals_bitwise():
 
 def test_expand_deterministic_across_runs(tmp_path):
     samples = _mini_dataset(30)
-    policy = default_policy(DatasetId.CODA_LM)
     paths = []
     for run in range(2):
-        out = expand_dataset(samples, policy, SeededRng(7))
+        out = expand_dataset(samples, DEFAULT_FACTORS, 0.2, SeededRng(7))
         p = tmp_path / f"run{run}.jsonl"
         write_manifest(out, p)
         paths.append(p.read_bytes())
@@ -234,16 +226,14 @@ def test_expand_deterministic_across_runs(tmp_path):
 
 def test_expand_seed_changes_output():
     samples = _mini_dataset(10)
-    policy = default_policy(DatasetId.CODA_LM)
-    a = expand_dataset(samples, policy, SeededRng(1))
-    b = expand_dataset(samples, policy, SeededRng(2))
+    a = expand_dataset(samples, DEFAULT_FACTORS, 0.2, SeededRng(1))
+    b = expand_dataset(samples, DEFAULT_FACTORS, 0.2, SeededRng(2))
     assert a != b
 
 
 def test_expand_mc_fraction_applies_to_copies():
     samples = _mini_dataset(200)
-    policy = ExpansionPolicy(DatasetId.CODA_LM, 2, mc_fraction=0.5)
-    out = expand_dataset(samples, policy, SeededRng(11))
+    out = expand_dataset(samples, {DatasetId.CODA_LM: 2}, 0.5, SeededRng(11))
     copies = [s for s in out if "#aug" in s.id]
     mc = sum(1 for s in copies for qa in s.qa
              if qa.style is QAStyle.MULTIPLE_CHOICE)
@@ -255,8 +245,7 @@ def test_expand_mc_fraction_applies_to_copies():
 def test_expand_mc_correct_option_preserves_paraphrased_answer():
     samples = _mini_dataset(60)
     rng = SeededRng(3)
-    policy = ExpansionPolicy(DatasetId.CODA_LM, 2, mc_fraction=1.0)
-    out = expand_dataset(samples, policy, rng)
+    out = expand_dataset(samples, {DatasetId.CODA_LM: 2}, 1.0, rng)
     by_id = {s.id: s for s in out}
     for s in samples:
         copy = by_id[f"{s.id}#aug1"]
@@ -270,34 +259,92 @@ def test_expand_mc_correct_option_preserves_paraphrased_answer():
 
 def test_expand_falls_back_on_rewriter_failure():
     samples = _mini_dataset(5)
-    policy = ExpansionPolicy(DatasetId.CODA_LM, 2, mc_fraction=0.0)
 
-    def broken(request):
+    def broken(user_text):
         raise NetworkError("connection refused")
 
-    offline = expand_dataset(samples, policy, SeededRng(9))
-    with_failures = expand_dataset(samples, policy, SeededRng(9), rewriter=broken)
+    offline = expand_dataset(samples, {DatasetId.CODA_LM: 2}, 0.0, SeededRng(9))
+    with_failures = expand_dataset(samples, {DatasetId.CODA_LM: 2}, 0.0, SeededRng(9),
+                                   rewriter=broken)
     assert offline == with_failures
 
 
 def test_expand_uses_rewriter_output_when_valid():
     samples = _mini_dataset(3)
-    policy = ExpansionPolicy(DatasetId.CODA_LM, 2, mc_fraction=0.0)
 
-    def canned(request):
+    def canned(user_text):
         return "Question: Rewritten question? Answer: Rewritten answer."
 
-    out = expand_dataset(samples, policy, SeededRng(9), rewriter=canned)
+    out = expand_dataset(samples, {DatasetId.CODA_LM: 2}, 0.0, SeededRng(9),
+                         rewriter=canned)
     copy = next(s for s in out if s.id.endswith("#aug1"))
     assert copy.qa[0].question == "Rewritten question?"
     assert copy.qa[0].answer == "Rewritten answer."
 
 
+def _mixed_datasets(n=60):
+    """CODA-LM and MAPLM samples, interleaved, sharing one tag; each
+    dataset's answers are its own."""
+    samples = []
+    for i in range(n):
+        for dataset in (DatasetId.CODA_LM, DatasetId.MAPLM):
+            qa = (QAPair(f"What is in scene {i}?", f"{dataset.value} answer {i % 9}."),)
+            samples.append(Sample(f"{dataset.value}/{i:05d}", dataset,
+                                  single_view_media(), qa, frozenset({"shared"})))
+    return samples
+
+
+def test_one_call_equals_per_dataset_calls():
+    samples = _mixed_datasets()
+    one_call = expand_dataset(samples, DEFAULT_FACTORS, 1.0, SeededRng(4))
+    per_dataset = []
+    for dataset in (DatasetId.CODA_LM, DatasetId.MAPLM):
+        group = [s for s in samples if s.dataset is dataset]
+        per_dataset += expand_dataset(group, DEFAULT_FACTORS, 1.0, SeededRng(4))
+    assert sorted(one_call, key=lambda s: s.id) == sorted(per_dataset, key=lambda s: s.id)
+    coda_options = [text for s in one_call if s.dataset is DatasetId.CODA_LM
+                    for qa in s.qa for _, text in qa.options or ()]
+    assert len(coda_options) > 100
+    assert not [t for t in coda_options if t.startswith(DatasetId.MAPLM.value)]
+
+
 def test_policy_validation():
-    with pytest.raises(ValueError):
-        ExpansionPolicy(DatasetId.CODA_LM, 0)
-    with pytest.raises(ValueError):
-        ExpansionPolicy(DatasetId.CODA_LM, 2, mc_fraction=1.5)
-    assert default_policy(DatasetId.CODA_LM).factor == 5
-    assert default_policy(DatasetId.MAPLM).factor == 2
-    assert default_policy(DatasetId.LINGOQA).factor == 1
+    # the default factors: CODA-LM x5, MAPLM x2, every other dataset x1
+    samples = (_mini_dataset(3, DatasetId.CODA_LM) + _mini_dataset(3, DatasetId.MAPLM)
+               + _mini_dataset(3, DatasetId.LINGOQA))
+    out = expand_dataset(samples, DEFAULT_FACTORS, 0.2, SeededRng(0))
+    assert Counter(s.dataset for s in out) == {
+        DatasetId.CODA_LM: 15, DatasetId.MAPLM: 6, DatasetId.LINGOQA: 3}
+
+
+# --- rewriter replies that change object tokens ------------------------------------
+
+def _token_dataset(n=2):
+    token = "<car>[100, 200, 300, 400]"
+    return [Sample(f"coda_lm/{i:05d}", DatasetId.CODA_LM, single_view_media(),
+                   (QAPair(f"Where is {token} in scene {i}?", f"It is at {token}, ahead."),),
+                   frozenset({"hazards"}))
+            for i in range(n)]
+
+
+def test_rewriter_reply_with_other_tokens_falls_back_to_local_rules():
+    samples = _token_dataset()
+
+    def changes_tokens(user_text):
+        return ("Question: Where is <car>[CAM_FRONT, 1, 2, 3]? "
+                "Answer: At <bus>[5000, 1, 6000, 2].")
+
+    out = expand_dataset(samples, DEFAULT_FACTORS, 0.2, SeededRng(9), changes_tokens)
+    assert len(out) == 10
+    assert all(validate_sample(s) == [] for s in out)
+    assert out == expand_dataset(samples, DEFAULT_FACTORS, 0.2, SeededRng(9))
+
+
+def test_rewriter_reply_that_moves_a_token_is_kept():
+    samples = _token_dataset(1)
+    reply = ("Question: Where is the car in scene 0? "
+             "Answer: The car is at <car>[100, 200, 300, 400] and <car>[100, 200, 300, 400].")
+    out = expand_dataset(samples, {DatasetId.CODA_LM: 2}, 0.0, SeededRng(9),
+                         lambda user_text: reply)
+    assert out[1].qa[0] == parse_rewriter_response(reply)
+    assert validate_sample(out[1]) == []

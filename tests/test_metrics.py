@@ -42,7 +42,6 @@ def test_accuracy_three_of_four():
 def test_accuracy_normalizes_whitespace_and_case():
     pairs = [("  Turn   LEFT ", "turn left")]
     assert accuracy(pairs) == 1.0
-    assert accuracy(pairs, strict=True) == 0.0
 
 
 def test_accuracy_empty_input():
@@ -138,12 +137,6 @@ def test_bleu_short_candidate_still_defined():
     # 2 tokens: no 3/4-grams exist; smoothing keeps those factors at 1.
     assert bleu("red car", ["red car"]) == 1.0
     assert 0.0 < bleu("red car", ["red truck"]) < 1.0
-
-
-def test_bleu_max_n_override():
-    got = bleu("a b x", ["a b y"], max_n=1)
-    assert got == pytest.approx(_oracle_bleu("a b x", ["a b y"], max_n=1),
-                                abs=1e-12)
 
 
 def test_bleu_empty_inputs():

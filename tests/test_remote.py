@@ -54,10 +54,10 @@ def _reply(text):
 def test_complete_happy_path(stub_server):
     _server, url = stub_server
     _StubHandler.script = [_reply("hello back")]
-    client = RemoteTextClient(url, temperature=0.3, sleep=lambda s: None)
+    client = RemoteTextClient(url, sleep=lambda s: None)
     assert client.complete("sys", "usr") == "hello back"
     sent = _StubHandler.requests_seen[0]
-    assert sent == {"system": "sys", "user": "usr", "temperature": 0.3}
+    assert sent == {"system": "sys", "user": "usr", "temperature": 0.0}
 
 
 def test_retries_then_succeeds(stub_server):
