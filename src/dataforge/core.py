@@ -2,8 +2,8 @@
 
 Everything here is an immutable value object. The canonical on-disk form is
 JSON Lines with one sample per line (see ``sample_to_json`` for the key
-order). The decoders take parsed JSON: ``sample_from_dict`` and its helpers
-accept ``dict`` objects, not arbitrary mappings.
+order). The decoders take parsed JSON: ``sample_from_dict`` accepts ``dict``
+objects, not arbitrary mappings.
 """
 
 from __future__ import annotations
@@ -486,108 +486,100 @@ def json_object(value: Any, name: str, path: str | None = None) -> dict[str, Any
     raise _wrong(name, "an object", value, path)
 
 
-def media_from_dict(d: dict[str, Any], path: str = "media") -> MediaRef:
-    if not isinstance(d, dict):
-        raise SchemaError("media entry must be an object", path=path)
-    kind = _member(_MEDIA_KINDS, MediaKind, json_key(d, "kind", path), path)
-    camera = _member(_CAMERAS, CameraId, json_key(d, "camera", path), path)
-    frame_count = json_int(json_key(d, "frame_count", path), "frame_count", path)
-    width = json_int(json_key(d, "width", path), "width", path)
-    height = json_int(json_key(d, "height", path), "height", path)
-    uri = json_key(d, "uri", path)
-    if not isinstance(uri, str):
-        raise SchemaError("uri must be a string", path=path)
-    try:
-        return MediaRef(kind, camera, frame_count, width, height, uri)
-    except ValueError as exc:
-        raise SchemaError(str(exc), path=path) from None
-
-
-def qa_from_dict(d: dict[str, Any], path: str = "qa") -> QAPair:
-    if not isinstance(d, dict):
-        raise SchemaError("qa entry must be an object", path=path)
-    question = json_key(d, "question", path)
-    answer = json_key(d, "answer", path)
-    if not isinstance(question, str) or not isinstance(answer, str):
-        raise SchemaError("question/answer must be strings", path=path)
-    style = _member(_STYLES, QAStyle, d.get("style", "open"), path)
-    provenance = _member(_PROVENANCES, Provenance, d.get("provenance", "original"), path)
-    options = None
-    raw = d.get("options")
-    if raw is not None:
-        if not isinstance(raw, list):
-            raise SchemaError("options must be a list", path=path)
-        pairs = []
-        for item in raw:
-            if not (isinstance(item, (list, tuple)) and len(item) == 2
-                    and all(isinstance(x, str) for x in item)):
-                raise SchemaError(f"option entries must be [label, text], got {item!r}",
-                                  path=path)
-            pairs.append((item[0], item[1]))
-        options = tuple(pairs)
-    return QAPair(question, answer, style, provenance, options)
+def _fault(reason: str, d: dict[str, Any], *keys: str,
+           path: str | None = None) -> SchemaError:
+    """``missing key '<key>'`` for the first of ``keys`` that ``d`` lacks, else
+    ``reason``."""
+    missing = [key for key in keys if key not in d]
+    return SchemaError(f"missing key {missing[0]!r}" if missing else reason, path=path)
 
 
 def sample_from_dict(d: dict[str, Any], path: str = "sample") -> Sample:
-    """The sample a decoded manifest line or generic record describes. Absent
-    style/provenance/options/task_tags take their defaults; unknown keys are
-    ignored. A failed type guard, KeyError, TypeError or ValueError in the
-    first part falls through to the field-by-field checks, which accept the
-    same samples and raise the SchemaError that names the fault."""
+    """The sample a decoded manifest line or generic record describes.
+
+    Each field is checked once, in this order: id, dataset, media, qa, then
+    each media entry, each QA entry and task_tags. The first fault raises its
+    SchemaError; an entry's fault names ``<path>.media[i]`` or
+    ``<path>.qa[i]``, built only then. Absent style/provenance/options/task_tags
+    take their defaults; unknown keys are ignored."""
+    if type(d) is not dict:
+        raise SchemaError("sample must be an object", path=path)
+    sid = d.get("id")
+    if type(sid) is not str:
+        raise _fault("id must be a string", d, "id", path=path)
     try:
-        if type(d) is not dict:
-            raise TypeError
-        sid, media_raw, qa_raw = d["id"], d["media"], d["qa"]
-        tags = d.get("task_tags", [])
-        if (type(sid) is not str or type(media_raw) is not list
-                or type(qa_raw) is not list or type(tags) is not list):
-            raise TypeError
-        media = []
+        dataset = _DATASETS[d["dataset"]]
+    except (KeyError, TypeError):  # TypeError: an unhashable value such as [1]
+        raise _fault(f"{d.get('dataset')!r} is not a valid DatasetId", d, "dataset",
+                     path=path) from None
+    media_raw, qa_raw = d.get("media"), d.get("qa")
+    if type(media_raw) is not list or type(qa_raw) is not list:
+        raise _fault("media and qa must be lists", d, "media", "qa", path=path)
+
+    media: list[MediaRef] = []
+    try:
         for m in media_raw:
-            n, w, h, uri = m["frame_count"], m["width"], m["height"], m["uri"]
-            if (type(n) is not int or type(w) is not int or type(h) is not int
-                    or type(uri) is not str):
-                raise TypeError
-            media.append(MediaRef(_MEDIA_KINDS[m["kind"]], _CAMERAS[m["camera"]],
-                                  n, w, h, uri))  # ValueError: a MediaRef rule
-        qa = []
+            if type(m) is not dict:
+                raise SchemaError("media entry must be an object")
+            try:
+                kind = _MEDIA_KINDS[m["kind"]]
+            except (KeyError, TypeError):
+                raise _fault(f"{m.get('kind')!r} is not a valid MediaKind", m,
+                             "kind") from None
+            try:
+                camera = _CAMERAS[m["camera"]]
+            except (KeyError, TypeError):
+                raise _fault(f"{m.get('camera')!r} is not a valid CameraId", m,
+                             "camera") from None
+            n, w, h, uri = m.get("frame_count"), m.get("width"), m.get("height"), m.get("uri")
+            if type(n) is not int:
+                raise _fault(f"frame_count must be an integer, got {n!r}", m, "frame_count")
+            if type(w) is not int:
+                raise _fault(f"width must be an integer, got {w!r}", m, "width")
+            if type(h) is not int:
+                raise _fault(f"height must be an integer, got {h!r}", m, "height")
+            if type(uri) is not str:
+                raise _fault("uri must be a string", m, "uri")
+            media.append(MediaRef(kind, camera, n, w, h, uri))
+    except (SchemaError, ValueError) as exc:  # ValueError: a MediaRef rule
+        raise SchemaError(str(exc), path=f"{path}.media[{len(media)}]") from None
+
+    qa: list[QAPair] = []
+    try:
         for q in qa_raw:
-            question, answer, options = q["question"], q["answer"], q.get("options")
+            if type(q) is not dict:
+                raise SchemaError("qa entry must be an object")
+            question, answer = q.get("question"), q.get("answer")
             if type(question) is not str or type(answer) is not str:
-                raise TypeError
+                raise _fault("question/answer must be strings", q, "question", "answer")
+            try:
+                style = _STYLES[q.get("style", "open")]
+            except (KeyError, TypeError):
+                raise SchemaError(f"{q['style']!r} is not a valid QAStyle") from None
+            try:
+                provenance = _PROVENANCES[q.get("provenance", "original")]
+            except (KeyError, TypeError):
+                raise SchemaError(f"{q['provenance']!r} is not a valid Provenance") from None
+            options = q.get("options")
             if options is not None:
                 if type(options) is not list:
-                    raise TypeError
+                    raise SchemaError("options must be a list")
                 for item in options:
                     if (type(item) is not list or len(item) != 2
                             or type(item[0]) is not str or type(item[1]) is not str):
-                        raise TypeError
+                        raise SchemaError(f"option entries must be [label, text], got {item!r}")
                 options = tuple([(label, text) for label, text in options])
-            qa.append(QAPair(question, answer, _STYLES[q.get("style", "open")],
-                             _PROVENANCES[q.get("provenance", "original")], options))
-        for tag in tags:
-            if type(tag) is not str:
-                raise TypeError
-        return Sample(sid, _DATASETS[d["dataset"]], tuple(media), tuple(qa),
-                      frozenset(tags))
-    except (KeyError, TypeError, ValueError):
-        pass
-    if not isinstance(d, dict):
-        raise SchemaError("sample must be an object", path=path)
-    sid = json_key(d, "id", path)
-    if not isinstance(sid, str):
-        raise SchemaError("id must be a string", path=path)
-    dataset = _member(_DATASETS, DatasetId, json_key(d, "dataset", path), path)
-    media_raw = json_key(d, "media", path)
-    qa_raw = json_key(d, "qa", path)
-    if not isinstance(media_raw, list) or not isinstance(qa_raw, list):
-        raise SchemaError("media and qa must be lists", path=path)
-    media = tuple(media_from_dict(m, f"{path}.media[{i}]") for i, m in enumerate(media_raw))
-    qa = tuple(qa_from_dict(q, f"{path}.qa[{i}]") for i, q in enumerate(qa_raw))
-    tags_raw = d.get("task_tags", [])
-    if not isinstance(tags_raw, list) or not all(isinstance(t, str) for t in tags_raw):
+            qa.append(QAPair(question, answer, style, provenance, options))
+    except SchemaError as exc:
+        raise SchemaError(exc.reason, path=f"{path}.qa[{len(qa)}]") from None
+
+    tags = d.get("task_tags", [])
+    if type(tags) is not list:
         raise SchemaError("task_tags must be a list of strings", path=path)
-    return Sample(sid, dataset, media, qa, frozenset(tags_raw))
+    for tag in tags:
+        if type(tag) is not str:
+            raise SchemaError("task_tags must be a list of strings", path=path)
+    return Sample(sid, dataset, tuple(media), tuple(qa), frozenset(tags))
 
 
 def decode_json(text: str, line: int | None = None) -> Any:

@@ -24,6 +24,7 @@ from .core import (
     json_key,
     json_list,
     json_number,
+    json_object,
     json_str,
 )
 from .errors import DataforgeError, SchemaError
@@ -260,9 +261,7 @@ def _parse_box(value, path: str) -> BBoxNorm:
 
 
 def _parse_point(entry, path: str) -> CameraPoint:
-    if not isinstance(entry, dict) or "point" not in entry:
-        raise SchemaError("expected {point: [x, y], camera?}", path=path)
-    pt = entry["point"]
+    pt = json_key(json_object(entry, "entry", path), "point", path)
     if not isinstance(pt, list) or len(pt) != 2:
         raise SchemaError("point must be [x, y]", path=path)
     x, y = (json_number(v, "point coordinate", path, minimum=0, maximum=100) for v in pt)
@@ -299,15 +298,15 @@ def _record_from_dict(data) -> PredictionRecord:
     elif task == "detection":
         dets = []
         for k, d in enumerate(json_list(predicted, "predicted")):
-            if not isinstance(d, dict) or "bbox" not in d or "confidence" not in d:
-                raise SchemaError("expected {bbox, confidence}", path=f"predicted[{k}]")
-            dets.append((_parse_box(d["bbox"], f"predicted[{k}].bbox"),
-                         json_number(d["confidence"], "confidence", f"predicted[{k}]")))
+            where = f"predicted[{k}]"
+            json_object(d, "entry", where)
+            dets.append((_parse_box(json_key(d, "bbox", where), f"{where}.bbox"),
+                         json_number(json_key(d, "confidence", where), "confidence", where)))
         gts = []
         for k, d in enumerate(json_list(gold, "gold")):
-            if not isinstance(d, dict) or "bbox" not in d:
-                raise SchemaError("expected {bbox}", path=f"gold[{k}]")
-            gts.append(_parse_box(d["bbox"], f"gold[{k}].bbox"))
+            where = f"gold[{k}]"
+            json_object(d, "entry", where)
+            gts.append(_parse_box(json_key(d, "bbox", where), f"{where}.bbox"))
         predicted, gold = tuple(dets), tuple(gts)
     else:  # grounding
         predicted = tuple(_parse_point(e, f"predicted[{k}]")

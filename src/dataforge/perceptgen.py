@@ -194,7 +194,7 @@ def build_grounding_sample(sample_id: str,
 # ---------------------------------------------------------------------------
 
 def _box(o: dict[str, Any], path: str) -> BBoxPx:
-    raw = o.get("bbox")
+    raw = json_key(o, "bbox", path)
     if not (isinstance(raw, list) and len(raw) == 4):
         raise SchemaError(f"bbox must be four numbers, got {raw!r}", path=path)
     return BBoxPx(*(json_number(v, "bbox coordinate", path) for v in raw))

@@ -159,6 +159,18 @@ def test_ingest_rejects_what_standardize_cannot_rewrite(workdir, capsys, record,
     assert not out.exists()
 
 
+def test_ingest_generic_decoder_fault_is_one_error_line(workdir, capsys):
+    record = _generic_record([{"question": "Where?", "answer": "Ahead."}])
+    record["media"][0]["uri"] = 5
+    (workdir / "generic.json").write_text(json.dumps([record]))
+    out = workdir / "raw.jsonl"
+    assert _run("ingest", "--adapter", "generic", "--in", workdir / "generic.json",
+                "--out", out) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: uri must be a string (record 0, at sample.media[0])"]
+    assert not out.exists()
+
+
 # --------------------------------------------------------------- standardize
 
 def test_standardize_rewrites_reference_token(workdir):
@@ -454,6 +466,8 @@ def _with_object(**fields):
     (_with_object(bbox=[True, 100, 400, 300]),
      "bbox coordinate must be a number, got True "
      "(record 0, at annotations[0].objects[0])"),
+    ({"id": "p", "annotations": [dict(_FRONT_VIEW, objects=[{"category": "car"}])]},
+     "missing key 'bbox' (record 0, at annotations[0].objects[0])"),
     ({"id": 7, "annotations": [_FRONT_VIEW]},
      "id must be a string, got 7 (record 0, at id)"),
     ({"id": "p", "annotations": [dict(_FRONT_VIEW, objects=[])]},
@@ -469,8 +483,8 @@ def _with_object(**fields):
 ], ids=["front_only_prefixed", "two_views_unprefixed", "no_annotations",
         "prefix_string", "frames_per_view_float", "width_float", "height_bool",
         "frames_string", "uri_int", "frame_index_float", "category_list",
-        "bbox_string", "bbox_bool", "id_int", "no_objects", "mixed_view_sizes",
-        "frame_count"])
+        "bbox_string", "bbox_bool", "bbox_missing", "id_int", "no_objects",
+        "mixed_view_sizes", "frame_count"])
 def test_gen_perception_bad_record_is_one_error_line(workdir, capsys, record, error):
     (workdir / "percept.json").write_text(json.dumps([record]))
     out = workdir / "p.jsonl"
@@ -830,7 +844,19 @@ def test_evaluate_bool_is_not_a_number(workdir, capsys, record):
     ({"sample_id": "d/1", "task": "detection", "predicted": [],
       "gold": [{"bbox": [0, 0, 150, 10]}]},
      "bbox coordinate must be a number in [0, 100], got 150 (at gold[0].bbox, line 2)"),
-], ids=["sample_id_int", "camera_bogus", "bbox_over_100"])
+    ({"sample_id": "d/1", "task": "detection", "predicted": [{"confidence": 0.5}],
+      "gold": []},
+     "missing key 'bbox' (at predicted[0], line 2)"),
+    ({"sample_id": "d/1", "task": "detection",
+      "predicted": [{"bbox": [0, 0, 10, 10]}], "gold": []},
+     "missing key 'confidence' (at predicted[0], line 2)"),
+    ({"sample_id": "d/1", "task": "detection", "predicted": [], "gold": [{}]},
+     "missing key 'bbox' (at gold[0], line 2)"),
+    ({"sample_id": "g/1", "task": "grounding",
+      "predicted": [{"camera": "CAM_FRONT"}], "gold": []},
+     "missing key 'point' (at predicted[0], line 2)"),
+], ids=["sample_id_int", "camera_bogus", "bbox_over_100", "predicted_bbox_missing",
+        "confidence_missing", "gold_bbox_missing", "point_missing"])
 def test_evaluate_bad_record_names_its_line(workdir, capsys, record, error):
     preds = workdir / "preds.jsonl"
     good = {"sample_id": "a/1", "task": "classification", "predicted": "x", "gold": "x"}

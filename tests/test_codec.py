@@ -6,7 +6,7 @@ import copy
 import json
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dataforge.cli import _prompt_row
@@ -210,15 +210,17 @@ _CASES = [
 ]
 
 
-def _mutated(where, value) -> str:
+def _edited(edits) -> str:
+    """``_BASE`` as JSON with each ``(where, value)`` edit made in turn."""
     d = copy.deepcopy(_BASE)
-    target = d
-    for key in where[:-1]:
-        target = target[key]
-    if value is _DELETE:
-        del target[where[-1]]
-    else:
-        target[where[-1]] = value
+    for where, value in edits:
+        target = d
+        for key in where[:-1]:
+            target = target[key]
+        if value is _DELETE:
+            del target[where[-1]]
+        else:
+            target[where[-1]] = value
     return json.dumps(d)
 
 
@@ -231,7 +233,7 @@ def _case_id(where, value) -> str:
                          ids=[_case_id(w, v) for w, v, _ in _CASES])
 def test_malformed_line_error_text(where, value, message):
     with pytest.raises(SchemaError) as exc:
-        sample_from_json(_mutated(where, value))
+        sample_from_json(_edited([(where, value)]))
     assert str(exc.value) == message
 
 
@@ -281,3 +283,50 @@ def test_absent_optional_keys_take_defaults():
     assert s.task_tags == frozenset()
     assert s.qa == (QAPair("q", "a", QAStyle.OPEN, Provenance.ORIGINAL, None),)
     assert sample_to_json(s) == json.dumps({**d, "qa": _BASE["qa"], "task_tags": []})
+
+
+# The decoder checks id, dataset, media, qa, the list check, each media entry,
+# each QA entry, then task_tags; a line with two faults reports the first.
+_BAD_SECOND_MEDIA = [_BASE["media"][0], {**_BASE["media"][0], "camera": "c1"}]
+
+
+@pytest.mark.parametrize("edits,message", [
+    ([(("id",), 7), (("dataset",), _DELETE)], "id must be a string (at sample)"),
+    ([(("media", 0, "kind"), "x"), (("qa", 0, "style"), "x")],
+     "'x' is not a valid MediaKind (at sample.media[0])"),
+    ([(("media", 0, "width"), True), (("media", 0, "uri"), 3)],
+     "width must be an integer, got True (at sample.media[0])"),
+    ([(("task_tags",), [1]), (("media",), _BAD_SECOND_MEDIA)],
+     "'c1' is not a valid CameraId (at sample.media[1])"),
+], ids=["id_before_dataset", "media_before_qa", "width_before_uri",
+        "media_before_task_tags"])
+def test_first_fault_is_reported(edits, message):
+    with pytest.raises(SchemaError) as exc:
+        sample_from_json(_edited(edits))
+    assert str(exc.value) == message
+
+
+# Every place in _BASE a fault can sit, absent optional keys included, and the
+# JSON values one can hold.
+_FIELDS = [("id",), ("dataset",), ("media",), ("qa",), ("task_tags",),
+           ("media", 0), ("qa", 0), ("task_tags", 0)] + [
+    ("media", 0, key) for key in _BASE["media"][0]] + [
+    ("qa", 0, key) for key in ("question", "answer", "style", "provenance", "options")]
+_JSON_VALUES = [_DELETE, None, True, False, 0, 1, 5, -1, 2.5, 1.0, "", "x", "open",
+                "image", "video", "FRONT_ONLY", "generic", "original", [], [1], ["a"],
+                ["A", "x"], [["A", "x"]], [["A"]], {}, {"kind": "image"}]
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.dictionaries(st.sampled_from(_FIELDS), st.sampled_from(_JSON_VALUES),
+                       min_size=1, max_size=4))
+def test_faulted_line_decodes_stably_or_raises_schema_error(edits):
+    assume(edits.get(("qa", 0, "options")) is not _DELETE)  # absent in _BASE
+    # deepest first, so no edit's container is already replaced or deleted
+    line = _edited(sorted(edits.items(), key=lambda edit: -len(edit[0])))
+    try:
+        sample = sample_from_json(line)
+    except SchemaError:
+        return
+    encoded = sample_to_json(sample)
+    assert sample_to_json(sample_from_json(encoded)) == encoded
