@@ -269,7 +269,7 @@ def _cmd_gen_perception(args: argparse.Namespace, cfg: PipelineConfig) -> int:
             sample = build_grounding_sample(
                 sample_id, anns, spec,
                 rng.stream("perceptgen", sample_id, "grounding"))
-        except (ValueError, DataforgeError) as exc:  # e.g. a FRONT_ONLY view, no objects
+        except DataforgeError as exc:  # e.g. a FRONT_ONLY view, no objects
             raise SchemaError(str(exc), record_index=idx) from None
         violations = validate_sample(sample)
         if violations:

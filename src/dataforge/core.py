@@ -494,27 +494,27 @@ def _fault(reason: str, d: dict[str, Any], *keys: str,
     return SchemaError(f"missing key {missing[0]!r}" if missing else reason, path=path)
 
 
-def sample_from_dict(d: dict[str, Any], path: str = "sample") -> Sample:
+def sample_from_dict(d: dict[str, Any]) -> Sample:
     """The sample a decoded manifest line or generic record describes.
 
     Each field is checked once, in this order: id, dataset, media, qa, then
     each media entry, each QA entry and task_tags. The first fault raises its
-    SchemaError; an entry's fault names ``<path>.media[i]`` or
-    ``<path>.qa[i]``, built only then. Absent style/provenance/options/task_tags
+    SchemaError; an entry's fault names ``sample.media[i]`` or
+    ``sample.qa[i]``, built only then. Absent style/provenance/options/task_tags
     take their defaults; unknown keys are ignored."""
     if type(d) is not dict:
-        raise SchemaError("sample must be an object", path=path)
+        raise SchemaError("sample must be an object", path="sample")
     sid = d.get("id")
     if type(sid) is not str:
-        raise _fault("id must be a string", d, "id", path=path)
+        raise _fault("id must be a string", d, "id", path="sample")
     try:
         dataset = _DATASETS[d["dataset"]]
     except (KeyError, TypeError):  # TypeError: an unhashable value such as [1]
         raise _fault(f"{d.get('dataset')!r} is not a valid DatasetId", d, "dataset",
-                     path=path) from None
+                     path="sample") from None
     media_raw, qa_raw = d.get("media"), d.get("qa")
     if type(media_raw) is not list or type(qa_raw) is not list:
-        raise _fault("media and qa must be lists", d, "media", "qa", path=path)
+        raise _fault("media and qa must be lists", d, "media", "qa", path="sample")
 
     media: list[MediaRef] = []
     try:
@@ -542,7 +542,7 @@ def sample_from_dict(d: dict[str, Any], path: str = "sample") -> Sample:
                 raise _fault("uri must be a string", m, "uri")
             media.append(MediaRef(kind, camera, n, w, h, uri))
     except (SchemaError, ValueError) as exc:  # ValueError: a MediaRef rule
-        raise SchemaError(str(exc), path=f"{path}.media[{len(media)}]") from None
+        raise SchemaError(str(exc), path=f"sample.media[{len(media)}]") from None
 
     qa: list[QAPair] = []
     try:
@@ -571,14 +571,14 @@ def sample_from_dict(d: dict[str, Any], path: str = "sample") -> Sample:
                 options = tuple([(label, text) for label, text in options])
             qa.append(QAPair(question, answer, style, provenance, options))
     except SchemaError as exc:
-        raise SchemaError(exc.reason, path=f"{path}.qa[{len(qa)}]") from None
+        raise SchemaError(exc.reason, path=f"sample.qa[{len(qa)}]") from None
 
     tags = d.get("task_tags", [])
     if type(tags) is not list:
-        raise SchemaError("task_tags must be a list of strings", path=path)
+        raise SchemaError("task_tags must be a list of strings", path="sample")
     for tag in tags:
         if type(tag) is not str:
-            raise SchemaError("task_tags must be a list of strings", path=path)
+            raise SchemaError("task_tags must be a list of strings", path="sample")
     return Sample(sid, dataset, tuple(media), tuple(qa), frozenset(tags))
 
 

@@ -252,7 +252,8 @@ class MetricReport:
 
 def _parse_box(value, path: str) -> BBoxNorm:
     if not isinstance(value, list) or len(value) != 4:
-        raise SchemaError("bbox must be [x_min, y_min, x_max, y_max]", path=path)
+        raise SchemaError(f"bbox must be [x_min, y_min, x_max, y_max], got {value!r}",
+                          path=path)
     x0, y0, x1, y1 = (json_number(v, "bbox coordinate", path, minimum=0, maximum=100)
                       for v in value)
     if x0 > x1 or y0 > y1:
@@ -263,7 +264,7 @@ def _parse_box(value, path: str) -> BBoxNorm:
 def _parse_point(entry, path: str) -> CameraPoint:
     pt = json_key(json_object(entry, "entry", path), "point", path)
     if not isinstance(pt, list) or len(pt) != 2:
-        raise SchemaError("point must be [x, y]", path=path)
+        raise SchemaError(f"point must be [x, y], got {pt!r}", path=path)
     x, y = (json_number(v, "point coordinate", path, minimum=0, maximum=100) for v in pt)
     camera = entry.get("camera")
     if camera is not None:

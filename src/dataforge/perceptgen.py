@@ -83,16 +83,6 @@ class GroundingSpec:
             raise ValueError("frames_per_view must be >= 1")
 
 
-def _pick_category(objects: Sequence[DetectedObject], rng: random.Random) -> str:
-    return rng.choice(sorted({o.category for o in objects}))
-
-
-def _pick_representation(spec: GroundingSpec, rng: random.Random) -> str:
-    if spec.representation is not None:
-        return spec.representation
-    return "center" if rng.random() < 0.5 else "box"
-
-
 def _token(obj: DetectedObject, media: MediaRef, representation: str,
            camera: CameraId | None) -> str:
     b = obj.box
@@ -104,89 +94,52 @@ def _token(obj: DetectedObject, media: MediaRef, representation: str,
     return render_token(obj.category, camera, norm)
 
 
-def _answer(tokens: Sequence[str]) -> str:
-    return ANSWER_LEAD_IN + ", ".join(tokens)
-
-
-def gen_single_image_grounding(ann: DetectionAnnotation, spec: GroundingSpec,
-                               rng: random.Random) -> QAPair:
-    if not ann.objects:
-        raise DataforgeError("annotation has no objects")
-    category = _pick_category(ann.objects, rng)
-    representation = _pick_representation(spec, rng)
-    camera = ann.media.camera if spec.with_camera_prefix else None
-    tokens = [_token(o, ann.media, representation, camera)
-              for o in ann.objects if o.category == category]
-    return QAPair(SINGLE_IMAGE_TEMPLATE.format(category=category),
-                  _answer(tokens), QAStyle.OPEN, Provenance.GENERATED_PERCEPTION)
-
-
-def _check_multiview(anns: Sequence[DetectionAnnotation],
-                     spec: GroundingSpec) -> None:
-    if not spec.with_camera_prefix:
-        raise ValueError("multi-view grounding requires camera-prefixed tokens")
-    for ann in anns:
-        if ann.media.camera not in NUSCENES_CAMERAS:
-            raise ValueError(f"{ann.media.camera} is not a surround camera")
-    if len({(a.media.width, a.media.height) for a in anns}) > 1:
-        raise DataforgeError(
-            "camera views disagree on resolution; per-camera handling not configured")
-
-
-def _multiview_qa(anns: Sequence[DetectionAnnotation], spec: GroundingSpec,
-                  rng: random.Random, template: str,
-                  keyframe_only: bool) -> QAPair:
-    ordered = sorted(anns, key=lambda a: CAMERA_RANK[a.media.camera])
-    pool: list[tuple[DetectionAnnotation, DetectedObject]] = []
-    for ann in ordered:
-        for obj in ann.objects:
-            if keyframe_only and obj.frame_index != ann.media.frame_count - 1:
-                continue
-            pool.append((ann, obj))
-    if not pool:
-        raise DataforgeError("no objects to ground")
-    category = rng.choice(sorted({o.category for _, o in pool}))
-    representation = _pick_representation(spec, rng)
-    tokens = [_token(obj, ann.media, representation, ann.media.camera)
-              for ann, obj in pool if obj.category == category]
-    return QAPair(template.format(category=category), _answer(tokens),
-                  QAStyle.OPEN, Provenance.GENERATED_PERCEPTION)
-
-
-def gen_multiview_grounding(anns: Sequence[DetectionAnnotation],
-                            spec: GroundingSpec,
-                            rng: random.Random) -> QAPair:
-    _check_multiview(anns, spec)
-    return _multiview_qa(anns, spec, rng, MULTIVIEW_TEMPLATE, keyframe_only=False)
-
-
-def gen_multiview_video_grounding(anns: Sequence[DetectionAnnotation],
-                                  spec: GroundingSpec,
-                                  rng: random.Random) -> QAPair:
-    _check_multiview(anns, spec)
-    for ann in anns:
-        if ann.media.kind is not MediaKind.VIDEO \
-                or ann.media.frame_count != spec.frames_per_view:
-            raise DataforgeError(
-                f"{ann.media.camera}: expected {spec.frames_per_view}-frame "
-                f"video, got {ann.media.kind} with {ann.media.frame_count}")
-    return _multiview_qa(anns, spec, rng, VIDEO_TEMPLATE, keyframe_only=True)
-
-
 def build_grounding_sample(sample_id: str,
                            anns: Sequence[DetectionAnnotation],
                            spec: GroundingSpec,
                            rng: random.Random) -> Sample:
-    """Wrap one generated grounding QA with its media into a Sample."""
+    """Generate one grounding QA over ``anns`` and wrap it with its media.
+
+    One view without ``with_camera_prefix`` asks the single-image question.
+    Any other record needs the prefix and surround views of one size; when
+    every view is a video, each has ``frames_per_view`` frames and only
+    objects on its last frame count. The category is drawn from the objects
+    in camera-rank order, then the representation if ``spec`` leaves it open.
+    """
+    keyframe_only = False
     if len(anns) == 1 and not spec.with_camera_prefix:
-        qa = gen_single_image_grounding(anns[0], spec, rng)
-    elif all(a.media.kind is MediaKind.VIDEO for a in anns):
-        qa = gen_multiview_video_grounding(anns, spec, rng)
+        template, nothing = SINGLE_IMAGE_TEMPLATE, "annotation has no objects"
     else:
-        qa = gen_multiview_grounding(anns, spec, rng)
-    media = tuple(a.media for a in sorted(
-        anns, key=lambda a: CAMERA_RANK[a.media.camera]))
-    return Sample(sample_id, DatasetId.GENERIC, media, (qa,), frozenset({"perception"}))
+        if not spec.with_camera_prefix:
+            raise DataforgeError("multi-view grounding requires camera-prefixed tokens")
+        for ann in anns:
+            if ann.media.camera not in NUSCENES_CAMERAS:
+                raise DataforgeError(f"{ann.media.camera} is not a surround camera")
+        if len({(a.media.width, a.media.height) for a in anns}) > 1:
+            raise DataforgeError(
+                "camera views disagree on resolution; per-camera handling not configured")
+        keyframe_only = all(a.media.kind is MediaKind.VIDEO for a in anns)
+        for ann in anns:
+            if keyframe_only and ann.media.frame_count != spec.frames_per_view:
+                raise DataforgeError(
+                    f"{ann.media.camera}: expected {spec.frames_per_view}-frame "
+                    f"video, got video with {ann.media.frame_count}")
+        template = VIDEO_TEMPLATE if keyframe_only else MULTIVIEW_TEMPLATE
+        nothing = "no objects to ground"
+    ordered = sorted(anns, key=lambda a: CAMERA_RANK[a.media.camera])
+    pool = [(ann, obj) for ann in ordered for obj in ann.objects
+            if not keyframe_only or obj.frame_index == ann.media.frame_count - 1]
+    if not pool:
+        raise DataforgeError(nothing)
+    category = rng.choice(sorted({obj.category for _, obj in pool}))
+    representation = spec.representation or ("center" if rng.random() < 0.5 else "box")
+    tokens = [_token(obj, ann.media, representation,
+                     ann.media.camera if spec.with_camera_prefix else None)
+              for ann, obj in pool if obj.category == category]
+    qa = QAPair(template.format(category=category), ANSWER_LEAD_IN + ", ".join(tokens),
+                QAStyle.OPEN, Provenance.GENERATED_PERCEPTION)
+    return Sample(sample_id, DatasetId.GENERIC, tuple(a.media for a in ordered), (qa,),
+                  frozenset({"perception"}))
 
 
 # ---------------------------------------------------------------------------
@@ -235,12 +188,15 @@ def grounding_record_from_dict(
     try:
         json_object(rec, "record")
         sample_id = json_str(json_key(rec, "id", "id"), "id", "id")
-        spec = GroundingSpec(
-            rec.get("representation"),
-            json_bool(json_key(rec, "with_camera_prefix", default=False),
-                      "with_camera_prefix", "with_camera_prefix"),
-            json_int(json_key(rec, "frames_per_view", default=1),
-                     "frames_per_view", "frames_per_view", minimum=1))
+        with_camera_prefix = json_bool(json_key(rec, "with_camera_prefix", default=False),
+                                       "with_camera_prefix", "with_camera_prefix")
+        frames_per_view = json_int(json_key(rec, "frames_per_view", default=1),
+                                   "frames_per_view", "frames_per_view", minimum=1)
+        representation = json_key(rec, "representation", default=None)
+        if representation not in (None, "box", "center"):
+            raise SchemaError('representation must be "box" or "center", '
+                              f"got {representation!r}", path="representation")
+        spec = GroundingSpec(representation, with_camera_prefix, frames_per_view)
         raw = json_list(json_key(rec, "annotations", "annotations"), "annotations",
                         "annotations")
         if not raw:
@@ -248,6 +204,4 @@ def grounding_record_from_dict(
         anns = [annotation_from_dict(a, f"annotations[{k}]") for k, a in enumerate(raw)]
     except SchemaError as exc:
         raise SchemaError(exc.reason, record_index=idx, path=exc.path) from None
-    except ValueError as exc:  # GroundingSpec: an unknown representation
-        raise SchemaError(str(exc), record_index=idx) from None
     return sample_id, spec, anns

@@ -480,11 +480,17 @@ def _with_object(**fields):
     ({"id": "p", "with_camera_prefix": True, "frames_per_view": 4,
       "annotations": [dict(_FRONT_VIEW, camera="CAM_FRONT", frames=3)]},
      "CAM_FRONT: expected 4-frame video, got video with 3 (record 0)"),
+    ({"id": "p", "representation": 5, "annotations": [_FRONT_VIEW]},
+     'representation must be "box" or "center", got 5 (record 0, at representation)'),
+    ({"id": "p", "representation": "polygon", "annotations": [_FRONT_VIEW]},
+     'representation must be "box" or "center", got \'polygon\' '
+     "(record 0, at representation)"),
 ], ids=["front_only_prefixed", "two_views_unprefixed", "no_annotations",
         "prefix_string", "frames_per_view_float", "width_float", "height_bool",
         "frames_string", "uri_int", "frame_index_float", "category_list",
         "bbox_string", "bbox_bool", "bbox_missing", "id_int", "no_objects",
-        "mixed_view_sizes", "frame_count"])
+        "mixed_view_sizes", "frame_count", "representation_int",
+        "representation_polygon"])
 def test_gen_perception_bad_record_is_one_error_line(workdir, capsys, record, error):
     (workdir / "percept.json").write_text(json.dumps([record]))
     out = workdir / "p.jsonl"
@@ -506,6 +512,44 @@ def test_gen_perception_rejects_category_a_token_cannot_read_back(workdir, capsy
         f"'<', '>', '[', ']' or newline, got {category!r} "
         "(record 0, at annotations[0].objects[0])"]
     assert not out.exists()
+
+
+def _car(x0, y0, x1, y1, frame_index):
+    return {"category": "car", "bbox": [x0, y0, x1, y1], "frame_index": frame_index}
+
+
+@pytest.mark.parametrize("record,question,answer", [
+    ({"id": "p", "representation": "box", "with_camera_prefix": True,
+      "annotations": [
+          {"camera": "CAM_FRONT", "width": 1600, "height": 900, "uri": "f.jpg",
+           "objects": [_car(0, 0, 800, 450, 0)]},
+          {"camera": "CAM_BACK", "width": 1600, "height": 900, "uri": "b.mp4",
+           "frames": 3,
+           "objects": [_car(160, 90, 320, 180, 0), _car(800, 450, 1600, 900, 2)]}]},
+     "Detect all car across the camera views.",
+     "Detected objects: <car>[CAM_FRONT, 0.000, 0.000, 50.000, 50.000], "
+     "<car>[CAM_BACK, 10.000, 10.000, 20.000, 20.000], "
+     "<car>[CAM_BACK, 50.000, 50.000, 100.000, 100.000]"),
+    ({"id": "p", "representation": "box",
+      "annotations": [
+          {"camera": "FRONT_ONLY", "width": 1280, "height": 720, "uri": "v.mp4",
+           "frames": 5,
+           "objects": [_car(0, 0, 640, 360, 0), _car(128, 72, 256, 144, 4)]}]},
+     "Detect all car in the image.",
+     "Detected objects: <car>[0.000, 0.000, 50.000, 50.000], "
+     "<car>[10.000, 10.000, 20.000, 20.000]"),
+], ids=["image_and_video_prefixed", "one_video_unprefixed"])
+def test_gen_perception_video_rules_need_every_view_a_video(workdir, record, question,
+                                                           answer):
+    """The frame check and the key-frame filter apply only when every view is
+    a video: otherwise a video's frames_per_view mismatch is no error and
+    objects on every frame count."""
+    (workdir / "percept.json").write_text(json.dumps([record]))
+    out = workdir / "p.jsonl"
+    assert _run("gen-perception", "--offline", "--in", workdir / "percept.json",
+                "--out", out) == 0
+    (sample,) = read_manifest(out)
+    assert (sample.qa[0].question, sample.qa[0].answer) == (question, answer)
 
 
 # ------------------------------------------------------------- build-prompts
@@ -855,8 +899,14 @@ def test_evaluate_bool_is_not_a_number(workdir, capsys, record):
     ({"sample_id": "g/1", "task": "grounding",
       "predicted": [{"camera": "CAM_FRONT"}], "gold": []},
      "missing key 'point' (at predicted[0], line 2)"),
+    ({"sample_id": "d/1", "task": "detection",
+      "predicted": [{"bbox": 5, "confidence": 0.5}], "gold": []},
+     "bbox must be [x_min, y_min, x_max, y_max], got 5 (at predicted[0].bbox, line 2)"),
+    ({"sample_id": "g/1", "task": "grounding", "predicted": [{"point": "x"}], "gold": []},
+     "point must be [x, y], got 'x' (at predicted[0], line 2)"),
 ], ids=["sample_id_int", "camera_bogus", "bbox_over_100", "predicted_bbox_missing",
-        "confidence_missing", "gold_bbox_missing", "point_missing"])
+        "confidence_missing", "gold_bbox_missing", "point_missing", "bbox_not_list",
+        "point_not_list"])
 def test_evaluate_bad_record_names_its_line(workdir, capsys, record, error):
     preds = workdir / "preds.jsonl"
     good = {"sample_id": "a/1", "task": "classification", "predicted": "x", "gold": "x"}

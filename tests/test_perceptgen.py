@@ -24,9 +24,6 @@ from dataforge.perceptgen import (
     GroundingSpec,
     annotation_from_dict,
     build_grounding_sample,
-    gen_multiview_grounding,
-    gen_multiview_video_grounding,
-    gen_single_image_grounding,
 )
 from dataforge.tokens import scan_object_refs
 
@@ -34,6 +31,11 @@ from helpers import exactly
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "grounding.json").read_text())
+
+
+def _qa(anns, spec, seed):
+    """The one QA ``build_grounding_sample`` generates over ``anns``."""
+    return build_grounding_sample("generic/t", anns, spec, random.Random(seed)).qa[0]
 
 
 def _ann(cam, *objs, frames=1, width=1600, height=900):
@@ -67,22 +69,20 @@ VIDEO = [
 
 
 def test_single_image_golden_box():
-    qa = gen_single_image_grounding(SINGLE, GroundingSpec(representation="box"),
-                                    random.Random(13))
+    qa = _qa([SINGLE], GroundingSpec(representation="box"), 13)
     assert qa.question == GOLDEN["single_box"]["question"]
     assert qa.answer == GOLDEN["single_box"]["answer"]
     assert qa.provenance is Provenance.GENERATED_PERCEPTION
 
 
 def test_single_image_golden_center():
-    qa = gen_single_image_grounding(SINGLE, GroundingSpec(representation="center"),
-                                    random.Random(13))
+    qa = _qa([SINGLE], GroundingSpec(representation="center"), 13)
     assert qa.answer == GOLDEN["single_center"]["answer"]
 
 
 def test_multiview_golden():
     spec = GroundingSpec(representation="box", with_camera_prefix=True)
-    qa = gen_multiview_grounding(MULTI, spec, random.Random(2))
+    qa = _qa(MULTI, spec, 2)
     assert qa.question == GOLDEN["multiview_box"]["question"]
     assert qa.answer == GOLDEN["multiview_box"]["answer"]
 
@@ -90,15 +90,14 @@ def test_multiview_golden():
 def test_video_golden():
     spec = GroundingSpec(representation="box", with_camera_prefix=True,
                          frames_per_view=5)
-    qa = gen_multiview_video_grounding(VIDEO, spec, random.Random(3))
+    qa = _qa(VIDEO, spec, 3)
     assert qa.question == GOLDEN["video_box"]["question"]
     assert qa.answer == GOLDEN["video_box"]["answer"]
 
 
 def test_full_frame_box_normalizes_to_corners():
     ann = _ann(CameraId.CAM_FRONT, DetectedObject("car", BBoxPx(0, 0, 1600, 900)))
-    qa = gen_single_image_grounding(ann, GroundingSpec(representation="box"),
-                                    random.Random(0))
+    qa = _qa([ann], GroundingSpec(representation="box"), 0)
     assert "[0.000, 0.000, 100.000, 100.000]" in qa.answer
 
 
@@ -125,8 +124,7 @@ def test_single_image_matches_filter_and_normalize_oracle():
         ann = DetectionAnnotation(
             image_ref(CameraId.FRONT_ONLY, width, height, "x.jpg"), tuple(objs))
         seed = rng.randrange(1 << 30)
-        qa = gen_single_image_grounding(ann, GroundingSpec(representation="box"),
-                                        random.Random(seed))
+        qa = _qa([ann], GroundingSpec(representation="box"), seed)
         # oracle: replicate the seeded category pick, then filter + normalize
         # with independent Fraction arithmetic
         category = random.Random(seed).choice(sorted({o.category for o in objs}))
@@ -157,9 +155,7 @@ def test_multiview_order_matches_stable_sort_oracle():
             anns.append(_ann(cam, *objs))
         if not any(a.objects for a in anns):
             continue
-        qa = gen_multiview_grounding(
-            anns, GroundingSpec(representation="box", with_camera_prefix=True),
-            random.Random(5))
+        qa = _qa(anns, GroundingSpec(representation="box", with_camera_prefix=True), 5)
         refs = scan_object_refs(qa.answer)
         ranks = [cams.index(r.camera) for r in refs]
         assert ranks == sorted(ranks)
@@ -172,9 +168,7 @@ def test_tokens_only_from_populated_camera():
     anns = [_ann(cam) for cam in NUSCENES_CAMERAS[:5]]
     anns.append(_ann(CameraId.CAM_BACK_RIGHT,
                      DetectedObject("car", BBoxPx(0, 0, 10, 10))))
-    qa = gen_multiview_grounding(
-        anns, GroundingSpec(representation="box", with_camera_prefix=True),
-        random.Random(1))
+    qa = _qa(anns, GroundingSpec(representation="box", with_camera_prefix=True), 1)
     refs = scan_object_refs(qa.answer)
     assert [r.camera for r in refs] == [CameraId.CAM_BACK_RIGHT]
 
@@ -182,7 +176,7 @@ def test_tokens_only_from_populated_camera():
 def test_emitted_coordinates_are_normalized():
     spec = GroundingSpec(with_camera_prefix=True)
     for seed in range(50):
-        qa = gen_multiview_grounding(MULTI, spec, random.Random(seed))
+        qa = _qa(MULTI, spec, seed)
         refs = scan_object_refs(qa.answer)
         assert refs and all(r.is_normalized for r in refs)
 
@@ -190,8 +184,7 @@ def test_emitted_coordinates_are_normalized():
 def test_category_choice_uniform_over_present():
     counts = Counter()
     for seed in range(9_000):
-        qa = gen_single_image_grounding(SINGLE, GroundingSpec(representation="box"),
-                                        random.Random(seed))
+        qa = _qa([SINGLE], GroundingSpec(representation="box"), seed)
         counts[qa.question] += 1
     # three categories, n=9000 -> p=1/3, sigma = sqrt(n p (1-p)) ~ 44.7
     for q, c in counts.items():
@@ -201,7 +194,7 @@ def test_category_choice_uniform_over_present():
 def test_representation_flip_is_balanced():
     boxes = 0
     for seed in range(2_000):
-        qa = gen_single_image_grounding(SINGLE, GroundingSpec(), random.Random(seed))
+        qa = _qa([SINGLE], GroundingSpec(), seed)
         refs = scan_object_refs(qa.answer)
         boxes += all(len(r.geometry.as_tuple()) == 4 for r in refs)
     assert abs(boxes - 1000) < 3 * math.sqrt(2000 * 0.25)
@@ -210,10 +203,9 @@ def test_representation_flip_is_balanced():
 def test_empty_annotation_errors():
     empty = _ann(CameraId.CAM_FRONT)
     with pytest.raises(DataforgeError, match=exactly("annotation has no objects")):
-        gen_single_image_grounding(empty, GroundingSpec(), random.Random(0))
+        _qa([empty], GroundingSpec(), 0)
     with pytest.raises(DataforgeError, match=exactly("no objects to ground")):
-        gen_multiview_grounding(
-            [empty], GroundingSpec(with_camera_prefix=True), random.Random(0))
+        _qa([empty], GroundingSpec(with_camera_prefix=True), 0)
 
 
 def test_video_with_no_keyframe_objects_is_empty():
@@ -222,7 +214,7 @@ def test_video_with_no_keyframe_objects_is_empty():
             for cam in NUSCENES_CAMERAS]
     spec = GroundingSpec(with_camera_prefix=True, frames_per_view=5)
     with pytest.raises(DataforgeError, match=exactly("no objects to ground")):
-        gen_multiview_video_grounding(anns, spec, random.Random(0))
+        _qa(anns, spec, 0)
 
 
 def test_frame_count_mismatch():
@@ -232,7 +224,7 @@ def test_frame_count_mismatch():
     spec = GroundingSpec(with_camera_prefix=True, frames_per_view=5)
     with pytest.raises(DataforgeError, match=exactly(
             "CAM_BACK: expected 5-frame video, got video with 4")):
-        gen_multiview_video_grounding(anns, spec, random.Random(0))
+        _qa(anns, spec, 0)
 
 
 def test_mixed_resolution_rejected():
@@ -241,21 +233,19 @@ def test_mixed_resolution_rejected():
                  width=1920, height=1080)]
     with pytest.raises(DataforgeError, match=exactly(
             "camera views disagree on resolution; per-camera handling not configured")):
-        gen_multiview_grounding(anns, GroundingSpec(with_camera_prefix=True),
-                                random.Random(0))
+        _qa(anns, GroundingSpec(with_camera_prefix=True), 0)
 
 
 def test_multiview_requires_camera_prefix():
-    with pytest.raises(ValueError):
-        gen_multiview_grounding(MULTI, GroundingSpec(with_camera_prefix=False),
-                                random.Random(0))
+    with pytest.raises(DataforgeError, match=exactly(
+            "multi-view grounding requires camera-prefixed tokens")):
+        _qa(MULTI, GroundingSpec(with_camera_prefix=False), 0)
 
 
 def test_non_surround_camera_rejected():
     anns = [_ann(CameraId.FRONT_ONLY, DetectedObject("car", BBoxPx(0, 0, 5, 5)))]
-    with pytest.raises(ValueError):
-        gen_multiview_grounding(anns, GroundingSpec(with_camera_prefix=True),
-                                random.Random(0))
+    with pytest.raises(DataforgeError, match=exactly("FRONT_ONLY is not a surround camera")):
+        _qa(anns, GroundingSpec(with_camera_prefix=True), 0)
 
 
 def test_annotation_invariants():
