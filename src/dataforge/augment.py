@@ -116,12 +116,13 @@ _SENTINEL = "\x00{}\x00"
 
 
 def _protect_tokens(text: str) -> tuple[str, list[str]]:
-    spans = []
-    saved = []
-    for i, m in enumerate(tok.scan_tokens(text)):
-        spans.append((m.start, m.end, _SENTINEL.format(i)))
-        saved.append(m.text)
-    return tok.replace_spans(text, spans), saved
+    saved: list[str] = []
+
+    def protect(match: tok.TokenMatch) -> str:
+        saved.append(match.text)
+        return _SENTINEL.format(len(saved) - 1)
+
+    return tok.sub_tokens(text, protect), saved
 
 
 def _restore_tokens(text: str, saved: list[str]) -> str:
@@ -226,6 +227,9 @@ DEFAULT_FACTORS: dict[DatasetId, int] = {
 }
 
 
+# An expansion copy's id is its original's id plus this mark and the copy number.
+_COPY_MARK = "#aug"
+
 # Distractor pools are capped so conversion cost stays flat as manifests grow.
 _POOL_CAP = 64
 
@@ -302,7 +306,7 @@ def expand_sample(sample: Sample, factor: int, mc_fraction: float, rng: SeededRn
                 except PoolTooSmall:
                     pass  # not enough distinct answers nearby; stay open
             new_qa.append(new)
-        out.append(Sample(f"{sample.id}#aug{copy_no}", sample.dataset,
+        out.append(Sample(f"{sample.id}{_COPY_MARK}{copy_no}", sample.dataset,
                           sample.media, tuple(new_qa), sample.task_tags))
     return out
 
@@ -314,8 +318,23 @@ def expand_dataset(samples: Sequence[Sample], factors: Mapping[DatasetId, int],
     pass through bit-for-bit.
 
     Output order is input order with each sample's copies following it.
+
+    Raises:
+        DataforgeError: for an expansion copy or a sample with non-original
+            QA; augment does not re-expand its own output.
     """
     pools = _build_pools(samples)
-    return [s for sample in samples
-            for s in expand_sample(sample, factors.get(sample.dataset, 1), mc_fraction,
-                                   rng, _pool_for(sample, pools), rewriter)]
+    out: list[Sample] = []
+    for sample in samples:
+        if _COPY_MARK in sample.id:
+            raise DataforgeError(
+                f"sample {sample.id} is already an expansion copy; "
+                "augment refuses to re-expand its own output")
+        for qa in sample.qa:
+            if qa.provenance is not Provenance.ORIGINAL:
+                raise DataforgeError(
+                    f"sample {sample.id} carries {qa.provenance.value} QA; "
+                    "augment only accepts original data")
+        out.extend(expand_sample(sample, factors.get(sample.dataset, 1), mc_fraction,
+                                 rng, _pool_for(sample, pools), rewriter))
+    return out

@@ -30,7 +30,6 @@ from .augment import DEFAULT_FACTORS, Rewriter, SeededRng, expand_dataset
 from .core import (
     DatasetId,
     MediaKind,
-    Provenance,
     Sample,
     _DATASETS,
     _member,
@@ -42,8 +41,9 @@ from .core import (
     json_object,
     json_str,
     validate_sample,
+    write_json,
 )
-from .curriculum import DEFAULT_EXPECTATIONS, build_all_plans, validate_plan_totals, write_stage_plans
+from .curriculum import build_all_plans, plan_violations, write_stage_plans
 from .errors import DataforgeError, SchemaError
 from .ingest import iter_manifest, parse_source, read_manifest, write_manifest
 from .metrics import evaluate_records, record_from_dict, report_to_dict
@@ -177,11 +177,6 @@ def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _write_json(path: Path, payload: Any) -> None:
-    with atomic_writer(path) as fh:
-        fh.write(json.dumps(payload, ensure_ascii=False, indent=2) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -226,19 +221,6 @@ def _cmd_standardize(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     return 0
 
 
-def _guard_not_expanded(samples: Sequence[Sample]) -> None:
-    for sample in samples:
-        if "#aug" in sample.id:
-            raise DataforgeError(
-                f"sample {sample.id} is already an expansion copy; "
-                "augment refuses to re-expand its own output")
-        for qa in sample.qa:
-            if qa.provenance is not Provenance.ORIGINAL:
-                raise DataforgeError(
-                    f"sample {sample.id} carries {qa.provenance.value} QA; "
-                    "augment only accepts original data")
-
-
 def _make_rewriter(cfg: PipelineConfig) -> Rewriter | None:
     if cfg.offline or not cfg.rewriter_url:
         return None
@@ -248,7 +230,6 @@ def _make_rewriter(cfg: PipelineConfig) -> Rewriter | None:
 
 def _cmd_augment(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     samples = read_manifest(args.infile)
-    _guard_not_expanded(samples)
     factors = DEFAULT_FACTORS if cfg.factors is None else cfg.factors
     expanded = expand_dataset(samples, factors, cfg.mc_fraction, SeededRng(cfg.seed),
                               _make_rewriter(cfg))
@@ -315,10 +296,10 @@ def _cmd_plan_curriculum(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     plans = build_all_plans(cfg.registry)
     violations: list[str] = []
     for plan in plans:
-        report = validate_plan_totals(plan, DEFAULT_EXPECTATIONS[plan.stage])
-        print(f"stage {plan.stage}: {report.total} samples"
-              + ("" if report.ok else "  [VIOLATION]"))
-        violations.extend(f"stage {plan.stage}: {v}" for v in report.violations)
+        misses = plan_violations(plan)
+        print(f"stage {plan.stage}: {plan.total_samples} samples"
+              + ("  [VIOLATION]" if misses else ""))
+        violations.extend(f"stage {plan.stage}: {v}" for v in misses)
     if violations:
         for message in violations:
             print(f"error: {message}", file=sys.stderr)
@@ -340,7 +321,7 @@ def _cmd_evaluate(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     report = evaluate_records(records, dataset)
     payload = report_to_dict(report)
     if args.out:
-        _write_json(Path(args.out), payload)
+        write_json(args.out, payload)
     for name, entry in payload["entries"].items():
         print(f"{name}: {entry['value']:.6f} (n={entry['n_samples']})")
     if report.detection_skipped:
@@ -383,7 +364,7 @@ def _cmd_stats(args: argparse.Namespace, cfg: PipelineConfig) -> int:
         "by_style": dict(sorted(by_style.items())),
     }
     if args.out:
-        _write_json(Path(args.out), payload)
+        write_json(args.out, payload)
     print(f"samples: {payload['samples']}")
     print(f"qa_pairs: {payload['qa_pairs']}")
     for section in ("by_dataset", "by_modality", "by_provenance", "by_style"):

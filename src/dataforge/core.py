@@ -8,6 +8,7 @@ objects, not arbitrary mappings.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -624,6 +625,8 @@ def atomic_writer(path: str | Path) -> Iterator[TextIO]:
     stays absent, so a crash never leaves a short file behind.
     """
     path = Path(path)
+    if not path.name:  # ".", "/" or "": a directory, with no file name to replace
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -633,3 +636,10 @@ def atomic_writer(path: str | Path) -> Iterator[TextIO]:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(path: str | Path, payload: Any) -> None:
+    """Write ``payload`` to ``path`` through ``atomic_writer`` as JSON indented
+    by 2, non-ASCII kept as text, with a final newline."""
+    with atomic_writer(path) as fh:
+        fh.write(json.dumps(payload, ensure_ascii=False, indent=2) + "\n")

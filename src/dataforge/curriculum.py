@@ -10,12 +10,11 @@ here.
 from __future__ import annotations
 
 import enum
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .core import atomic_writer
+from .core import write_json
 from .errors import DataforgeError
 from .promptkit import SEQUENCE_LIMIT
 
@@ -149,47 +148,17 @@ def build_all_plans(registry: Mapping[str, int] | None = None) -> tuple[StagePla
 
 # ------------------------------------------------------------- validation
 
-@dataclass(frozen=True)
-class TotalExpectation:
-    total: int
-    rel_tol: float = 0.0  # 0 means exact
-
-
-DEFAULT_EXPECTATIONS: dict[int, TotalExpectation] = {
-    1: TotalExpectation(558_000),
-    2: TotalExpectation(3_143_000),
-    3: TotalExpectation(2_906_000),
-    4: TotalExpectation(1_500_000, rel_tol=0.02),
-}
-
-
-@dataclass(frozen=True)
-class PlanReport:
-    stage: int
-    total: int
-    violations: tuple[str, ...] = field(default=())
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_plan_totals(plan: StagePlan,
-                         expectation: TotalExpectation) -> PlanReport:
-    violations: list[str] = []
+def plan_violations(plan: StagePlan) -> list[str]:
+    """What is wrong with the plan's total. Only stages 1 and 4 take counts
+    from the registry, so only their totals can miss: stage 1's LCS-558K
+    count must be exactly 558,000, and stage 4's total within 2% of
+    1,500,000."""
     total = plan.total_samples
-    if expectation.rel_tol == 0.0:
-        if total != expectation.total:
-            violations.append(
-                f"total {total} != expected {expectation.total}")
-    else:
-        bound = expectation.rel_tol * expectation.total
-        if abs(total - expectation.total) > bound:
-            violations.append(
-                f"total {total} outside {expectation.rel_tol:.0%} of "
-                f"{expectation.total}")
-    return PlanReport(stage=plan.stage, total=total,
-                      violations=tuple(violations))
+    if plan.stage == 1 and total != 558_000:
+        return [f"total {total} != expected 558000"]
+    if plan.stage == 4 and abs(total - 1_500_000) > 0.02 * 1_500_000:
+        return [f"total {total} outside 2% of 1500000"]
+    return []
 
 
 # ---------------------------------------------------------- serialization
@@ -213,17 +182,12 @@ def plan_to_dict(plan: StagePlan) -> dict:
     }
 
 
-def plan_to_json(plan: StagePlan) -> str:
-    return json.dumps(plan_to_dict(plan), ensure_ascii=False, indent=2) + "\n"
-
-
 def write_stage_plans(out_dir: str | Path, plans: Iterable[StagePlan]) -> list[Path]:
     """Write each plan as plans/stage<N>.json under out_dir; returns the paths."""
     plans_dir = Path(out_dir) / "plans"
     paths = []
     for plan in plans:
         path = plans_dir / f"stage{plan.stage}.json"
-        with atomic_writer(path) as fh:
-            fh.write(plan_to_json(plan))
+        write_json(path, plan_to_dict(plan))
         paths.append(path)
     return paths

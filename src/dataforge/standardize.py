@@ -124,25 +124,23 @@ def standardize_sample(sample: Sample) -> Sample:
     def rewrite_text(text: str, shapes: set[type]) -> str:
         """``text`` with its tokens rewritten; adds each token's geometry type
         to ``shapes``."""
-        replacements: list[tuple[int, int, str]] = []
-        for match in tok.scan_tokens(text):
+        def rewrite(match: tok.TokenMatch) -> str:
             ref = match.ref
             if ref is None:
                 failures.append(f"{match.text}: {match.error}")
-                continue
+                return match.text
             shapes.add(type(ref.geometry))
             if ref.is_normalized:
-                continue
+                return match.text
             try:
                 camera, (width, height) = resolve_token_size(
                     ref, sample.dataset, sizes, uniform)
-                new = _render_normalized(ref, camera, width, height)
+                return _render_normalized(ref, camera, width, height)
             except DataforgeError as exc:
                 failures.append(f"{match.text}: {exc}")
-                continue
-            if new != match.text:
-                replacements.append((match.start, match.end, new))
-        return tok.replace_spans(text, replacements) if replacements else text
+                return match.text
+
+        return tok.sub_tokens(text, rewrite)
 
     new_qa: list[QAPair] = []
     for qa in sample.qa:

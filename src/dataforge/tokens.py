@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 from .core import (
     BBoxNorm,
@@ -181,16 +182,16 @@ def render_token(category: str, camera: CameraId | None, geometry: Geometry) -> 
     return f"<{category}>[{camera_part}{geometry.render()}]"
 
 
-def replace_spans(text: str, replacements: list[tuple[int, int, str]]) -> str:
-    """Apply non-overlapping (start, end, new_text) replacements to text."""
+def sub_tokens(text: str, repl: Callable[[TokenMatch], str]) -> str:
+    """``text`` with each token ``scan_tokens`` finds replaced by
+    ``repl(match)``; malformed tokens reach ``repl`` too, with ``error`` set."""
     pieces: list[str] = []
     cursor = 0
-    for start, end, new in sorted(replacements, key=lambda r: r[0]):
-        if start < cursor:
-            raise ValueError("overlapping replacement spans")
-        pieces.append(text[cursor:start])
-        pieces.append(new)
-        cursor = end
+    for match in scan_tokens(text):
+        pieces.append(text[cursor:match.start])
+        pieces.append(repl(match))
+        cursor = match.end
+    if not pieces:
+        return text
     pieces.append(text[cursor:])
     return "".join(pieces)
-

@@ -317,6 +317,28 @@ def test_policy_validation():
         DatasetId.CODA_LM: 15, DatasetId.MAPLM: 6, DatasetId.LINGOQA: 3}
 
 
+def test_expand_refuses_an_expansion_copy():
+    samples = _mini_dataset(3)
+    copy = expand_dataset(samples[1:2], {DatasetId.CODA_LM: 2}, 0.0, SeededRng(0))[1]
+    copy = Sample(copy.id, copy.dataset, copy.media, samples[1].qa, copy.task_tags)
+    with pytest.raises(DataforgeError, match=exactly(
+            "sample coda_lm/00001#aug1 is already an expansion copy; "
+            "augment refuses to re-expand its own output")):
+        expand_dataset([samples[0], copy, samples[2]], DEFAULT_FACTORS, 0.2, SeededRng(0))
+
+
+def test_expand_refuses_non_original_qa():
+    samples = _mini_dataset(3)
+    qa = samples[1].qa[0]
+    samples[1] = Sample(samples[1].id, samples[1].dataset, samples[1].media,
+                        (qa, QAPair(qa.question, qa.answer, provenance=Provenance.PARAPHRASE)),
+                        samples[1].task_tags)
+    with pytest.raises(DataforgeError, match=exactly(
+            "sample coda_lm/00001 carries paraphrase QA; "
+            "augment only accepts original data")):
+        expand_dataset(samples, DEFAULT_FACTORS, 0.2, SeededRng(0))
+
+
 # --- rewriter replies that change object tokens ------------------------------------
 
 def _token_dataset(n=2):

@@ -1153,6 +1153,37 @@ def test_atomic_writer_keeps_old_file_on_error(tmp_path):
     assert _temp_files(tmp_path) == []
 
 
+_MANIFEST_WRITERS = ["ingest", "standardize", "augment", "gen-perception", "build-prompts"]
+
+
+@pytest.mark.parametrize("command,out", [
+    *((c, o) for c in _MANIFEST_WRITERS + ["evaluate", "stats"] for o in (".", "/")),
+    *((c, "") for c in _MANIFEST_WRITERS),
+])
+def test_out_naming_a_directory_is_one_error_line(workdir, monkeypatch, capsys,
+                                                  command, out):
+    raw = _ingest_coda(workdir)
+    _write_preds(workdir / "preds.jsonl")
+    (workdir / "percept.json").write_text(json.dumps([{
+        "id": "percept/0001",
+        "annotations": [{"camera": "FRONT_ONLY", "width": 1280, "height": 720,
+                         "uri": "img/1.jpg",
+                         "objects": [{"category": "car", "bbox": [1, 1, 40, 30]}]}],
+    }]))
+    argv = {"ingest": ["ingest", "--adapter", "coda_lm", "--in", workdir / "coda.json"],
+            "gen-perception": ["gen-perception", "--in", workdir / "percept.json"],
+            "evaluate": ["evaluate", "--dataset", "coda_lm",
+                         "--in", workdir / "preds.jsonl"],
+            }.get(command, [command, "--in", raw])
+    monkeypatch.chdir(workdir)
+    capsys.readouterr()
+    assert _run(*argv, "--offline", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"error: [Errno 21] Is a directory: '{out or '.'}'"]
+    assert _temp_files(workdir) == []
+
+
 def test_write_manifest_crash_keeps_previous_manifest(workdir, monkeypatch):
     raw = _ingest_coda(workdir)
     before = raw.read_bytes()

@@ -5,17 +5,14 @@ import pytest
 
 from dataforge.curriculum import (
     AD_DATASETS,
-    DEFAULT_EXPECTATIONS,
     DEFAULT_REGISTRY,
     ComponentFlag,
     DataMixEntry,
     Modality,
-    TotalExpectation,
     Trainability,
     build_all_plans,
     build_stage_plan,
-    plan_to_json,
-    validate_plan_totals,
+    plan_violations,
     write_stage_plans,
 )
 from dataforge.errors import DataforgeError
@@ -126,25 +123,32 @@ def test_custom_registry_flows_through():
 
 # ------------------------------------------------------------- validation
 
-def test_default_expectations_all_pass():
+def test_default_plans_have_no_violations():
     for plan in build_all_plans():
-        report = validate_plan_totals(plan, DEFAULT_EXPECTATIONS[plan.stage])
-        assert report.ok, report.violations
-        assert report.total == plan.total_samples
+        assert plan_violations(plan) == []
 
 
-def test_stage4_within_two_percent_of_rounded_figure():
-    plan = build_stage_plan(4)
-    assert abs(plan.total_samples - 1_500_000) <= 0.02 * 1_500_000
-    tight = validate_plan_totals(plan, TotalExpectation(1_500_000, rel_tol=0.01))
-    assert not tight.ok  # 1,515,631 is ~1.04% over
+def test_stage1_total_must_be_exact():
+    plan = build_stage_plan(1, dict(DEFAULT_REGISTRY, **{"LCS-558K": 558_001}))
+    assert plan_violations(plan) == ["total 558001 != expected 558000"]
 
 
-def test_exact_mismatch_reported():
-    plan = build_stage_plan(1)
-    report = validate_plan_totals(plan, TotalExpectation(558_001))
-    assert not report.ok
-    assert any("558001" in v for v in report.violations)
+def _stage4_with_total(total):
+    """A stage-4 plan driven through the registry to ``total`` samples."""
+    registry = dict(DEFAULT_REGISTRY)
+    registry["LingoQA"] += total - STAGE4_TOTAL
+    plan = build_stage_plan(4, registry)
+    assert plan.total_samples == total
+    return plan
+
+
+def test_stage4_total_within_two_percent():
+    assert plan_violations(_stage4_with_total(1_528_500)) == []  # 1.9% over
+    assert plan_violations(_stage4_with_total(1_471_500)) == []  # 1.9% under
+    assert plan_violations(_stage4_with_total(1_531_500)) == [
+        "total 1531500 outside 2% of 1500000"]  # 2.1% over
+    assert plan_violations(_stage4_with_total(1_468_500)) == [
+        "total 1468500 outside 2% of 1500000"]  # 2.1% under
 
 
 # -------------------------------------------------------------- invariants
@@ -161,7 +165,7 @@ def test_plans_are_pure():
 
 # ---------------------------------------------------------- serialization
 
-def test_stage1_json_golden():
+def test_stage1_json_golden(tmp_path):
     expected = """\
 {
   "stage": 1,
@@ -185,13 +189,14 @@ def test_stage1_json_golden():
   "sequence_length": 8192
 }
 """
-    assert plan_to_json(build_stage_plan(1)) == expected
+    (path,) = write_stage_plans(tmp_path, [build_stage_plan(1)])
+    assert path.read_bytes() == expected.encode("utf-8")
 
 
 @pytest.mark.parametrize("stage", [2, 3, 4])
-def test_stage_json_golden(stage):
-    expected = (GOLDEN_DIR / f"stage{stage}.json").read_bytes()
-    assert plan_to_json(build_stage_plan(stage)).encode("utf-8") == expected
+def test_stage_json_golden(tmp_path, stage):
+    (path,) = write_stage_plans(tmp_path, [build_stage_plan(stage)])
+    assert path.read_bytes() == (GOLDEN_DIR / f"stage{stage}.json").read_bytes()
 
 
 def test_write_stage_plans_layout(tmp_path):

@@ -7,9 +7,9 @@ from dataforge.errors import DataforgeError
 from dataforge.tokens import (
     parse_token,
     render_token,
-    replace_spans,
     scan_object_refs,
     scan_tokens,
+    sub_tokens,
 )
 
 from helpers import exactly
@@ -150,10 +150,34 @@ def test_render_token_requires_normalized():
         render_token("car", CameraId.CAM_FRONT, BBoxPx(1, 2, 3, 4))
 
 
-def test_replace_spans():
-    text = "aa XX bb YY cc"
-    out = replace_spans(text, [(3, 5, "1"), (9, 11, "2222")])
-    assert out == "aa 1 bb 2222 cc"
-    assert replace_spans(text, []) == text
-    with pytest.raises(ValueError):
-        replace_spans(text, [(3, 6, "1"), (5, 8, "2")])
+def test_sub_tokens_replaces_both_forms_with_text_of_another_length():
+    text = "A <car>[c6, 139, 343, 1511, 900] and <cls3, CAM_FRONT, 5, 6> here."
+    seen = []
+
+    def repl(match):
+        seen.append((match.start, match.end, match.text))
+        return "X" if match.text.startswith("<car>") else "<a much longer token>"
+
+    assert sub_tokens(text, repl) == "A X and <a much longer token> here."
+    assert seen == [(2, 32, "<car>[c6, 139, 343, 1511, 900]"),
+                    (37, 60, "<cls3, CAM_FRONT, 5, 6>")]
+
+
+def test_sub_tokens_passes_malformed_tokens_with_error():
+    matches = []
+
+    def repl(match):
+        matches.append(match)
+        return "?"
+
+    assert sub_tokens("see <car>[CAM_FRONT, 1, 2, 3] now", repl) == "see ? now"
+    assert [(m.ref, m.error) for m in matches] == [
+        (None, "expected 2 or 4 coordinates, got 3")]
+
+
+def test_sub_tokens_without_tokens_returns_text():
+    def repl(match):
+        raise AssertionError("no token to replace")
+
+    for text in ("", "plain text", "a <b> and [1, 2] apart"):
+        assert sub_tokens(text, repl) == text
