@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -40,12 +39,12 @@ from .core import (
     json_number,
     json_object,
     json_str,
-    validate_sample,
     write_json,
 )
 from .curriculum import build_all_plans, plan_violations, write_stage_plans
 from .errors import DataforgeError, SchemaError
-from .ingest import iter_manifest, parse_source, read_manifest, write_manifest
+from .ingest import (build_samples, iter_manifest, parse_source, read_manifest,
+                     write_manifest)
 from .metrics import evaluate_records, record_from_dict, report_to_dict
 from .perceptgen import build_grounding_sample, grounding_record_from_dict
 from .promptkit import SEQUENCE_LIMIT, BudgetReport, check_budget
@@ -154,9 +153,9 @@ def load_config(path: str | Path | None) -> PipelineConfig:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not valid UTF-8: {exc}") from None
     try:
-        data = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer over 4300 digits
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
+        data = decode_json(text)
+    except SchemaError as exc:
+        raise ConfigError(f"config {path}: {exc}") from None
     return _config_from_dict(data)
 
 
@@ -239,24 +238,14 @@ def _cmd_augment(args: argparse.Namespace, cfg: PipelineConfig) -> int:
 
 
 def _cmd_gen_perception(args: argparse.Namespace, cfg: PipelineConfig) -> int:
-    data = decode_json(_read_text(args.infile))
-    if not isinstance(data, list):
-        raise SchemaError("perception input must be a JSON array")
     rng = SeededRng(cfg.seed)
-    samples = []
-    for idx, rec in enumerate(data):
-        sample_id, spec, anns = grounding_record_from_dict(rec, idx)
-        try:
-            sample = build_grounding_sample(
-                sample_id, anns, spec,
-                rng.stream("perceptgen", sample_id, "grounding"))
-        except DataforgeError as exc:  # e.g. a FRONT_ONLY view, no objects
-            raise SchemaError(str(exc), record_index=idx) from None
-        violations = validate_sample(sample)
-        if violations:
-            raise SchemaError(f"generated sample invalid: {violations[0].detail}",
-                              record_index=idx)
-        samples.append(sample)
+
+    def build(rec: dict[str, Any]) -> Sample:
+        sample_id, spec, anns = grounding_record_from_dict(rec)
+        return build_grounding_sample(sample_id, anns, spec,
+                                      rng.stream("perceptgen", sample_id, "grounding"))
+
+    samples = build_samples(_read_text(args.infile), build)
     write_manifest(samples, args.out)
     print(f"wrote {args.out} ({len(samples)} grounding samples)")
     return 0
@@ -278,7 +267,7 @@ def _cmd_build_prompts(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     samples = iter_manifest(args.infile)  # opens the input before the output
     out = Path(args.out)
     prompts = over_budget = 0
-    with atomic_writer(out) as fh:
+    with atomic_writer(args.out) as fh:  # not out: Path drops a trailing "/"
         for sample in samples:
             if not sample.qa:
                 raise SchemaError(f"sample {sample.id} has no QA to prompt")
@@ -292,7 +281,7 @@ def _cmd_build_prompts(args: argparse.Namespace, cfg: PipelineConfig) -> int:
 
 
 def _cmd_plan_curriculum(args: argparse.Namespace, cfg: PipelineConfig) -> int:
-    out_dir = Path(args.out) if args.out else cfg.out_dir
+    out_dir = cfg.out_dir if args.out is None else Path(args.out)
     plans = build_all_plans(cfg.registry)
     violations: list[str] = []
     for plan in plans:
@@ -316,11 +305,13 @@ def _cmd_evaluate(args: argparse.Namespace, cfg: PipelineConfig) -> int:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 raise SchemaError("blank line in predictions file", line=line_no)
-            records.append(record_from_dict(decode_json(line, line_no),
-                                            line=line_no))
+            try:
+                records.append(record_from_dict(decode_json(line)))
+            except SchemaError as exc:
+                raise exc.at(line=line_no) from None
     report = evaluate_records(records, dataset)
     payload = report_to_dict(report)
-    if args.out:
+    if args.out is not None:
         write_json(args.out, payload)
     for name, entry in payload["entries"].items():
         print(f"{name}: {entry['value']:.6f} (n={entry['n_samples']})")
@@ -363,7 +354,7 @@ def _cmd_stats(args: argparse.Namespace, cfg: PipelineConfig) -> int:
         "by_provenance": dict(sorted(by_provenance.items())),
         "by_style": dict(sorted(by_style.items())),
     }
-    if args.out:
+    if args.out is not None:
         write_json(args.out, payload)
     print(f"samples: {payload['samples']}")
     print(f"qa_pairs: {payload['qa_pairs']}")

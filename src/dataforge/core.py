@@ -416,8 +416,9 @@ def _member(table: dict[str, Any], enum: type[Enum], value: Any, path: str) -> A
 # Readers for decoded JSON values, shared by every input format. Each returns
 # the value if it has the named kind and otherwise raises
 # SchemaError("<name> must be <what>, got <value!r>") at ``path``. The loop
-# that owns a record adds its index or line to the error. A bool is never a
-# number. No reader takes **kwargs: the manifest decoder would pay for them.
+# that owns a record places the error in it with ``SchemaError.at``. A bool
+# is never a number. No reader takes **kwargs: the manifest decoder would pay
+# for them.
 # ---------------------------------------------------------------------------
 
 _MISSING: Any = object()
@@ -572,7 +573,7 @@ def sample_from_dict(d: dict[str, Any]) -> Sample:
                 options = tuple([(label, text) for label, text in options])
             qa.append(QAPair(question, answer, style, provenance, options))
     except SchemaError as exc:
-        raise SchemaError(exc.reason, path=f"sample.qa[{len(qa)}]") from None
+        raise SchemaError(str(exc), path=f"sample.qa[{len(qa)}]") from None
 
     tags = d.get("task_tags", [])
     if type(tags) is not list:
@@ -583,27 +584,26 @@ def sample_from_dict(d: dict[str, Any]) -> Sample:
     return Sample(sid, dataset, tuple(media), tuple(qa), frozenset(tags))
 
 
-def decode_json(text: str, line: int | None = None) -> Any:
-    """``json.loads`` with every failure a SchemaError naming ``line``, or
-    else the line a JSONDecodeError reports. Besides JSONDecodeError,
-    ``json.loads`` raises a plain ValueError for an integer literal over
-    Python's int-string limit (4300 digits), which knows no line."""
+def decode_json(text: str) -> Any:
+    """``json.loads`` with every failure a SchemaError: a syntax fault names
+    the line JSONDecodeError reports. ``json.loads`` also raises a plain
+    ValueError for an integer literal over Python's int-string limit (4300
+    digits) and RecursionError for nesting deeper than the recursion limit;
+    neither knows a line."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc.msg}",
-                          line=exc.lineno if line is None else line) from None
+        raise SchemaError(f"invalid JSON: {exc.msg}", line=exc.lineno) from None
     except ValueError as exc:
-        raise SchemaError(f"invalid JSON: {exc}", line=line) from None
+        raise SchemaError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError("invalid JSON: nested too deeply") from None
 
 
 def sample_from_json(line: str) -> Sample:
-    """One manifest line; errors name no line, which the reader adds."""
-    try:
-        payload = json.loads(line)
-    except ValueError as exc:  # see decode_json
-        raise SchemaError(f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
-    return sample_from_dict(payload)
+    """One manifest line; the manifest reader puts its own line number on
+    a fault."""
+    return sample_from_dict(decode_json(line))
 
 
 def assert_unique_ids(samples: Iterable[Sample]) -> None:
@@ -624,9 +624,10 @@ def atomic_writer(path: str | Path) -> Iterator[TextIO]:
     raises, the temp file is deleted and ``path`` keeps its old content, or
     stays absent, so a crash never leaves a short file behind.
     """
-    path = Path(path)
-    if not path.name:  # ".", "/" or "": a directory, with no file name to replace
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    text = os.fspath(path) or "."
+    if os.path.basename(text) in ("", ".", ".."):  # "/", "sub/", "..": a directory
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), text)
+    path = Path(text)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:

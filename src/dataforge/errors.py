@@ -7,9 +7,8 @@ where some handler catches it by name:
 
 - ``DataforgeError``: every refusal; ``cli.main`` prints its text as one
   ``error:`` line and exits 1.
-- ``SchemaError``: ``ingest``, ``metrics`` and ``perceptgen`` re-raise its
-  ``reason`` and ``path`` with the record or line; ``cli``'s config reader
-  turns it into a ``ConfigError``.
+- ``SchemaError``: the loop that reads a record or line places it there
+  with ``at``; ``cli``'s config reader turns it into a ``ConfigError``.
 - ``NetworkError``: counted by the breaker in ``remote.as_rewriter``.
 - ``PoolTooSmall``: caught by ``augment.expand_sample``, which leaves the QA
   open-ended.
@@ -40,6 +39,15 @@ class SchemaError(DataforgeError):
             where.append(f"line {line}")
         suffix = f" ({', '.join(where)})" if where else ""
         super().__init__(f"{reason}{suffix}")
+
+    def at(self, *, record_index: int | None = None,
+           line: int | None = None) -> SchemaError:
+        """This fault, placed in the record or line of the loop that read it;
+        a place not given is kept."""
+        return SchemaError(
+            self.reason, path=self.path,
+            record_index=self.record_index if record_index is None else record_index,
+            line=self.line if line is None else line)
 
 
 class NetworkError(DataforgeError):

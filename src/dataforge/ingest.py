@@ -52,7 +52,7 @@ if TYPE_CHECKING:
 
 
 # ---------------------------------------------------------------------------
-# Record field helpers. parse_source adds the record index to their errors.
+# Record field helpers. build_samples adds the record index to their errors.
 # ---------------------------------------------------------------------------
 
 def _req(rec: dict[str, Any], key: str, read: Callable[..., Any] = json_str) -> Any:
@@ -190,28 +190,22 @@ _ADAPTERS: dict[DatasetId, Callable[[dict[str, Any]], Sample]] = {
 }
 
 
-def parse_source(adapter: DatasetId, payload: bytes | str) -> list[Sample]:
-    """Parse one source annotation file (JSON array of records).
+def build_samples(text: str, build: Callable[[dict[str, Any]], Sample]) -> list[Sample]:
+    """The sample ``build`` makes from each record of the JSON array
+    ``text``, each checked with ``validate_sample``.
 
-    All-or-nothing: any malformed record raises SchemaError and nothing is
-    returned.
+    All-or-nothing: the first fault raises SchemaError naming its record.
     """
-    if isinstance(payload, bytes):
-        try:
-            payload = payload.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise SchemaError(f"input is not valid UTF-8: {exc}") from None
-    data = decode_json(payload)
-    if not isinstance(data, list):
-        raise SchemaError("source payload must be a JSON array")
-    parse = _ADAPTERS[adapter]
+    data = decode_json(text)
+    if type(data) is not list:
+        raise SchemaError("input must be a JSON array")
     samples = []
     for idx, rec in enumerate(data):
         try:
-            sample = parse(json_object(rec, "record"))
+            sample = build(json_object(rec, "record"))
         except SchemaError as exc:
-            raise SchemaError(exc.reason, record_index=idx, path=exc.path) from None
-        except ValueError as exc:  # a MediaRef rule, such as width >= 1
+            raise exc.at(record_index=idx) from None
+        except (DataforgeError, ValueError) as exc:  # ValueError: a MediaRef rule
             raise SchemaError(str(exc), record_index=idx) from None
         violations = validate_sample(sample)
         if violations:
@@ -219,6 +213,13 @@ def parse_source(adapter: DatasetId, payload: bytes | str) -> list[Sample]:
             raise SchemaError(f"invalid sample ({v.rule}): {v.detail}",
                               record_index=idx, path=v.field)
         samples.append(sample)
+    return samples
+
+
+def parse_source(adapter: DatasetId, payload: str) -> list[Sample]:
+    """Parse one source annotation file, a JSON array of records, through
+    ``build_samples`` with ``adapter``; no id may repeat."""
+    samples = build_samples(payload, _ADAPTERS[adapter])
     assert_unique_ids(samples)
     return samples
 
@@ -327,8 +328,7 @@ def _decode_manifest(fh: TextIO) -> Iterator[Sample]:
             try:
                 sample = sample_from_json(line)
             except SchemaError as exc:
-                raise SchemaError(exc.reason, record_index=exc.record_index,
-                                  path=exc.path, line=lineno) from None
+                raise exc.at(line=lineno) from None
             if previous is not None and sample.id <= previous:
                 if sample.id == previous:
                     raise SchemaError(f"duplicate sample id {sample.id!r}",

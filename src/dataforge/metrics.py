@@ -12,7 +12,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from .core import (
     BBoxNorm,
@@ -272,16 +272,8 @@ def _parse_point(entry, path: str) -> CameraPoint:
     return PointNorm(x, y), camera
 
 
-def record_from_dict(data: dict, *, line: int | None = None) -> PredictionRecord:
-    """Parse one predictions-file record, checking shape against its task.
-    Every error names ``line``."""
-    try:
-        return _record_from_dict(data)
-    except SchemaError as exc:
-        raise SchemaError(exc.reason, path=exc.path, line=line) from None
-
-
-def _record_from_dict(data) -> PredictionRecord:
+def record_from_dict(data: Any) -> PredictionRecord:
+    """Parse one predictions-file record, checking shape against its task."""
     if not isinstance(data, dict):
         raise SchemaError("record must be a JSON object")
     sample_id = json_str(json_key(data, "sample_id"), "sample_id")

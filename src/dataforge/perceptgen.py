@@ -182,26 +182,21 @@ def annotation_from_dict(d: dict[str, Any],
 
 
 def grounding_record_from_dict(
-        rec: Any, idx: int) -> tuple[str, GroundingSpec, list[DetectionAnnotation]]:
-    """One gen-perception input record: its id, spec and annotated views.
-    Every error names record ``idx``."""
-    try:
-        json_object(rec, "record")
-        sample_id = json_str(json_key(rec, "id", "id"), "id", "id")
-        with_camera_prefix = json_bool(json_key(rec, "with_camera_prefix", default=False),
-                                       "with_camera_prefix", "with_camera_prefix")
-        frames_per_view = json_int(json_key(rec, "frames_per_view", default=1),
-                                   "frames_per_view", "frames_per_view", minimum=1)
-        representation = json_key(rec, "representation", default=None)
-        if representation not in (None, "box", "center"):
-            raise SchemaError('representation must be "box" or "center", '
-                              f"got {representation!r}", path="representation")
-        spec = GroundingSpec(representation, with_camera_prefix, frames_per_view)
-        raw = json_list(json_key(rec, "annotations", "annotations"), "annotations",
-                        "annotations")
-        if not raw:
-            raise SchemaError("annotations must not be empty", path="annotations")
-        anns = [annotation_from_dict(a, f"annotations[{k}]") for k, a in enumerate(raw)]
-    except SchemaError as exc:
-        raise SchemaError(exc.reason, record_index=idx, path=exc.path) from None
+        rec: dict[str, Any]) -> tuple[str, GroundingSpec, list[DetectionAnnotation]]:
+    """One gen-perception input record: its id, spec and annotated views."""
+    sample_id = json_str(json_key(rec, "id", "id"), "id", "id")
+    with_camera_prefix = json_bool(json_key(rec, "with_camera_prefix", default=False),
+                                   "with_camera_prefix", "with_camera_prefix")
+    frames_per_view = json_int(json_key(rec, "frames_per_view", default=1),
+                               "frames_per_view", "frames_per_view", minimum=1)
+    representation = json_key(rec, "representation", default=None)
+    if representation not in (None, "box", "center"):
+        raise SchemaError('representation must be "box" or "center", '
+                          f"got {representation!r}", path="representation")
+    spec = GroundingSpec(representation, with_camera_prefix, frames_per_view)
+    raw = json_list(json_key(rec, "annotations", "annotations"), "annotations",
+                    "annotations")
+    if not raw:
+        raise SchemaError("annotations must not be empty", path="annotations")
+    anns = [annotation_from_dict(a, f"annotations[{k}]") for k, a in enumerate(raw)]
     return sample_id, spec, anns

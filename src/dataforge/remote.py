@@ -83,7 +83,8 @@ class RemoteTextClient:
 def _extract_text(body: bytes) -> str:
     try:
         data = json.loads(body.decode("utf-8"))
-    except ValueError as exc:  # bad UTF-8, bad JSON, an integer over 4300 digits
+    # bad UTF-8, bad JSON, an integer over 4300 digits, nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise DataforgeError(f"reply is not JSON: {exc}") from exc
     if not isinstance(data, dict) or not isinstance(data.get("text"), str):
         raise DataforgeError(

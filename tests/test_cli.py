@@ -360,6 +360,28 @@ def test_augment_falls_back_when_rewriter_reply_is_not_http(workdir, monkeypatch
     assert out.read_bytes() == offline.read_bytes()
 
 
+def test_augment_falls_back_when_rewriter_reply_is_nested_too_deeply(workdir, monkeypatch,
+                                                                    capsys):
+    raw = _ingest_coda(workdir)
+    offline = workdir / "offline.jsonl"
+    assert _run("augment", "--seed", 7, "--offline", "--in", raw,
+                "--out", offline) == 0
+    monkeypatch.delenv("DATAFORGE_OFFLINE", raising=False)
+    body = b"[" * 5000 + b"]" * 5000
+    reply = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+    with raw_reply_server(reply) as (url, bodies):
+        config = workdir / "config.json"
+        config.write_text(json.dumps({"augment": {"rewriter_url": url}}))
+        out = workdir / "online.jsonl"
+        capsys.readouterr()
+        assert _run("augment", "--seed", 7, "--config", config, "--in", raw,
+                    "--out", out) == 0
+    assert capsys.readouterr().err == ""
+    # a reply that is not JSON is no transport failure: no retry, no breaker
+    assert len(bodies) > remote.BREAKER_FAILURES
+    assert out.read_bytes() == offline.read_bytes()
+
+
 def test_augment_custom_factors_via_config(workdir):
     raw = _ingest_coda(workdir)
     config = workdir / "config.json"
@@ -470,6 +492,8 @@ def _with_object(**fields):
      "missing key 'bbox' (record 0, at annotations[0].objects[0])"),
     ({"id": 7, "annotations": [_FRONT_VIEW]},
      "id must be a string, got 7 (record 0, at id)"),
+    ({"id": "", "annotations": [_FRONT_VIEW]},
+     "invalid sample (non_empty): sample id is empty (record 0, at id)"),
     ({"id": "p", "annotations": [dict(_FRONT_VIEW, objects=[])]},
      "annotation has no objects (record 0)"),
     ({"id": "p", "with_camera_prefix": True,
@@ -488,7 +512,7 @@ def _with_object(**fields):
 ], ids=["front_only_prefixed", "two_views_unprefixed", "no_annotations",
         "prefix_string", "frames_per_view_float", "width_float", "height_bool",
         "frames_string", "uri_int", "frame_index_float", "category_list",
-        "bbox_string", "bbox_bool", "bbox_missing", "id_int", "no_objects",
+        "bbox_string", "bbox_bool", "bbox_missing", "id_int", "id_empty", "no_objects",
         "mixed_view_sizes", "frame_count", "representation_int",
         "representation_polygon"])
 def test_gen_perception_bad_record_is_one_error_line(workdir, capsys, record, error):
@@ -653,6 +677,15 @@ def test_plan_curriculum_emits_four_plans(workdir, capsys):
     assert "stage 4: 1515631 samples" in out
 
 
+def test_plan_curriculum_empty_out_is_current_directory(workdir, monkeypatch, capsys):
+    monkeypatch.chdir(workdir)
+    assert _run("plan-curriculum", "--out", "") == 0
+    assert sorted(p.name for p in (workdir / "plans").iterdir()) == [
+        "stage1.json", "stage2.json", "stage3.json", "stage4.json"]
+    assert not (workdir / "out").exists()
+    assert capsys.readouterr().out.splitlines()[-1] == "wrote 4 plans under plans"
+
+
 def test_plan_curriculum_custom_registry(workdir, capsys):
     config = workdir / "config.json"
     config.write_text(json.dumps({
@@ -810,6 +843,38 @@ def test_invalid_utf8_is_one_error_line(workdir, capsys, command, code):
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and "not valid UTF-8" in err
     assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("depth", [sys.getrecursionlimit(), 100_000])
+@pytest.mark.parametrize("command,code,error", [
+    ("ingest", 1, "invalid JSON: nested too deeply"),
+    ("manifest", 1, "invalid JSON: nested too deeply (line 1)"),
+    ("evaluate", 1, "invalid JSON: nested too deeply (line 1)"),
+    ("gen-perception", 1, "invalid JSON: nested too deeply"),
+    ("config", 2, "config {path}: invalid JSON: nested too deeply"),
+], ids=["ingest", "manifest", "evaluate", "gen-perception", "config"])
+def test_deep_nesting_is_one_error_line(workdir, capsys, command, code, error, depth):
+    path = workdir / "input.json"
+    path.write_text("[" * depth + "]" * depth + "\n")
+    argv = {"ingest": ["ingest", "--adapter", "coda_lm", "--in", path],
+            "manifest": ["stats", "--in", path],
+            "evaluate": ["evaluate", "--dataset", "coda_lm", "--in", path],
+            "gen-perception": ["gen-perception", "--in", path],
+            "config": ["stats", "--config", path, "--in", path]}[command]
+    assert _run(*argv, "--out", workdir / "out") == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [f"error: {error.format(path=path)}"]
+    assert not (workdir / "out").exists()
+
+
+def test_input_that_is_not_an_array_names_no_reader(workdir, capsys):
+    path = workdir / "input.json"
+    path.write_text("{}")
+    for argv in (["ingest", "--adapter", "coda_lm"], ["gen-perception"]):
+        assert _run(*argv, "--in", path, "--out", workdir / "out") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: input must be a JSON array"]
 
 
 @pytest.mark.parametrize("command", ["ingest", "standardize", "build-prompts"])
@@ -1157,8 +1222,9 @@ _MANIFEST_WRITERS = ["ingest", "standardize", "augment", "gen-perception", "buil
 
 
 @pytest.mark.parametrize("command,out", [
-    *((c, o) for c in _MANIFEST_WRITERS + ["evaluate", "stats"] for o in (".", "/")),
-    *((c, "") for c in _MANIFEST_WRITERS),
+    *((c, o) for c in _MANIFEST_WRITERS + ["evaluate", "stats"]
+      for o in (".", "/", "sub/", "sub/..")),
+    *((c, "") for c in _MANIFEST_WRITERS + ["evaluate", "stats"]),
 ])
 def test_out_naming_a_directory_is_one_error_line(workdir, monkeypatch, capsys,
                                                   command, out):
@@ -1182,6 +1248,7 @@ def test_out_naming_a_directory_is_one_error_line(workdir, monkeypatch, capsys,
     assert err.splitlines() == [
         f"error: [Errno 21] Is a directory: '{out or '.'}'"]
     assert _temp_files(workdir) == []
+    assert not (workdir / "sub").exists()
 
 
 def test_write_manifest_crash_keeps_previous_manifest(workdir, monkeypatch):

@@ -241,8 +241,8 @@ def test_malformed_line_error_text(where, value, message):
     ("[]", "sample must be an object (at sample)"),
     ("null", "sample must be an object (at sample)"),
     ('"s"', "sample must be an object (at sample)"),
-    ("{", "invalid JSON: Expecting property name enclosed in double quotes"),
-    ("", "invalid JSON: Expecting value"),
+    ("{", "invalid JSON: Expecting property name enclosed in double quotes (line 1)"),
+    ("", "invalid JSON: Expecting value (line 1)"),
 ])
 def test_non_object_line_error_text(line, message):
     with pytest.raises(SchemaError) as exc:

@@ -122,6 +122,15 @@ def test_json_key():
     assert str(exc.value) == "missing key 'k' (at a.b)"
 
 
+def test_schema_error_at_keeps_path_and_places_not_given():
+    fault = SchemaError("bad", path="qa[0]", line=3)
+    placed = fault.at(record_index=2)
+    assert (placed.reason, placed.path) == ("bad", "qa[0]")
+    assert str(placed) == "bad (record 2, at qa[0], line 3)"
+    assert str(placed.at(line=9)) == "bad (record 2, at qa[0], line 9)"
+    assert str(SchemaError("bad").at()) == "bad"
+
+
 @pytest.mark.parametrize("module", ["cli", "ingest", "perceptgen", "metrics"])
 def test_decoders_read_json_through_core_readers(module):
     """These modules read decoded JSON only through core's readers, so no

@@ -77,7 +77,7 @@ NUINSTRUCT_RECORD = {
 
 def test_empty_array_yields_empty_list():
     for ds in DatasetId:
-        assert parse_source(ds, b"[]") == []
+        assert parse_source(ds, "[]") == []
 
 
 def test_coda_lm_adapter():
@@ -181,12 +181,6 @@ def test_blank_token_category_rejected_at_ingest():
         parse_source(DatasetId.NUINSTRUCT, json.dumps([rec]))
     assert "(token_grammar)" in exc_info.value.reason
     assert "empty category" in exc_info.value.reason
-
-
-def test_invalid_utf8_bytes_is_schema_error():
-    with pytest.raises(SchemaError) as exc_info:
-        parse_source(DatasetId.CODA_LM, b'[{"id": "\xff"}]')
-    assert "not valid UTF-8" in exc_info.value.reason
 
 
 def test_adapter_fuzz_never_partial(tmp_path):

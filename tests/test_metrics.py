@@ -552,7 +552,7 @@ def test_record_from_dict_shapes():
 ])
 def test_record_from_dict_rejects(bad):
     with pytest.raises(SchemaError):
-        record_from_dict(bad, line=7)
+        record_from_dict(bad)
 
 
 def test_evaluate_records_mixed_batch():

@@ -119,6 +119,17 @@ def test_huge_integer_reply_is_format_error(stub_server):
     assert len(_StubHandler.requests_seen) == 1
 
 
+def test_deeply_nested_reply_is_format_error(stub_server):
+    # json.loads raises RecursionError for nesting deeper than the recursion limit
+    _server, url = stub_server
+    _StubHandler.script = [(200, b"[" * 5000 + b"]" * 5000)]
+    client = RemoteTextClient(url, retries=3, sleep=lambda s: None)
+    with pytest.raises(DataforgeError,
+                       match="^reply is not JSON: maximum recursion depth exceeded"):
+        client.complete("s", "u")
+    assert len(_StubHandler.requests_seen) == 1
+
+
 @pytest.mark.parametrize("reply, error", [
     (b"HELLO\r\n\r\n", "HELLO\r\n"),  # http.client.BadStatusLine
     (b'HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{"text": ',
