@@ -169,14 +169,6 @@ def _apply_overrides(cfg: PipelineConfig, args: argparse.Namespace) -> PipelineC
 
 
 # ---------------------------------------------------------------------------
-# Shared I/O helpers
-# ---------------------------------------------------------------------------
-
-def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
-
-
-# ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
@@ -194,7 +186,7 @@ def _cmd_ingest(args: argparse.Namespace, cfg: PipelineConfig) -> int:
                           "sources in the config")
     samples: list[Sample] = []
     for dataset, path in sources:
-        samples.extend(parse_source(dataset, _read_text(str(path))))
+        samples.extend(parse_source(dataset, path.read_text(encoding="utf-8")))
     write_manifest(samples, args.out)
     print(f"wrote {args.out} ({len(samples)} samples from {len(sources)} source(s))")
     return 0
@@ -245,7 +237,7 @@ def _cmd_gen_perception(args: argparse.Namespace, cfg: PipelineConfig) -> int:
         return build_grounding_sample(sample_id, anns, spec,
                                       rng.stream("perceptgen", sample_id, "grounding"))
 
-    samples = build_samples(_read_text(args.infile), build)
+    samples = build_samples(Path(args.infile).read_text(encoding="utf-8"), build)
     write_manifest(samples, args.out)
     print(f"wrote {args.out} ({len(samples)} grounding samples)")
     return 0
@@ -269,8 +261,6 @@ def _cmd_build_prompts(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     prompts = over_budget = 0
     with atomic_writer(args.out) as fh:  # not out: Path drops a trailing "/"
         for sample in samples:
-            if not sample.qa:
-                raise SchemaError(f"sample {sample.id} has no QA to prompt")
             report = check_budget(sample)
             if not report.fits:
                 over_budget += 1

@@ -154,8 +154,9 @@ def plan_violations(plan: StagePlan) -> list[str]:
     count must be exactly 558,000, and stage 4's total within 2% of
     1,500,000."""
     total = plan.total_samples
-    if plan.stage == 1 and total != 558_000:
-        return [f"total {total} != expected 558000"]
+    expected = DEFAULT_REGISTRY[ALIGNMENT_DATASET]
+    if plan.stage == 1 and total != expected:
+        return [f"total {total} != expected {expected}"]
     if plan.stage == 4 and abs(total - 1_500_000) > 0.02 * 1_500_000:
         return [f"total {total} outside 2% of 1500000"]
     return []

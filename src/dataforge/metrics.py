@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Any, Iterable, Sequence
 
@@ -107,9 +107,6 @@ def mae(pairs: Iterable[tuple[float, float]]) -> float:
 
 # ------------------------------------------------------------------ detection
 
-Box = BBoxNorm  # any object with x_min/y_min/x_max/y_max works
-
-
 def iou(a, b) -> float:
     ix = max(0.0, min(a.x_max, b.x_max) - max(a.x_min, b.x_min))
     iy = max(0.0, min(a.y_max, b.y_max) - max(a.y_min, b.y_min))
@@ -121,7 +118,7 @@ def iou(a, b) -> float:
     return inter / (area_a + area_b - inter)
 
 
-def average_precision(dets: Sequence[tuple[Box, float]], gts: Sequence[Box],
+def average_precision(dets: Sequence[tuple[BBoxNorm, float]], gts: Sequence[BBoxNorm],
                       iou_threshold: float = IOU_THRESHOLD) -> float | None:
     """All-point interpolated AP with greedy highest-IoU matching.
 
@@ -246,8 +243,8 @@ class PredictionRecord:
 @dataclass(frozen=True)
 class MetricReport:
     dataset: DatasetId
-    entries: dict[str, tuple[float, int]] = field(default_factory=dict)
-    detection_skipped: int = 0  # detection records without ground truth
+    entries: dict[str, tuple[float, int]]
+    detection_skipped: int  # detection records without ground truth
 
 
 def _parse_box(value, path: str) -> BBoxNorm:

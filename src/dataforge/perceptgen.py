@@ -76,12 +76,6 @@ class GroundingSpec:
     with_camera_prefix: bool = False
     frames_per_view: int = 1
 
-    def __post_init__(self) -> None:
-        if self.representation not in (None, "box", "center"):
-            raise ValueError(f"unknown representation {self.representation!r}")
-        if self.frames_per_view < 1:
-            raise ValueError("frames_per_view must be >= 1")
-
 
 def _token(obj: DetectedObject, media: MediaRef, representation: str,
            camera: CameraId | None) -> str:
@@ -153,8 +147,7 @@ def _box(o: dict[str, Any], path: str) -> BBoxPx:
     return BBoxPx(*(json_number(v, "bbox coordinate", path) for v in raw))
 
 
-def annotation_from_dict(d: dict[str, Any],
-                         path: str = "annotation") -> DetectionAnnotation:
+def annotation_from_dict(d: dict[str, Any], path: str) -> DetectionAnnotation:
     """One annotated view; every field must have its documented JSON type."""
     json_object(d, "annotation", path)
     frames = json_int(json_key(d, "frames", default=1), "frames", path)

@@ -4,8 +4,11 @@ Each media slot contributes a numbered view label, a one-line explanation of
 its camera (or the LiDAR projection), and a kind-matched placeholder that the
 training stack later expands into patch embeddings. The budget is fixed: an
 image encodes to a 27x27 patch grid (729 tokens), a video frame to the 2x2
-pooled 13x13 grid (169 tokens), and every prompt is checked against the
-8,192-token training sequence length.
+pooled 13x13 grid (169 tokens). The prompt is the media block plus the first
+QA's question, with its options when it is multiple-choice. ``text_tokens``
+counts only that text (placeholders stripped), and ``fits`` checks it plus the
+visual tokens against the 8,192-token training sequence length; answers and
+later turns are not counted.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .core import CameraId, MediaKind, MediaRef, QAStyle, Sample
+from .errors import SchemaError
 
 SEQUENCE_LIMIT = 8192
 IMAGE_TOKENS_PER_FRAME = 27 * 27
@@ -42,26 +46,25 @@ def sample_visual_tokens(sample: Sample) -> int:
     return sum(visual_token_count(m) for m in sample.media)
 
 
-# (1-based view index, media, placeholder used) in order of appearance.
-PlacementPlan = list[tuple[int, MediaRef, str]]
-
-
-def assemble_prompt(sample: Sample, qa_index: int = 0) -> tuple[str, PlacementPlan]:
-    """Render the media block plus the selected question."""
+def assemble_prompt(sample: Sample) -> tuple[str, tuple[str, ...]]:
+    """Render the media block plus the first question; also return the
+    placeholders placed, in order of appearance."""
+    if not sample.qa:
+        raise SchemaError(f"sample {sample.id} has no QA to prompt")
     lines: list[str] = []
-    plan: PlacementPlan = []
+    placeholders: list[str] = []
     for i, media in enumerate(sample.media, start=1):
         placeholder = "<video>" if media.kind is MediaKind.VIDEO else "<image>"
         lines.append(f"View {i} ({media.camera.value}): "
                      f"{CAMERA_EXPLANATIONS[media.camera]}.")
         lines.append(placeholder)
-        plan.append((i, media, placeholder))
-    qa = sample.qa[qa_index]
+        placeholders.append(placeholder)
+    qa = sample.qa[0]
     lines.append(qa.question)
     if qa.style is QAStyle.MULTIPLE_CHOICE and qa.options:
         for option_label, text in qa.options:
             lines.append(f"{option_label}. {text}")
-    return "\n".join(lines), plan
+    return "\n".join(lines), tuple(placeholders)
 
 
 def estimate_text_tokens(text: str) -> int:
@@ -74,18 +77,17 @@ def estimate_text_tokens(text: str) -> int:
 class BudgetReport:
     text_tokens: int
     visual_tokens: int
-    prompt: str = ""  # the assembled prompt that was counted
-    placeholders: tuple[str, ...] = ()  # in order of appearance
+    prompt: str  # the assembled prompt that was counted
+    placeholders: tuple[str, ...]  # in order of appearance
 
     @property
     def fits(self) -> bool:
         return self.text_tokens + self.visual_tokens <= SEQUENCE_LIMIT
 
 
-def check_budget(sample: Sample, qa_index: int = 0) -> BudgetReport:
-    prompt, plan = assemble_prompt(sample, qa_index)
-    placeholders = tuple(ph for _idx, _media, ph in plan)
-    stripped = prompt
+def check_budget(sample: Sample) -> BudgetReport:
+    prompt, placeholders = assemble_prompt(sample)
+    stripped = prompt  # the media block's come first; a question's own stay counted
     for placeholder in placeholders:
         stripped = stripped.replace(placeholder, "", 1)
     return BudgetReport(

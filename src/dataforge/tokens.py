@@ -74,10 +74,6 @@ class TokenMatch:
     ref: ObjectRef | None = None
     error: str | None = None
 
-    @property
-    def ok(self) -> bool:
-        return self.ref is not None
-
 
 def _parse_bracket(text: str, cat: str, body: str) -> tuple[ObjectRef | None, str | None]:
     """Returns (ref, None) on success, (None, error) for a malformed token,

@@ -468,6 +468,8 @@ def _with_object(**fields):
      "(record 0, at with_camera_prefix)"),
     ({"id": "p", "frames_per_view": 1.9, "annotations": [_FRONT_VIEW]},
      "frames_per_view must be an integer >= 1, got 1.9 (record 0, at frames_per_view)"),
+    ({"id": "p", "frames_per_view": 0, "annotations": [_FRONT_VIEW]},
+     "frames_per_view must be an integer >= 1, got 0 (record 0, at frames_per_view)"),
     ({"id": "p", "annotations": [dict(_FRONT_VIEW, width=100.7)]},
      "width must be an integer, got 100.7 (record 0, at annotations[0])"),
     ({"id": "p", "annotations": [dict(_FRONT_VIEW, height=True)]},
@@ -510,7 +512,8 @@ def _with_object(**fields):
      'representation must be "box" or "center", got \'polygon\' '
      "(record 0, at representation)"),
 ], ids=["front_only_prefixed", "two_views_unprefixed", "no_annotations",
-        "prefix_string", "frames_per_view_float", "width_float", "height_bool",
+        "prefix_string", "frames_per_view_float", "frames_per_view_zero",
+        "width_float", "height_bool",
         "frames_string", "uri_int", "frame_index_float", "category_list",
         "bbox_string", "bbox_bool", "bbox_missing", "id_int", "id_empty", "no_objects",
         "mixed_view_sizes", "frame_count", "representation_int",

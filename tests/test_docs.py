@@ -7,6 +7,7 @@ import pytest
 
 from dataforge.cli import load_config, main
 from dataforge.curriculum import DEFAULT_REGISTRY
+from dataforge.promptkit import SEQUENCE_LIMIT
 
 DOC = Path(__file__).resolve().parent.parent / "docs" / "source-schemas.md"
 
@@ -33,17 +34,41 @@ def test_documented_config_plans_documented_stage1(tmp_path):
     assert written == _json_block("## Stage plans (`plan-curriculum`)")
 
 
-@pytest.mark.parametrize("adapter", ADAPTERS)
-def test_documented_source_example_runs_through_prompts(tmp_path, adapter):
-    source = tmp_path / "source.json"
+def _standardized(tmp_path, adapter):
+    """The manifest of the documented ``adapter`` record after ingest and
+    standardize."""
+    source, raw, std = (tmp_path / n for n in ("source.json", "raw.jsonl", "std.jsonl"))
     source.write_text(json.dumps([_json_block(f"### {adapter}")]))
-    raw, std, prompts = (tmp_path / n for n in ("raw.jsonl", "std.jsonl",
-                                                "prompts.jsonl"))
     assert main(["ingest", "--adapter", adapter, "--in", str(source),
                  "--out", str(raw)]) == 0
     assert main(["standardize", "--in", str(raw), "--out", str(std)]) == 0
-    assert main(["build-prompts", "--in", str(std), "--out", str(prompts)]) == 0
+    return std
+
+
+@pytest.mark.parametrize("adapter", ADAPTERS)
+def test_documented_source_example_runs_through_prompts(tmp_path, adapter):
+    prompts = tmp_path / "prompts.jsonl"
+    assert main(["build-prompts", "--in", str(_standardized(tmp_path, adapter)),
+                 "--out", str(prompts)]) == 0
     assert len(prompts.read_text().splitlines()) == 1
+
+
+def test_documented_prompt_row_has_the_written_keys(tmp_path):
+    prompts = tmp_path / "prompts.jsonl"
+    assert main(["build-prompts", "--in", str(_standardized(tmp_path, "coda_lm")),
+                 "--out", str(prompts)]) == 0
+    written = json.loads(prompts.read_text(encoding="utf-8"))
+    documented = _json_block("## Prompt rows (`build-prompts`)")
+    assert list(documented) == list(written)
+    assert documented["limit"] == SEQUENCE_LIMIT
+
+
+def test_documented_stats_payload_is_written(tmp_path):
+    aug, stats = tmp_path / "aug.jsonl", tmp_path / "stats.json"
+    assert main(["augment", "--offline", "--in", str(_standardized(tmp_path, "coda_lm")),
+                 "--out", str(aug)]) == 0
+    assert main(["stats", "--in", str(aug), "--out", str(stats)]) == 0
+    assert stats.read_text(encoding="utf-8") == _block("## Stats payload (`stats`)")
 
 
 def test_documented_perception_example_runs(tmp_path):

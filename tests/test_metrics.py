@@ -615,7 +615,7 @@ def test_evaluate_records_empty():
 
 
 def test_report_to_dict_shape():
-    report = MetricReport(dataset=DatasetId.MAPLM,
+    report = MetricReport(dataset=DatasetId.MAPLM, detection_skipped=0,
                           entries={"accuracy": (0.5, 10), "bleu": (0.25, 4)})
     assert report_to_dict(report) == {
         "dataset": "maplm",

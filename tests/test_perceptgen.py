@@ -255,8 +255,6 @@ def test_annotation_invariants():
     with pytest.raises(ValueError):
         DetectionAnnotation(media, (DetectedObject("car", BBoxPx(0, 0, 5, 5),
                                                    frame_index=1),))
-    with pytest.raises(ValueError):
-        GroundingSpec(representation="polygon")
 
 
 def test_annotation_from_dict():
@@ -264,15 +262,16 @@ def test_annotation_from_dict():
         "camera": "CAM_FRONT", "width": 1600, "height": 900, "uri": "a.jpg",
         "frames": 5,
         "objects": [{"category": "car", "bbox": [1, 2, 3, 4], "frame_index": 4}],
-    })
+    }, "annotations[0]")
     assert ann.media.kind is MediaKind.VIDEO
     assert ann.objects[0].frame_index == 4
     with pytest.raises(SchemaError):
-        annotation_from_dict({"camera": "CAM_FRONT"})
+        annotation_from_dict({"camera": "CAM_FRONT"}, "annotations[0]")
     with pytest.raises(SchemaError):
         annotation_from_dict({"camera": "CAM_FRONT", "width": 100, "height": 100,
                               "uri": "a.jpg",
-                              "objects": [{"category": "car", "bbox": [0, 0, 200, 200]}]})
+                              "objects": [{"category": "car", "bbox": [0, 0, 200, 200]}]},
+                             "annotations[0]")
 
 
 def test_build_grounding_sample_is_valid():

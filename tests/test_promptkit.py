@@ -75,7 +75,7 @@ def _lidar_sample():
 ])
 def test_golden_prompts(name, builder):
     expected = (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
-    actual, _plan = assemble_prompt(builder())
+    actual, _placeholders = assemble_prompt(builder())
     assert actual == expected
 
 
@@ -121,10 +121,10 @@ def test_six_view_image_budget():
 @pytest.mark.parametrize("make", [_six_view_sample, _video_mc_sample])
 def test_budget_report_carries_the_counted_prompt(make):
     s = make()
-    prompt, plan = assemble_prompt(s)
+    prompt, placeholders = assemble_prompt(s)
     report = check_budget(s)
     assert report.prompt == prompt
-    assert report.placeholders == tuple(ph for _i, _m, ph in plan)
+    assert report.placeholders == placeholders
 
 
 def test_six_view_five_frame_video_budget():
@@ -150,8 +150,9 @@ def test_twelve_view_image_overflows():
 
 def test_fits_is_exact_boundary():
     headroom = SEQUENCE_LIMIT - 4374  # beside the six-view image sample
-    assert BudgetReport(text_tokens=headroom, visual_tokens=4374).fits
-    assert not BudgetReport(text_tokens=headroom + 1, visual_tokens=4374).fits
+    prompt, placeholders = assemble_prompt(_six_view_sample())
+    assert BudgetReport(headroom, 4374, prompt, placeholders).fits
+    assert not BudgetReport(headroom + 1, 4374, prompt, placeholders).fits
 
 
 # ------------------------------------------------------------ text counter
@@ -178,9 +179,9 @@ def test_budget_counter_sees_prompt_without_placeholders():
 
 def test_default_counter_matches_hand_count():
     s = _video_mc_sample()
-    prompt, plan = assemble_prompt(s)
+    prompt, placeholders = assemble_prompt(s)
     stripped = prompt
-    for _i, _m, ph in plan:
+    for ph in placeholders:
         stripped = stripped.replace(ph, "", 1)
     assert check_budget(s).text_tokens == math.ceil(len(stripped.split()) * 1.3)
 
@@ -195,19 +196,17 @@ def test_plan_order_and_placeholders():
                image_ref(CameraId.LIDAR_BEV, 400, 400, "c.png")),
         qa=(QAPair(question="q?", answer="a"),),
         task_tags=frozenset({"t"}))
-    _text, plan = assemble_prompt(s)
-    assert [(i, m.camera, ph) for i, m, ph in plan] == [
-        (1, CameraId.CAM_FRONT, "<image>"),
-        (2, CameraId.CAM_BACK, "<video>"),
-        (3, CameraId.LIDAR_BEV, "<image>"),
-    ]
+    text, placeholders = assemble_prompt(s)
+    assert placeholders == ("<image>", "<video>", "<image>")
+    views = [ln.split(":")[0] for ln in text.splitlines() if ln.startswith("View ")]
+    assert views == ["View 1 (CAM_FRONT)", "View 2 (CAM_BACK)", "View 3 (LIDAR_BEV)"]
 
 
 def test_placeholders_appear_once_per_media_in_order():
     s = _six_view_sample()
-    text, plan = assemble_prompt(s)
+    text, _ = assemble_prompt(s)
     assert text.count("<image>") == 6
-    for i, _m, _ph in plan:
+    for i in range(1, len(s.media) + 1):
         assert f"View {i} (" in text
 
 
@@ -233,20 +232,36 @@ def test_open_qa_has_no_option_lines():
     assert text.splitlines()[-1] == "What should the ego vehicle do next?"
 
 
-def test_qa_index_selects_turn():
+def test_prompt_holds_first_turn_only():
     qa = (QAPair(question="first?", answer="a"),
           QAPair(question="second?", answer="b"))
     s = Sample(id="m/2", dataset=DatasetId.GENERIC,
                media=(image_ref(CameraId.FRONT_ONLY, 640, 480, "a.jpg"),),
                qa=qa, task_tags=frozenset({"t"}))
-    text0, _ = assemble_prompt(s, qa_index=0)
-    text1, _ = assemble_prompt(s, qa_index=1)
-    assert text0.endswith("first?")
-    assert text1.endswith("second?")
+    text, _ = assemble_prompt(s)
+    assert text.endswith("first?")
+    assert "second?" not in text
+
+
+def test_question_placeholders_are_counted_as_text():
+    # Only the media block's placeholder lines are stripped; an <image> or
+    # <video> the question itself holds is text and is counted.
+    s = Sample(id="m/3", dataset=DatasetId.GENERIC,
+               media=(image_ref(CameraId.CAM_FRONT, 800, 450, "a.jpg"),
+                      video_ref(CameraId.CAM_BACK, 4, 800, 450, "b.mp4")),
+               qa=(QAPair(question="Is <image> or <video> newer?", answer="a"),),
+               task_tags=frozenset({"t"}))
+    report = check_budget(s)
+    lines = report.prompt.splitlines()
+    assert lines[1] == "<image>" and lines[3] == "<video>"
+    media_block_stripped = "\n".join(ln for k, ln in enumerate(lines) if k not in (1, 3))
+    assert "<image>" in media_block_stripped and "<video>" in media_block_stripped
+    assert report.text_tokens == estimate_text_tokens(media_block_stripped)
+    assert report.text_tokens > estimate_text_tokens(
+        media_block_stripped.replace("<image>", "").replace("<video>", ""))
 
 
 def test_budget_report_is_plain_data():
-    rep = BudgetReport(text_tokens=10, visual_tokens=20)
+    rep = BudgetReport(10, 20, "q?", ())
     assert rep.fits
-    assert (rep.prompt, rep.placeholders) == ("", ())
-    assert not BudgetReport(text_tokens=0, visual_tokens=SEQUENCE_LIMIT + 1).fits
+    assert not BudgetReport(0, SEQUENCE_LIMIT + 1, "q?", ()).fits

@@ -80,7 +80,7 @@ def test_scan_finds_tokens_in_order_with_spans():
     ]
     for m in matches:
         assert text[m.start:m.end] == m.text
-        assert m.ok
+        assert m.ref is not None
 
 
 def test_scan_ignores_non_token_brackets():
@@ -94,10 +94,10 @@ def test_scan_ignores_non_token_brackets():
 def test_scan_reports_malformed_candidates():
     matches = scan_tokens("bad one: <car>[CAM_FRONT, 1, 2, 3]")
     assert len(matches) == 1
-    assert not matches[0].ok
+    assert matches[0].ref is None
     assert "2 or 4" in matches[0].error
     matches = scan_tokens("<car>[c1, 12..5, 3, 4, 5]")
-    assert len(matches) == 1 and not matches[0].ok
+    assert len(matches) == 1 and matches[0].ref is None
     # a blank category would render as "<>[...]", which no longer scans
     matches = scan_tokens("<  >[10, 20, 30, 40]")
     assert len(matches) == 1 and matches[0].error == "empty category"
