@@ -13,11 +13,13 @@ import hashlib
 import json
 import random
 import re
-from collections import Counter
+from bisect import bisect_right
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Callable, Mapping, Sequence
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import tokens as tok
 from .core import DatasetId, Provenance, QAPair, QAStyle, Sample
@@ -233,29 +235,15 @@ _COPY_MARK = "#aug"
 # Distractor pools are capped so conversion cost stays flat as manifests grow.
 _POOL_CAP = 64
 
+# expand_dataset reads, expands and yields in blocks of this many input
+# samples: a round per sample costs more time than a block costs memory.
+_BLOCK = 1024
 
-def _build_pools(samples: Sequence[Sample]) -> dict[tuple[DatasetId, str], list[str]]:
-    """The first _POOL_CAP distinct open answers per (dataset, tag), in input
-    order."""
-    pools: dict[tuple[DatasetId, str], list[str]] = {}
-    seen: dict[tuple[DatasetId, str], set] = {}
-    for s in samples:
-        for qa in s.qa:
-            if qa.style is not QAStyle.OPEN:
-                continue
-            for tag in sorted(s.task_tags):
-                key = (s.dataset, tag)
-                bucket = pools.setdefault(key, [])
-                if len(bucket) >= _POOL_CAP:
-                    continue
-                marks = seen.setdefault(key, set())
-                if qa.answer not in marks:
-                    marks.add(qa.answer)
-                    bucket.append(qa.answer)
-    return pools
+_sample_id = attrgetter("id")
 
 
-def _pool_for(sample: Sample, pools: dict[tuple[DatasetId, str], list[str]]) -> list[str]:
+def _pool_for(sample: Sample, pools: dict[tuple[DatasetId, str], dict[str, None]]
+              ) -> list[str]:
     out: list[str] = []
     seen: set[str] = set()
     for tag in sorted(sample.task_tags):
@@ -311,21 +299,47 @@ def expand_sample(sample: Sample, factor: int, mc_fraction: float, rng: SeededRn
     return out
 
 
-def expand_dataset(samples: Sequence[Sample], factors: Mapping[DatasetId, int],
+def expand_dataset(samples: Iterable[Sample], factors: Mapping[DatasetId, int],
                    mc_fraction: float, rng: SeededRng,
-                   rewriter: Rewriter | None = None) -> list[Sample]:
-    """Expand each sample by its dataset's factor (1 if absent); originals
-    pass through bit-for-bit.
+                   rewriter: Rewriter | None = None) -> Iterator[Sample]:
+    """Expand each sample by its dataset's factor (1 if absent), yielding
+    each original, bit-for-bit, and every copy, all in id order.
 
-    Output order is input order with each sample's copies following it.
+    ``samples`` must come in increasing id order, as ``ingest.iter_manifest``
+    yields them, and each is checked as it is read. Pools hold the first
+    _POOL_CAP distinct open answers per (dataset, tag) in input order, so a
+    sample with a factor above 1 is held until its tags' pools are full or
+    the input ends. Samples expand, and call the rewriter, in input order, so
+    a held sample holds every sample behind it: at worst, the rest of the input.
 
     Raises:
-        DataforgeError: for an expansion copy or a sample with non-original
-            QA; augment does not re-expand its own output.
+        DataforgeError: for an id not above the one before it, an expansion
+            copy, or a sample with non-original QA; augment does not
+            re-expand its own output.
     """
-    pools = _build_pools(samples)
-    out: list[Sample] = []
-    for sample in samples:
+    pools: dict[tuple[DatasetId, str], dict[str, None]] = {}
+    held: deque[Sample] = deque()
+    pending: list[Sample] = []
+
+    def expand_held(final: bool) -> None:
+        while held:
+            sample = held[0]
+            factor = factors.get(sample.dataset, 1)
+            if factor > 1 and not final and any(
+                    len(pools.get((sample.dataset, tag), ())) < _POOL_CAP
+                    for tag in sample.task_tags):
+                return
+            held.popleft()
+            pool = _pool_for(sample, pools) if factor > 1 else ()
+            pending.extend(expand_sample(sample, factor, mc_fraction, rng, pool, rewriter))
+
+    previous = None
+    for count, sample in enumerate(samples, start=1):
+        if previous is not None and sample.id <= previous:
+            raise DataforgeError(
+                f"augment needs samples in increasing id order: {sample.id!r} "
+                f"follows {previous!r}")
+        previous = sample.id
         if _COPY_MARK in sample.id:
             raise DataforgeError(
                 f"sample {sample.id} is already an expansion copy; "
@@ -335,6 +349,21 @@ def expand_dataset(samples: Sequence[Sample], factors: Mapping[DatasetId, int],
                 raise DataforgeError(
                     f"sample {sample.id} carries {qa.provenance.value} QA; "
                     "augment only accepts original data")
-        out.extend(expand_sample(sample, factors.get(sample.dataset, 1), mc_fraction,
-                                 rng, _pool_for(sample, pools), rewriter))
-    return out
+            if qa.style is QAStyle.OPEN:
+                for tag in sample.task_tags:
+                    bucket = pools.setdefault((sample.dataset, tag), {})
+                    if len(bucket) < _POOL_CAP:
+                        bucket.setdefault(qa.answer)
+        held.append(sample)
+        if count % _BLOCK == 0:
+            expand_held(final=False)
+            # Later inputs sort above ``previous`` and copies above their
+            # original, so what sorts at or below this bound is final.
+            bound = held[0].id if held else previous
+            pending.sort(key=_sample_id)
+            cut = bisect_right(pending, bound, key=_sample_id)
+            yield from pending[:cut]
+            del pending[:cut]
+    expand_held(final=True)
+    pending.sort(key=_sample_id)
+    yield from pending

@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 from urllib.parse import urlsplit
 
 from .augment import DEFAULT_FACTORS, Rewriter, SeededRng, expand_dataset
@@ -39,6 +39,7 @@ from .core import (
     json_number,
     json_object,
     json_str,
+    sample_to_json,
     write_json,
 )
 from .curriculum import build_all_plans, plan_violations, write_stage_plans
@@ -220,12 +221,22 @@ def _make_rewriter(cfg: PipelineConfig) -> Rewriter | None:
 
 
 def _cmd_augment(args: argparse.Namespace, cfg: PipelineConfig) -> int:
-    samples = read_manifest(args.infile)
+    samples = iter_manifest(args.infile)  # opens the input before the output
     factors = DEFAULT_FACTORS if cfg.factors is None else cfg.factors
-    expanded = expand_dataset(samples, factors, cfg.mc_fraction, SeededRng(cfg.seed),
+    read = written = 0
+
+    def counted() -> Iterator[Sample]:
+        nonlocal read
+        for read, sample in enumerate(samples, start=1):
+            yield sample
+
+    expanded = expand_dataset(counted(), factors, cfg.mc_fraction, SeededRng(cfg.seed),
                               _make_rewriter(cfg))
-    write_manifest(expanded, args.out)
-    print(f"wrote {args.out} ({len(samples)} -> {len(expanded)} samples)")
+    with atomic_writer(args.out) as fh:
+        for sample in expanded:
+            fh.write(sample_to_json(sample) + "\n")
+            written += 1
+    print(f"wrote {args.out} ({read} -> {written} samples)")
     return 0
 
 

@@ -113,7 +113,7 @@ def test_c03_expansion_ratios_and_determinism(tmp_path):
     maplm = _expansion_fixture(DatasetId.MAPLM, 150)
     outputs = []
     for run in ("a", "b"):
-        expanded = expand_dataset(coda + maplm, DEFAULT_FACTORS, 0.2, SeededRng(3))
+        expanded = list(expand_dataset(coda + maplm, DEFAULT_FACTORS, 0.2, SeededRng(3)))
         path = tmp_path / f"run_{run}.jsonl"
         write_manifest(expanded, path)
         outputs.append(path.read_bytes())

@@ -1,13 +1,18 @@
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dataforge import augment
 from dataforge.augment import (
     DEFAULT_FACTORS,
     SeededRng,
     build_rewriter_request,
     expand_dataset,
+    expand_sample,
     local_paraphrase,
     parse_rewriter_response,
     to_multiple_choice,
@@ -193,7 +198,7 @@ def _mini_dataset(n=40, dataset=DatasetId.CODA_LM):
 
 def test_expand_count_law_and_ids():
     samples = _mini_dataset(40)
-    out = expand_dataset(samples, {DatasetId.CODA_LM: 5}, 0.2, SeededRng(0))
+    out = list(expand_dataset(samples, {DatasetId.CODA_LM: 5}, 0.2, SeededRng(0)))
     assert len(out) == 200
     assert out[0].id == "coda_lm/00000"
     assert [s.id for s in out[1:5]] == [f"coda_lm/00000#aug{k}" for k in range(1, 5)]
@@ -201,7 +206,7 @@ def test_expand_count_law_and_ids():
 
 def test_expand_identity_policy():
     samples = _mini_dataset(10)
-    out = expand_dataset(samples, {DatasetId.CODA_LM: 1}, 0.0, SeededRng(0))
+    out = list(expand_dataset(samples, {DatasetId.CODA_LM: 1}, 0.0, SeededRng(0)))
     assert out == samples
 
 
@@ -226,14 +231,14 @@ def test_expand_deterministic_across_runs(tmp_path):
 
 def test_expand_seed_changes_output():
     samples = _mini_dataset(10)
-    a = expand_dataset(samples, DEFAULT_FACTORS, 0.2, SeededRng(1))
-    b = expand_dataset(samples, DEFAULT_FACTORS, 0.2, SeededRng(2))
+    a = list(expand_dataset(samples, DEFAULT_FACTORS, 0.2, SeededRng(1)))
+    b = list(expand_dataset(samples, DEFAULT_FACTORS, 0.2, SeededRng(2)))
     assert a != b
 
 
 def test_expand_mc_fraction_applies_to_copies():
     samples = _mini_dataset(200)
-    out = expand_dataset(samples, {DatasetId.CODA_LM: 2}, 0.5, SeededRng(11))
+    out = list(expand_dataset(samples, {DatasetId.CODA_LM: 2}, 0.5, SeededRng(11)))
     copies = [s for s in out if "#aug" in s.id]
     mc = sum(1 for s in copies for qa in s.qa
              if qa.style is QAStyle.MULTIPLE_CHOICE)
@@ -263,9 +268,9 @@ def test_expand_falls_back_on_rewriter_failure():
     def broken(user_text):
         raise NetworkError("connection refused")
 
-    offline = expand_dataset(samples, {DatasetId.CODA_LM: 2}, 0.0, SeededRng(9))
-    with_failures = expand_dataset(samples, {DatasetId.CODA_LM: 2}, 0.0, SeededRng(9),
-                                   rewriter=broken)
+    offline = list(expand_dataset(samples, {DatasetId.CODA_LM: 2}, 0.0, SeededRng(9)))
+    with_failures = list(expand_dataset(samples, {DatasetId.CODA_LM: 2}, 0.0,
+                                        SeededRng(9), rewriter=broken))
     assert offline == with_failures
 
 
@@ -295,13 +300,13 @@ def _mixed_datasets(n=60):
 
 
 def test_one_call_equals_per_dataset_calls():
-    samples = _mixed_datasets()
-    one_call = expand_dataset(samples, DEFAULT_FACTORS, 1.0, SeededRng(4))
+    samples = sorted(_mixed_datasets(), key=lambda s: s.id)
+    one_call = list(expand_dataset(samples, DEFAULT_FACTORS, 1.0, SeededRng(4)))
     per_dataset = []
     for dataset in (DatasetId.CODA_LM, DatasetId.MAPLM):
         group = [s for s in samples if s.dataset is dataset]
         per_dataset += expand_dataset(group, DEFAULT_FACTORS, 1.0, SeededRng(4))
-    assert sorted(one_call, key=lambda s: s.id) == sorted(per_dataset, key=lambda s: s.id)
+    assert one_call == sorted(per_dataset, key=lambda s: s.id)
     coda_options = [text for s in one_call if s.dataset is DatasetId.CODA_LM
                     for qa in s.qa for _, text in qa.options or ()]
     assert len(coda_options) > 100
@@ -310,8 +315,8 @@ def test_one_call_equals_per_dataset_calls():
 
 def test_policy_validation():
     # the default factors: CODA-LM x5, MAPLM x2, every other dataset x1
-    samples = (_mini_dataset(3, DatasetId.CODA_LM) + _mini_dataset(3, DatasetId.MAPLM)
-               + _mini_dataset(3, DatasetId.LINGOQA))
+    samples = (_mini_dataset(3, DatasetId.CODA_LM) + _mini_dataset(3, DatasetId.LINGOQA)
+               + _mini_dataset(3, DatasetId.MAPLM))
     out = expand_dataset(samples, DEFAULT_FACTORS, 0.2, SeededRng(0))
     assert Counter(s.dataset for s in out) == {
         DatasetId.CODA_LM: 15, DatasetId.MAPLM: 6, DatasetId.LINGOQA: 3}
@@ -319,12 +324,13 @@ def test_policy_validation():
 
 def test_expand_refuses_an_expansion_copy():
     samples = _mini_dataset(3)
-    copy = expand_dataset(samples[1:2], {DatasetId.CODA_LM: 2}, 0.0, SeededRng(0))[1]
+    copy = list(expand_dataset(samples[1:2], {DatasetId.CODA_LM: 2}, 0.0, SeededRng(0)))[1]
     copy = Sample(copy.id, copy.dataset, copy.media, samples[1].qa, copy.task_tags)
     with pytest.raises(DataforgeError, match=exactly(
             "sample coda_lm/00001#aug1 is already an expansion copy; "
             "augment refuses to re-expand its own output")):
-        expand_dataset([samples[0], copy, samples[2]], DEFAULT_FACTORS, 0.2, SeededRng(0))
+        list(expand_dataset([samples[0], copy, samples[2]], DEFAULT_FACTORS, 0.2,
+                            SeededRng(0)))
 
 
 def test_expand_refuses_non_original_qa():
@@ -336,7 +342,7 @@ def test_expand_refuses_non_original_qa():
     with pytest.raises(DataforgeError, match=exactly(
             "sample coda_lm/00001 carries paraphrase QA; "
             "augment only accepts original data")):
-        expand_dataset(samples, DEFAULT_FACTORS, 0.2, SeededRng(0))
+        list(expand_dataset(samples, DEFAULT_FACTORS, 0.2, SeededRng(0)))
 
 
 # --- rewriter replies that change object tokens ------------------------------------
@@ -356,17 +362,157 @@ def test_rewriter_reply_with_other_tokens_falls_back_to_local_rules():
         return ("Question: Where is <car>[CAM_FRONT, 1, 2, 3]? "
                 "Answer: At <bus>[5000, 1, 6000, 2].")
 
-    out = expand_dataset(samples, DEFAULT_FACTORS, 0.2, SeededRng(9), changes_tokens)
+    out = list(expand_dataset(samples, DEFAULT_FACTORS, 0.2, SeededRng(9), changes_tokens))
     assert len(out) == 10
     assert all(validate_sample(s) == [] for s in out)
-    assert out == expand_dataset(samples, DEFAULT_FACTORS, 0.2, SeededRng(9))
+    assert out == list(expand_dataset(samples, DEFAULT_FACTORS, 0.2, SeededRng(9)))
 
 
 def test_rewriter_reply_that_moves_a_token_is_kept():
     samples = _token_dataset(1)
     reply = ("Question: Where is the car in scene 0? "
              "Answer: The car is at <car>[100, 200, 300, 400] and <car>[100, 200, 300, 400].")
-    out = expand_dataset(samples, {DatasetId.CODA_LM: 2}, 0.0, SeededRng(9),
-                         lambda user_text: reply)
+    out = list(expand_dataset(samples, {DatasetId.CODA_LM: 2}, 0.0, SeededRng(9),
+                              lambda user_text: reply))
     assert out[1].qa[0] == parse_rewriter_response(reply)
     assert validate_sample(out[1]) == []
+
+
+# --- streaming expansion ------------------------------------------------------------
+
+def _reference_expand(samples, factors, mc_fraction, rng, rewriter=None):
+    """The documented expansion, on the whole list at once: pools are the first
+    _POOL_CAP distinct open answers per (dataset, tag) in input order; samples
+    expand in input order; the result is sorted by id."""
+    buckets = {}
+    for s in samples:
+        for qa in s.qa:
+            if qa.style is QAStyle.OPEN:
+                for tag in s.task_tags:
+                    bucket = buckets.setdefault((s.dataset, tag), [])
+                    if len(bucket) < augment._POOL_CAP and qa.answer not in bucket:
+                        bucket.append(qa.answer)
+    out = []
+    for s in samples:
+        pool = []
+        for tag in sorted(s.task_tags):
+            pool += [a for a in buckets.get((s.dataset, tag), ()) if a not in pool]
+        out += expand_sample(s, factors.get(s.dataset, 1), mc_fraction, rng, pool, rewriter)
+    return sorted(out, key=lambda s: s.id)
+
+
+class _RecordingRewriter:
+    """Answers every other request with a fixed pair and fails the rest,
+    keeping the requests in the order they came."""
+
+    def __init__(self):
+        self.requests = []
+
+    def __call__(self, user_text):
+        self.requests.append(user_text)
+        if len(self.requests) % 2:
+            raise NetworkError("connection refused")
+        return f"Question: Rewritten {len(self.requests)}? Answer: Rewritten."
+
+
+def _assert_same_as_reference(samples, factors, mc_fraction, seed=5):
+    rewriter, reference_rewriter = _RecordingRewriter(), _RecordingRewriter()
+    got = list(expand_dataset(iter(samples), factors, mc_fraction, SeededRng(seed),
+                              rewriter))
+    want = _reference_expand(samples, factors, mc_fraction, SeededRng(seed),
+                             reference_rewriter)
+    assert [sample_to_json(s) for s in got] == [sample_to_json(s) for s in want]
+    assert rewriter.requests == reference_rewriter.requests
+
+
+_FACTORS = {DatasetId.CODA_LM: 12, DatasetId.MAPLM: 11}  # LingoQA: factor 1
+
+
+def _sample(sample_id, dataset, tags, answers):
+    qa = tuple(QAPair(f"What is at {sample_id!r}, turn {j}?", answer)
+               for j, answer in enumerate(answers))
+    return Sample(sample_id, dataset, single_view_media(), qa, frozenset(tags))
+
+
+@st.composite
+def _streams(draw):
+    """Samples in id order whose ids share prefixes, so that a later input
+    can sort between a sample and its copies; few answers per bucket, so
+    that some buckets fill and some never do."""
+    ids = sorted(draw(st.sets(st.text(' !"#ab', min_size=1, max_size=4), max_size=24)))
+    samples = []
+    for sample_id in ids:
+        dataset = draw(st.sampled_from([DatasetId.CODA_LM, DatasetId.MAPLM,
+                                        DatasetId.LINGOQA]))
+        tags = draw(st.sets(st.sampled_from(["near", "far", "rare"]), max_size=2))
+        answers = draw(st.lists(st.sampled_from("pqrstuvw"), max_size=2))
+        if "rare" in tags:
+            answers = ["z"] * len(answers)
+        sample = _sample(sample_id, dataset, tags, answers)
+        if draw(st.booleans()):  # a multiple-choice turn stays out of the pools
+            mc = QAPair("Pick one.", "A", QAStyle.MULTIPLE_CHOICE,
+                        options=(("A", "m1"), ("B", "m2")))
+            sample = Sample(sample.id, dataset, sample.media, (mc,) + sample.qa,
+                            sample.task_tags)
+        samples.append(sample)
+    return samples
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(samples=_streams(), mc_fraction=st.sampled_from([0.0, 0.5, 1.0]),
+       block=st.sampled_from([1, 2, 3, 7]), cap=st.sampled_from([1, 3, 4]))
+def test_streaming_expansion_equals_reference(samples, mc_fraction, block, cap):
+    with mock.patch.object(augment, "_BLOCK", block), \
+            mock.patch.object(augment, "_POOL_CAP", cap):
+        _assert_same_as_reference(samples, _FACTORS, mc_fraction)
+
+
+def test_streaming_expansion_equals_reference_over_blocks():
+    # Longer than one block at the shipped block size and pool cap: buckets
+    # fill early, LingoQA's "rare" bucket never fills but its factor is 1,
+    # and one late CODA-LM "rare" sample holds every sample behind it.
+    samples = []
+    for i in range(2 * augment._BLOCK + 100):
+        if i % 7 == 3:
+            samples.append(_sample(f"s{i:05d}", DatasetId.LINGOQA, {"rare"}, ["z"]))
+        elif i % 7 == 5:
+            samples.append(_sample(f"s{i:05d}", DatasetId.MAPLM, (), [f"m{i}"]))
+        else:
+            samples.append(_sample(f"s{i:05d}", DatasetId.CODA_LM, {"near"},
+                                   [f"answer {i % 97}"]))
+        for suffix in (" ", "!", '"'):
+            if i % 300 == 299:
+                samples.append(_sample(f"s{i:05d}{suffix}", DatasetId.CODA_LM,
+                                       {"near"}, ["late"]))
+    samples.insert(-40, _sample(f"{samples[-41].id}~", DatasetId.CODA_LM, {"rare"},
+                                ["only"]))
+    _assert_same_as_reference(samples, _FACTORS, 1.0)
+
+
+def test_expand_refuses_ids_out_of_order():
+    samples = _mini_dataset(3)
+    for ids in ((0, 2, 1), (0, 1, 1)):
+        with pytest.raises(DataforgeError, match=exactly(
+                "augment needs samples in increasing id order: 'coda_lm/00001' "
+                f"follows 'coda_lm/0000{ids[1]}'")):
+            list(expand_dataset([samples[i] for i in ids], DEFAULT_FACTORS, 0.2,
+                                SeededRng(0)))
+
+
+def test_expansion_holds_samples_only_until_their_pools_are_full():
+    # With one answer per sample the bucket is full after _POOL_CAP samples,
+    # so the first block comes out before the second is read; with four
+    # answers in all it never fills, and the whole input is read first.
+    n = 3 * augment._BLOCK
+    for answers, reads_before_output in ((n, augment._BLOCK), (4, n)):
+        read = []
+
+        def source():
+            for i in range(n):
+                read.append(i)
+                yield _sample(f"s{i:05d}", DatasetId.CODA_LM, {"near"},
+                              [f"answer {i % answers}"])
+
+        first = next(expand_dataset(source(), DEFAULT_FACTORS, 0.2, SeededRng(0)))
+        assert first.id == "s00000"
+        assert len(read) == reads_before_output

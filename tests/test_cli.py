@@ -1039,10 +1039,54 @@ def test_manifest_readers_reject_unsorted_or_duplicate_ids(workdir, capsys,
 
 
 def test_build_prompts_missing_input_creates_nothing(workdir, capsys):
-    out = workdir / "new" / "prompts.jsonl"
-    assert _run("build-prompts", "--in", workdir / "missing.jsonl", "--out", out) == 2
-    assert len(capsys.readouterr().err.splitlines()) == 1
-    assert not (workdir / "new").exists()
+    # augment and build-prompts stream their output, so each opens its input first
+    for command in ("build-prompts", "augment"):
+        out = workdir / "new" / "out.jsonl"
+        assert _run(command, "--in", workdir / "missing.jsonl", "--out", out) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not (workdir / "new").exists()
+
+
+def _coda_samples(n):
+    return [replace(plain_sample(i, DatasetId.CODA_LM), qa=(
+        QAPair("What happens next?", f"Yield to car {i}."),)) for i in range(n)]
+
+
+@pytest.mark.parametrize("fault,error", [
+    ("copy", "sample coda_lm/001498#aug1 is already an expansion copy; "
+             "augment refuses to re-expand its own output"),
+    ("bad line", "invalid JSON: Expecting property name enclosed in double quotes "
+                 "(line 1500)"),
+], ids=["copy", "bad_line"])
+def test_augment_fault_after_the_first_block_leaves_no_file(workdir, capsys, fault,
+                                                            error):
+    samples = _coda_samples(1600)
+    lines = [sample_to_json(s) for s in samples]
+    if fault == "copy":
+        lines[1499] = sample_to_json(replace(samples[1498], id="coda_lm/001498#aug1"))
+    else:
+        lines[1499] = "{"
+    manifest = workdir / "m.jsonl"
+    manifest.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    out = workdir / "aug" / "aug.jsonl"
+    assert _run("augment", "--offline", "--in", manifest, "--out", out) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+    assert list((workdir / "aug").iterdir()) == []
+
+
+def test_augment_reports_the_first_fault_in_file_order(workdir, capsys):
+    # A refused sample at line 2 is reported, not the malformed line 3 after it.
+    samples = _coda_samples(2)
+    copy = replace(samples[0], id="coda_lm/000000#aug1")
+    manifest = workdir / "m.jsonl"
+    manifest.write_text(f"{sample_to_json(samples[0])}\n{sample_to_json(copy)}\n{{\n",
+                        encoding="utf-8")
+    out = workdir / "aug.jsonl"
+    assert _run("augment", "--offline", "--in", manifest, "--out", out) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: sample coda_lm/000000#aug1 is already an expansion copy; "
+        "augment refuses to re-expand its own output"]
+    assert not out.exists()
 
 
 # ------------------------------------------------------------ process state
