@@ -221,12 +221,14 @@ def to_multiple_choice(qa: QAPair, distractor_pool: Sequence[str],
 # Dataset expansion
 # ---------------------------------------------------------------------------
 
-# Ratios taken from the shipped stage-4 data recipe; everything else passes
-# through unexpanded.
+# The shipped stage-4 data recipe, which the CLI always uses: CODA-LM x5 and
+# MAPLM x2, with every other dataset passing through unexpanded, and this
+# share of expansion copies turned into multiple choice.
 DEFAULT_FACTORS: dict[DatasetId, int] = {
     DatasetId.CODA_LM: 5,
     DatasetId.MAPLM: 2,
 }
+MC_FRACTION = 0.2
 
 
 # An expansion copy's id is its original's id plus this mark and the copy number.

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Any, Iterator, Sequence
 from urllib.parse import urlsplit
 
-from .augment import DEFAULT_FACTORS, Rewriter, SeededRng, expand_dataset
+from .augment import DEFAULT_FACTORS, MC_FRACTION, Rewriter, SeededRng, expand_dataset
 from .core import (
     DatasetId,
     MediaKind,
@@ -36,13 +36,12 @@ from .core import (
     decode_json,
     json_bool,
     json_int,
-    json_number,
     json_object,
     json_str,
     sample_to_json,
     write_json,
 )
-from .curriculum import build_all_plans, plan_violations, write_stage_plans
+from .curriculum import build_all_plans, write_stage_plans
 from .errors import DataforgeError, SchemaError
 from .ingest import (build_samples, iter_manifest, parse_source, read_manifest,
                      write_manifest)
@@ -68,19 +67,15 @@ class PipelineConfig:
     offline: bool = False
     out_dir: Path = Path("out")
     sources: dict[DatasetId, Path] = field(default_factory=dict)
-    factors: dict[DatasetId, int] | None = None
-    mc_fraction: float = 0.2
     rewriter_url: str | None = None
-    registry: dict[str, int] | None = None
 
     def __post_init__(self) -> None:
         if self.seed.bit_length() > 64:
             raise ConfigError("seed must fit in 64 bits")
 
 
-_CONFIG_KEYS = frozenset({"seed", "offline", "out_dir", "sources", "augment",
-                          "registry"})
-_AUGMENT_KEYS = frozenset({"factors", "mc_fraction", "rewriter_url"})
+_CONFIG_KEYS = frozenset({"seed", "offline", "out_dir", "sources", "augment"})
+_AUGMENT_KEYS = frozenset({"rewriter_url"})
 
 
 def _check_keys(data: Any, allowed: frozenset[str], section: str) -> dict[str, Any]:
@@ -125,20 +120,8 @@ def _config_from_dict(data: Any) -> PipelineConfig:
                 for name, path in json_object(data["sources"], "sources").items()}
         if "augment" in data:
             aug = _check_keys(data["augment"], _AUGMENT_KEYS, "augment")
-            if "factors" in aug:
-                kwargs["factors"] = {
-                    _member(_DATASETS, DatasetId, name, "augment factors"):
-                        json_int(f, f"augment factor for {name}", minimum=1)
-                    for name, f in json_object(aug["factors"], "augment factors").items()}
-            if "mc_fraction" in aug:
-                kwargs["mc_fraction"] = json_number(
-                    aug["mc_fraction"], "augment mc_fraction", minimum=0, maximum=1)
             if "rewriter_url" in aug:
                 kwargs["rewriter_url"] = _rewriter_url(aug["rewriter_url"])
-        if "registry" in data:
-            kwargs["registry"] = {
-                name: json_int(count, f"registry count for {name}", minimum=1)
-                for name, count in json_object(data["registry"], "registry").items()}
     except SchemaError as exc:
         raise ConfigError(str(exc)) from None
     return PipelineConfig(**kwargs)
@@ -222,7 +205,6 @@ def _make_rewriter(cfg: PipelineConfig) -> Rewriter | None:
 
 def _cmd_augment(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     samples = iter_manifest(args.infile)  # opens the input before the output
-    factors = DEFAULT_FACTORS if cfg.factors is None else cfg.factors
     read = written = 0
 
     def counted() -> Iterator[Sample]:
@@ -230,7 +212,7 @@ def _cmd_augment(args: argparse.Namespace, cfg: PipelineConfig) -> int:
         for read, sample in enumerate(samples, start=1):
             yield sample
 
-    expanded = expand_dataset(counted(), factors, cfg.mc_fraction, SeededRng(cfg.seed),
+    expanded = expand_dataset(counted(), DEFAULT_FACTORS, MC_FRACTION, SeededRng(cfg.seed),
                               _make_rewriter(cfg))
     with atomic_writer(args.out) as fh:
         for sample in expanded:
@@ -283,17 +265,9 @@ def _cmd_build_prompts(args: argparse.Namespace, cfg: PipelineConfig) -> int:
 
 def _cmd_plan_curriculum(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     out_dir = cfg.out_dir if args.out is None else Path(args.out)
-    plans = build_all_plans(cfg.registry)
-    violations: list[str] = []
+    plans = build_all_plans()
     for plan in plans:
-        misses = plan_violations(plan)
-        print(f"stage {plan.stage}: {plan.total_samples} samples"
-              + ("  [VIOLATION]" if misses else ""))
-        violations.extend(f"stage {plan.stage}: {v}" for v in misses)
-    if violations:
-        for message in violations:
-            print(f"error: {message}", file=sys.stderr)
-        return 1
+        print(f"stage {plan.stage}: {plan.total_samples} samples")
     paths = write_stage_plans(out_dir, plans)
     print(f"wrote {len(paths)} plans under {out_dir / 'plans'}")
     return 0

@@ -158,14 +158,12 @@ class ObjectRef:
     """A referenced scene object, parsed out of an embedded QA token.
 
     ``camera`` is None while the source token carries an unresolved raw camera
-    id (kept in ``raw_camera``); standardization resolves it. ``source_tag``
-    holds the original token text verbatim.
+    id (kept in ``raw_camera``); standardization resolves it.
     """
 
     category: str
     camera: CameraId | None
     geometry: Geometry
-    source_tag: str
     raw_camera: str | None = None
 
     @property
@@ -337,30 +335,31 @@ def validate_sample(sample: Sample) -> list[Violation]:
                     out.append(Violation(where, "token_grammar",
                                          f"malformed token {match.text!r}: {match.error}"))
                     continue
-                out.extend(_check_object_ref(match.ref, where, sample.dataset, sizes, uniform))
+                out.extend(_check_object_ref(match.ref, match.text, where, sample.dataset,
+                                             sizes, uniform))
 
     return out
 
 
-def _check_object_ref(ref: ObjectRef, where: str, dataset: DatasetId,
+def _check_object_ref(ref: ObjectRef, text: str, where: str, dataset: DatasetId,
                       sizes: Mapping[CameraId, tuple[int, int]],
                       uniform: tuple[int, int] | None) -> list[Violation]:
-    """The first rule one token breaks, if any."""
+    """The first rule one token, written as ``text``, breaks, if any."""
     geom = ref.geometry
     if isinstance(geom, (BBoxNorm, BBoxPx)) and (geom.x_min > geom.x_max
                                                  or geom.y_min > geom.y_max):
         return [Violation(where, "bbox_ordering", f"{type(geom).__name__} in "
-                          f"{ref.source_tag!r} has x_min > x_max or y_min > y_max")]
+                          f"{text!r} has x_min > x_max or y_min > y_max")]
     if ref.is_normalized and ref.camera is None:
         return []  # in [0, 100] already; standardize leaves it as it is
     try:
         _, (w, h) = resolve_token_size(ref, dataset, sizes, uniform)
     except DataforgeError as exc:
-        return [Violation(where, "token_camera_in_media", f"token {ref.source_tag!r}: {exc}")]
+        return [Violation(where, "token_camera_in_media", f"token {text!r}: {exc}")]
     if ref.is_normalized or pixel_inside(geom, w, h):
         return []
     return [Violation(where, "pixel_bounds",
-                      f"pixel geometry in {ref.source_tag!r} exceeds {w}x{h} image")]
+                      f"pixel geometry in {text!r} exceeds {w}x{h} image")]
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,8 @@
 
 Four declarative stage plans cover the full schedule: a projector-only
 alignment warm-up, large single-image pretraining, a mixed image/video stage,
-and the final driving-QA mix drawn from the dataset registry. Plans are pure
-functions of (stage, registry) and serialize to stable JSON; no trainer runs
-here.
+and the final mix of the six driving-QA datasets. Plans are pure functions of
+the stage and serialize to stable JSON; no trainer runs here.
 """
 
 from __future__ import annotations
@@ -12,10 +11,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .core import write_json
-from .errors import DataforgeError
 from .promptkit import SEQUENCE_LIMIT
 
 
@@ -68,29 +66,6 @@ class StagePlan:
         return sum(e.count for e in self.mix)
 
 
-# Registry counts. The alignment corpus count is exact; the driving-dataset
-# counts are the released per-dataset training-set sizes.
-ALIGNMENT_DATASET = "LCS-558K"
-
-AD_DATASETS: tuple[tuple[str, Modality], ...] = (
-    ("DriveLM", Modality.MULTI_IMAGE),
-    ("OmniDrive", Modality.MULTI_IMAGE),
-    ("NuInstruct", Modality.MULTI_VIDEO),
-    ("CODA-LM", Modality.SINGLE_IMAGE),
-    ("MAPLM", Modality.MULTI_IMAGE),
-    ("LingoQA", Modality.SINGLE_VIDEO),
-)
-
-DEFAULT_REGISTRY: dict[str, int] = {
-    ALIGNMENT_DATASET: 558_000,
-    "DriveLM": 376_181,
-    "OmniDrive": 374_329,
-    "NuInstruct": 71_842,
-    "CODA-LM": 184_480,
-    "MAPLM": 94_970,
-    "LingoQA": 413_829,
-}
-
 _ALL_TRAINABLE = ComponentFlag(Trainability.TRAINABLE, Trainability.TRAINABLE,
                                Trainability.TRAINABLE)
 _PROJECTOR_ONLY = ComponentFlag(Trainability.FROZEN, Trainability.TRAINABLE,
@@ -102,25 +77,14 @@ _LR_OTHERS = 1e-5
 _MAIN_BATCH = 256
 
 
-def _lookup(registry: Mapping[str, int], name: str) -> int:
-    try:
-        return registry[name]
-    except KeyError:
-        raise DataforgeError(f"registry has no sample count for dataset {name}") from None
-
-
-def build_stage_plan(stage: int,
-                     registry: Mapping[str, int] | None = None) -> StagePlan:
-    """Assemble one stage's plan; registry feeds stages 1 and 4.
+def build_stage_plan(stage: int) -> StagePlan:
+    """Assemble one stage's plan.
 
     Raises:
-        DataforgeError: if the registry lacks a referenced dataset.
         ValueError: for a stage outside 1..4.
     """
-    reg = DEFAULT_REGISTRY if registry is None else registry
     if stage == 1:
-        mix = (DataMixEntry(ALIGNMENT_DATASET, Modality.SINGLE_IMAGE,
-                            _lookup(reg, ALIGNMENT_DATASET)),)
+        mix = (DataMixEntry("LCS-558K", Modality.SINGLE_IMAGE, 558_000),)
         return StagePlan(stage=1, mix=mix, flags=_PROJECTOR_ONLY,
                          lr_vision=0.0, lr_projector=1e-3, lr_llm=0.0,
                          batch_size=512)
@@ -133,8 +97,13 @@ def build_stage_plan(stage: int,
                DataMixEntry("single-video", Modality.SINGLE_VIDEO, 501_000),
                DataMixEntry("multi-video", Modality.MULTI_VIDEO, 145_000))
     elif stage == 4:
-        mix = tuple(DataMixEntry(name, modality, _lookup(reg, name))
-                    for name, modality in AD_DATASETS)
+        # The released per-dataset training-set sizes.
+        mix = (DataMixEntry("DriveLM", Modality.MULTI_IMAGE, 376_181),
+               DataMixEntry("OmniDrive", Modality.MULTI_IMAGE, 374_329),
+               DataMixEntry("NuInstruct", Modality.MULTI_VIDEO, 71_842),
+               DataMixEntry("CODA-LM", Modality.SINGLE_IMAGE, 184_480),
+               DataMixEntry("MAPLM", Modality.MULTI_IMAGE, 94_970),
+               DataMixEntry("LingoQA", Modality.SINGLE_VIDEO, 413_829))
     else:
         raise ValueError("stage must be 1..4")
     return StagePlan(stage=stage, mix=mix, flags=_ALL_TRAINABLE,
@@ -142,24 +111,8 @@ def build_stage_plan(stage: int,
                      lr_llm=_LR_OTHERS, batch_size=_MAIN_BATCH)
 
 
-def build_all_plans(registry: Mapping[str, int] | None = None) -> tuple[StagePlan, ...]:
-    return tuple(build_stage_plan(stage, registry) for stage in (1, 2, 3, 4))
-
-
-# ------------------------------------------------------------- validation
-
-def plan_violations(plan: StagePlan) -> list[str]:
-    """What is wrong with the plan's total. Only stages 1 and 4 take counts
-    from the registry, so only their totals can miss: stage 1's LCS-558K
-    count must be exactly 558,000, and stage 4's total within 2% of
-    1,500,000."""
-    total = plan.total_samples
-    expected = DEFAULT_REGISTRY[ALIGNMENT_DATASET]
-    if plan.stage == 1 and total != expected:
-        return [f"total {total} != expected {expected}"]
-    if plan.stage == 4 and abs(total - 1_500_000) > 0.02 * 1_500_000:
-        return [f"total {total} outside 2% of 1500000"]
-    return []
+def build_all_plans() -> tuple[StagePlan, ...]:
+    return tuple(build_stage_plan(stage) for stage in (1, 2, 3, 4))
 
 
 # ---------------------------------------------------------- serialization

@@ -75,7 +75,7 @@ class TokenMatch:
     error: str | None = None
 
 
-def _parse_bracket(text: str, cat: str, body: str) -> tuple[ObjectRef | None, str | None]:
+def _parse_bracket(cat: str, body: str) -> tuple[ObjectRef | None, str | None]:
     """Returns (ref, None) on success, (None, error) for a malformed token,
     and (None, None) when the bracket text is not an object token at all
     (e.g. the format-instruction template, whose fields are all symbolic)."""
@@ -116,14 +116,14 @@ def _parse_bracket(text: str, cat: str, body: str) -> tuple[ObjectRef | None, st
         geometry = BBoxNorm(*values) if normalized else BBoxPx(*values)
     else:
         geometry = PointNorm(*values) if normalized else PointPx(*values)
-    return ObjectRef(category, camera, geometry, text, raw_camera), None
+    return ObjectRef(category, camera, geometry, raw_camera), None
 
 
-def _parse_angle(text: str, cam: str, x: str, y: str) -> tuple[ObjectRef | None, str | None]:
+def _parse_angle(cam: str, x: str, y: str) -> tuple[ObjectRef | None, str | None]:
     if cam not in _CAMERA_NAMES:
         return None, f"unknown camera name {cam!r}"
     geometry = PointPx(float(x), float(y))
-    return ObjectRef(PLACEHOLDER_CATEGORY, CameraId(cam), geometry, text), None
+    return ObjectRef(PLACEHOLDER_CATEGORY, CameraId(cam), geometry), None
 
 
 def scan_tokens(text: str) -> list[TokenMatch]:
@@ -135,7 +135,7 @@ def scan_tokens(text: str) -> list[TokenMatch]:
     out: list[TokenMatch] = []
     for m in _TOKEN_RE.finditer(text):
         if m.group("cat") is not None:
-            ref, err = _parse_bracket(m.group(0), m.group("cat"), m.group("body"))
+            ref, err = _parse_bracket(m.group("cat"), m.group("body"))
             if ref is not None or err is not None:
                 out.append(TokenMatch(m.start(), m.end(), m.group(0), ref, err))
                 continue
@@ -144,7 +144,7 @@ def scan_tokens(text: str) -> list[TokenMatch]:
             m = ANGLE_TOKEN_RE.match(text, m.start())
             if m is None:
                 continue
-        ref, err = _parse_angle(m.group(0), m.group("cam"), m.group("x"), m.group("y"))
+        ref, err = _parse_angle(m.group("cam"), m.group("x"), m.group("y"))
         out.append(TokenMatch(m.start(), m.end(), m.group(0), ref, err))
     return out
 

@@ -77,13 +77,13 @@ def _reference_scan(text):
     first, dropping any that starts inside an earlier one."""
     candidates = []
     for m in BRACKET_TOKEN_RE.finditer(text):
-        ref, err = _parse_bracket(m.group(0), m.group("cat"), m.group("body"))
+        ref, err = _parse_bracket(m.group("cat"), m.group("body"))
         if ref is None and err is None:
             continue  # bracketed text, but not an object token
         candidates.append((m.start(), -m.end(),
                            TokenMatch(m.start(), m.end(), m.group(0), ref, err)))
     for m in ANGLE_TOKEN_RE.finditer(text):
-        ref, err = _parse_angle(m.group(0), m.group("cam"), m.group("x"), m.group("y"))
+        ref, err = _parse_angle(m.group("cam"), m.group("x"), m.group("y"))
         candidates.append((m.start(), -m.end(),
                            TokenMatch(m.start(), m.end(), m.group(0), ref, err)))
     candidates.sort(key=lambda t: (t[0], t[1]))
