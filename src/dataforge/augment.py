@@ -4,7 +4,9 @@ Two paraphrase paths share one request format: an HTTP chat rewriter (the
 online path) and a deterministic rule-table paraphraser used offline and as
 the fallback when the service misbehaves or changes an object token.
 Expansion derives every random decision from (global_seed, dataset,
-sample_id, step).
+sample_id, step), and reads its input twice: ``plan_expansion`` checks every
+sample and builds the distractor pools, then ``expand_dataset`` expands the
+input, whole or in runs cut where the runs' outputs concatenate in id order.
 """
 
 from __future__ import annotations
@@ -14,12 +16,12 @@ import json
 import random
 import re
 from bisect import bisect_right
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from . import tokens as tok
 from .core import DatasetId, Provenance, QAPair, QAStyle, Sample
@@ -161,7 +163,7 @@ def _lead_in(text: str, lead: str, decapitalize: bool) -> str:
         return text
     if decapitalize and text and text[0].isupper():
         first_word = text.split(None, 1)[0]
-        if not (len(first_word) > 1 and first_word.isupper()) and text[0] != "<":
+        if not (len(first_word) > 1 and first_word.isupper()):
             text = text[0].lower() + text[1:]
     return lead + text
 
@@ -237,15 +239,18 @@ _COPY_MARK = "#aug"
 # Distractor pools are capped so conversion cost stays flat as manifests grow.
 _POOL_CAP = 64
 
-# expand_dataset reads, expands and yields in blocks of this many input
-# samples: a round per sample costs more time than a block costs memory.
+# expand_dataset expands and yields in blocks of this many input samples: a
+# sort per sample costs more time than a block costs memory.
 _BLOCK = 1024
 
 _sample_id = attrgetter("id")
 
+# Distractor pools: the first _POOL_CAP distinct open answers of each
+# (dataset, tag), in input order, as dict keys.
+Pools = dict[tuple[DatasetId, str], dict[str, None]]
 
-def _pool_for(sample: Sample, pools: dict[tuple[DatasetId, str], dict[str, None]]
-              ) -> list[str]:
+
+def _pool_for(sample: Sample, pools: Pools) -> list[str]:
     out: list[str] = []
     seen: set[str] = set()
     for tag in sorted(sample.task_tags):
@@ -301,42 +306,33 @@ def expand_sample(sample: Sample, factor: int, mc_fraction: float, rng: SeededRn
     return out
 
 
-def expand_dataset(samples: Iterable[Sample], factors: Mapping[DatasetId, int],
-                   mc_fraction: float, rng: SeededRng,
-                   rewriter: Rewriter | None = None) -> Iterator[Sample]:
-    """Expand each sample by its dataset's factor (1 if absent), yielding
-    each original, bit-for-bit, and every copy, all in id order.
+def plan_expansion(samples: Iterable[Sample], factors: Mapping[DatasetId, int],
+                   splits: Collection[int] = ()) -> tuple[Pools, list[int]]:
+    """The first of augment's two passes over its input: check every sample
+    and build the distractor pools ``expand_dataset`` draws from.
 
-    ``samples`` must come in increasing id order, as ``ingest.iter_manifest``
-    yields them, and each is checked as it is read. Pools hold the first
-    _POOL_CAP distinct open answers per (dataset, tag) in input order, so a
-    sample with a factor above 1 is held until its tags' pools are full or
-    the input ends. Samples expand, and call the rewriter, in input order, so
-    a held sample holds every sample behind it: at worst, the rest of the input.
+    Also returns those of ``splits`` (sample indices) before which the input
+    may be cut into runs that expand on their own: a cut before sample i is
+    allowed if its id sorts above every copy id of the samples before it, so
+    the runs' outputs, each in id order, concatenate in id order.
 
     Raises:
         DataforgeError: for an id not above the one before it, an expansion
             copy, or a sample with non-original QA; augment does not
             re-expand its own output.
     """
-    pools: dict[tuple[DatasetId, str], dict[str, None]] = {}
-    held: deque[Sample] = deque()
-    pending: list[Sample] = []
-
-    def expand_held(final: bool) -> None:
-        while held:
-            sample = held[0]
-            factor = factors.get(sample.dataset, 1)
-            if factor > 1 and not final and any(
-                    len(pools.get((sample.dataset, tag), ())) < _POOL_CAP
-                    for tag in sample.task_tags):
-                return
-            held.popleft()
-            pool = _pool_for(sample, pools) if factor > 1 else ()
-            pending.extend(expand_sample(sample, factor, mc_fraction, rng, pool, rewriter))
-
+    splits = set(splits)
+    pools: Pools = {}
+    cuts: list[int] = []
+    # The copy number whose id sorts last, per expanded dataset: "4" for x5,
+    # "9" for x12.
+    last_copy = {dataset: max(map(str, range(1, factor)))
+                 for dataset, factor in factors.items() if factor > 1}
+    top_copy = ""  # the highest copy id so far
     previous = None
-    for count, sample in enumerate(samples, start=1):
+    for index, sample in enumerate(samples):
+        if index in splits and sample.id > top_copy:
+            cuts.append(index)
         if previous is not None and sample.id <= previous:
             raise DataforgeError(
                 f"augment needs samples in increasing id order: {sample.id!r} "
@@ -356,16 +352,35 @@ def expand_dataset(samples: Iterable[Sample], factors: Mapping[DatasetId, int],
                     bucket = pools.setdefault((sample.dataset, tag), {})
                     if len(bucket) < _POOL_CAP:
                         bucket.setdefault(qa.answer)
-        held.append(sample)
+        if sample.dataset in last_copy:
+            top_copy = max(top_copy, f"{sample.id}{_COPY_MARK}{last_copy[sample.dataset]}")
+    return pools, cuts
+
+
+def expand_dataset(samples: Iterable[Sample], factors: Mapping[DatasetId, int],
+                   mc_fraction: float, rng: SeededRng, pools: Pools,
+                   rewriter: Rewriter | None = None) -> Iterator[Sample]:
+    """Expand each sample by its dataset's factor (1 if absent), yielding
+    each original, bit-for-bit, and every copy, all in id order.
+
+    ``samples`` are those ``plan_expansion`` checked, or a run of them
+    starting at one of its cuts, in the same increasing id order, and
+    ``pools`` is what it built: a copy draws the same distractors whichever
+    run it expands in. Samples expand, and call the rewriter, in input order;
+    the outputs come out at the end of each block of _BLOCK inputs, but for
+    those that sort above the block's last input, which wait for the next.
+    """
+    pending: list[Sample] = []
+    for count, sample in enumerate(samples, start=1):
+        factor = factors.get(sample.dataset, 1)
+        pool = _pool_for(sample, pools) if factor > 1 else ()
+        pending.extend(expand_sample(sample, factor, mc_fraction, rng, pool, rewriter))
         if count % _BLOCK == 0:
-            expand_held(final=False)
-            # Later inputs sort above ``previous`` and copies above their
-            # original, so what sorts at or below this bound is final.
-            bound = held[0].id if held else previous
+            # Later inputs sort above this one and copies above their
+            # original, so what sorts at or below it is final.
             pending.sort(key=_sample_id)
-            cut = bisect_right(pending, bound, key=_sample_id)
+            cut = bisect_right(pending, sample.id, key=_sample_id)
             yield from pending[:cut]
             del pending[:cut]
-    expand_held(final=True)
     pending.sort(key=_sample_id)
     yield from pending

@@ -11,6 +11,12 @@ provenance refusals), 2 config or I/O trouble.
 A subcommand runs with the cyclic garbage collector paused: a stage holds
 tens of thousands of samples and creates no reference cycles, so the collector
 would only re-walk a growing heap. Reference counting still frees everything.
+
+standardize, augment, build-prompts and stats live in ``stages``, which
+splits their ``--in`` across the usable CPUs with the same output bytes,
+messages and exit code as one process gives; each subcommand imports it when
+it runs. augment reads its input twice, so it refuses an ``--in`` that is not
+a regular file (exit 2).
 """
 
 from __future__ import annotations
@@ -20,35 +26,31 @@ import gc
 import os
 import sys
 from dataclasses import dataclass, field, replace
-from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 from urllib.parse import urlsplit
 
-from .augment import DEFAULT_FACTORS, MC_FRACTION, Rewriter, SeededRng, expand_dataset
+from .augment import Rewriter, SeededRng
 from .core import (
     DatasetId,
-    MediaKind,
     Sample,
     _DATASETS,
     _member,
-    atomic_writer,
     decode_json,
     json_bool,
     json_int,
     json_object,
     json_str,
-    sample_to_json,
     write_json,
 )
 from .curriculum import build_all_plans, write_stage_plans
 from .errors import DataforgeError, SchemaError
-from .ingest import (build_samples, iter_manifest, parse_source, read_manifest,
-                     write_manifest)
+from .ingest import build_samples, parse_source, write_manifest
+# No stage reads a manifest whole any more; perfbench/tests/test_tracer.py
+# still checks that the tracer wraps this binding.
+from .ingest import read_manifest  # noqa: F401
 from .metrics import evaluate_records, record_from_dict, report_to_dict
 from .perceptgen import build_grounding_sample, grounding_record_from_dict
-from .promptkit import SEQUENCE_LIMIT, BudgetReport, check_budget
-from .standardize import standardize_sample
 
 OFFLINE_ENV = "DATAFORGE_OFFLINE"
 
@@ -177,22 +179,17 @@ def _cmd_ingest(args: argparse.Namespace, cfg: PipelineConfig) -> int:
 
 
 def _cmd_standardize(args: argparse.Namespace, cfg: PipelineConfig) -> int:
-    samples = read_manifest(args.infile)
-    out: list[Sample] = []
-    failures: list[str] = []
-    for sample in samples:
-        try:
-            out.append(standardize_sample(sample))
-        except DataforgeError as exc:
-            failures.append(str(exc))
-    if failures:
-        for message in failures:
+    from .stages import Refused, standardize
+
+    try:
+        count = standardize(args.infile, args.out)
+    except Refused as exc:
+        for message in exc.failures:
             print(f"error: {message}", file=sys.stderr)
-        print(f"standardize failed on {len(failures)} of {len(samples)} samples",
+        print(f"standardize failed on {len(exc.failures)} of {exc.samples} samples",
               file=sys.stderr)
         return 1
-    write_manifest(out, args.out)
-    print(f"wrote {args.out} ({len(out)} samples)")
+    print(f"wrote {args.out} ({count} samples)")
     return 0
 
 
@@ -204,20 +201,9 @@ def _make_rewriter(cfg: PipelineConfig) -> Rewriter | None:
 
 
 def _cmd_augment(args: argparse.Namespace, cfg: PipelineConfig) -> int:
-    samples = iter_manifest(args.infile)  # opens the input before the output
-    read = written = 0
+    from .stages import augment
 
-    def counted() -> Iterator[Sample]:
-        nonlocal read
-        for read, sample in enumerate(samples, start=1):
-            yield sample
-
-    expanded = expand_dataset(counted(), DEFAULT_FACTORS, MC_FRACTION, SeededRng(cfg.seed),
-                              _make_rewriter(cfg))
-    with atomic_writer(args.out) as fh:
-        for sample in expanded:
-            fh.write(sample_to_json(sample) + "\n")
-            written += 1
+    read, written = augment(args.infile, args.out, SeededRng(cfg.seed), _make_rewriter(cfg))
     print(f"wrote {args.out} ({read} -> {written} samples)")
     return 0
 
@@ -236,30 +222,11 @@ def _cmd_gen_perception(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     return 0
 
 
-def _prompt_row(sample_id: str, report: BudgetReport) -> str:
-    """One prompts.jsonl line, with its line end: the text
-    json.JSONEncoder(ensure_ascii=False) gives for the row, built as
-    ``core.sample_to_json`` builds a manifest line."""
-    placeholders = ", ".join(map(encode_basestring, report.placeholders))
-    return (f'{{"id": {encode_basestring(sample_id)}, '
-            f'"prompt": {encode_basestring(report.prompt)}, '
-            f'"placeholders": [{placeholders}], "text_tokens": {report.text_tokens!r}, '
-            f'"visual_tokens": {report.visual_tokens!r}, "limit": {SEQUENCE_LIMIT!r}, '
-            f'"fits": {"true" if report.fits else "false"}}}\n')
-
-
 def _cmd_build_prompts(args: argparse.Namespace, cfg: PipelineConfig) -> int:
-    samples = iter_manifest(args.infile)  # opens the input before the output
-    out = Path(args.out)
-    prompts = over_budget = 0
-    with atomic_writer(args.out) as fh:  # not out: Path drops a trailing "/"
-        for sample in samples:
-            report = check_budget(sample)
-            if not report.fits:
-                over_budget += 1
-            fh.write(_prompt_row(sample.id, report))
-            prompts += 1
-    print(f"wrote {out} ({prompts} prompts, {over_budget} over budget)")
+    from .stages import build_prompts
+
+    prompts, over_budget = build_prompts(args.infile, args.out)
+    print(f"wrote {Path(args.out)} ({prompts} prompts, {over_budget} over budget)")
     return 0
 
 
@@ -296,39 +263,10 @@ def _cmd_evaluate(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     return 0
 
 
-def _modality(sample: Sample) -> str:
-    kinds = {m.kind for m in sample.media}
-    if kinds == {MediaKind.IMAGE}:
-        return "single_image" if len(sample.media) == 1 else "multi_image"
-    if kinds == {MediaKind.VIDEO}:
-        return "single_video" if len(sample.media) == 1 else "multi_video"
-    return "mixed"
-
-
 def _cmd_stats(args: argparse.Namespace, cfg: PipelineConfig) -> int:
-    by_dataset: dict[str, int] = {}
-    by_modality: dict[str, int] = {}
-    by_provenance: dict[str, int] = {}
-    by_style: dict[str, int] = {}
-    samples = qa_total = 0
-    for sample in iter_manifest(args.infile):
-        samples += 1
-        by_dataset[sample.dataset.value] = by_dataset.get(sample.dataset.value, 0) + 1
-        modality = _modality(sample)
-        by_modality[modality] = by_modality.get(modality, 0) + 1
-        for qa in sample.qa:
-            qa_total += 1
-            by_provenance[qa.provenance.value] = \
-                by_provenance.get(qa.provenance.value, 0) + 1
-            by_style[qa.style.value] = by_style.get(qa.style.value, 0) + 1
-    payload = {
-        "samples": samples,
-        "qa_pairs": qa_total,
-        "by_dataset": dict(sorted(by_dataset.items())),
-        "by_modality": dict(sorted(by_modality.items())),
-        "by_provenance": dict(sorted(by_provenance.items())),
-        "by_style": dict(sorted(by_style.items())),
-    }
+    from .stages import stats
+
+    payload = stats(args.infile)
     if args.out is not None:
         write_json(args.out, payload)
     print(f"samples: {payload['samples']}")

@@ -43,10 +43,6 @@ class DataMixEntry:
     modality: Modality
     count: int
 
-    def __post_init__(self) -> None:
-        if self.count <= 0:
-            raise ValueError(f"mix entry {self.name!r} must have a positive count")
-
 
 @dataclass(frozen=True)
 class StagePlan:

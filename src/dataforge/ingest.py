@@ -315,10 +315,13 @@ def iter_manifest(path: str | Path) -> Iterator[Sample]:
     one before; otherwise, as for a line that does not decode, iteration
     raises SchemaError naming the line.
     """
-    return _decode_manifest(open(path, "r", encoding="utf-8"))
+    return decode_manifest(open(path, "r", encoding="utf-8"))
 
 
-def _decode_manifest(fh: TextIO) -> Iterator[Sample]:
+def decode_manifest(fh: TextIO) -> Iterator[Sample]:
+    """Yield the samples of the manifest text ``fh``, checked as
+    ``iter_manifest`` checks them, with lines numbered from 1; ``fh`` is
+    closed at the end."""
     previous = None
     with fh:
         for lineno, line in enumerate(fh, start=1):

@@ -11,6 +11,7 @@ import socket
 import threading
 from contextlib import contextmanager
 
+from dataforge.augment import expand_dataset, plan_expansion
 from dataforge.core import (
     CameraId,
     DatasetId,
@@ -21,6 +22,13 @@ from dataforge.core import (
     Sample,
     image_ref,
 )
+
+
+def expand_all(samples, factors, mc_fraction, rng, rewriter=None):
+    """Both of augment's passes over the list ``samples``: the expansion,
+    in id order, as a list."""
+    pools, _ = plan_expansion(samples, factors)
+    return list(expand_dataset(samples, factors, mc_fraction, rng, pools, rewriter))
 
 
 def exactly(message: str) -> str:

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from dataforge.augment import DEFAULT_FACTORS, SeededRng, expand_dataset, to_multiple_choice
+from dataforge.augment import DEFAULT_FACTORS, SeededRng, to_multiple_choice
 from dataforge.cli import main
 from dataforge.core import (
     BBoxPx,
@@ -34,7 +34,7 @@ from dataforge.standardize import (
     standardize_sample,
 )
 
-from helpers import random_mixed_sample, single_view_media
+from helpers import expand_all, random_mixed_sample, single_view_media
 from test_ingest import brute_force_bev
 from test_metrics import _oracle_ap, _oracle_bleu, _random_detection_case
 
@@ -113,7 +113,7 @@ def test_c03_expansion_ratios_and_determinism(tmp_path):
     maplm = _expansion_fixture(DatasetId.MAPLM, 150)
     outputs = []
     for run in ("a", "b"):
-        expanded = list(expand_dataset(coda + maplm, DEFAULT_FACTORS, 0.2, SeededRng(3)))
+        expanded = expand_all(coda + maplm, DEFAULT_FACTORS, 0.2, SeededRng(3))
         path = tmp_path / f"run_{run}.jsonl"
         write_manifest(expanded, path)
         outputs.append(path.read_bytes())

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -7,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dataforge import augment
+from dataforge.cli import main
 from dataforge.augment import (
     DEFAULT_FACTORS,
     SeededRng,
     build_rewriter_request,
     expand_dataset,
     expand_sample,
+    plan_expansion,
     local_paraphrase,
     parse_rewriter_response,
     to_multiple_choice,
@@ -30,7 +33,7 @@ from dataforge.errors import DataforgeError, NetworkError, PoolTooSmall
 from dataforge.ingest import write_manifest
 from dataforge.tokens import scan_tokens
 
-from helpers import exactly, single_view_media
+from helpers import exactly, expand_all, single_view_media
 
 
 # --- rewriter request/response ---------------------------------------------------
@@ -198,7 +201,7 @@ def _mini_dataset(n=40, dataset=DatasetId.CODA_LM):
 
 def test_expand_count_law_and_ids():
     samples = _mini_dataset(40)
-    out = list(expand_dataset(samples, {DatasetId.CODA_LM: 5}, 0.2, SeededRng(0)))
+    out = expand_all(samples, {DatasetId.CODA_LM: 5}, 0.2, SeededRng(0))
     assert len(out) == 200
     assert out[0].id == "coda_lm/00000"
     assert [s.id for s in out[1:5]] == [f"coda_lm/00000#aug{k}" for k in range(1, 5)]
@@ -206,13 +209,13 @@ def test_expand_count_law_and_ids():
 
 def test_expand_identity_policy():
     samples = _mini_dataset(10)
-    out = list(expand_dataset(samples, {DatasetId.CODA_LM: 1}, 0.0, SeededRng(0)))
+    out = expand_all(samples, {DatasetId.CODA_LM: 1}, 0.0, SeededRng(0))
     assert out == samples
 
 
 def test_expand_preserves_originals_bitwise():
     samples = _mini_dataset(25)
-    out = expand_dataset(samples, DEFAULT_FACTORS, 0.2, SeededRng(0))
+    out = expand_all(samples, DEFAULT_FACTORS, 0.2, SeededRng(0))
     by_id = {s.id: s for s in out}
     for s in samples:
         assert sample_to_json(by_id[s.id]) == sample_to_json(s)
@@ -222,7 +225,7 @@ def test_expand_deterministic_across_runs(tmp_path):
     samples = _mini_dataset(30)
     paths = []
     for run in range(2):
-        out = expand_dataset(samples, DEFAULT_FACTORS, 0.2, SeededRng(7))
+        out = expand_all(samples, DEFAULT_FACTORS, 0.2, SeededRng(7))
         p = tmp_path / f"run{run}.jsonl"
         write_manifest(out, p)
         paths.append(p.read_bytes())
@@ -231,14 +234,14 @@ def test_expand_deterministic_across_runs(tmp_path):
 
 def test_expand_seed_changes_output():
     samples = _mini_dataset(10)
-    a = list(expand_dataset(samples, DEFAULT_FACTORS, 0.2, SeededRng(1)))
-    b = list(expand_dataset(samples, DEFAULT_FACTORS, 0.2, SeededRng(2)))
+    a = expand_all(samples, DEFAULT_FACTORS, 0.2, SeededRng(1))
+    b = expand_all(samples, DEFAULT_FACTORS, 0.2, SeededRng(2))
     assert a != b
 
 
 def test_expand_mc_fraction_applies_to_copies():
     samples = _mini_dataset(200)
-    out = list(expand_dataset(samples, {DatasetId.CODA_LM: 2}, 0.5, SeededRng(11)))
+    out = expand_all(samples, {DatasetId.CODA_LM: 2}, 0.5, SeededRng(11))
     copies = [s for s in out if "#aug" in s.id]
     mc = sum(1 for s in copies for qa in s.qa
              if qa.style is QAStyle.MULTIPLE_CHOICE)
@@ -250,7 +253,7 @@ def test_expand_mc_fraction_applies_to_copies():
 def test_expand_mc_correct_option_preserves_paraphrased_answer():
     samples = _mini_dataset(60)
     rng = SeededRng(3)
-    out = expand_dataset(samples, {DatasetId.CODA_LM: 2}, 1.0, rng)
+    out = expand_all(samples, {DatasetId.CODA_LM: 2}, 1.0, rng)
     by_id = {s.id: s for s in out}
     for s in samples:
         copy = by_id[f"{s.id}#aug1"]
@@ -268,9 +271,9 @@ def test_expand_falls_back_on_rewriter_failure():
     def broken(user_text):
         raise NetworkError("connection refused")
 
-    offline = list(expand_dataset(samples, {DatasetId.CODA_LM: 2}, 0.0, SeededRng(9)))
-    with_failures = list(expand_dataset(samples, {DatasetId.CODA_LM: 2}, 0.0,
-                                        SeededRng(9), rewriter=broken))
+    offline = expand_all(samples, {DatasetId.CODA_LM: 2}, 0.0, SeededRng(9))
+    with_failures = expand_all(samples, {DatasetId.CODA_LM: 2}, 0.0,
+                               SeededRng(9), rewriter=broken)
     assert offline == with_failures
 
 
@@ -280,8 +283,8 @@ def test_expand_uses_rewriter_output_when_valid():
     def canned(user_text):
         return "Question: Rewritten question? Answer: Rewritten answer."
 
-    out = expand_dataset(samples, {DatasetId.CODA_LM: 2}, 0.0, SeededRng(9),
-                         rewriter=canned)
+    out = expand_all(samples, {DatasetId.CODA_LM: 2}, 0.0, SeededRng(9),
+                     rewriter=canned)
     copy = next(s for s in out if s.id.endswith("#aug1"))
     assert copy.qa[0].question == "Rewritten question?"
     assert copy.qa[0].answer == "Rewritten answer."
@@ -301,11 +304,11 @@ def _mixed_datasets(n=60):
 
 def test_one_call_equals_per_dataset_calls():
     samples = sorted(_mixed_datasets(), key=lambda s: s.id)
-    one_call = list(expand_dataset(samples, DEFAULT_FACTORS, 1.0, SeededRng(4)))
+    one_call = expand_all(samples, DEFAULT_FACTORS, 1.0, SeededRng(4))
     per_dataset = []
     for dataset in (DatasetId.CODA_LM, DatasetId.MAPLM):
         group = [s for s in samples if s.dataset is dataset]
-        per_dataset += expand_dataset(group, DEFAULT_FACTORS, 1.0, SeededRng(4))
+        per_dataset += expand_all(group, DEFAULT_FACTORS, 1.0, SeededRng(4))
     assert one_call == sorted(per_dataset, key=lambda s: s.id)
     coda_options = [text for s in one_call if s.dataset is DatasetId.CODA_LM
                     for qa in s.qa for _, text in qa.options or ()]
@@ -317,20 +320,19 @@ def test_policy_validation():
     # the default factors: CODA-LM x5, MAPLM x2, every other dataset x1
     samples = (_mini_dataset(3, DatasetId.CODA_LM) + _mini_dataset(3, DatasetId.LINGOQA)
                + _mini_dataset(3, DatasetId.MAPLM))
-    out = expand_dataset(samples, DEFAULT_FACTORS, 0.2, SeededRng(0))
+    out = expand_all(samples, DEFAULT_FACTORS, 0.2, SeededRng(0))
     assert Counter(s.dataset for s in out) == {
         DatasetId.CODA_LM: 15, DatasetId.MAPLM: 6, DatasetId.LINGOQA: 3}
 
 
 def test_expand_refuses_an_expansion_copy():
     samples = _mini_dataset(3)
-    copy = list(expand_dataset(samples[1:2], {DatasetId.CODA_LM: 2}, 0.0, SeededRng(0)))[1]
+    copy = expand_all(samples[1:2], {DatasetId.CODA_LM: 2}, 0.0, SeededRng(0))[1]
     copy = Sample(copy.id, copy.dataset, copy.media, samples[1].qa, copy.task_tags)
     with pytest.raises(DataforgeError, match=exactly(
             "sample coda_lm/00001#aug1 is already an expansion copy; "
             "augment refuses to re-expand its own output")):
-        list(expand_dataset([samples[0], copy, samples[2]], DEFAULT_FACTORS, 0.2,
-                            SeededRng(0)))
+        expand_all([samples[0], copy, samples[2]], DEFAULT_FACTORS, 0.2, SeededRng(0))
 
 
 def test_expand_refuses_non_original_qa():
@@ -342,7 +344,7 @@ def test_expand_refuses_non_original_qa():
     with pytest.raises(DataforgeError, match=exactly(
             "sample coda_lm/00001 carries paraphrase QA; "
             "augment only accepts original data")):
-        list(expand_dataset(samples, DEFAULT_FACTORS, 0.2, SeededRng(0)))
+        expand_all(samples, DEFAULT_FACTORS, 0.2, SeededRng(0))
 
 
 # --- rewriter replies that change object tokens ------------------------------------
@@ -362,18 +364,18 @@ def test_rewriter_reply_with_other_tokens_falls_back_to_local_rules():
         return ("Question: Where is <car>[CAM_FRONT, 1, 2, 3]? "
                 "Answer: At <bus>[5000, 1, 6000, 2].")
 
-    out = list(expand_dataset(samples, DEFAULT_FACTORS, 0.2, SeededRng(9), changes_tokens))
+    out = expand_all(samples, DEFAULT_FACTORS, 0.2, SeededRng(9), changes_tokens)
     assert len(out) == 10
     assert all(validate_sample(s) == [] for s in out)
-    assert out == list(expand_dataset(samples, DEFAULT_FACTORS, 0.2, SeededRng(9)))
+    assert out == expand_all(samples, DEFAULT_FACTORS, 0.2, SeededRng(9))
 
 
 def test_rewriter_reply_that_moves_a_token_is_kept():
     samples = _token_dataset(1)
     reply = ("Question: Where is the car in scene 0? "
              "Answer: The car is at <car>[100, 200, 300, 400] and <car>[100, 200, 300, 400].")
-    out = list(expand_dataset(samples, {DatasetId.CODA_LM: 2}, 0.0, SeededRng(9),
-                              lambda user_text: reply))
+    out = expand_all(samples, {DatasetId.CODA_LM: 2}, 0.0, SeededRng(9),
+                     lambda user_text: reply)
     assert out[1].qa[0] == parse_rewriter_response(reply)
     assert validate_sample(out[1]) == []
 
@@ -415,10 +417,16 @@ class _RecordingRewriter:
         return f"Question: Rewritten {len(self.requests)}? Answer: Rewritten."
 
 
-def _assert_same_as_reference(samples, factors, mc_fraction, seed=5):
+def _assert_same_as_reference(samples, factors, mc_fraction, splits=(), seed=5):
+    """Both passes, with the input cut into runs at the cuts ``plan_expansion``
+    allows of ``splits``, each run expanded on its own, equal the reference."""
     rewriter, reference_rewriter = _RecordingRewriter(), _RecordingRewriter()
-    got = list(expand_dataset(iter(samples), factors, mc_fraction, SeededRng(seed),
-                              rewriter))
+    pools, cuts = plan_expansion(samples, factors, splits)
+    assert set(cuts) <= set(splits)
+    got = []
+    for start, end in zip([0] + cuts, cuts + [len(samples)]):
+        got += expand_dataset(iter(samples[start:end]), factors, mc_fraction,
+                              SeededRng(seed), pools, rewriter)
     want = _reference_expand(samples, factors, mc_fraction, SeededRng(seed),
                              reference_rewriter)
     assert [sample_to_json(s) for s in got] == [sample_to_json(s) for s in want]
@@ -460,17 +468,18 @@ def _streams(draw):
 
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(samples=_streams(), mc_fraction=st.sampled_from([0.0, 0.5, 1.0]),
-       block=st.sampled_from([1, 2, 3, 7]), cap=st.sampled_from([1, 3, 4]))
-def test_streaming_expansion_equals_reference(samples, mc_fraction, block, cap):
+       block=st.sampled_from([1, 2, 3, 7]), cap=st.sampled_from([1, 3, 4]),
+       splits=st.sets(st.integers(1, 23), max_size=4))
+def test_streaming_expansion_equals_reference(samples, mc_fraction, block, cap, splits):
     with mock.patch.object(augment, "_BLOCK", block), \
             mock.patch.object(augment, "_POOL_CAP", cap):
-        _assert_same_as_reference(samples, _FACTORS, mc_fraction)
+        _assert_same_as_reference(samples, _FACTORS, mc_fraction, splits)
 
 
 def test_streaming_expansion_equals_reference_over_blocks():
     # Longer than one block at the shipped block size and pool cap: buckets
     # fill early, LingoQA's "rare" bucket never fills but its factor is 1,
-    # and one late CODA-LM "rare" sample holds every sample behind it.
+    # and one late CODA-LM "rare" sample draws from a pool of one answer.
     samples = []
     for i in range(2 * augment._BLOCK + 100):
         if i % 7 == 3:
@@ -486,7 +495,19 @@ def test_streaming_expansion_equals_reference_over_blocks():
                                        {"near"}, ["late"]))
     samples.insert(-40, _sample(f"{samples[-41].id}~", DatasetId.CODA_LM, {"rare"},
                                 ["only"]))
-    _assert_same_as_reference(samples, _FACTORS, 1.0)
+    splits = range(1, len(samples), 97)
+    _assert_same_as_reference(samples, _FACTORS, 1.0, splits)
+    assert len(plan_expansion(samples, _FACTORS, splits)[1]) > 10
+
+
+def test_plan_expansion_cuts_only_before_an_id_above_every_copy_id():
+    # "a!" and "b " sort below the copies of the sample before them, so no
+    # cut goes before either; "a~" and "b" sort above every copy before them.
+    samples = [_sample(sample_id, DatasetId.CODA_LM, (), ["p"])
+               for sample_id in ("a", "a!", "a~", "b", "b ", "c")]
+    assert plan_expansion(samples, DEFAULT_FACTORS, range(1, 6))[1] == [2, 3, 5]
+    # A dataset expanded x1 makes no copies, so every cut holds.
+    assert plan_expansion(samples, {}, range(1, 6))[1] == [1, 2, 3, 4, 5]
 
 
 def test_expand_refuses_ids_out_of_order():
@@ -495,24 +516,27 @@ def test_expand_refuses_ids_out_of_order():
         with pytest.raises(DataforgeError, match=exactly(
                 "augment needs samples in increasing id order: 'coda_lm/00001' "
                 f"follows 'coda_lm/0000{ids[1]}'")):
-            list(expand_dataset([samples[i] for i in ids], DEFAULT_FACTORS, 0.2,
-                                SeededRng(0)))
+            plan_expansion([samples[i] for i in ids], DEFAULT_FACTORS)
 
 
-def test_expansion_holds_samples_only_until_their_pools_are_full():
-    # With one answer per sample the bucket is full after _POOL_CAP samples,
-    # so the first block comes out before the second is read; with four
-    # answers in all it never fills, and the whole input is read first.
-    n = 3 * augment._BLOCK
-    for answers, reads_before_output in ((n, augment._BLOCK), (4, n)):
-        read = []
-
-        def source():
-            for i in range(n):
-                read.append(i)
-                yield _sample(f"s{i:05d}", DatasetId.CODA_LM, {"near"},
-                              [f"answer {i % answers}"])
-
-        first = next(expand_dataset(source(), DEFAULT_FACTORS, 0.2, SeededRng(0)))
-        assert first.id == "s00000"
-        assert len(read) == reads_before_output
+def test_a_pool_that_never_fills_leaves_augment_memory_flat(tmp_path, capsys):
+    # The first pass builds every pool before any sample expands, so no
+    # sample waits for its pool: one extra tag whose pool never fills, on the
+    # first of 2000 MAPLM (x2) samples, leaves augment's peak where it was;
+    # holding each sample until its pools filled held all 2000 and doubled
+    # the peak. The first run is a warm-up: it loads the paraphrase rules.
+    peaks = []
+    for extra in ((), (), ("rare",)):
+        samples = [_sample(f"s{i:05d}", DatasetId.MAPLM,
+                           ("near",) + (extra if i == 0 else ()), [f"answer {i % 97}"])
+                   for i in range(2000)]
+        manifest = tmp_path / "m.jsonl"
+        write_manifest(samples, manifest)
+        tracemalloc.start()
+        try:
+            assert main(["augment", "--offline", "--in", str(manifest),
+                         "--out", str(tmp_path / "aug.jsonl")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[2] - peaks[1]) < 0.05 * peaks[1], peaks

@@ -11,7 +11,7 @@ import pytest
 import dataforge
 
 from dataforge.cli import main
-from dataforge import cli, remote
+from dataforge import cli, remote, stages
 from dataforge.core import (DatasetId, Provenance, QAPair, Sample, atomic_writer,
                             sample_to_json)
 from dataforge.ingest import read_manifest, write_manifest
@@ -715,6 +715,18 @@ def test_evaluate_reports_line_numbers(workdir, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("blank", ["", "  \t"])
+def test_evaluate_blank_line_names_its_line(workdir, capsys, blank):
+    preds = workdir / "preds.jsonl"
+    _write_preds(preds)
+    lines = preds.read_text().splitlines()
+    preds.write_text("\n".join(lines[:2] + [blank] + lines[2:]) + "\n")
+    assert _run("evaluate", "--in", preds, "--dataset", "coda_lm") == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: blank line in predictions file (line 3)\n"
+    assert captured.out == ""
+
+
 def test_evaluate_caption_with_empty_gold_names_its_line(workdir, capsys):
     preds = workdir / "preds.jsonl"
     good = {"sample_id": "a/1", "task": "caption", "predicted": "a car", "gold": "a car"}
@@ -1044,7 +1056,7 @@ def test_augment_fault_after_the_first_block_leaves_no_file(workdir, capsys, fau
     out = workdir / "aug" / "aug.jsonl"
     assert _run("augment", "--offline", "--in", manifest, "--out", out) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
-    assert list((workdir / "aug").iterdir()) == []
+    assert not (workdir / "aug").exists()  # the first pass fails before any output
 
 
 def test_augment_reports_the_first_fault_in_file_order(workdir, capsys):
@@ -1251,7 +1263,7 @@ def test_build_prompts_crash_keeps_previous_output(workdir, monkeypatch, capsys)
     assert _run("build-prompts", "--in", raw, "--out", out) == 0
     before = out.read_bytes()
     rows = []
-    prompt_row = cli._prompt_row
+    prompt_row = stages._prompt_row
 
     def encode_then_fail(sample_id, report):
         rows.append(sample_id)
@@ -1259,7 +1271,7 @@ def test_build_prompts_crash_keeps_previous_output(workdir, monkeypatch, capsys)
             raise OSError("disk full")
         return prompt_row(sample_id, report)
 
-    monkeypatch.setattr("dataforge.cli._prompt_row", encode_then_fail)
+    monkeypatch.setattr(stages, "_prompt_row", encode_then_fail)
     capsys.readouterr()
     assert _run("build-prompts", "--in", raw, "--out", out) == 2
     assert capsys.readouterr().err.splitlines() == ["error: disk full"]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dataforge.cli import _prompt_row
+from dataforge.stages import _prompt_row
 from dataforge.core import (
     CameraId,
     DatasetId,

@@ -10,10 +10,12 @@ import pytest
 import dataforge
 from dataforge.core import (
     BBoxNorm,
+    BBoxPx,
     CameraId,
     DatasetId,
     MediaKind,
     MediaRef,
+    PointPx,
     Provenance,
     QAPair,
     QAStyle,
@@ -28,6 +30,7 @@ from dataforge.core import (
     json_number,
     json_object,
     json_str,
+    pixel_inside,
     sample_from_json,
     sample_to_json,
     validate_sample,
@@ -263,6 +266,22 @@ def test_validate_flags_pixel_out_of_bounds():
         (QAPair("Where?", "<car>[CAM_FRONT, 0, 0, 1700, 900]"),),
     )
     assert any(v.rule == "pixel_bounds" for v in validate_sample(s))
+
+
+@pytest.mark.parametrize("geometry,inside", [
+    (PointPx(1600, 450), True),  # on the right edge
+    (PointPx(800, 900), True),  # on the bottom edge
+    (PointPx(1600, 900), True),
+    (PointPx(0, 0), True),
+    (PointPx(1600.001, 450), False),
+    (PointPx(800, 900.001), False),
+    (PointPx(-0.001, 450), False),
+    (BBoxPx(0, 0, 1600, 900), True),
+    (BBoxPx(0, 0, 1600.001, 900), False),
+    (BBoxPx(0, 0, 1600, 900.001), False),
+])
+def test_pixel_inside_includes_the_right_and_bottom_edges(geometry, inside):
+    assert pixel_inside(geometry, 1600, 900) is inside
 
 
 def test_validate_flags_malformed_token():

@@ -100,9 +100,10 @@ def test_bad_stage_rejected():
 
 # -------------------------------------------------------------- invariants
 
-def test_nonpositive_count_rejected():
-    with pytest.raises(ValueError):
-        DataMixEntry("x", Modality.LANGUAGE, 0)
+def test_every_shipped_mix_entry_has_a_positive_count():
+    entries = [entry for plan in build_all_plans() for entry in plan.mix]
+    assert len(entries) >= 4
+    assert all(type(entry.count) is int and entry.count > 0 for entry in entries)
 
 
 def test_plans_are_pure():
