@@ -250,11 +250,12 @@ _sample_id = attrgetter("id")
 Pools = dict[tuple[DatasetId, str], dict[str, None]]
 
 
-def _pool_for(sample: Sample, pools: Pools) -> list[str]:
+def _pool_for(dataset: DatasetId, task_tags: frozenset[str], pools: Pools) -> list[str]:
+    """The distinct answers of the pools of ``task_tags``, by tag name."""
     out: list[str] = []
     seen: set[str] = set()
-    for tag in sorted(sample.task_tags):
-        for answer in pools.get((sample.dataset, tag), ()):
+    for tag in sorted(task_tags):
+        for answer in pools.get((dataset, tag), ()):
             if answer not in seen:
                 seen.add(answer)
                 out.append(answer)
@@ -371,9 +372,15 @@ def expand_dataset(samples: Iterable[Sample], factors: Mapping[DatasetId, int],
     those that sort above the block's last input, which wait for the next.
     """
     pending: list[Sample] = []
+    pool_of: dict[tuple[DatasetId, frozenset[str]], list[str]] = {}
     for count, sample in enumerate(samples, start=1):
         factor = factors.get(sample.dataset, 1)
-        pool = _pool_for(sample, pools) if factor > 1 else ()
+        pool: Sequence[str] = ()
+        if factor > 1:
+            key = (sample.dataset, sample.task_tags)
+            if key not in pool_of:
+                pool_of[key] = _pool_for(*key, pools)
+            pool = pool_of[key]
         pending.extend(expand_sample(sample, factor, mc_fraction, rng, pool, rewriter))
         if count % _BLOCK == 0:
             # Later inputs sort above this one and copies above their

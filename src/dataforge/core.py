@@ -15,6 +15,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
+from itertools import takewhile
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, TextIO
@@ -621,12 +622,15 @@ def atomic_writer(path: str | Path) -> Iterator[TextIO]:
     The text goes to a temp file next to ``path`` (parent directories are
     created) and is moved onto ``path`` with ``os.replace``. If the block
     raises, the temp file is deleted and ``path`` keeps its old content, or
-    stays absent, so a crash never leaves a short file behind.
+    stays absent, so a crash never leaves a short file behind; the parent
+    directories this call created are removed again, deepest first, while
+    they are empty.
     """
     text = os.fspath(path) or "."
     if os.path.basename(text) in ("", ".", ".."):  # "/", "sub/", "..": a directory
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), text)
     path = Path(text)
+    created = list(takewhile(lambda d: not d.exists(), path.parents))  # deepest first
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -635,6 +639,11 @@ def atomic_writer(path: str | Path) -> Iterator[TextIO]:
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
+        for directory in created:
+            try:
+                directory.rmdir()
+            except OSError:  # something else was put there meanwhile
+                break
         raise
 
 

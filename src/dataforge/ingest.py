@@ -11,8 +11,11 @@ Source schemas are documented in docs/source-schemas.md with one fixture each.
 
 from __future__ import annotations
 
+import json
 import math
+import re
 from dataclasses import dataclass
+from json.scanner import make_scanner
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -190,30 +193,71 @@ _ADAPTERS: dict[DatasetId, Callable[[dict[str, Any]], Sample]] = {
 }
 
 
+# One JSON value decoded from an offset, in C, as ``json.loads`` decodes it.
+_scan_value = make_scanner(json.JSONDecoder())
+_skip_space = re.compile(r"[ \t\n\r]*").match  # JSON whitespace
+
+
+def _array_items(text: str) -> Iterator[Any]:
+    """Each element of the JSON array ``text``, decoded one at a time.
+    Raises, though not always as ``json.loads`` would, on any text that it
+    would not read as one array."""
+    end = _skip_space(text, 0).end()
+    if text[end:end + 1] != "[":
+        raise ValueError("not an array")
+    end = _skip_space(text, end + 1).end()
+    if text[end:end + 1] == "]":
+        end = _skip_space(text, end + 1).end()
+    else:
+        while True:
+            item, end = _scan_value(text, end)
+            yield item
+            end = _skip_space(text, end).end()
+            glue = text[end:end + 1]
+            end = _skip_space(text, end + 1).end()
+            if glue == "]":
+                break
+            if glue != ",":
+                raise ValueError("no separator")
+    if end != len(text):
+        raise ValueError("extra data")
+
+
+def _checked(build: Callable[[dict[str, Any]], Sample], rec: Any, idx: int) -> Sample:
+    """``build(rec)``, validated; a fault raises SchemaError naming record ``idx``."""
+    try:
+        sample = build(json_object(rec, "record"))
+    except SchemaError as exc:
+        raise exc.at(record_index=idx) from None
+    except (DataforgeError, ValueError) as exc:  # ValueError: a MediaRef rule
+        raise SchemaError(str(exc), record_index=idx) from None
+    violations = validate_sample(sample)
+    if violations:
+        v = violations[0]
+        raise SchemaError(f"invalid sample ({v.rule}): {v.detail}",
+                          record_index=idx, path=v.field)
+    return sample
+
+
 def build_samples(text: str, build: Callable[[dict[str, Any]], Sample]) -> list[Sample]:
     """The sample ``build`` makes from each record of the JSON array
     ``text``, each checked with ``validate_sample``.
 
-    All-or-nothing: the first fault raises SchemaError naming its record.
+    All-or-nothing: the first fault raises SchemaError naming its record;
+    invalid JSON anywhere in ``text`` comes before any record's fault.
+    Records are decoded and built one at a time, so the decoded array is
+    never held whole. On any fault the built samples are dropped and
+    ``text`` is decoded whole and built again, which raises the fault that
+    reading it whole meets first.
     """
+    try:
+        return [_checked(build, rec, idx) for idx, rec in enumerate(_array_items(text))]
+    except Exception:
+        pass  # raised again, in whole-text order, below
     data = decode_json(text)
     if type(data) is not list:
         raise SchemaError("input must be a JSON array")
-    samples = []
-    for idx, rec in enumerate(data):
-        try:
-            sample = build(json_object(rec, "record"))
-        except SchemaError as exc:
-            raise exc.at(record_index=idx) from None
-        except (DataforgeError, ValueError) as exc:  # ValueError: a MediaRef rule
-            raise SchemaError(str(exc), record_index=idx) from None
-        violations = validate_sample(sample)
-        if violations:
-            v = violations[0]
-            raise SchemaError(f"invalid sample ({v.rule}): {v.detail}",
-                              record_index=idx, path=v.field)
-        samples.append(sample)
-    return samples
+    return [_checked(build, rec, idx) for idx, rec in enumerate(data)]
 
 
 def parse_source(adapter: DatasetId, payload: str) -> list[Sample]:

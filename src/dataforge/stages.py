@@ -182,8 +182,8 @@ def _run_split(src: Manifest, spans: list[tuple[int, int]], out: str | None,
     out of here has reaped the workers and deleted the part files."""
     workers: list[tuple[int, int, str | None]] = []  # pid, pipe read end, part file
     reaped: set[int] = set()
-    try:
-        with _writer(out) as fh:
+    with _writer(out) as fh:  # the part files go first: a fault then leaves no directory
+        try:
             for k, span in enumerate(spans[1:], start=1):
                 part = None if out is None else os.path.join(
                     os.path.dirname(out), f".{os.path.basename(out)}.{os.getpid()}.{k}.tmp")
@@ -207,14 +207,14 @@ def _run_split(src: Manifest, spans: list[tuple[int, int]], out: str | None,
                     with open(part, "rb") as rows:
                         shutil.copyfileobj(rows, fh.buffer)
             return results
-    finally:
-        for pid, read_end, part in workers:
-            if pid not in reaped:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            os.close(read_end)
-            if part is not None:
-                Path(part).unlink(missing_ok=True)
+        finally:
+            for pid, read_end, part in workers:
+                if pid not in reaped:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                os.close(read_end)
+                if part is not None:
+                    Path(part).unlink(missing_ok=True)
 
 
 def _fork_range(src: Manifest, span: tuple[int, int], part: str | None,

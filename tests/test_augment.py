@@ -519,6 +519,23 @@ def test_expand_refuses_ids_out_of_order():
             plan_expansion([samples[i] for i in ids], DEFAULT_FACTORS)
 
 
+def test_expand_dataset_builds_each_distractor_pool_once(monkeypatch):
+    # Two expanded datasets times two tag sets: four pools for 40 samples.
+    samples = [_sample(f"s{i:03d}", (DatasetId.CODA_LM, DatasetId.MAPLM)[i % 2],
+                       ("near",) if i % 3 else ("near", "far"), [f"answer {i % 7}"])
+               for i in range(40)]
+    calls = []
+    pool_for = augment._pool_for
+
+    def counted(dataset, task_tags, pools):
+        calls.append((dataset, task_tags))
+        return pool_for(dataset, task_tags, pools)
+
+    monkeypatch.setattr(augment, "_pool_for", counted)
+    assert len(expand_all(samples, DEFAULT_FACTORS, 0.5, SeededRng(0))) == 20 * 5 + 20 * 2
+    assert len(calls) == len(set(calls)) == 4
+
+
 def test_a_pool_that_never_fills_leaves_augment_memory_flat(tmp_path, capsys):
     # The first pass builds every pool before any sample expands, so no
     # sample waits for its pool: one extra tag whose pool never fills, on the

@@ -858,11 +858,12 @@ def test_deep_nesting_is_one_error_line(workdir, capsys, command, code, error, d
 
 def test_input_that_is_not_an_array_names_no_reader(workdir, capsys):
     path = workdir / "input.json"
-    path.write_text("{}")
-    for argv in (["ingest", "--adapter", "coda_lm"], ["gen-perception"]):
-        assert _run(*argv, "--in", path, "--out", workdir / "out") == 1
-        assert capsys.readouterr().err.splitlines() == [
-            "error: input must be a JSON array"]
+    for text in ("{}", "7", ' "[]" ', "null\n"):
+        path.write_text(text)
+        for argv in (["ingest", "--adapter", "coda_lm"], ["gen-perception"]):
+            assert _run(*argv, "--in", path, "--out", workdir / "out") == 1
+            assert capsys.readouterr().err.splitlines() == [
+                "error: input must be a JSON array"]
 
 
 @pytest.mark.parametrize("command", ["ingest", "standardize", "build-prompts"])
@@ -1202,7 +1203,7 @@ def test_atomic_writer_keeps_old_file_on_error(tmp_path):
         with atomic_writer(tmp_path / "sub" / "absent.txt") as fh:
             fh.write("partial")
             raise RuntimeError("crash mid-write")
-    assert not (tmp_path / "sub" / "absent.txt").exists()
+    assert not (tmp_path / "sub").exists()
     assert _temp_files(tmp_path) == []
 
 

@@ -1,15 +1,21 @@
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from dataforge.core import CameraId, DatasetId, MediaKind, sample_to_json
-from dataforge.errors import SchemaError
+from dataforge.core import (CameraId, DatasetId, MediaKind, decode_json, json_object,
+                            sample_to_json, validate_sample)
+from dataforge.errors import DataforgeError, SchemaError
 from dataforge.ingest import (
+    _ADAPTERS,
     BevGridConfig,
     LidarPoint,
+    build_samples,
     parse_source,
     project_lidar_bev,
     read_manifest,
@@ -194,6 +200,132 @@ def test_adapter_fuzz_never_partial(tmp_path):
         del rec[victim]
         with pytest.raises(SchemaError):
             parse_source(DatasetId.MAPLM, json.dumps([rec]))
+
+
+# --- the streaming source reader ------------------------------------------------
+
+def _whole_text_samples(text, build):
+    """The reference reader: decode the whole array, then build and
+    validate each record in turn."""
+    data = decode_json(text)
+    if type(data) is not list:
+        raise SchemaError("input must be a JSON array")
+    samples = []
+    for idx, rec in enumerate(data):
+        try:
+            sample = build(json_object(rec, "record"))
+        except SchemaError as exc:
+            raise exc.at(record_index=idx) from None
+        except (DataforgeError, ValueError) as exc:
+            raise SchemaError(str(exc), record_index=idx) from None
+        violations = validate_sample(sample)
+        if violations:
+            v = violations[0]
+            raise SchemaError(f"invalid sample ({v.rule}): {v.detail}",
+                              record_index=idx, path=v.field)
+        samples.append(sample)
+    return samples
+
+
+def _build_coda(rec):
+    if "raise" in rec:
+        raise LookupError("a fault no reader catches")
+    return _ADAPTERS[DatasetId.CODA_LM](rec)
+
+
+def _outcome(read, text):
+    try:
+        return read(text, _build_coda)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_MISSING_IMAGE = {k: v for k, v in CODA_RECORD.items() if k != "image"}
+_OFF_FRAME = dict(CODA_RECORD, qa=[{"question": "Where?", "answer": "<cone>[5000.0, 1.0]"}])
+_GOOD = st.integers(0, 99).map(
+    lambda i: json.dumps(dict(CODA_RECORD, id=f"{i:04d}"), indent=1))
+_RECORD_FAULTS = st.sampled_from([
+    json.dumps(_MISSING_IMAGE),                      # a build fault
+    json.dumps(_OFF_FRAME),                          # a validation fault
+    json.dumps({"raise": 1}),                        # a fault build_samples does not map
+    "7", '"text"', "null", "[1, 2]",                 # not an object
+])
+_BAD_JSON = st.sampled_from([
+    "1" * 5000,                                      # over the int-string limit
+    json.dumps(CODA_RECORD).replace('"0001"', "9" * 5000, 1),
+    "[" * 3000 + "]" * 3000,                         # nested too deeply
+    "{", '{"id": "1",}', "tru", "NaN", "'x'",
+])
+_ELEMENTS = st.integers(0, 19).flatmap(
+    lambda k: _GOOD if k < 12 else _RECORD_FAULTS if k < 19 else _BAD_JSON)
+_SPACE = st.text(st.sampled_from(" \t\n\r"), max_size=3)
+
+
+@st.composite
+def _mutated_arrays(draw):
+    items = draw(st.lists(_ELEMENTS, max_size=5))
+    body = ",".join(draw(_SPACE) + item + draw(_SPACE) for item in items)
+    if draw(st.integers(0, 7)) == 7:
+        body += ","  # trailing comma
+    text = f"{draw(_SPACE)}[{body}{draw(_SPACE)}]{draw(_SPACE)}"
+    mutation = draw(st.sampled_from(["none"] * 4 + ["bom", "bare", "cut", "extra", "space"]))
+    if mutation == "bom":
+        text = "\ufeff" + text
+    elif mutation == "bare":
+        text = items[0] if items else "{}"
+    elif mutation == "cut":
+        text = text[:draw(st.integers(0, len(text)))]
+    elif mutation == "extra":
+        text += draw(st.sampled_from(["x", "[]", "]", ",", "0", " {}"]))
+    elif mutation == "space":  # not JSON whitespace, anywhere
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(["\x0c", "\u00a0", "\v"])) + text[at:]
+    return text
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_mutated_arrays())
+@example("[]")
+@example(" \t\n\r[ \n]\r\n")
+@example("[,]")
+@example(json.dumps([CODA_RECORD]) + "\n")
+@example("\ufeff" + json.dumps([CODA_RECORD]))
+@example(json.dumps([_MISSING_IMAGE])[:-1] + ", {]")
+@example("[" + "[" * 3000 + "]" * 3000 + "]")
+@example(f"[{json.dumps(_OFF_FRAME)}, {'1' * 5000}]")
+@example("[] x")
+def test_streaming_reader_agrees_with_the_whole_text_loop(text):
+    assert _outcome(build_samples, text) == _outcome(_whole_text_samples, text)
+
+
+@pytest.mark.parametrize("early", [_OFF_FRAME, _MISSING_IMAGE, 7])
+def test_invalid_json_late_in_the_array_beats_an_early_bad_record(early):
+    text = "[\n" + json.dumps(early) + ",\n" + json.dumps(CODA_RECORD) + ",\n{]\n"
+    with pytest.raises(SchemaError) as exc_info:
+        parse_source(DatasetId.CODA_LM, text)
+    assert str(exc_info.value) == (
+        "invalid JSON: Expecting property name enclosed in double quotes (line 4)")
+
+
+def test_parse_source_holds_one_decoded_record_at_a_time():
+    # Records are decoded one at a time, so parse_source peaks little above
+    # the samples it returns; decoding the whole array before building the
+    # first sample peaked at about 1.7 times them.
+    text = json.dumps([
+        dict(CODA_RECORD, id=f"{i:05d}",
+             qa=[{"question": f"What should the driver watch for near cone {i}?",
+                  "answer": f"A <cone>[{i % 1200}.0, 360.0] blocks lane {i % 4}."},
+                 {"question": "Is the road wet?", "answer": "No."}])
+        for i in range(2000)])
+    parse_source(DatasetId.CODA_LM, json.dumps([CODA_RECORD]))  # warm-up: first-call caches
+    tracemalloc.start()
+    try:
+        samples = parse_source(DatasetId.CODA_LM, text)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(samples) == 2000
+    assert peak <= 1.25 * retained, (peak, retained)
 
 
 # --- LiDAR BEV -------------------------------------------------------------------

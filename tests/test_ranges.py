@@ -183,6 +183,32 @@ def test_a_decode_fault_anywhere_beats_standardize_refusals(tmp_path, capsys, sp
     assert err == "error: sample must be an object (at sample, line 11)\n"
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_failed_stage_removes_only_the_directories_it_made(tmp_path, capsys, split, cpus):
+    # A refused sample (standardize) and a line that does not decode (every
+    # stage) each fail after the output was opened; --out's missing parent
+    # directories go with it, deepest first, but one that was there stays.
+    refused = Sample("a/0", DatasetId.NUINSTRUCT, surround_media(1600, 900),
+                     (QAPair("Where is it?", "At <car>[c9, 1, 2, 3, 4]."),),
+                     frozenset({"perception"}))
+    lines = _mixed_lines(6)
+    refusing = _write(tmp_path / "refused.jsonl", [sample_to_json(refused)] + lines[1:])
+    lines[8] = "{"
+    broken = _write(tmp_path / "broken.jsonl", lines)
+    (tmp_path / "kept").mkdir()
+    split(cpus)
+    runs = [("standardize", refusing)] + [(stage, broken) for stage in STAGES]
+    for stage, manifest in runs:
+        for out in ("new/deeper/o.jsonl", "kept/new/o.jsonl", "kept/o.jsonl"):
+            argv = [stage, "--offline", "--in", str(manifest), "--out", str(tmp_path / out)]
+            assert cli.main(argv) == 1
+            capsys.readouterr()
+            assert sorted(p.name for p in tmp_path.iterdir()) == [
+                "broken.jsonl", "kept", "refused.jsonl"]
+            assert list((tmp_path / "kept").iterdir()) == []
+    assert _no_children_left()
+
+
 def test_ids_out_of_order_across_a_cut_are_caught(tmp_path, capsys, split):
     # Each half is sorted, and the lines are the same length, so two ranges
     # cut exactly between the halves: only the cut sees the fault.
@@ -336,7 +362,7 @@ def test_an_interrupt_reaps_the_workers_and_removes_every_file(tmp_path, capsys,
     out = tmp_path / "out" / "o.jsonl"
     with pytest.raises(KeyboardInterrupt):
         cli.main(["build-prompts", "--in", str(manifest), "--out", str(out)])
-    assert list(out.parent.iterdir()) == []
+    assert [p.name for p in tmp_path.iterdir()] == ["m.jsonl"]  # no file, no out/
     assert _no_children_left()
 
 
