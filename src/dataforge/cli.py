@@ -12,11 +12,11 @@ A subcommand runs with the cyclic garbage collector paused: a stage holds
 tens of thousands of samples and creates no reference cycles, so the collector
 would only re-walk a growing heap. Reference counting still frees everything.
 
-standardize, augment, build-prompts and stats live in ``stages``, which
-splits their ``--in`` across the usable CPUs with the same output bytes,
-messages and exit code as one process gives; each subcommand imports it when
-it runs. augment reads its input twice, so it refuses an ``--in`` that is not
-a regular file (exit 2).
+ingest, standardize, augment, gen-perception, build-prompts and stats live in
+``stages``, which splits their work across the usable CPUs with the same
+output bytes, messages and exit code as one process gives; each subcommand
+imports it when it runs. augment reads its input twice, so it refuses an
+``--in`` that is not a regular file (exit 2).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from urllib.parse import urlsplit
 from .augment import Rewriter, SeededRng
 from .core import (
     DatasetId,
-    Sample,
     _DATASETS,
     _member,
     decode_json,
@@ -45,12 +44,14 @@ from .core import (
 )
 from .curriculum import build_all_plans, write_stage_plans
 from .errors import DataforgeError, SchemaError
-from .ingest import build_samples, parse_source, write_manifest
-# No stage reads a manifest whole any more; perfbench/tests/test_tracer.py
-# still checks that the tracer wraps this binding.
-from .ingest import read_manifest  # noqa: F401
+# No stage writes or reads a manifest through these bindings any more;
+# perfbench/tests/test_tracer.py still checks that the tracer wraps them.
+from .ingest import read_manifest, write_manifest  # noqa: F401
 from .metrics import evaluate_records, record_from_dict, report_to_dict
-from .perceptgen import build_grounding_sample, grounding_record_from_dict
+# gen-perception runs in ``stages``; perfbench's tracer wraps the targets it
+# finds in the modules ``import dataforge.cli`` loads, so this loads
+# perceptgen (and through it standardize) as before.
+from . import perceptgen  # noqa: F401
 
 OFFLINE_ENV = "DATAFORGE_OFFLINE"
 
@@ -170,11 +171,10 @@ def _cmd_ingest(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     else:
         raise ConfigError("nothing to ingest: pass --adapter/--in or list "
                           "sources in the config")
-    samples: list[Sample] = []
-    for dataset, path in sources:
-        samples.extend(parse_source(dataset, path.read_text(encoding="utf-8")))
-    write_manifest(samples, args.out)
-    print(f"wrote {args.out} ({len(samples)} samples from {len(sources)} source(s))")
+    from .stages import ingest
+
+    count = ingest(sources, args.out)
+    print(f"wrote {args.out} ({count} samples from {len(sources)} source(s))")
     return 0
 
 
@@ -209,16 +209,10 @@ def _cmd_augment(args: argparse.Namespace, cfg: PipelineConfig) -> int:
 
 
 def _cmd_gen_perception(args: argparse.Namespace, cfg: PipelineConfig) -> int:
-    rng = SeededRng(cfg.seed)
+    from .stages import gen_perception
 
-    def build(rec: dict[str, Any]) -> Sample:
-        sample_id, spec, anns = grounding_record_from_dict(rec)
-        return build_grounding_sample(sample_id, anns, spec,
-                                      rng.stream("perceptgen", sample_id, "grounding"))
-
-    samples = build_samples(Path(args.infile).read_text(encoding="utf-8"), build)
-    write_manifest(samples, args.out)
-    print(f"wrote {args.out} ({len(samples)} grounding samples)")
+    count = gen_perception(args.infile, args.out, cfg.seed)
+    print(f"wrote {args.out} ({count} grounding samples)")
     return 0
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import takewhile
 from json.encoder import encode_basestring
+from json.scanner import make_scanner
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, TextIO
 
@@ -600,10 +601,22 @@ def decode_json(text: str) -> Any:
         raise SchemaError("invalid JSON: nested too deeply") from None
 
 
+# One JSON value decoded from an offset, in C, as ``json.loads`` decodes it.
+_scan_value = make_scanner(json.JSONDecoder())
+
+
 def sample_from_json(line: str) -> Sample:
     """One manifest line; the manifest reader puts its own line number on
-    a fault."""
-    return sample_from_dict(decode_json(line))
+    a fault. The line is decoded with ``_scan_value``; if that raises or
+    stops short of the line's end, ``decode_json`` decodes it again, so a
+    fault reads as ``decode_json`` words it."""
+    try:
+        value, end = _scan_value(line, 0)
+    except Exception:  # StopIteration, RecursionError, the int-digit ValueError
+        end = -1
+    if end != len(line):
+        value = decode_json(line)
+    return sample_from_dict(value)
 
 
 def assert_unique_ids(samples: Iterable[Sample]) -> None:

@@ -6,16 +6,17 @@ coordinate/token rewriting belongs to standardize. Also hosts the LiDAR
 bird's-eye-view rasterizer (the only user of numpy, imported there so that no
 CLI call pays for it) and JSONL manifest I/O.
 
+``stages`` splits a large array's records across the CPUs with the parts of
+``build_samples`` (``_array_items``, ``_checked``) and falls back to it.
+
 Source schemas are documented in docs/source-schemas.md with one fixture each.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
-from json.scanner import make_scanner
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -32,6 +33,7 @@ from .core import (
     Sample,
     _CAMERAS,
     _member,
+    _scan_value,
     assert_unique_ids,
     atomic_writer,
     decode_json,
@@ -193,8 +195,6 @@ _ADAPTERS: dict[DatasetId, Callable[[dict[str, Any]], Sample]] = {
 }
 
 
-# One JSON value decoded from an offset, in C, as ``json.loads`` decodes it.
-_scan_value = make_scanner(json.JSONDecoder())
 _skip_space = re.compile(r"[ \t\n\r]*").match  # JSON whitespace
 
 

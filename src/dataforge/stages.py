@@ -1,24 +1,26 @@
-"""The manifest stages standardize, augment, build-prompts and stats, each
-run over byte ranges of its input, one per usable CPU.
+"""The stages, each run across the usable CPUs (``os.sched_getaffinity``)
+with the output bytes, messages and exit code of one process.
 
-Each stage hands ``run`` its per-range work: a function of one range's
-samples and of the function that writes a row to the output. ``Manifest``
-cuts the input into byte ranges at line ends, one per usable CPU
-(``os.sched_getaffinity``); the main process runs the first range and a
-forked worker each other one, writing its rows to a part file next to the
-output, and the main process appends the parts in file order into the one
-``atomic_writer`` output. The output bytes, messages and exit code are those
-of one range. An input too short for two ranges, or not a regular file, runs
-as one range in process, and so does augment with a rewriter, whose breaker
-and call order are serial. ``fork`` hands a worker the stage's state, such
-as augment's distractor pools, without sending it; the CLI runs no threads,
-so forking is safe.
+The manifest stages standardize, augment, build-prompts and stats hand
+``run`` their per-range work: a function of one range's samples and of the
+function that writes a row to the output. ``Manifest`` cuts the input into
+byte ranges at line ends, one per usable CPU; the main process runs the
+first range and a forked worker each other one, writing its rows to a part
+file next to the output, and the main process appends the parts in file
+order into the one ``atomic_writer`` output. An input not a regular file
+runs as one range in process, and so does augment with a rewriter, whose
+breaker and call order are serial.
 
-``cli`` imports this module when one of these stages runs, not at start-up.
+ingest and gen-perception deal the records of their JSON arrays round-robin
+into shares; the main process merges the shares' sorted rows by id. Any
+input shorter than two _MIN_RANGE blocks runs in process. ``fork`` hands a
+worker the stage's state without sending it; the CLI runs no threads, so
+forking is safe. ``cli`` imports this module when a stage runs.
 """
 
 from __future__ import annotations
 
+import heapq
 import io
 import os
 import pickle
@@ -26,17 +28,21 @@ import shutil
 import signal
 import stat
 from collections import Counter
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
+from functools import partial
+from itertools import islice
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, ContextManager, Iterator, Sequence, TextIO
 
 from .augment import (DEFAULT_FACTORS, MC_FRACTION, Rewriter, SeededRng, expand_dataset,
                       plan_expansion)
-from .core import (DatasetId, MediaKind, Provenance, QAStyle, Sample, atomic_writer,
-                   sample_to_json)
+from .core import (DatasetId, MediaKind, Provenance, QAStyle, Sample, assert_unique_ids,
+                   atomic_writer, sample_to_json)
 from .errors import DataforgeError
-from .ingest import decode_manifest
+from .ingest import (_ADAPTERS, _array_items, _checked, build_samples, decode_manifest,
+                     write_manifest)
+from .perceptgen import build_grounding_sample, grounding_record_from_dict
 from .promptkit import SEQUENCE_LIMIT, BudgetReport, check_budget
 from .standardize import standardize_sample
 
@@ -44,9 +50,9 @@ from .standardize import standardize_sample
 # Byte ranges
 # ---------------------------------------------------------------------------
 
-# At most one range per this many bytes: a shorter range would cost more in
-# the fork than it saves.
-_MIN_RANGE = 1 << 20
+# At most one range (or share of records) per this many bytes of input: a
+# shorter one would cost more in the fork than it saves.
+_MIN_RANGE = 1 << 19
 
 # A stage's work on one range: it takes the range's samples and the function
 # that writes a row to its output (None for stats), and returns a summary.
@@ -180,69 +186,155 @@ def _run_split(src: Manifest, spans: list[tuple[int, int]], out: str | None,
     """``run`` with the first span in process and each other one in a forked
     worker that writes its rows to a part file next to ``out``. Every path
     out of here has reaped the workers and deleted the part files."""
-    workers: list[tuple[int, int, str | None]] = []  # pid, pipe read end, part file
-    reaped: set[int] = set()
+    parts = [None if out is None else os.path.join(
+        os.path.dirname(out), f".{os.path.basename(out)}.{os.getpid()}.{k}.tmp")
+        for k in range(1, len(spans))]
+
+    def worker(span: tuple[int, int], part: str | None) -> tuple[list[str], Any]:
+        with (nullcontext() if part is None
+              else open(part, "w", encoding="utf-8", newline="\n")) as fh:
+            edges: list[str] = []
+            return edges, work(_edges(src.samples(span), edges), fh and fh.write)
+
     with _writer(out) as fh:  # the part files go first: a fault then leaves no directory
         try:
-            for k, span in enumerate(spans[1:], start=1):
-                part = None if out is None else os.path.join(
-                    os.path.dirname(out), f".{os.path.basename(out)}.{os.getpid()}.{k}.tmp")
-                workers.append((*_fork_range(src, span, part, work), part))
-            edges: list[str] = []
-            results = [work(_edges(src.samples(spans[0]), edges), fh and fh.write)]
-            for pid, read_end, part in workers:
-                with open(read_end, "rb", closefd=False) as pipe:
-                    reply = pipe.read()
-                status = os.waitpid(pid, 0)[1]
-                reaped.add(pid)
-                if status or not reply:
-                    raise ChildProcessError(f"range worker {pid} ended with status {status}")
-                last = edges[-1]
-                edges, result = pickle.loads(reply)
-                if edges[0] <= last:
-                    raise ValueError(f"{edges[0]!r} follows {last!r} across a cut")
-                results.append(result)
-                if part is not None:
-                    fh.flush()
-                    with open(part, "rb") as rows:
-                        shutil.copyfileobj(rows, fh.buffer)
-            return results
+            with _forked([partial(worker, span, part)
+                          for span, part in zip(spans[1:], parts)]) as result:
+                edges: list[str] = []
+                results = [work(_edges(src.samples(spans[0]), edges), fh and fh.write)]
+                for k, part in enumerate(parts):
+                    last = edges[-1]
+                    edges, summary = result(k)
+                    if edges[0] <= last:
+                        raise ValueError(f"{edges[0]!r} follows {last!r} across a cut")
+                    results.append(summary)
+                    if part is not None:
+                        fh.flush()
+                        with open(part, "rb") as rows:
+                            shutil.copyfileobj(rows, fh.buffer)
+                return results
         finally:
-            for pid, read_end, part in workers:
-                if pid not in reaped:
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-                os.close(read_end)
+            for part in parts:
                 if part is not None:
                     Path(part).unlink(missing_ok=True)
 
 
-def _fork_range(src: Manifest, span: tuple[int, int], part: str | None,
-                work: Work) -> tuple[int, int]:
-    """Fork a worker that runs ``work`` on ``span``, its rows written to the
-    file ``part``; (its pid, the read end of the pipe that brings its first
-    and last id and its summary)."""
-    read_end, write_end = os.pipe()
+@contextmanager
+def _forked(jobs: Sequence[Callable[[], Any]]) -> Iterator[Callable[[int], Any]]:
+    """Fork a worker per job; ``result(k)`` waits for worker ``k`` and returns
+    what its job returned (pickled through a pipe), or raises if it did not
+    end clean. On leaving, every worker not waited for is killed and reaped."""
+    workers: list[tuple[int, int]] = []  # pid, pipe read end
+    reaped: set[int] = set()
+
+    def result(k: int) -> Any:
+        pid, read_end = workers[k]
+        with open(read_end, "rb", closefd=False) as pipe:
+            reply = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+        reaped.add(pid)
+        if status or not reply:
+            raise ChildProcessError(f"worker {pid} ended with status {status}")
+        return pickle.loads(reply)
+
     try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid:
-        os.close(write_end)
-        return pid, read_end
-    status = 1  # in the worker, which ends here whatever it raises
-    try:
-        with (nullcontext() if part is None
-              else open(part, "w", encoding="utf-8", newline="\n")) as fh:
-            edges: list[str] = []
-            result = work(_edges(src.samples(span), edges), fh and fh.write)
-        with open(write_end, "wb") as pipe:
-            pickle.dump((edges, result), pipe)
-        status = 0
+        for job in jobs:
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:  # the worker, which ends here whatever it raises
+                status = 1
+                try:
+                    reply = pickle.dumps(job())
+                    with open(write_end, "wb") as pipe:
+                        pipe.write(reply)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_end)
+            workers.append((pid, read_end))
+        yield result
     finally:
-        os._exit(status)
+        for pid, read_end in workers:
+            if pid not in reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            os.close(read_end)
+
+
+Build = Callable[[dict[str, Any]], Sample]  # one decoded record's sample
+
+
+def _rows(arrays: list[tuple[Build, str]], k: int, n: int) -> list[tuple[str, str]]:
+    """Share ``k`` of ``n``: (id, line) of every ``n``-th record from the
+    ``k``-th, across every array, each checked as ``build_samples`` does."""
+    records = ((build, rec, idx) for build, text in arrays
+               for idx, rec in enumerate(_array_items(text)))
+    samples = (_checked(*record) for record in islice(records, k, None, n))
+    return sorted((sample.id, sample_to_json(sample) + "\n") for sample in samples)
+
+
+def _write_records(arrays: list[tuple[Build, str]], out: str,
+                   unread: Exception | None = None) -> int:
+    """Write the samples of ``arrays`` (JSON texts, each with its build
+    function) to the manifest ``out``; the count. In process, each array goes
+    through ``ingest.parse_source``'s checks in turn, then ``unread`` (the
+    fault met reading the next one) is raised. Split, the main process builds
+    the first share and a worker each other one; a fault, a dead worker or an
+    id met twice makes the run in process report it."""
+    n = min(len(os.sched_getaffinity(0)), sum(len(text) for _, text in arrays) // _MIN_RANGE)
+    if n > 1 and unread is None:
+        try:
+            with _forked([partial(_rows, arrays, k, n) for k in range(1, n)]) as result:
+                shares = [_rows(arrays, 0, n)] + [result(k) for k in range(n - 1)]
+            count, last = 0, None
+            with atomic_writer(out) as fh:
+                for sample_id, line in heapq.merge(*shares):
+                    if sample_id == last:
+                        raise ValueError(f"id {sample_id!r} twice")
+                    fh.write(line)
+                    count, last = count + 1, sample_id
+            return count
+        except Exception:
+            pass  # raised again by the run in process
+    samples: list[Sample] = []
+    for build, text in arrays:
+        built = build_samples(text, build)
+        assert_unique_ids(built)
+        samples += built
+    if unread is not None:
+        raise unread
+    write_manifest(samples, out)
+    return len(samples)
+
+
+def ingest(sources: Sequence[tuple[DatasetId, Path]], out: str) -> int:
+    """Parse each source file with its adapter into the manifest ``out``;
+    the sample count. Each file is read once (a pipe cannot be read twice)."""
+    arrays: list[tuple[Build, str]] = []
+    for dataset, path in sources:
+        try:
+            arrays.append((_ADAPTERS[dataset], path.read_text(encoding="utf-8")))
+        except (OSError, UnicodeDecodeError) as exc:
+            return _write_records(arrays, out, exc)
+    return _write_records(arrays, out)
+
+
+def gen_perception(infile: str, out: str, seed: int) -> int:
+    """Write a grounding sample per detection record of ``infile`` to the
+    manifest ``out``; the count. Each draws from its own seeded stream."""
+    rng = SeededRng(seed)
+
+    def build(rec: dict[str, Any]) -> Sample:
+        sample_id, spec, anns = grounding_record_from_dict(rec)
+        return build_grounding_sample(sample_id, anns, spec,
+                                      rng.stream("perceptgen", sample_id, "grounding"))
+
+    return _write_records([(build, Path(infile).read_text(encoding="utf-8"))], out)
 
 
 # ---------------------------------------------------------------------------

@@ -1104,6 +1104,24 @@ def test_importing_the_cli_does_not_import_numpy():
     assert result.stdout.strip() == "False"
 
 
+def test_importing_the_cli_loads_only_the_modules_every_subcommand_needs():
+    # Every CLI call pays for these imports (perfbench's setup_s), and
+    # perfbench's tracer wraps functions in them; stages and remote load when
+    # a subcommand needs them.
+    src = str(Path(dataforge.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, dataforge.cli; "
+         "print(' '.join(sorted(m for m in sys.modules if m.startswith('dataforge'))))"],
+        capture_output=True, text=True, check=True, timeout=60,
+        env={"PYTHONPATH": src})
+    assert result.stdout.split() == [
+        "dataforge", "dataforge.augment", "dataforge.cli", "dataforge.core",
+        "dataforge.curriculum", "dataforge.errors", "dataforge.ingest", "dataforge.metrics",
+        "dataforge.perceptgen", "dataforge.promptkit", "dataforge.standardize",
+        "dataforge.tokens"]
+
+
 # ------------------------------------------------------------- config errors
 
 def test_missing_config_file(workdir, capsys):

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import random
@@ -9,13 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dataforge.core import (CameraId, DatasetId, MediaKind, decode_json, json_object,
-                            sample_to_json, validate_sample)
+                            sample_from_dict, sample_to_json, validate_sample)
 from dataforge.errors import DataforgeError, SchemaError
 from dataforge.ingest import (
     _ADAPTERS,
     BevGridConfig,
     LidarPoint,
     build_samples,
+    decode_manifest,
     parse_source,
     project_lidar_bev,
     read_manifest,
@@ -23,7 +25,7 @@ from dataforge.ingest import (
 )
 from dataforge.tokens import scan_object_refs
 
-from helpers import random_mixed_sample
+from helpers import plain_sample, random_mixed_sample
 
 
 # --- adapters ------------------------------------------------------------------
@@ -455,3 +457,32 @@ def test_duplicate_ids_rejected_on_write(tmp_path):
     s = random_mixed_sample(rng, 1)
     with pytest.raises(SchemaError):
         write_manifest([s, s], tmp_path / "m.jsonl")
+
+
+_LINE = sample_to_json(plain_sample(3))
+
+
+@pytest.mark.parametrize("line", [
+    _LINE + "\r",
+    _LINE + " ",
+    "\ufeff" + _LINE,
+    _LINE.replace('"width": 1280', '"width": ' + "1" * 5000),
+    _LINE.replace('"id": ', '"deep": ' + "[" * 3000 + "]" * 3000 + ', "id": '),
+    _LINE.replace('"width": 1280', '"width": NaN'),
+    _LINE.replace('"planning"', "NaN"),
+    _LINE + " " + _LINE,
+    _LINE,
+], ids=["cr", "space", "bom", "digits", "deep", "nan-width", "nan-tag", "two-values",
+        "plain"])
+def test_a_manifest_line_decodes_as_the_whole_line_decoder_reads_it(line):
+    # Lines decode through the C scanner; on any fault, or a line it does not
+    # read to the end, the line is decoded whole, so value and text agree.
+    try:
+        want = [sample_from_dict(decode_json(line))]
+    except SchemaError as exc:
+        want = str(exc.at(line=1))
+    try:
+        got = list(decode_manifest(io.StringIO(line + "\n", newline="")))
+    except SchemaError as exc:
+        got = str(exc)
+    assert got == want

@@ -1,12 +1,15 @@
-"""The manifest stages split their input into byte ranges, one per usable CPU.
+"""The stages split their work across the usable CPUs.
 
-standardize, augment, build-prompts and stats must give the same output
-bytes, stdout, stderr and exit code whatever the number of ranges, and must
-leave no worker process and no part file behind on any path. These tests
-shrink the minimum range size to one byte and set the CPU count, so a small
-manifest splits into as many ranges as the test asks for.
+standardize, augment, build-prompts and stats split their input into byte
+ranges; ingest and gen-perception deal the records of their JSON arrays into
+shares. Each must give the same output bytes, stdout, stderr and exit code
+whatever the number of ranges or shares, and must leave no worker process,
+no part file and no temp file behind on any path. These tests shrink the
+minimum range size to one byte and set the CPU count, so a small input splits
+into as many ranges or shares as the test asks for.
 """
 
+import json
 import os
 import random
 import signal
@@ -21,6 +24,8 @@ from dataforge import cli, stages
 from dataforge.core import DatasetId, QAPair, Sample, sample_to_json
 
 from helpers import plain_sample, random_mixed_sample, surround_media
+from test_ingest import (CODA_RECORD, DRIVELM_RECORD, LINGO_RECORD, MAPLM_RECORD,
+                         NUINSTRUCT_RECORD, OMNI_RECORD)
 
 STAGES = ("standardize", "augment", "build-prompts", "stats")
 
@@ -54,9 +59,14 @@ def _no_children_left():
 
 def _outcome(stage, manifest, out, capsys):
     """(exit code, stdout, stderr, output bytes or None) of one stage run."""
+    return _run_outcome([stage, "--offline", "--in", str(manifest), "--out", str(out)],
+                        out, capsys)
+
+
+def _run_outcome(argv, out, capsys):
+    """``_outcome`` of the CLI run ``argv``, which writes ``out``."""
     out.unlink(missing_ok=True)
-    argv = [stage, "--offline", "--in", str(manifest), "--out", str(out)]
-    rc = cli.main(argv)
+    rc = cli.main([str(arg) for arg in argv])
     captured = capsys.readouterr()
     leftovers = [p.name for p in out.parent.iterdir() if p.name.endswith(".tmp")]
     assert leftovers == []
@@ -80,10 +90,15 @@ def _mixed_lines(n, seed=0):
 
 
 def _same_for_one_two_and_three_ranges(stage, manifest, out, capsys, split):
+    return _same_for_one_two_and_three_shares(
+        [stage, "--offline", "--in", manifest, "--out", out], out, capsys, split)
+
+
+def _same_for_one_two_and_three_shares(argv, out, capsys, split):
     outcomes = []
     for cpus in (1, 2, 3):
         forks = split(cpus)
-        outcomes.append(_outcome(stage, manifest, out, capsys))
+        outcomes.append(_run_outcome(argv, out, capsys))
         if cpus == 1:
             assert forks == []
     assert outcomes[1] == outcomes[0]
@@ -387,3 +402,236 @@ def test_any_manifest_gives_the_same_outcome_for_one_two_and_three_ranges(
     manifest = _write(tmp_path / "m.jsonl", lines)
     _same_for_one_two_and_three_ranges(stage, manifest, tmp_path / "o.jsonl", capsys,
                                        split)
+
+
+# ------------------------------------------------------------ ingest and gen-perception
+
+# Each source record, and the key that holds its id.
+_RECORDS = {
+    "coda_lm": (CODA_RECORD, "id"),
+    "maplm": (MAPLM_RECORD, "frame_id"),
+    "lingoqa": (LINGO_RECORD, "segment_id"),
+    "drivelm": (DRIVELM_RECORD, "scene_id"),
+    "omnidrive": (OMNI_RECORD, "token"),
+    "nuinstruct": (NUINSTRUCT_RECORD, "sample_id"),
+    "generic": ({k: v for k, v in json.loads(sample_to_json(plain_sample(0))).items()}, "id"),
+    "gen-perception": ({"id": "percept/0", "annotations": [{
+        "camera": "FRONT_ONLY", "width": 1280, "height": 720, "uri": "img/1.jpg",
+        "objects": [{"category": "car", "bbox": [100, 100, 400, 300]},
+                    {"category": "pedestrian", "bbox": [500, 200, 560, 380]}]}]}, "id"),
+}
+ARRAY_STAGES = list(_RECORDS)
+
+
+def _records(kind, n=12):
+    """``n`` records of ``kind``, their ids out of order (7 is prime to n)."""
+    record, key = _RECORDS[kind]
+    return [dict(record, **{key: f"{kind}-{i * 7 % n:04d}"}) for i in range(n)]
+
+
+def _array_argv(kind, source, out):
+    if kind == "gen-perception":
+        return ["gen-perception", "--seed", "3", "--in", source, "--out", out]
+    return ["ingest", "--adapter", kind, "--in", source, "--out", out]
+
+
+def _array_outcomes(tmp_path, capsys, split, kind, text):
+    """The one outcome of ``kind`` on the source ``text`` (str or bytes) for 1,
+    2 and 3 CPUs."""
+    source = tmp_path / "source.json"
+    source.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    out = tmp_path / "o.jsonl"
+    return _same_for_one_two_and_three_shares(_array_argv(kind, source, out), out, capsys,
+                                              split)
+
+
+@pytest.mark.parametrize("kind", ARRAY_STAGES)
+def test_every_adapter_and_gen_perception_give_the_same_output_for_any_share_count(
+        tmp_path, capsys, split, monkeypatch, kind):
+    rc, out, err, data = _array_outcomes(tmp_path, capsys, split, kind,
+                                         json.dumps(_records(kind), indent=1))
+    assert (rc, err) == (0, "")
+    assert out.startswith("wrote") and data.count(b"\n") == 12
+    # Split, the shares write the output: the stage does not run again in process.
+    monkeypatch.setattr(stages, "build_samples", lambda *args: pytest.fail("ran in process"))
+    forks = split(3)
+    assert _run_outcome(_array_argv(kind, tmp_path / "source.json", tmp_path / "o.jsonl"),
+                        tmp_path / "o.jsonl", capsys)[3] == data
+    assert len(forks) == 2
+
+
+@pytest.mark.parametrize("kind", ARRAY_STAGES)
+def test_a_bad_record_in_a_later_share_is_named_by_its_index(tmp_path, capsys, split, kind):
+    records = _records(kind)
+    del records[11][_RECORDS[kind][1]]  # record 11 is in share 1 of 2 and share 2 of 3
+    rc, out, err, data = _array_outcomes(tmp_path, capsys, split, kind, json.dumps(records))
+    assert (rc, out, data) == (1, "", None)
+    assert "record 11" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", ["coda_lm", "gen-perception"])
+def test_invalid_json_late_in_the_array_beats_an_early_bad_record_in_any_share(
+        tmp_path, capsys, split, kind):
+    records = _records(kind)
+    del records[0][_RECORDS[kind][1]]
+    text = json.dumps(records)[:-1] + ",\n{]"
+    rc, out, err, data = _array_outcomes(tmp_path, capsys, split, kind, text)
+    assert (rc, out, data) == (1, "", None)
+    assert err == ("error: invalid JSON: Expecting property name enclosed in double "
+                   "quotes (line 2)\n")
+
+
+@pytest.mark.parametrize("kind", ARRAY_STAGES)
+def test_an_id_in_two_shares_is_a_duplicate(tmp_path, capsys, split, kind):
+    records = _records(kind)
+    records[1] = dict(records[1], **{_RECORDS[kind][1]: records[0][_RECORDS[kind][1]]})
+    rc, out, err, data = _array_outcomes(tmp_path, capsys, split, kind, json.dumps(records))
+    assert (rc, out, data) == (1, "", None)
+    assert err.startswith("error: duplicate sample id ") and err.count("\n") == 1
+
+
+def _config(tmp_path, sources):
+    path = tmp_path / "pipeline.json"
+    path.write_text(json.dumps({"sources": {k: str(v) for k, v in sources.items()}}))
+    return path
+
+
+def test_a_record_fault_in_the_first_source_beats_a_later_source_that_is_missing(
+        tmp_path, capsys, split):
+    records = _records("coda_lm")
+    records[5]["image"] = "not an object"
+    coda = tmp_path / "coda.json"
+    coda.write_text(json.dumps(records))
+    maplm = tmp_path / "maplm.json"
+    maplm.write_text(json.dumps(_records("maplm")))
+    out = tmp_path / "o.jsonl"
+    argv = ["--config", _config(tmp_path, {"coda_lm": coda, "maplm": tmp_path / "gone.json"}),
+            "ingest", "--out", out]
+    rc, _, err, data = _same_for_one_two_and_three_shares(argv, out, capsys, split)
+    assert (rc, data) == (1, None)
+    assert err.startswith("error: image must be an object") and "record 5" in err
+    # A clean first source: the missing file is the fault (exit 2); two clean
+    # sources: both are written.
+    coda.write_text(json.dumps(_records("coda_lm")))
+    rc, _, err, data = _same_for_one_two_and_three_shares(argv, out, capsys, split)
+    assert (rc, data) == (2, None) and "gone.json" in err
+    argv[1] = _config(tmp_path, {"coda_lm": coda, "maplm": maplm})
+    rc, stdout, err, data = _same_for_one_two_and_three_shares(argv, out, capsys, split)
+    assert (rc, err) == (0, "") and "24 samples from 2 source(s)" in stdout
+
+
+def test_a_source_that_is_not_utf8_is_reported_after_the_sources_before_it(
+        tmp_path, capsys, split):
+    coda = tmp_path / "coda.json"
+    coda.write_text(json.dumps(_records("coda_lm")))
+    maplm = tmp_path / "maplm.json"
+    maplm.write_bytes(json.dumps(_records("maplm")).encode() + b"\xff")
+    out = tmp_path / "o.jsonl"
+    argv = ["--config", _config(tmp_path, {"coda_lm": coda, "maplm": maplm}), "ingest",
+            "--out", out]
+    rc, _, err, data = _same_for_one_two_and_three_shares(argv, out, capsys, split)
+    assert (rc, data) == (1, None)
+    assert err.startswith("error: input is not valid UTF-8")
+    rc, _, err, _ = _array_outcomes(tmp_path, capsys, split, "gen-perception",
+                                  json.dumps(_records("gen-perception")).encode() + b"\xff")
+    assert rc == 1 and err.startswith("error: input is not valid UTF-8")
+
+
+@pytest.mark.parametrize("fault", ["none", "duplicate"])
+def test_a_source_read_from_a_pipe_is_read_once(tmp_path, capsys, split, fault):
+    # A pipe cannot be read twice, so a fault that makes the stage run again
+    # in process must find the text it read.
+    records = _records("coda_lm")
+    if fault == "duplicate":
+        records[1] = dict(records[1], id=records[0]["id"])
+    source = tmp_path / "coda.json"
+    source.write_text(json.dumps(records))
+    out = tmp_path / "o.jsonl"
+    split(1)
+    want = _run_outcome(_array_argv("coda_lm", source, out), out, capsys)
+    forks = split(3)
+    read_end, write_end = os.pipe()
+    os.write(write_end, source.read_bytes())  # 12 records fit in the pipe
+    os.close(write_end)
+    try:
+        got = _run_outcome(_array_argv("coda_lm", f"/dev/fd/{read_end}", out), out, capsys)
+    finally:
+        os.close(read_end)
+    assert got == want and len(forks) == 2
+    assert want[0] == (0 if fault == "none" else 1)
+
+
+def _checked_in_worker(parent, action):
+    """A stages._checked that runs ``action`` in a share worker only."""
+    checked = stages._checked
+
+    def check(build, rec, idx):
+        if os.getpid() != parent:
+            action()
+        return checked(build, rec, idx)
+
+    return check
+
+
+def test_a_share_worker_that_dies_leaves_the_output_as_one_process_makes_it(
+        tmp_path, capsys, split, monkeypatch):
+    text = json.dumps(_records("nuinstruct"))
+    split(1)
+    want = _array_outcomes(tmp_path, capsys, split, "nuinstruct", text)
+    monkeypatch.setattr(stages, "_checked", _checked_in_worker(
+        os.getpid(), lambda: os.kill(os.getpid(), signal.SIGKILL)))
+    forks = split(3)
+    out = tmp_path / "o.jsonl"
+    argv = _array_argv("nuinstruct", tmp_path / "source.json", out)
+    assert _run_outcome(argv, out, capsys) == want
+    assert len(forks) == 2
+
+
+@pytest.mark.parametrize("kind", ["drivelm", "gen-perception"])
+def test_an_interrupt_in_a_share_reaps_the_workers_and_leaves_no_file(
+        tmp_path, capsys, split, monkeypatch, kind):
+    source = tmp_path / "source.json"
+    source.write_text(json.dumps(_records(kind)))
+    parent = os.getpid()
+    checked = stages._checked
+
+    def interrupted(build, rec, idx):
+        if os.getpid() == parent and idx == 6:
+            raise KeyboardInterrupt
+        if os.getpid() != parent:
+            time.sleep(0.05)
+        return checked(build, rec, idx)
+
+    monkeypatch.setattr(stages, "_checked", interrupted)
+    split(3)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main([str(a) for a in _array_argv(kind, source, tmp_path / "out" / "o.jsonl")])
+    assert [p.name for p in tmp_path.iterdir()] == ["source.json"]  # no file, no out/
+    assert _no_children_left()
+
+
+_GOOD_CODA = st.integers(0, 11).map(lambda i: json.dumps(dict(CODA_RECORD, id=f"{i:04d}")))
+_CODA_ELEMENTS = st.one_of(
+    _GOOD_CODA, _GOOD_CODA, _GOOD_CODA,
+    st.sampled_from([
+        json.dumps({k: v for k, v in CODA_RECORD.items() if k != "image"}),  # build fault
+        json.dumps(dict(CODA_RECORD, qa=[{"question": "Where?",
+                                          "answer": "<cone>[5000.0, 1.0]"}])),  # invalid
+        "7", "{", "1" * 5000, "[" * 3000 + "]" * 3000,
+    ]))
+
+
+@st.composite
+def _coda_sources(draw):
+    """A coda_lm source of up to 9 records, some of them faults or ids
+    repeated, perhaps with junk after the array."""
+    items = draw(st.lists(_CODA_ELEMENTS, max_size=9))
+    return "[" + ",\n".join(items) + "]" + draw(st.sampled_from(["", "", "\n", " x", ","]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=25,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_coda_sources())
+def test_any_source_gives_the_same_outcome_for_one_two_and_three_shares(
+        tmp_path, capsys, split, text):
+    _array_outcomes(tmp_path, capsys, split, "coda_lm", text)

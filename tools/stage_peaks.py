@@ -14,9 +14,11 @@ directory as the benchmark runs them. Each process runs one stage through
 from ``/proc/self/status``; a first process only imports ``dataforge.cli``,
 for the floor. A process's ``VmHWM`` starts afresh at ``exec``, unlike the
 ``ru_maxrss`` of a child, which on Linux keeps the high-water mark of the
-process that spawned it. Range workers forked by a manifest stage are
-processes of their own and are not counted. Prints one line per stage:
-name, exit code and ``VmHWM`` in MiB. Exits 1 if a stage exits non-zero.
+process that spawned it. The workers a stage forks to split its work are
+processes of their own, so after the stage the process also reads
+``getrusage(RUSAGE_CHILDREN).ru_maxrss``: the peak resident set of the
+largest worker it waited for (0 if it forked none). Prints one line per stage: name, exit code,
+``VmHWM`` and the workers' peak in MiB. Exits 1 if a stage exits non-zero.
 Linux only.
 """
 
@@ -35,27 +37,29 @@ sys.path.insert(0, str(HERE / "perfbench"))
 from workloads import GENERATORS, generate  # noqa: E402
 
 # Runs one stage (or, with no arguments, only the import) and prints
-# "<exit code> <VmHWM in kB>" as its last line of standard output.
+# "<exit code> <VmHWM in kB> <workers' ru_maxrss in kB>" as its last line of
+# standard output.
 _CHILD = """\
-import sys
+import resource, sys
 from dataforge.cli import main
 rc = main(sys.argv[1:]) if sys.argv[1:] else 0
 with open("/proc/self/status", encoding="ascii") as fh:
     kib = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
-print(rc, kib)
+print(rc, kib, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
 
 
-def _peak(tree: Path, argv: list[str], cwd: Path) -> tuple[int, float]:
-    """(exit code, VmHWM in MiB) of one fresh process running ``argv``."""
+def _peak(tree: Path, argv: list[str], cwd: Path) -> tuple[int, float, float]:
+    """(exit code, VmHWM in MiB, workers' peak in MiB) of one fresh process
+    running ``argv``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     proc = subprocess.run([sys.executable, "-c", _CHILD, *argv], cwd=cwd, env=env,
                           capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{argv[:1]} ended with status {proc.returncode}:\n"
                            f"{proc.stderr}")
-    rc, kib = proc.stdout.splitlines()[-1].split()
-    return int(rc), int(kib) / 1024
+    rc, kib, workers_kib = proc.stdout.splitlines()[-1].split()
+    return int(rc), int(kib) / 1024, int(workers_kib) / 1024
 
 
 def main() -> int:
@@ -79,9 +83,10 @@ def main() -> int:
                 (stage, [a.replace("{in}", ".").replace("{out}", "../out") for a in argv])
                 for stage, argv in workload.stages]
             for stage, argv in rows:
-                rc, mib = _peak(tree, argv, in_dir)
+                rc, mib, workers_mib = _peak(tree, argv, in_dir)
                 failed |= rc != 0
-                print(f"  {stage:<16} exit {rc}  VmHWM {mib:6.1f} MiB")
+                print(f"  {stage:<16} exit {rc}  VmHWM {mib:6.1f} MiB  "
+                      f"workers {workers_mib:6.1f} MiB")
     return 1 if failed else 0
 
 
