@@ -12,11 +12,11 @@ A subcommand runs with the cyclic garbage collector paused: a stage holds
 tens of thousands of samples and creates no reference cycles, so the collector
 would only re-walk a growing heap. Reference counting still frees everything.
 
-ingest, standardize, augment, gen-perception, build-prompts and stats live in
-``stages``, which splits their work across the usable CPUs with the same
-output bytes, messages and exit code as one process gives; each subcommand
-imports it when it runs. augment reads its input twice, so it refuses an
-``--in`` that is not a regular file (exit 2).
+ingest, standardize, augment, gen-perception, build-prompts, stats and
+evaluate live in ``stages``, which splits their work across the usable CPUs
+with the same output bytes, messages and exit code as one process gives; each
+subcommand imports it when it runs. augment reads its input twice, so it
+refuses an ``--in`` that is not a regular file (exit 2).
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .errors import DataforgeError, SchemaError
 # No stage writes or reads a manifest through these bindings any more;
 # perfbench/tests/test_tracer.py still checks that the tracer wraps them.
 from .ingest import read_manifest, write_manifest  # noqa: F401
-from .metrics import evaluate_records, record_from_dict, report_to_dict
+from .metrics import report_to_dict
 # gen-perception runs in ``stages``; perfbench's tracer wraps the targets it
 # finds in the modules ``import dataforge.cli`` loads, so this loads
 # perceptgen (and through it standardize) as before.
@@ -235,17 +235,9 @@ def _cmd_plan_curriculum(args: argparse.Namespace, cfg: PipelineConfig) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace, cfg: PipelineConfig) -> int:
-    dataset = DatasetId(args.dataset)
-    records = []
-    with open(args.infile, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                raise SchemaError("blank line in predictions file", line=line_no)
-            try:
-                records.append(record_from_dict(decode_json(line)))
-            except SchemaError as exc:
-                raise exc.at(line=line_no) from None
-    report = evaluate_records(records, dataset)
+    from .stages import evaluate
+
+    report = evaluate(args.infile, DatasetId(args.dataset))
     payload = report_to_dict(report)
     if args.out is not None:
         write_json(args.out, payload)

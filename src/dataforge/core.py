@@ -605,18 +605,23 @@ def decode_json(text: str) -> Any:
 _scan_value = make_scanner(json.JSONDecoder())
 
 
-def sample_from_json(line: str) -> Sample:
-    """One manifest line; the manifest reader puts its own line number on
-    a fault. The line is decoded with ``_scan_value``; if that raises or
-    stops short of the line's end, ``decode_json`` decodes it again, so a
-    fault reads as ``decode_json`` words it."""
+def decode_line(line: str) -> Any:
+    """The JSON value of one JSONL line, its "\\n" end not counted. The C
+    scanner reads it; if that raises or stops short of the line's end,
+    ``decode_json`` decodes the line again, so a fault (and any whitespace
+    around the value) reads as ``decode_json`` reads it."""
+    text = line.rstrip("\n")
     try:
-        value, end = _scan_value(line, 0)
+        value, end = _scan_value(text, 0)
     except Exception:  # StopIteration, RecursionError, the int-digit ValueError
         end = -1
-    if end != len(line):
-        value = decode_json(line)
-    return sample_from_dict(value)
+    return value if end == len(text) else decode_json(line)
+
+
+def sample_from_json(line: str) -> Sample:
+    """One manifest line; the manifest reader puts its own line number on
+    a fault."""
+    return sample_from_dict(decode_line(line))
 
 
 def assert_unique_ids(samples: Iterable[Sample]) -> None:

@@ -12,7 +12,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .core import (
     BBoxNorm,
@@ -307,49 +307,49 @@ def record_from_dict(data: Any) -> PredictionRecord:
                             predicted=predicted, gold=gold)
 
 
-def evaluate_records(records: Sequence[PredictionRecord],
-                     dataset: DatasetId) -> MetricReport:
-    """Score a batch of records into one report, grouped by task.
+# Each task's report entry, in report order, and the score of one record's
+# (predicted, gold): True or False for an exact match (as ``accuracy`` counts
+# it), BLEU, the absolute error, AP (None without ground truth) or center match.
+_SCORES: dict[str, tuple[str, Callable[[Any, Any], float | None]]] = {
+    "classification": ("accuracy", lambda p, g: _normalize_text(p) == _normalize_text(g)),
+    "caption": ("bleu", lambda p, g: bleu(p, [g])),
+    "regression": ("mae", lambda p, g: abs(p - g)),
+    "detection": ("detection_ap", lambda p, g: average_precision(p, g, IOU_THRESHOLD)),
+    "grounding": ("center_match", lambda p, g: center_match_score(p, g, MATCH_RADIUS)),
+}
 
-    Detection and grounding are scored per record and averaged; detection
-    records without ground truth are skipped and counted in
-    ``detection_skipped``. Aggregation is order-free.
-    """
+
+def score_record(rec: PredictionRecord) -> tuple[str, float | None]:
+    """(task, score) of one record. It cannot raise on a record that
+    ``record_from_dict`` accepted."""
+    return rec.task, _SCORES[rec.task][1](rec.predicted, rec.gold)
+
+
+def report_from_scores(scores: Iterable[tuple[str, float | None]],
+                       dataset: DatasetId) -> MetricReport:
+    """One report from ``score_record``'s pairs, given in file order: each
+    task's scores are summed in that order and averaged (a float sum depends
+    on the order of its terms, so the order is part of the result); a
+    detection record without ground truth is skipped and counted in
+    ``detection_skipped``."""
+    by_task: dict[str, list[float]] = {task: [] for task in _SCORES}
+    records = skipped = 0
+    for records, (task, score) in enumerate(scores, start=1):
+        if score is None:
+            skipped += 1
+        else:
+            by_task[task].append(score)
     if not records:
         raise DataforgeError("no prediction records to evaluate")
-    by_task: dict[str, list[PredictionRecord]] = {}
-    for rec in records:
-        by_task.setdefault(rec.task, []).append(rec)
-
-    entries: dict[str, tuple[float, int]] = {}
-    skipped = 0
-    if "classification" in by_task:
-        recs = by_task["classification"]
-        entries["accuracy"] = (
-            accuracy((r.predicted, r.gold) for r in recs), len(recs))
-    if "caption" in by_task:
-        recs = by_task["caption"]
-        total = sum(bleu(r.predicted, [r.gold]) for r in recs)
-        entries["bleu"] = (total / len(recs), len(recs))
-    if "regression" in by_task:
-        recs = by_task["regression"]
-        entries["mae"] = (mae((r.predicted, r.gold) for r in recs), len(recs))
-    if "detection" in by_task:
-        recs = by_task["detection"]
-        scores = []
-        for r in recs:
-            ap = average_precision(r.predicted, r.gold, IOU_THRESHOLD)
-            if ap is not None:
-                scores.append(ap)
-        skipped = len(recs) - len(scores)
-        if scores:
-            entries["detection_ap"] = (sum(scores) / len(scores), len(scores))
-    if "grounding" in by_task:
-        recs = by_task["grounding"]
-        total = sum(center_match_score(r.predicted, r.gold, MATCH_RADIUS)
-                    for r in recs)
-        entries["center_match"] = (total / len(recs), len(recs))
+    entries = {_SCORES[task][0]: (sum(s) / len(s), len(s)) for task, s in by_task.items() if s}
     return MetricReport(dataset=dataset, entries=entries, detection_skipped=skipped)
+
+
+def evaluate_records(records: Sequence[PredictionRecord],
+                     dataset: DatasetId) -> MetricReport:
+    """Score a batch of records into one report, grouped by task; each
+    task's scores are summed in the order of ``records``."""
+    return report_from_scores(map(score_record, records), dataset)
 
 
 def report_to_dict(report: MetricReport) -> dict:

@@ -1,5 +1,6 @@
-"""The stages, each run across the usable CPUs (``os.sched_getaffinity``)
-with the output bytes, messages and exit code of one process.
+"""The seven stages, each run across the usable CPUs
+(``os.sched_getaffinity``) with the output bytes, messages and exit code of
+one process.
 
 The manifest stages standardize, augment, build-prompts and stats hand
 ``run`` their per-range work: a function of one range's samples and of the
@@ -11,9 +12,11 @@ order into the one ``atomic_writer`` output. An input not a regular file
 runs as one range in process, and so does augment with a rewriter, whose
 breaker and call order are serial.
 
-ingest and gen-perception deal the records of their JSON arrays round-robin
-into shares; the main process merges the shares' sorted rows by id. Any
-input shorter than two _MIN_RANGE blocks runs in process. ``fork`` hands a
+evaluate scores the byte ranges of its predictions file the same way, and
+the main process sums the ranges' scores in file order. ingest and
+gen-perception deal the records of their JSON arrays round-robin into
+shares; the main process merges the shares' sorted rows by id. Any input
+shorter than two _MIN_RANGE blocks runs in process. ``fork`` hands a
 worker the stage's state without sending it; the CLI runs no threads, so
 forking is safe. ``cli`` imports this module when a stage runs.
 """
@@ -38,10 +41,11 @@ from typing import Any, BinaryIO, Callable, ContextManager, Iterator, Sequence, 
 from .augment import (DEFAULT_FACTORS, MC_FRACTION, Rewriter, SeededRng, expand_dataset,
                       plan_expansion)
 from .core import (DatasetId, MediaKind, Provenance, QAStyle, Sample, assert_unique_ids,
-                   atomic_writer, sample_to_json)
-from .errors import DataforgeError
+                   atomic_writer, decode_line, sample_to_json)
+from .errors import DataforgeError, SchemaError
 from .ingest import (_ADAPTERS, _array_items, _checked, build_samples, decode_manifest,
                      write_manifest)
+from .metrics import MetricReport, record_from_dict, report_from_scores, score_record
 from .perceptgen import build_grounding_sample, grounding_record_from_dict
 from .promptkit import SEQUENCE_LIMIT, BudgetReport, check_budget
 from .standardize import standardize_sample
@@ -135,16 +139,21 @@ class Manifest:
             counts.append(lines)
         return counts
 
-    def samples(self, span: tuple[int, int] | None = None) -> Iterator[Sample]:
-        """The samples of ``span``, or of the whole file read from its start
-        as ``ingest.iter_manifest`` reads it."""
+    def text(self, span: tuple[int, int] | None = None) -> TextIO:
+        """The text of ``span``, or of the whole file read from its start as
+        ``open(path, encoding="utf-8")`` reads it."""
         if span is None:
             if self.regular:
                 os.lseek(self._fd, 0, os.SEEK_SET)
             raw: BinaryIO = open(self._fd, "rb", closefd=False)
         else:
             raw = io.BufferedReader(_Span(self._fd, *span))
-        return decode_manifest(io.TextIOWrapper(raw, encoding="utf-8"))
+        return io.TextIOWrapper(raw, encoding="utf-8")
+
+    def samples(self, span: tuple[int, int] | None = None) -> Iterator[Sample]:
+        """The samples of ``span``, or of the whole file, as
+        ``ingest.iter_manifest`` reads them."""
+        return decode_manifest(self.text(span))
 
 
 def _writer(path: str | None) -> ContextManager[TextIO | None]:
@@ -506,3 +515,38 @@ def stats(infile: str) -> dict[str, Any]:
         "by_provenance": by_value(by_provenance),
         "by_style": by_value(by_style),
     }
+
+
+def _scores(src: Manifest, span: tuple[int, int] | None = None) -> list[tuple[str, float | None]]:
+    """``metrics.score_record`` of each record of ``span`` (or of the whole
+    predictions file), in file order, lines numbered from the span's start."""
+    scores = []
+    with src.text(span) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                raise SchemaError("blank line in predictions file", line=line_no)
+            try:
+                record = record_from_dict(decode_line(line))
+            except SchemaError as exc:
+                raise exc.at(line=line_no) from None
+            scores.append(score_record(record))
+    return scores
+
+
+def evaluate(infile: str, dataset: DatasetId) -> MetricReport:
+    """The report on the predictions file ``infile``. The main process scores
+    the first range and a forked worker each other one; a fault in any range
+    or a dead worker makes the whole file run again as one range, so each
+    fault is the first in file order, named by its line in the file."""
+    with Manifest(infile) as src:
+        spans = src.spans()
+        if len(spans) > 1:
+            try:
+                with _forked([partial(_scores, src, span) for span in spans[1:]]) as result:
+                    scores = _scores(src, spans[0])
+                    for k in range(len(spans) - 1):
+                        scores += result(k)
+                return report_from_scores(scores, dataset)
+            except Exception:
+                pass  # reported by the one-range run
+        return report_from_scores(_scores(src), dataset)

@@ -1,14 +1,21 @@
 """The examples in docs/source-schemas.md run as documented."""
 
+import functools
 import json
 from pathlib import Path
 
 import pytest
 
+from dataforge import remote
 from dataforge.cli import main
+from dataforge.core import DatasetId, QAPair, Sample
+from dataforge.ingest import write_manifest
 from dataforge.promptkit import SEQUENCE_LIMIT
 
+from helpers import raw_reply_server, single_view_media
+
 DOC = Path(__file__).resolve().parent.parent / "docs" / "source-schemas.md"
+README = DOC.parent.parent / "README.md"
 
 ADAPTERS = ("coda_lm", "maplm", "lingoqa", "drivelm", "omnidrive", "nuinstruct")
 
@@ -84,3 +91,33 @@ def test_documented_predictions_example_evaluates(tmp_path, capsys):
     assert main(["evaluate", "--in", str(preds), "--dataset", "coda_lm"]) == 0
     scored = {line.split(":")[0] for line in capsys.readouterr().out.splitlines()}
     assert scored == {"accuracy", "bleu", "mae", "detection_ap", "center_match"}
+
+
+def test_documented_breaker_stops_a_dead_rewriter_after_three_calls(tmp_path, monkeypatch):
+    assert "three failed calls in a row" in " ".join(README.read_text().split())
+    monkeypatch.delenv("DATAFORGE_OFFLINE", raising=False)
+    monkeypatch.setattr(remote, "RemoteTextClient", functools.partial(
+        remote.RemoteTextClient, sleep=lambda s: None))
+    std = _standardized(tmp_path, "coda_lm")
+    with raw_reply_server(b"HELLO\r\n\r\n") as (url, bodies):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"augment": {"rewriter_url": url}}))
+        assert main(["augment", "--config", str(config), "--in", str(std),
+                     "--out", str(tmp_path / "aug.jsonl")]) == 0
+    assert len(bodies) == 9  # three calls of three tries; the later copies call none
+
+
+def test_documented_pool_offers_the_first_64_distinct_answers(tmp_path):
+    assert "64 distinct answers" in DOC.read_text(encoding="utf-8")
+    # 100 distinct answers in manifest order, then the same again: only the
+    # first 64 are ever offered as distractors.
+    samples = [Sample(f"p/{i:04d}", DatasetId.CODA_LM, single_view_media(),
+                      (QAPair("What is ahead?", f"answer {i % 100}"),), frozenset({"hazards"}))
+               for i in range(400)]
+    manifest, aug = tmp_path / "m.jsonl", tmp_path / "aug.jsonl"
+    write_manifest(samples, manifest)
+    assert main(["augment", "--offline", "--in", str(manifest), "--out", str(aug)]) == 0
+    offered = {text for line in aug.read_text(encoding="utf-8").splitlines()
+               for qa in json.loads(line)["qa"] if "options" in qa
+               for label, text in qa["options"] if label != qa["answer"]}
+    assert offered == {f"answer {i}" for i in range(64)}

@@ -20,7 +20,9 @@ from dataforge.metrics import (
     iou,
     mae,
     record_from_dict,
+    report_from_scores,
     report_to_dict,
+    score_record,
 )
 
 from helpers import exactly
@@ -584,6 +586,9 @@ def test_evaluate_records_mixed_batch():
 
 
 def test_evaluate_records_order_free():
+    # Hits are counted in integers and the captions are all equal, so any
+    # order gives the same report; float scores that differ are summed in
+    # record order (below).
     rng = random.Random(3)
     records = [
         record_from_dict({"sample_id": f"s/{i}", "task": "classification",
@@ -600,6 +605,36 @@ def test_evaluate_records_order_free():
     shuffled = records[:]
     rng.shuffle(shuffled)
     assert evaluate_records(shuffled, DatasetId.GENERIC).entries == base.entries
+
+
+def test_evaluate_records_sums_each_task_in_record_order():
+    def regression(i, error):
+        return record_from_dict({"sample_id": f"r/{i}", "task": "regression",
+                                 "predicted": error, "gold": 0})
+
+    errors = [1e16, 1.0, 1.0]
+    forward = evaluate_records([regression(i, e) for i, e in enumerate(errors)],
+                               DatasetId.GENERIC)
+    backward = evaluate_records([regression(i, e) for i, e in enumerate(errors[::-1])],
+                                DatasetId.GENERIC)
+    assert forward.entries["mae"] == ((1e16 + 1.0 + 1.0) / 3, 3)
+    assert backward.entries["mae"] == ((1.0 + 1.0 + 1e16) / 3, 3)
+    assert forward.entries["mae"] != backward.entries["mae"]
+
+
+def test_score_record_then_report_from_scores_is_evaluate_records():
+    records = [record_from_dict({"sample_id": f"b/{i}", "task": "caption",
+                                 "predicted": "a car " * i, "gold": "a car on the left"})
+               for i in range(6)]
+    records.append(record_from_dict({"sample_id": "d/0", "task": "detection",
+                                     "predicted": [], "gold": []}))
+    scores = [score_record(r) for r in records]
+    assert scores[-1] == ("detection", None)
+    assert [task for task, _ in scores[:-1]] == ["caption"] * 6
+    report = report_from_scores(scores, DatasetId.GENERIC)
+    assert report == evaluate_records(records, DatasetId.GENERIC)
+    assert report.entries == {"bleu": (sum(s for _, s in scores[:-1]) / 6, 6)}
+    assert report.detection_skipped == 1
 
 
 def test_evaluate_records_detection_all_skipped():

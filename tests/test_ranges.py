@@ -9,6 +9,7 @@ minimum range size to one byte and set the CPU count, so a small input splits
 into as many ranges or shares as the test asks for.
 """
 
+import io
 import json
 import os
 import random
@@ -21,7 +22,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dataforge import cli, stages
-from dataforge.core import DatasetId, QAPair, Sample, sample_to_json
+from dataforge.core import DatasetId, QAPair, Sample, decode_json, sample_to_json
+from dataforge.errors import SchemaError
+from dataforge.metrics import record_from_dict
 
 from helpers import plain_sample, random_mixed_sample, surround_media
 from test_ingest import (CODA_RECORD, DRIVELM_RECORD, LINGO_RECORD, MAPLM_RECORD,
@@ -635,3 +638,232 @@ def _coda_sources(draw):
 def test_any_source_gives_the_same_outcome_for_one_two_and_three_shares(
         tmp_path, capsys, split, text):
     _array_outcomes(tmp_path, capsys, split, "coda_lm", text)
+
+
+# ------------------------------------------------------------ evaluate
+
+def _box(rng):
+    x, y = rng.uniform(0, 80), rng.uniform(0, 80)
+    return [x, y, x + rng.uniform(1, 20), y + rng.uniform(1, 20)]
+
+
+def _near(rng, box):
+    """``box`` moved by up to 3 units, clamped to 0-100."""
+    x0, y0, x1, y1 = (min(max(v + rng.uniform(-3, 3), 0), 100) for v in box)
+    return [min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1)]
+
+
+def _prediction_lines(n, seed=0):
+    """``n`` records of each task, shuffled; BLEU, the absolute error and AP
+    differ from record to record, so each float sum depends on its order."""
+    rng = random.Random(seed)
+    words = "a car truck cone left right ahead near far stops".split()
+    records = []
+    for i in range(n):
+        gold = [_box(rng) for _ in range(rng.randint(1, 4))]
+        records += [
+            {"sample_id": f"c/{i}", "task": "classification",
+             "predicted": rng.choice(["Yes", "no"]), "gold": "yes"},
+            {"sample_id": f"b/{i}", "task": "caption",
+             "predicted": " ".join(rng.choices(words, k=rng.randint(1, 8))),
+             "gold": " ".join(rng.choices(words, k=rng.randint(3, 8)))},
+            {"sample_id": f"r/{i}", "task": "regression",
+             "predicted": rng.uniform(0, 10), "gold": rng.uniform(0, 10)},
+            {"sample_id": f"d/{i}", "task": "detection",
+             "predicted": [{"bbox": _near(rng, box), "confidence": rng.random()}
+                           for box in gold + [_box(rng)]],
+             "gold": [{"bbox": box} for box in gold]},
+            {"sample_id": f"g/{i}", "task": "grounding",
+             "predicted": [{"point": [rng.uniform(0, 4), 1]}], "gold": [{"point": [2, 1]}]},
+        ]
+    rng.shuffle(records)
+    return [json.dumps(record) for record in records]
+
+
+def _evaluate_outcomes(tmp_path, capsys, split, data):
+    """The one outcome of evaluate on the predictions ``data`` (bytes) for 1,
+    2 and 3 CPUs."""
+    preds = tmp_path / "preds.jsonl"
+    preds.write_bytes(data)
+    out = tmp_path / "report.json"
+    return _same_for_one_two_and_three_shares(
+        ["evaluate", "--dataset", "generic", "--in", preds, "--out", out], out, capsys,
+        split)
+
+
+def _text(lines):
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+def test_evaluate_gives_the_same_report_for_one_two_and_three_ranges(
+        tmp_path, capsys, split, monkeypatch):
+    from test_docs import _block
+
+    documented = _block("## Predictions file (`evaluate`)").encode("utf-8")
+    rc, out, err, data = _evaluate_outcomes(tmp_path, capsys, split, documented)
+    assert (rc, err) == (0, "") and out.count("\n") == 5
+    assert json.loads(data)["entries"]["mae"] == {"value": 2.0, "n_samples": 1}
+    # Split, the ranges make the report: the main process scores range 0 once.
+    parent, scored = os.getpid(), []
+    scores = stages._scores
+    monkeypatch.setattr(stages, "_scores", lambda *args: (
+        scored.append(1) if os.getpid() == parent else None, scores(*args))[1])
+    forks = split(3)
+    argv = ["evaluate", "--dataset", "generic", "--in", tmp_path / "preds.jsonl",
+            "--out", tmp_path / "report.json"]
+    assert _run_outcome(argv, tmp_path / "report.json", capsys) == (rc, out, err, data)
+    assert (len(forks), len(scored)) == (2, 1)
+
+
+def test_evaluate_reports_a_skipped_detection_record_once(tmp_path, capsys, split):
+    lines = _prediction_lines(3)
+    lines.insert(9, json.dumps({"sample_id": "d/x", "task": "detection", "gold": [],
+                                "predicted": [{"bbox": [1, 1, 2, 2], "confidence": 0.5}]}))
+    rc, out, err, data = _evaluate_outcomes(tmp_path, capsys, split, _text(lines))
+    assert (rc, err) == (0, "detection: 1 record(s) skipped (no ground truth)\n")
+    assert json.loads(data)["entries"]["detection_ap"]["n_samples"] == 3
+
+
+@pytest.mark.parametrize("at", [0, 11])
+@pytest.mark.parametrize("blank", ["", " \t"])
+def test_evaluate_names_a_blank_line_by_its_line_in_the_file(tmp_path, capsys, split,
+                                                             blank, at):
+    lines = _prediction_lines(3)
+    lines[at] = blank
+    assert _evaluate_outcomes(tmp_path, capsys, split, _text(lines)) == (
+        1, "", f"error: blank line in predictions file (line {at + 1})\n", None)
+
+
+def test_evaluate_reports_the_first_bad_record_in_file_order(tmp_path, capsys, split):
+    lines = _prediction_lines(3)
+    lines[1] = lines[1].replace('"task": "', '"task": "x')  # range 0
+    lines[13] = "{"  # range 1 of 2, range 2 of 3
+    rc, out, err, data = _evaluate_outcomes(tmp_path, capsys, split, _text(lines))
+    assert (rc, out, data) == (1, "", None)
+    assert err.startswith("error: unknown task 'x") and err.endswith("(line 2)\n")
+
+
+def test_evaluate_reports_bytes_not_utf8_in_a_later_range_as_one_range_does(
+        tmp_path, capsys, split):
+    data = _text(_prediction_lines(3))
+    at = len(data) * 3 // 4
+    rc, out, err, report = _evaluate_outcomes(tmp_path, capsys, split,
+                                              data[:at] + b"\xff" + data[at:])
+    assert (rc, out, report) == (1, "", None)
+    assert err.startswith("error: input is not valid UTF-8: 'utf-8' codec can't decode "
+                          f"byte 0xff in position {at}")
+
+
+def test_evaluate_refuses_an_empty_file(tmp_path, capsys, split):
+    assert _evaluate_outcomes(tmp_path, capsys, split, b"") == (
+        1, "", "error: no prediction records to evaluate\n", None)
+
+
+def test_evaluate_reads_a_pipe_as_one_range(tmp_path, capsys, split):
+    preds = tmp_path / "preds.jsonl"
+    preds.write_bytes(_text(_prediction_lines(3)))
+    out = tmp_path / "report.json"
+    split(1)
+    want = _run_outcome(["evaluate", "--dataset", "generic", "--in", preds, "--out", out],
+                        out, capsys)
+    forks = split(3)
+    read_end, write_end = os.pipe()
+    os.write(write_end, preds.read_bytes())  # 15 records fit in the pipe
+    os.close(write_end)
+    try:
+        got = _run_outcome(["evaluate", "--dataset", "generic", "--in",
+                            f"/dev/fd/{read_end}", "--out", out], out, capsys)
+    finally:
+        os.close(read_end)
+    assert got == want and want[0] == 0 and forks == []
+
+
+def test_an_evaluate_worker_that_dies_leaves_the_report_as_one_range_makes_it(
+        tmp_path, capsys, split, monkeypatch):
+    preds = tmp_path / "preds.jsonl"
+    preds.write_bytes(_text(_prediction_lines(3)))
+    out = tmp_path / "report.json"
+    argv = ["evaluate", "--dataset", "generic", "--in", preds, "--out", out]
+    split(1)
+    want = _run_outcome(argv, out, capsys)
+    parent, score = os.getpid(), stages.score_record
+
+    def killed(record):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return score(record)
+
+    monkeypatch.setattr(stages, "score_record", killed)
+    forks = split(3)
+    assert _run_outcome(argv, out, capsys) == want
+    assert len(forks) == 2
+
+
+def test_an_interrupt_in_evaluate_reaps_the_workers_and_leaves_no_file(
+        tmp_path, capsys, split, monkeypatch):
+    preds = tmp_path / "preds.jsonl"
+    preds.write_bytes(_text(_prediction_lines(3)))
+    parent, score = os.getpid(), stages.score_record
+
+    def interrupted(record):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(0.05)
+        return score(record)
+
+    monkeypatch.setattr(stages, "score_record", interrupted)
+    split(3)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["evaluate", "--dataset", "generic", "--in", str(preds),
+                  "--out", str(tmp_path / "out" / "report.json")])
+    assert [p.name for p in tmp_path.iterdir()] == ["preds.jsonl"]  # no file, no out/
+    assert _no_children_left()
+
+
+_PLAIN = json.dumps({"sample_id": "r/x", "task": "regression", "predicted": 1.5, "gold": 1})
+
+
+@pytest.mark.parametrize("line", [
+    _PLAIN + "\r",
+    _PLAIN + " ",
+    "\ufeff" + _PLAIN,
+    _PLAIN.replace("1.5", "1" * 5000),
+    _PLAIN.replace('"gold"', '"deep": ' + "[" * 3000 + "]" * 3000 + ', "gold"'),
+    _PLAIN.replace("1.5", "NaN"),
+    _PLAIN + " " + _PLAIN,
+    _PLAIN,
+], ids=["cr", "space", "bom", "digits", "deep", "nan", "two-values", "plain"])
+def test_a_predictions_line_reads_as_the_whole_line_decoder_reads_it(tmp_path, capsys,
+                                                                     split, line):
+    # Lines decode through the C scanner; on any fault, or a line it does not
+    # read to the end, the line is decoded whole, so value and text agree.
+    lines = _prediction_lines(2)
+    lines[5] = line
+    data = _text(lines)
+    read = io.StringIO(data.decode("utf-8"), newline=None).readlines()[5]
+    try:
+        assert record_from_dict(decode_json(read)) == record_from_dict(json.loads(_PLAIN))
+        lines[5] = _PLAIN
+        want = _evaluate_outcomes(tmp_path, capsys, split, _text(lines))
+    except SchemaError as exc:
+        want = (1, "", f"error: {exc.at(line=6)}\n", None)
+    assert _evaluate_outcomes(tmp_path, capsys, split, data) == want
+
+
+@st.composite
+def _predictions(draw):
+    """Up to 40 records whose float scores differ, a line perhaps turned into
+    a fault: a blank line, bad JSON or a record of no task."""
+    lines = _prediction_lines(8, seed=draw(st.integers(0, 7)))[:draw(st.integers(1, 40))]
+    for _ in range(draw(st.integers(0, 1))):
+        at = draw(st.integers(0, len(lines) - 1))
+        lines[at] = draw(st.sampled_from(["", "{", '{"sample_id": "x", "task": "x"}']))
+    return lines
+
+
+@settings(derandomize=True, deadline=None, max_examples=25,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=_predictions())
+def test_any_predictions_file_gives_the_same_report_for_one_two_and_three_ranges(
+        tmp_path, capsys, split, lines):
+    _evaluate_outcomes(tmp_path, capsys, split, _text(lines))
