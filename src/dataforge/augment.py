@@ -308,12 +308,12 @@ def expand_sample(sample: Sample, factor: int, mc_fraction: float, rng: SeededRn
 
 
 def plan_expansion(samples: Iterable[Sample], factors: Mapping[DatasetId, int],
-                   splits: Collection[int] = ()) -> tuple[Pools, list[int]]:
+                   splits: Collection[str] = ()) -> tuple[Pools, list[str]]:
     """The first of augment's two passes over its input: check every sample
     and build the distractor pools ``expand_dataset`` draws from.
 
-    Also returns those of ``splits`` (sample indices) before which the input
-    may be cut into runs that expand on their own: a cut before sample i is
+    Also returns those of ``splits`` (sample ids) before which the input may
+    be cut into runs that expand on their own: a cut before a sample is
     allowed if its id sorts above every copy id of the samples before it, so
     the runs' outputs, each in id order, concatenate in id order.
 
@@ -324,16 +324,16 @@ def plan_expansion(samples: Iterable[Sample], factors: Mapping[DatasetId, int],
     """
     splits = set(splits)
     pools: Pools = {}
-    cuts: list[int] = []
+    cuts: list[str] = []
     # The copy number whose id sorts last, per expanded dataset: "4" for x5,
     # "9" for x12.
     last_copy = {dataset: max(map(str, range(1, factor)))
                  for dataset, factor in factors.items() if factor > 1}
     top_copy = ""  # the highest copy id so far
     previous = None
-    for index, sample in enumerate(samples):
-        if index in splits and sample.id > top_copy:
-            cuts.append(index)
+    for sample in samples:
+        if sample.id in splits and sample.id > top_copy:
+            cuts.append(sample.id)
         if previous is not None and sample.id <= previous:
             raise DataforgeError(
                 f"augment needs samples in increasing id order: {sample.id!r} "

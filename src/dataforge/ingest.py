@@ -6,8 +6,10 @@ coordinate/token rewriting belongs to standardize. Also hosts the LiDAR
 bird's-eye-view rasterizer (the only user of numpy, imported there so that no
 CLI call pays for it) and JSONL manifest I/O.
 
-``stages`` splits a large array's records across the CPUs with the parts of
-``build_samples`` (``_array_items``, ``_checked``) and falls back to it.
+``stages`` builds a source's records in shares, decoding one record at a
+time with ``_array_items`` and checking it with ``_checked``; on any fault it
+falls back to ``build_samples``, which reads the text whole and so names the
+fault a whole-file read meets first.
 
 Source schemas are documented in docs/source-schemas.md with one fixture each.
 """
@@ -244,16 +246,9 @@ def build_samples(text: str, build: Callable[[dict[str, Any]], Sample]) -> list[
     ``text``, each checked with ``validate_sample``.
 
     All-or-nothing: the first fault raises SchemaError naming its record;
-    invalid JSON anywhere in ``text`` comes before any record's fault.
-    Records are decoded and built one at a time, so the decoded array is
-    never held whole. On any fault the built samples are dropped and
-    ``text`` is decoded whole and built again, which raises the fault that
-    reading it whole meets first.
+    invalid JSON anywhere in ``text`` comes before any record's fault, since
+    the text is decoded whole before the first record is built.
     """
-    try:
-        return [_checked(build, rec, idx) for idx, rec in enumerate(_array_items(text))]
-    except Exception:
-        pass  # raised again, in whole-text order, below
     data = decode_json(text)
     if type(data) is not list:
         raise SchemaError("input must be a JSON array")
@@ -350,22 +345,15 @@ def write_manifest(samples: Iterable[Sample], path: str | Path) -> None:
             fh.write("\n")
 
 
-def iter_manifest(path: str | Path) -> Iterator[Sample]:
-    """Yield a manifest's samples in file order, decoding one line at a time.
-
-    The file is opened by this call, so a missing manifest fails here, before
-    the caller opens any output. A manifest is sorted by id with no id twice,
-    as ``write_manifest`` writes it. Each id must be strictly greater than the
-    one before; otherwise, as for a line that does not decode, iteration
-    raises SchemaError naming the line.
-    """
-    return decode_manifest(open(path, "r", encoding="utf-8"))
-
-
 def decode_manifest(fh: TextIO) -> Iterator[Sample]:
-    """Yield the samples of the manifest text ``fh``, checked as
-    ``iter_manifest`` checks them, with lines numbered from 1; ``fh`` is
-    closed at the end."""
+    """Yield the samples of the manifest text ``fh`` in order, decoding one
+    line at a time, with lines numbered from 1; ``fh`` is closed at the end.
+
+    A manifest is sorted by id with no id twice, as ``write_manifest`` writes
+    it. Each id must be strictly greater than the one before; otherwise, as
+    for a line that does not decode, iteration raises SchemaError naming the
+    line.
+    """
     previous = None
     with fh:
         for lineno, line in enumerate(fh, start=1):
@@ -387,5 +375,5 @@ def decode_manifest(fh: TextIO) -> Iterator[Sample]:
 
 
 def read_manifest(path: str | Path) -> list[Sample]:
-    """Every sample of a manifest, checked as ``iter_manifest`` checks it."""
-    return list(iter_manifest(path))
+    """Every sample of a manifest, checked by ``decode_manifest``."""
+    return list(decode_manifest(open(path, "r", encoding="utf-8")))

@@ -16,9 +16,10 @@ evaluate scores the byte ranges of its predictions file the same way, and
 the main process sums the ranges' scores in file order. ingest and
 gen-perception deal the records of their JSON arrays round-robin into
 shares; the main process merges the shares' sorted rows by id. Any input
-shorter than two _MIN_RANGE blocks runs in process. ``fork`` hands a
-worker the stage's state without sending it; the CLI runs no threads, so
-forking is safe. ``cli`` imports this module when a stage runs.
+shorter than two _MIN_RANGE blocks runs in process. ``_shares`` is the one
+fork helper: ``fork`` hands a worker the stage's state without sending it;
+the CLI runs no threads, so forking is safe. ``cli`` imports this module
+when a stage runs.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ import shutil
 import signal
 import stat
 from collections import Counter
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, ContextManager, Iterator, Sequence, TextIO
@@ -57,6 +58,13 @@ from .standardize import standardize_sample
 # At most one range (or share of records) per this many bytes of input: a
 # shorter one would cost more in the fork than it saves.
 _MIN_RANGE = 1 << 19
+
+
+def _width(size: int) -> int:
+    """How many ranges or shares ``size`` bytes of input split into: one per
+    usable CPU, but no more than whole _MIN_RANGE blocks, and at least one."""
+    return max(1, min(len(os.sched_getaffinity(0)), size // _MIN_RANGE))
+
 
 # A stage's work on one range: it takes the range's samples and the function
 # that writes a row to its output (None for stats), and returns a summary.
@@ -96,12 +104,9 @@ class Manifest:
         self._fh.close()
 
     def spans(self) -> list[tuple[int, int]]:
-        """Byte ranges that split the file after a line end: one per usable
-        CPU, but no more than whole _MIN_RANGE blocks in the file, and one
-        for a file that is not regular."""
-        n = 1
-        if self.regular:
-            n = min(len(os.sched_getaffinity(0)), self._size // _MIN_RANGE)
+        """Byte ranges that split the file after a line end: ``_width`` of
+        them, and one for a file that is not regular."""
+        n = _width(self._size) if self.regular else 1
         cuts = [0]
         for k in range(1, n):
             cut = self._line_end(max(k * self._size // n, cuts[-1] + 1))
@@ -123,22 +128,6 @@ class Manifest:
             pos += len(chunk)
         return self._size
 
-    def lines_before(self, offsets: Sequence[int]) -> list[int] | None:
-        """How many lines precede each of ``offsets`` (increasing, each just
-        after a "\\n"); None if a "\\r" comes first, since a text reader
-        ends a line at one too."""
-        counts: list[int] = []
-        lines = pos = 0
-        for offset in offsets:
-            while pos < offset:
-                chunk = os.pread(self._fd, min(1 << 20, offset - pos), pos)
-                if not chunk or b"\r" in chunk:
-                    return None
-                lines += chunk.count(b"\n")
-                pos += len(chunk)
-            counts.append(lines)
-        return counts
-
     def text(self, span: tuple[int, int] | None = None) -> TextIO:
         """The text of ``span``, or of the whole file read from its start as
         ``open(path, encoding="utf-8")`` reads it."""
@@ -151,8 +140,8 @@ class Manifest:
         return io.TextIOWrapper(raw, encoding="utf-8")
 
     def samples(self, span: tuple[int, int] | None = None) -> Iterator[Sample]:
-        """The samples of ``span``, or of the whole file, as
-        ``ingest.iter_manifest`` reads them."""
+        """The samples of ``span``, or of the whole file, checked by
+        ``ingest.decode_manifest``."""
         return decode_manifest(self.text(span))
 
 
@@ -199,55 +188,44 @@ def _run_split(src: Manifest, spans: list[tuple[int, int]], out: str | None,
         os.path.dirname(out), f".{os.path.basename(out)}.{os.getpid()}.{k}.tmp")
         for k in range(1, len(spans))]
 
+    def share(span: tuple[int, int], write: Callable[[str], Any] | None
+              ) -> tuple[list[str], Any]:
+        edges: list[str] = []
+        return edges, work(_edges(src.samples(span), edges), write)
+
     def worker(span: tuple[int, int], part: str | None) -> tuple[list[str], Any]:
         with (nullcontext() if part is None
               else open(part, "w", encoding="utf-8", newline="\n")) as fh:
-            edges: list[str] = []
-            return edges, work(_edges(src.samples(span), edges), fh and fh.write)
+            return share(span, fh and fh.write)
 
     with _writer(out) as fh:  # the part files go first: a fault then leaves no directory
         try:
-            with _forked([partial(worker, span, part)
-                          for span, part in zip(spans[1:], parts)]) as result:
-                edges: list[str] = []
-                results = [work(_edges(src.samples(spans[0]), edges), fh and fh.write)]
-                for k, part in enumerate(parts):
-                    last = edges[-1]
-                    edges, summary = result(k)
-                    if edges[0] <= last:
-                        raise ValueError(f"{edges[0]!r} follows {last!r} across a cut")
-                    results.append(summary)
-                    if part is not None:
-                        fh.flush()
-                        with open(part, "rb") as rows:
-                            shutil.copyfileobj(rows, fh.buffer)
-                return results
+            results = _shares([partial(share, spans[0], fh and fh.write)]
+                              + [partial(worker, span, part)
+                                 for span, part in zip(spans[1:], parts)])
+            for (before, _), (after, _) in zip(results, results[1:]):
+                if after[0] <= before[-1]:
+                    raise ValueError(f"{after[0]!r} follows {before[-1]!r} across a cut")
+            if fh is not None:
+                fh.flush()
+                for part in parts:
+                    with open(part, "rb") as rows:
+                        shutil.copyfileobj(rows, fh.buffer)
+            return [summary for _, summary in results]
         finally:
             for part in parts:
                 if part is not None:
                     Path(part).unlink(missing_ok=True)
 
 
-@contextmanager
-def _forked(jobs: Sequence[Callable[[], Any]]) -> Iterator[Callable[[int], Any]]:
-    """Fork a worker per job; ``result(k)`` waits for worker ``k`` and returns
-    what its job returned (pickled through a pipe), or raises if it did not
-    end clean. On leaving, every worker not waited for is killed and reaped."""
-    workers: list[tuple[int, int]] = []  # pid, pipe read end
-    reaped: set[int] = set()
-
-    def result(k: int) -> Any:
-        pid, read_end = workers[k]
-        with open(read_end, "rb", closefd=False) as pipe:
-            reply = pipe.read()
-        status = os.waitpid(pid, 0)[1]
-        reaped.add(pid)
-        if status or not reply:
-            raise ChildProcessError(f"worker {pid} ended with status {status}")
-        return pickle.loads(reply)
-
+def _shares(jobs: Sequence[Callable[[], Any]]) -> list[Any]:
+    """What each job returns, in order: ``jobs[0]`` runs in process and each
+    other job in a forked worker, whose result comes back pickled through a
+    pipe. Raises if a job raises or a worker does not end clean; every path
+    out of here has killed or waited for each worker."""
+    workers: list[tuple[int, int]] = []  # pid, pipe read end; not yet reaped
     try:
-        for job in jobs:
+        for job in jobs[1:]:
             read_end, write_end = os.pipe()
             try:
                 pid = os.fork()
@@ -266,12 +244,22 @@ def _forked(jobs: Sequence[Callable[[], Any]]) -> Iterator[Callable[[int], Any]]
                     os._exit(status)
             os.close(write_end)
             workers.append((pid, read_end))
-        yield result
+        results = [jobs[0]()]
+        while workers:
+            pid, read_end = workers[0]
+            with open(read_end, "rb", closefd=False) as pipe:
+                reply = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del workers[0]
+            os.close(read_end)
+            if status or not reply:
+                raise ChildProcessError(f"worker {pid} ended with status {status}")
+            results.append(pickle.loads(reply))
+        return results
     finally:
         for pid, read_end in workers:
-            if pid not in reaped:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
             os.close(read_end)
 
 
@@ -287,49 +275,52 @@ def _rows(arrays: list[tuple[Build, str]], k: int, n: int) -> list[tuple[str, st
     return sorted((sample.id, sample_to_json(sample) + "\n") for sample in samples)
 
 
-def _write_records(arrays: list[tuple[Build, str]], out: str,
-                   unread: Exception | None = None) -> int:
-    """Write the samples of ``arrays`` (JSON texts, each with its build
-    function) to the manifest ``out``; the count. In process, each array goes
-    through ``ingest.parse_source``'s checks in turn, then ``unread`` (the
-    fault met reading the next one) is raised. Split, the main process builds
-    the first share and a worker each other one; a fault, a dead worker or an
-    id met twice makes the run in process report it."""
-    n = min(len(os.sched_getaffinity(0)), sum(len(text) for _, text in arrays) // _MIN_RANGE)
-    if n > 1 and unread is None:
-        try:
-            with _forked([partial(_rows, arrays, k, n) for k in range(1, n)]) as result:
-                shares = [_rows(arrays, 0, n)] + [result(k) for k in range(n - 1)]
-            count, last = 0, None
-            with atomic_writer(out) as fh:
-                for sample_id, line in heapq.merge(*shares):
-                    if sample_id == last:
-                        raise ValueError(f"id {sample_id!r} twice")
-                    fh.write(line)
-                    count, last = count + 1, sample_id
-            return count
-        except Exception:
-            pass  # raised again by the run in process
+def _samples(arrays: list[tuple[Build, str]]) -> list[Sample]:
+    """The samples of ``arrays``, each array read whole by
+    ``ingest.parse_source``'s checks in turn: the reference that names the
+    first fault."""
     samples: list[Sample] = []
     for build, text in arrays:
         built = build_samples(text, build)
         assert_unique_ids(built)
         samples += built
-    if unread is not None:
-        raise unread
+    return samples
+
+
+def _write_records(arrays: list[tuple[Build, str]], out: str) -> int:
+    """Write the samples of ``arrays`` (JSON texts, each with its build
+    function) to the manifest ``out``; the count. The main process builds
+    the first share and a worker each other one; a fault, a dead worker or
+    an id met twice makes ``_samples`` build them again and report it."""
+    n = _width(sum(len(text) for _, text in arrays))
+    try:
+        shares = _shares([partial(_rows, arrays, k, n) for k in range(n)])
+        count, last = 0, None
+        with atomic_writer(out) as fh:
+            for sample_id, line in heapq.merge(*shares):
+                if sample_id == last:
+                    raise ValueError(f"id {sample_id!r} twice")
+                fh.write(line)
+                count, last = count + 1, sample_id
+        return count
+    except Exception:
+        pass  # raised again by the reference
+    samples = _samples(arrays)
     write_manifest(samples, out)
     return len(samples)
 
 
 def ingest(sources: Sequence[tuple[DatasetId, Path]], out: str) -> int:
     """Parse each source file with its adapter into the manifest ``out``;
-    the sample count. Each file is read once (a pipe cannot be read twice)."""
+    the sample count. Each file is read once (a pipe cannot be read twice);
+    a fault in a source read before one that cannot be read comes first."""
     arrays: list[tuple[Build, str]] = []
     for dataset, path in sources:
         try:
             arrays.append((_ADAPTERS[dataset], path.read_text(encoding="utf-8")))
-        except (OSError, UnicodeDecodeError) as exc:
-            return _write_records(arrays, out, exc)
+        except (OSError, UnicodeDecodeError):
+            _samples(arrays)
+            raise
     return _write_records(arrays, out)
 
 
@@ -393,26 +384,35 @@ def standardize(infile: str, out: str) -> int:
         return sum(run(src, src.spans(), out, _standardize_rows))
 
 
+def _first_id(src: Manifest, span: tuple[int, int]) -> str | None:
+    """The id on the first line of ``span``; None if that line does not
+    decode, in which case the first pass reports it."""
+    try:
+        return next(src.samples(span)).id
+    except (DataforgeError, ValueError):  # ValueError: bytes not UTF-8
+        return None
+
+
 def augment(infile: str, out: str, rng: SeededRng, rewriter: Rewriter | None
             ) -> tuple[int, int]:
     """Expand the manifest ``infile`` into ``out`` by the shipped recipe;
     (samples read, samples written).
 
     The first pass (``plan_expansion``) reads the whole input in process and
-    keeps only the cuts the expansion allows; a rewriter keeps state (its
-    breaker) and is called in input order, so with one the input is one
-    range.
+    keeps only the ranges whose first id it allows a cut before; a rewriter
+    keeps state (its breaker) and is called in input order, so with one the
+    input is one range.
     """
     with Manifest(infile) as src:
         if not src.regular:
             raise OSError(f"augment reads its input twice, so --in must be a regular "
                           f"file: {infile}")
         spans = src.spans() if rewriter is None else []
-        starts = src.lines_before([start for start, _ in spans[1:]]) or []
-        pools, cuts = plan_expansion(src.samples(), DEFAULT_FACTORS, starts)
+        firsts = [_first_id(src, span) for span in spans[1:]]
+        pools, cuts = plan_expansion(src.samples(), DEFAULT_FACTORS, set(firsts) - {None})
         runs = spans[:1]
-        for span, start in zip(spans[1:], starts):
-            if start in cuts:
+        for span, first in zip(spans[1:], firsts):
+            if first in cuts:
                 runs.append(span)
             else:
                 runs[-1] = (runs[-1][0], span[1])
@@ -542,11 +542,8 @@ def evaluate(infile: str, dataset: DatasetId) -> MetricReport:
         spans = src.spans()
         if len(spans) > 1:
             try:
-                with _forked([partial(_scores, src, span) for span in spans[1:]]) as result:
-                    scores = _scores(src, spans[0])
-                    for k in range(len(spans) - 1):
-                        scores += result(k)
-                return report_from_scores(scores, dataset)
+                scores = _shares([partial(_scores, src, span) for span in spans])
+                return report_from_scores(chain.from_iterable(scores), dataset)
             except Exception:
                 pass  # reported by the one-range run
         return report_from_scores(_scores(src), dataset)

@@ -419,13 +419,16 @@ class _RecordingRewriter:
 
 
 def _assert_same_as_reference(samples, factors, mc_fraction, splits=(), seed=5):
-    """Both passes, with the input cut into runs at the cuts ``plan_expansion``
-    allows of ``splits``, each run expanded on its own, equal the reference."""
+    """Both passes equal the reference when the input is cut into runs, each
+    expanded on its own, before each sample at the indices ``splits`` whose
+    id ``plan_expansion`` allows a cut before."""
     rewriter, reference_rewriter = _RecordingRewriter(), _RecordingRewriter()
-    pools, cuts = plan_expansion(samples, factors, splits)
-    assert set(cuts) <= set(splits)
+    split_ids = {samples[i].id for i in splits if i < len(samples)}
+    pools, cuts = plan_expansion(samples, factors, split_ids)
+    assert set(cuts) <= split_ids
+    starts = [i for i, sample in enumerate(samples) if sample.id in cuts]
     got = []
-    for start, end in zip([0] + cuts, cuts + [len(samples)]):
+    for start, end in zip([0] + starts, starts + [len(samples)]):
         got += expand_dataset(iter(samples[start:end]), factors, mc_fraction,
                               SeededRng(seed), pools, rewriter)
     want = _reference_expand(samples, factors, mc_fraction, SeededRng(seed),
@@ -498,17 +501,19 @@ def test_streaming_expansion_equals_reference_over_blocks():
                                 ["only"]))
     splits = range(1, len(samples), 97)
     _assert_same_as_reference(samples, _FACTORS, 1.0, splits)
-    assert len(plan_expansion(samples, _FACTORS, splits)[1]) > 10
+    split_ids = [samples[i].id for i in splits]
+    assert len(plan_expansion(samples, _FACTORS, split_ids)[1]) > 10
 
 
 def test_plan_expansion_cuts_only_before_an_id_above_every_copy_id():
     # "a!" and "b " sort below the copies of the sample before them, so no
     # cut goes before either; "a~" and "b" sort above every copy before them.
-    samples = [_sample(sample_id, DatasetId.CODA_LM, (), ["p"])
-               for sample_id in ("a", "a!", "a~", "b", "b ", "c")]
-    assert plan_expansion(samples, DEFAULT_FACTORS, range(1, 6))[1] == [2, 3, 5]
-    # A dataset expanded x1 makes no copies, so every cut holds.
-    assert plan_expansion(samples, {}, range(1, 6))[1] == [1, 2, 3, 4, 5]
+    ids = ["a", "a!", "a~", "b", "b ", "c"]
+    samples = [_sample(sample_id, DatasetId.CODA_LM, (), ["p"]) for sample_id in ids]
+    assert plan_expansion(samples, DEFAULT_FACTORS, ids[1:])[1] == ["a~", "b", "c"]
+    # A dataset expanded x1 makes no copies, so every cut holds; an id that
+    # is no sample's is never a cut.
+    assert plan_expansion(samples, {}, ids[1:] + ["a0"])[1] == ids[1:]
 
 
 def test_expand_refuses_ids_out_of_order():

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dataforge.core import (CameraId, DatasetId, MediaKind, decode_json, json_object,
-                            sample_from_dict, sample_to_json, validate_sample)
-from dataforge.errors import DataforgeError, SchemaError
+from dataforge import stages
+from dataforge.core import (CameraId, DatasetId, MediaKind, decode_json, sample_from_dict,
+                            sample_to_json)
+from dataforge.errors import SchemaError
 from dataforge.ingest import (
     _ADAPTERS,
     BevGridConfig,
@@ -206,27 +207,14 @@ def test_adapter_fuzz_never_partial(tmp_path):
 
 # --- the streaming source reader ------------------------------------------------
 
-def _whole_text_samples(text, build):
-    """The reference reader: decode the whole array, then build and
-    validate each record in turn."""
-    data = decode_json(text)
-    if type(data) is not list:
-        raise SchemaError("input must be a JSON array")
-    samples = []
-    for idx, rec in enumerate(data):
-        try:
-            sample = build(json_object(rec, "record"))
-        except SchemaError as exc:
-            raise exc.at(record_index=idx) from None
-        except (DataforgeError, ValueError) as exc:
-            raise SchemaError(str(exc), record_index=idx) from None
-        violations = validate_sample(sample)
-        if violations:
-            v = violations[0]
-            raise SchemaError(f"invalid sample ({v.rule}): {v.detail}",
-                              record_index=idx, path=v.field)
-        samples.append(sample)
-    return samples
+def _one_share(text, build):
+    """The rows of the one-share reader, which decodes a record at a time."""
+    return stages._rows([(build, text)], 0, 1)
+
+
+def _whole_text_rows(text, build):
+    """The rows of the reference reader, which decodes the whole array."""
+    return sorted((s.id, sample_to_json(s) + "\n") for s in build_samples(text, build))
 
 
 def _build_coda(rec):
@@ -297,7 +285,11 @@ def _mutated_arrays(draw):
 @example(f"[{json.dumps(_OFF_FRAME)}, {'1' * 5000}]")
 @example("[] x")
 def test_streaming_reader_agrees_with_the_whole_text_loop(text):
-    assert _outcome(build_samples, text) == _outcome(_whole_text_samples, text)
+    # The one-share reader faults exactly where the whole-text loop faults,
+    # and builds the same rows where it does not; which fault to name is left
+    # to the whole-text loop, which ingest runs after any share fault.
+    got, want = _outcome(_one_share, text), _outcome(_whole_text_rows, text)
+    assert got == want if isinstance(want, list) else not isinstance(got, list)
 
 
 @pytest.mark.parametrize("early", [_OFF_FRAME, _MISSING_IMAGE, 7])
@@ -309,9 +301,9 @@ def test_invalid_json_late_in_the_array_beats_an_early_bad_record(early):
         "invalid JSON: Expecting property name enclosed in double quotes (line 4)")
 
 
-def test_parse_source_holds_one_decoded_record_at_a_time():
-    # Records are decoded one at a time, so parse_source peaks little above
-    # the samples it returns; decoding the whole array before building the
+def test_the_one_share_reader_holds_one_decoded_record_at_a_time():
+    # Records are decoded one at a time, so the one-share reader peaks little
+    # above the rows it returns; decoding the whole array before building the
     # first sample peaked at about 1.7 times them.
     text = json.dumps([
         dict(CODA_RECORD, id=f"{i:05d}",
@@ -319,14 +311,15 @@ def test_parse_source_holds_one_decoded_record_at_a_time():
                   "answer": f"A <cone>[{i % 1200}.0, 360.0] blocks lane {i % 4}."},
                  {"question": "Is the road wet?", "answer": "No."}])
         for i in range(2000)])
-    parse_source(DatasetId.CODA_LM, json.dumps([CODA_RECORD]))  # warm-up: first-call caches
+    build = _ADAPTERS[DatasetId.CODA_LM]
+    stages._rows([(build, json.dumps([CODA_RECORD]))], 0, 1)  # warm-up: first-call caches
     tracemalloc.start()
     try:
-        samples = parse_source(DatasetId.CODA_LM, text)
+        rows = stages._rows([(build, text)], 0, 1)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(samples) == 2000
+    assert len(rows) == 2000
     assert peak <= 1.25 * retained, (peak, retained)
 
 

@@ -637,6 +637,34 @@ def test_score_record_then_report_from_scores_is_evaluate_records():
     assert report.detection_skipped == 1
 
 
+_LABELS = st.text(st.sampled_from("aAB \t"), max_size=4)
+_VALUES = st.one_of(st.integers(-10**6, 10**6), st.floats(-1e6, 1e6, allow_nan=False))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(labels=st.lists(st.tuples(_LABELS, _LABELS), min_size=1, max_size=12),
+       values=st.lists(st.tuples(_VALUES, _VALUES), min_size=1, max_size=12),
+       order=st.randoms(use_true_random=False))
+def test_the_report_scores_accuracy_and_mae_as_the_metric_functions_do(labels, values,
+                                                                       order):
+    # ``accuracy`` and ``mae`` are the references for the report's per-record
+    # scores: over the same pairs, in record order, they give the same floats.
+    records = [record_from_dict({"sample_id": f"c/{i}", "task": "classification",
+                                 "predicted": p, "gold": g})
+               for i, (p, g) in enumerate(labels)]
+    records += [record_from_dict({"sample_id": f"r/{i}", "task": "regression",
+                                  "predicted": p, "gold": g})
+                for i, (p, g) in enumerate(values)]
+    order.shuffle(records)
+    report = evaluate_records(records, DatasetId.GENERIC)
+
+    def pairs(task):
+        return [(r.predicted, r.gold) for r in records if r.task == task]
+
+    assert report.entries["accuracy"] == (accuracy(pairs("classification")), len(labels))
+    assert report.entries["mae"] == (mae(pairs("regression")), len(values))
+
+
 def test_evaluate_records_detection_all_skipped():
     records = [record_from_dict({"sample_id": "s/1", "task": "detection",
                                  "predicted": [], "gold": []})]

@@ -12,10 +12,13 @@ workload's stage chain with ``python -m dataforge.cli`` twice: once with
 the benchmark, each stage runs in the input directory; both chains write to
 the same relative output directory, one after the other, so their
 ``wrote ...`` lines can be compared as text. It compares each stage's exit
-code, stdout and stderr, then the sha256 of every file the chain wrote. At
-the first difference, or at a stage that fails on both trees, it prints
-what it found and exits 1; otherwise it exits 0. A tree without
-``src/dataforge`` exits 2.
+code, stdout and stderr, then the sha256 of every file the chain wrote.
+
+Each workload is checked in two passes: with every usable CPU, and with
+each stage pinned to one CPU (``os.sched_setaffinity`` in the child only),
+so the stages' one-range and one-share paths are compared too. At the first
+difference, or at a stage that fails on both trees, it prints what it found
+and exits 1; otherwise it exits 0. A tree without ``src/dataforge`` exits 2.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
@@ -35,18 +39,21 @@ sys.path.insert(0, str(HERE / "perfbench"))
 from workloads import GENERATORS, generate  # noqa: E402
 
 
-def _run_chain(tree: Path, stages: list[tuple[str, list[str]]],
-               in_dir: Path) -> tuple[list[tuple[str, int, str, str]], dict[str, str]]:
+def _run_chain(tree: Path, stages: list[tuple[str, list[str]]], in_dir: Path,
+               cpu: int | None) -> tuple[list[tuple[str, int, str, str]], dict[str, str]]:
     """Each stage's (name, exit code, stdout, stderr), then the sha256 of
-    every file the chain wrote, by its path under the output directory. The
+    every file the chain wrote, by its path under the output directory. Each
+    stage runs on ``cpu`` alone, or on every usable CPU if it is None. The
     output directory is removed afterwards."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    pin = None if cpu is None else partial(os.sched_setaffinity, 0, {cpu})
     out_dir = in_dir.parent / "out"
     results = []
     for name, argv in stages:
         args = [a.replace("{in}", ".").replace("{out}", "../out") for a in argv]
         proc = subprocess.run([sys.executable, "-m", "dataforge.cli", *args],
-                              cwd=in_dir, env=env, capture_output=True, text=True)
+                              cwd=in_dir, env=env, capture_output=True, text=True,
+                              preexec_fn=pin)
         results.append((name, proc.returncode, proc.stdout, proc.stderr))
     digests = {str(p.relative_to(out_dir)): hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(out_dir.rglob("*")) if p.is_file()}
@@ -80,19 +87,21 @@ def main() -> int:
         if not (tree / "src" / "dataforge").is_dir():
             print(f"error: {side} tree {tree} has no src/dataforge", file=sys.stderr)
             return 2
+    passes = {"all CPUs": None, "one CPU": min(os.sched_getaffinity(0))}
     for name in [args.workload] if args.workload else list(GENERATORS):
         with tempfile.TemporaryDirectory(prefix="differential-") as tmp:
             root = Path(tmp)
             workload = generate(name, args.seed, root / "in")
-            runs = {side: _run_chain(tree, workload.stages, root / "in")
-                    for side, tree in trees.items()}
-            difference = _first_difference(runs["parent"], runs["change"])
-        if difference is not None:
-            print(f"{name} seed {args.seed}: {difference}")
-            return 1
-        stages, files = runs["change"]
-        print(f"{name} seed {args.seed}: {len(stages)} stages and {len(files)} "
-              "outputs, no difference")
+            for label, cpu in passes.items():
+                runs = {side: _run_chain(tree, workload.stages, root / "in", cpu)
+                        for side, tree in trees.items()}
+                difference = _first_difference(runs["parent"], runs["change"])
+                if difference is not None:
+                    print(f"{name} seed {args.seed} ({label}): {difference}")
+                    return 1
+                stages, files = runs["change"]
+                print(f"{name} seed {args.seed} ({label}): {len(stages)} stages and "
+                      f"{len(files)} outputs, no difference")
     return 0
 
 
