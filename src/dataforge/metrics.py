@@ -1,8 +1,9 @@
 """Rule-based evaluation: accuracy, BLEU, MAE, detection AP, center matching.
 
-Everything here is deterministic and offline. `evaluate_records` scores
-detection at one IoU threshold (0.5) and grounding at one match radius (1.0
-in normalized 0-100 units).
+Everything here is deterministic and offline. `evaluate` scores each record
+with `score_record` and joins the scores with `report_from_scores`. Detection
+is scored at one IoU threshold (0.5) and grounding at one match radius (1.0 in
+normalized 0-100 units). `bleu` equals plain n-gram counting bit for bit.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import math
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Any, Callable, Iterable, Sequence
 
 from .core import (
@@ -51,7 +52,7 @@ def accuracy(pairs: Iterable[tuple[str, str]]) -> float:
 # ---------------------------------------------------------------------- BLEU
 
 def _ngrams(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*[tokens[i:] for i in range(n)]))
 
 
 def bleu(candidate: str, references: Sequence[str]) -> float:
@@ -74,14 +75,12 @@ def bleu(candidate: str, references: Sequence[str]) -> float:
     log_sum = 0.0
     for n in range(1, BLEU_MAX_N + 1):
         cand_counts = _ngrams(cand, n)
-        total = sum(cand_counts.values())
-        max_ref = Counter()
-        for ref in refs:
-            for gram, count in _ngrams(ref, n).items():
-                if count > max_ref[gram]:
-                    max_ref[gram] = count
-        clipped = sum(min(count, max_ref[gram])
-                      for gram, count in cand_counts.items())
+        total = max(len(cand) - n + 1, 0)
+        max_ref, *others = [_ngrams(ref, n) for ref in refs]
+        for other in others:
+            max_ref |= other
+        clipped = sum(map(min, cand_counts.values(),
+                          map(max_ref.get, cand_counts, repeat(0))))
         if n == 1:
             if clipped == 0:
                 return 0.0
@@ -232,7 +231,7 @@ def center_match_score(preds: Sequence[CameraPoint], gts: Sequence[CameraPoint],
 TASKS = ("classification", "caption", "regression", "detection", "grounding")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PredictionRecord:
     sample_id: str
     task: str
@@ -247,7 +246,21 @@ class MetricReport:
     detection_skipped: int  # detection records without ground truth
 
 
-def _parse_box(value, path: str) -> BBoxNorm:
+def _parse_box(entry, name: str, k: int, scored: bool):
+    """Detection entry ``name[k]``: (box, confidence) if ``scored``, else the box. An
+    entry of floats passes one test; any other takes the per-field checks."""
+    try:
+        x0, y0, x1, y1 = b = entry["bbox"]
+        c = entry["confidence"] if scored else 0.0
+        if (type(entry) is dict and type(b) is list
+                and type(x0) is type(y0) is type(x1) is type(y1) is type(c) is float
+                and 0 <= x0 <= x1 <= 100 and 0 <= y0 <= y1 <= 100 and math.isfinite(c)):
+            box = BBoxNorm(x0, y0, x1, y1)
+            return (box, c) if scored else box
+    except (KeyError, TypeError, ValueError):
+        pass
+    where = f"{name}[{k}]"
+    value, path = json_key(json_object(entry, "entry", where), "bbox", where), f"{where}.bbox"
     if not isinstance(value, list) or len(value) != 4:
         raise SchemaError(f"bbox must be [x_min, y_min, x_max, y_max], got {value!r}",
                           path=path)
@@ -255,10 +268,22 @@ def _parse_box(value, path: str) -> BBoxNorm:
                       for v in value)
     if x0 > x1 or y0 > y1:
         raise SchemaError("bbox must have x_min <= x_max and y_min <= y_max", path=path)
-    return BBoxNorm(x0, y0, x1, y1)
+    box = BBoxNorm(x0, y0, x1, y1)
+    return (box, json_number(json_key(entry, "confidence", where), "confidence", where)) \
+        if scored else box
 
 
-def _parse_point(entry, path: str) -> CameraPoint:
+def _parse_point(entry, name: str, k: int) -> CameraPoint:
+    """Grounding entry ``name[k]``, read as in ``_parse_box``; a null camera is None."""
+    try:
+        x, y = p = entry["point"]
+        if (type(entry) is dict and type(p) is list and type(x) is type(y) is float
+                and 0 <= x <= 100 and 0 <= y <= 100):
+            camera = entry.get("camera")
+            return PointNorm(x, y), None if camera is None else _CAMERAS[camera]
+    except (KeyError, TypeError, ValueError):
+        pass
+    path = f"{name}[{k}]"
     pt = json_key(json_object(entry, "entry", path), "point", path)
     if not isinstance(pt, list) or len(pt) != 2:
         raise SchemaError(f"point must be [x, y], got {pt!r}", path=path)
@@ -286,23 +311,14 @@ def record_from_dict(data: Any) -> PredictionRecord:
     elif task == "regression":
         predicted, gold = json_number(predicted, "predicted"), json_number(gold, "gold")
     elif task == "detection":
-        dets = []
-        for k, d in enumerate(json_list(predicted, "predicted")):
-            where = f"predicted[{k}]"
-            json_object(d, "entry", where)
-            dets.append((_parse_box(json_key(d, "bbox", where), f"{where}.bbox"),
-                         json_number(json_key(d, "confidence", where), "confidence", where)))
-        gts = []
-        for k, d in enumerate(json_list(gold, "gold")):
-            where = f"gold[{k}]"
-            json_object(d, "entry", where)
-            gts.append(_parse_box(json_key(d, "bbox", where), f"{where}.bbox"))
-        predicted, gold = tuple(dets), tuple(gts)
+        predicted = tuple(_parse_box(d, "predicted", k, True)
+                          for k, d in enumerate(json_list(predicted, "predicted")))
+        gold = tuple(_parse_box(d, "gold", k, False)
+                     for k, d in enumerate(json_list(gold, "gold")))
     else:  # grounding
-        predicted = tuple(_parse_point(e, f"predicted[{k}]")
+        predicted = tuple(_parse_point(e, "predicted", k)
                           for k, e in enumerate(json_list(predicted, "predicted")))
-        gold = tuple(_parse_point(e, f"gold[{k}]")
-                     for k, e in enumerate(json_list(gold, "gold")))
+        gold = tuple(_parse_point(e, "gold", k) for k, e in enumerate(json_list(gold, "gold")))
     return PredictionRecord(sample_id=sample_id, task=task,
                             predicted=predicted, gold=gold)
 
@@ -331,7 +347,7 @@ def report_from_scores(scores: Iterable[tuple[str, float | None]],
     task's scores are summed in that order and averaged (a float sum depends
     on the order of its terms, so the order is part of the result); a
     detection record without ground truth is skipped and counted in
-    ``detection_skipped``."""
+    ``detection_skipped``. A mean that is not finite is a ``DataforgeError``."""
     by_task: dict[str, list[float]] = {task: [] for task in _SCORES}
     records = skipped = 0
     for records, (task, score) in enumerate(scores, start=1):
@@ -342,6 +358,9 @@ def report_from_scores(scores: Iterable[tuple[str, float | None]],
     if not records:
         raise DataforgeError("no prediction records to evaluate")
     entries = {_SCORES[task][0]: (sum(s) / len(s), len(s)) for task, s in by_task.items() if s}
+    for name, (value, _n) in entries.items():
+        if not math.isfinite(value):
+            raise DataforgeError(f"{name} is {value}, not a finite number")
     return MetricReport(dataset=dataset, entries=entries, detection_skipped=skipped)
 
 

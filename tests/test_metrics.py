@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter, OrderedDict
 from fractions import Fraction
 from itertools import permutations
 
@@ -87,6 +88,80 @@ def _oracle_bleu(candidate, references, max_n=4):
     r = len(closest)
     bp = 1.0 if c > r else math.exp(1 - r / c)
     return bp * geo
+
+
+def _counting_bleu(candidate, references, max_n=4):
+    """The float reference: ``bleu`` as it was before it counted n-grams with
+    ``zip``, one generator of sliced tuples per order and a clipped count
+    summed gram by gram. ``bleu`` must equal it bit for bit."""
+    if not references:
+        raise DataforgeError("need at least one reference")
+    refs = [r.split() for r in references]
+    if any(not r for r in refs):
+        raise DataforgeError("reference has no tokens")
+    cand = candidate.split()
+    if not cand:
+        return 0.0
+
+    def ngrams(tokens, n):
+        return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+
+    log_sum = 0.0
+    for n in range(1, max_n + 1):
+        cand_counts = ngrams(cand, n)
+        total = sum(cand_counts.values())
+        max_ref = Counter()
+        for ref in refs:
+            for gram, count in ngrams(ref, n).items():
+                if count > max_ref[gram]:
+                    max_ref[gram] = count
+        clipped = sum(min(count, max_ref[gram])
+                      for gram, count in cand_counts.items())
+        if n == 1:
+            if clipped == 0:
+                return 0.0
+            precision = clipped / total
+        else:
+            precision = (clipped + 1) / (total + 1)
+        log_sum += math.log(precision) / max_n
+
+    c = len(cand)
+    r = min((abs(len(ref) - c), len(ref)) for ref in refs)[1]
+    bp = 1.0 if c > r else math.exp(1 - r / c)
+    return bp * math.exp(log_sum)
+
+
+# Few distinct words, so n-grams repeat within and across texts; non-ASCII
+# words, and Unicode whitespace that ``str.split`` splits on.
+_WORDS = st.sampled_from(["a", "b", "a", "car", "é", "猫", "Straße", "b."])
+_SPACES = st.sampled_from([" ", "  ", "\t", "\n", "\r\n", "\xa0", "\u3000", " \t "])
+
+
+@st.composite
+def _texts(draw, max_words):
+    """Up to ``max_words`` words joined by whitespace runs, with or without a
+    run at either end."""
+    words = draw(st.lists(_WORDS, max_size=max_words))
+    spaces = draw(st.lists(_SPACES, min_size=len(words) + 1, max_size=len(words) + 1))
+    lead, trail = draw(st.booleans()), draw(st.booleans())
+    body = words[0] + "".join(s + w for s, w in zip(spaces[1:], words[1:])) if words else ""
+    return spaces[0] * lead + body + spaces[-1] * trail
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.one_of(_texts(3), _texts(12)), st.lists(_texts(12), min_size=1, max_size=3))
+@example("", ["a"])
+@example("a b", ["a b", "a b a b"])
+@example("a a a", ["a a", "a a a a"])
+@example("猫 é\u3000猫", ["猫\té 猫 b"])
+def test_bleu_equals_the_counting_reference(candidate, references):
+    try:
+        want = _counting_bleu(candidate, references)
+    except DataforgeError as exc:
+        with pytest.raises(DataforgeError, match=exactly(str(exc))):
+            bleu(candidate, references)
+    else:
+        assert bleu(candidate, references).hex() == want.hex()
 
 
 def test_bleu_identity_is_exactly_one():
@@ -531,29 +606,89 @@ def test_record_from_dict_shapes():
     assert rec.predicted[0] == (PointNorm(10.0, 20.0), CameraId.CAM_FRONT)
     assert rec.gold[0] == (PointNorm(10.0, 20.0), None)
 
+    rec = record_from_dict({"sample_id": "a/5", "task": "grounding",
+                            "predicted": [{"point": [1.5, 2], "camera": None}], "gold": []})
+    assert rec.predicted == ((PointNorm(1.5, 2.0), None),)
 
-@pytest.mark.parametrize("bad", [
-    {"task": "classification", "predicted": "a", "gold": "b"},  # no sample_id
-    {"sample_id": "x", "task": "nonsense", "predicted": "a", "gold": "b"},
-    {"sample_id": "x", "task": "classification", "predicted": 3, "gold": "b"},
-    {"sample_id": "x", "task": "regression", "predicted": "3", "gold": 4},
-    {"sample_id": "x", "task": "detection", "predicted": "no", "gold": []},
-    {"sample_id": "x", "task": "detection",
-     "predicted": [{"bbox": [0, 0, 10], "confidence": 0.5}], "gold": []},
-    {"sample_id": "x", "task": "detection",
-     "predicted": [{"bbox": [0, 0, 10, 10]}], "gold": []},
-    {"sample_id": "x", "task": "detection",
-     "predicted": [{"bbox": [0, 0, 10, 10], "confidence": float("inf")}],
-     "gold": []},
-    {"sample_id": "x", "task": "detection",
-     "predicted": [{"bbox": [50, 0, 10, 10], "confidence": 0.5}], "gold": []},
-    {"sample_id": "x", "task": "grounding", "predicted": [{"point": [5]}],
-     "gold": []},
-    {"sample_id": "x", "task": "grounding",
-     "predicted": [{"point": [5, 500]}], "gold": []},
-])
-def test_record_from_dict_rejects(bad):
-    with pytest.raises(SchemaError):
+
+def _boxes(predicted, gold=()):
+    return {"sample_id": "x", "task": "detection", "predicted": predicted,
+            "gold": list(gold)}
+
+
+def _points(predicted, gold=()):
+    return {"sample_id": "x", "task": "grounding", "predicted": predicted,
+            "gold": list(gold)}
+
+
+_REJECTED = [  # (record, message); the first eleven are the original cases
+    ({"task": "classification", "predicted": "a", "gold": "b"},
+     "missing key 'sample_id'"),
+    ({"sample_id": "x", "task": "nonsense", "predicted": "a", "gold": "b"},
+     "unknown task 'nonsense'"),
+    ({"sample_id": "x", "task": "classification", "predicted": 3, "gold": "b"},
+     "predicted must be a string, got 3"),
+    ({"sample_id": "x", "task": "regression", "predicted": "3", "gold": 4},
+     "predicted must be a number, got '3'"),
+    (_boxes("no"), "predicted must be a list, got 'no'"),
+    (_boxes([{"bbox": [0, 0, 10], "confidence": 0.5}]),
+     "bbox must be [x_min, y_min, x_max, y_max], got [0, 0, 10] (at predicted[0].bbox)"),
+    (_boxes([{"bbox": [0, 0, 10, 10]}]), "missing key 'confidence' (at predicted[0])"),
+    (_boxes([{"bbox": [0, 0, 10, 10], "confidence": float("inf")}]),
+     "confidence must be a number, got inf (at predicted[0])"),
+    (_boxes([{"bbox": [50, 0, 10, 10], "confidence": 0.5}]),
+     "bbox must have x_min <= x_max and y_min <= y_max (at predicted[0].bbox)"),
+    (_points([{"point": [5]}]), "point must be [x, y], got [5] (at predicted[0])"),
+    (_points([{"point": [5, 500]}]),
+     "point coordinate must be a number in [0, 100], got 500 (at predicted[0])"),
+    (_boxes([{"bbox": [0, 0, 10, 10], "confidence": 10**400}]),
+     f"confidence must be a number, got {10**400} (at predicted[0])"),
+    (_boxes([{"bbox": [0, True, 10, 10], "confidence": 0.5}]),
+     "bbox coordinate must be a number in [0, 100], got True (at predicted[0].bbox)"),
+    (_boxes([{"bbox": [0, 0, 100.0001, 10], "confidence": 0.5}]),
+     "bbox coordinate must be a number in [0, 100], got 100.0001 (at predicted[0].bbox)"),
+    (_boxes([{"confidence": 0.5}]), "missing key 'bbox' (at predicted[0])"),
+    (_boxes([[0, 0, 10, 10]]),
+     "entry must be an object, got [0, 0, 10, 10] (at predicted[0])"),
+    (_boxes([], [{"bbox": [0, 0, 10, 10]}, {"bbox": [0, 0, 10]}]),
+     "bbox must be [x_min, y_min, x_max, y_max], got [0, 0, 10] (at gold[1].bbox)"),
+    (_points([{"point": [5, 5], "camera": "BOGUS"}]),
+     "'BOGUS' is not a valid CameraId (at predicted[0])"),
+    (_points([], [{"point": [5, 5]}, "p"]), "entry must be an object, got 'p' (at gold[1])"),
+    # All floats, as a predictions file usually holds them.
+    (_boxes([{"bbox": [50.0, 0.0, 10.0, 10.0], "confidence": 0.5}]),
+     "bbox must have x_min <= x_max and y_min <= y_max (at predicted[0].bbox)"),
+    (_boxes([], [{"bbox": [0.0, 20.5, 10.0, 20.0]}]),
+     "bbox must have x_min <= x_max and y_min <= y_max (at gold[0].bbox)"),
+    (_boxes([{"bbox": [0.0, -0.5, 10.0, 10.0], "confidence": 0.5}]),
+     "bbox coordinate must be a number in [0, 100], got -0.5 (at predicted[0].bbox)"),
+    (_boxes([{"bbox": [0.0, 0.0, 10.0, 10.0], "confidence": float("nan")}]),
+     "confidence must be a number, got nan (at predicted[0])"),
+    (_boxes([{"bbox": (0.0, 0.0, 10.0, 10.0), "confidence": 0.5}]),
+     "bbox must be [x_min, y_min, x_max, y_max], got (0.0, 0.0, 10.0, 10.0) "
+     "(at predicted[0].bbox)"),
+    (_boxes([OrderedDict(bbox=[0.0, 0.0, 10.0, 10.0], confidence=0.5)]),
+     "entry must be an object, got OrderedDict([('bbox', [0.0, 0.0, 10.0, 10.0]), "
+     "('confidence', 0.5)]) (at predicted[0])"),
+    (_points([{"point": [5.0, 100.5]}]),
+     "point coordinate must be a number in [0, 100], got 100.5 (at predicted[0])"),
+    (_points([{"point": [5.0, True]}]),
+     "point coordinate must be a number in [0, 100], got True (at predicted[0])"),
+    (_points([{"point": [-1.0, 5.0]}]),
+     "point coordinate must be a number in [0, 100], got -1.0 (at predicted[0])"),
+    (_points([{"point": [5.0, 5.0], "camera": "cam_front"}]),
+     "'cam_front' is not a valid CameraId (at predicted[0])"),
+    (_points([{"point": [5.0, 5.0], "camera": ["CAM_FRONT"]}]),
+     "['CAM_FRONT'] is not a valid CameraId (at predicted[0])"),
+    (_points([OrderedDict(point=[5.0, 5.0])]),
+     "entry must be an object, got OrderedDict([('point', [5.0, 5.0])]) (at predicted[0])"),
+]
+
+
+@pytest.mark.parametrize("bad, message", _REJECTED,
+                         ids=[f"bad{i}" for i in range(len(_REJECTED))])
+def test_record_from_dict_rejects(bad, message):
+    with pytest.raises(SchemaError, match=exactly(message)):
         record_from_dict(bad)
 
 
@@ -663,6 +798,15 @@ def test_the_report_scores_accuracy_and_mae_as_the_metric_functions_do(labels, v
 
     assert report.entries["accuracy"] == (accuracy(pairs("classification")), len(labels))
     assert report.entries["mae"] == (mae(pairs("regression")), len(values))
+
+
+@pytest.mark.parametrize("errors", [[math.inf], [1e308, 1e308], [1.0, 1.7e308, 1.7e308]])
+def test_report_from_scores_refuses_a_mean_that_is_not_finite(errors):
+    scores = [("caption", 0.5)] + [("regression", e) for e in errors]
+    with pytest.raises(DataforgeError, match=exactly("mae is inf, not a finite number")):
+        report_from_scores(scores, DatasetId.GENERIC)
+    largest = report_from_scores([("regression", 1.7976931348623157e308)], DatasetId.GENERIC)
+    assert largest.entries == {"mae": (1.7976931348623157e308, 1)}
 
 
 def test_evaluate_records_detection_all_skipped():

@@ -743,6 +743,23 @@ def test_evaluate_reports_bytes_not_utf8_in_a_later_range_as_one_range_does(
                           f"byte 0xff in position {at}")
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("pairs", [[(1.7e308, -1.7e308)], [(1e308, 0), (1e308, 0)]])
+def test_evaluate_refuses_a_mean_error_that_overflows(tmp_path, capsys, split, pairs, cpus):
+    # One absolute error past the largest float, or two finite ones whose sum
+    # is: the first and last records, so two ranges hold one each.
+    regression = [json.dumps({"sample_id": f"r/x{i}", "task": "regression",
+                              "predicted": p, "gold": g}) for i, (p, g) in enumerate(pairs)]
+    preds = _write(tmp_path / "preds.jsonl", regression[:1] + _prediction_lines(3)
+                   + regression[1:])
+    out = tmp_path / "report.json"
+    forks = split(cpus)
+    assert _run_outcome(["evaluate", "--dataset", "generic", "--in", preds, "--out", out],
+                        out, capsys) == (1, "", "error: mae is inf, not a finite number\n",
+                                         None)
+    assert len(forks) >= cpus - 1
+
+
 def test_evaluate_refuses_an_empty_file(tmp_path, capsys, split):
     assert _evaluate_outcomes(tmp_path, capsys, split, b"") == (
         1, "", "error: no prediction records to evaluate\n", None)
