@@ -1,6 +1,8 @@
 """Domain types shared by all pipeline stages, plus structural validation.
 
-Everything here is an immutable value object. The canonical on-disk form is
+Everything here is an immutable value object, declared with ``frozen_value``:
+a frozen, slotted dataclass whose ``__init__`` stores each field through its
+slot, since every manifest line builds several. The canonical on-disk form is
 JSON Lines with one sample per line (see ``sample_to_json`` for the key
 order). The decoders take parsed JSON: ``sample_from_dict`` accepts ``dict``
 objects, not arbitrary mappings.
@@ -9,11 +11,12 @@ objects, not arbitrary mappings.
 from __future__ import annotations
 
 import errno
+import inspect
 import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from itertools import takewhile
 from json.encoder import encode_basestring
@@ -98,7 +101,34 @@ def fmt3(value: float) -> str:
     return f"{value:.3f}"
 
 
-@dataclass(frozen=True, slots=True)
+def frozen_value(cls: type) -> type:
+    """``dataclass(frozen=True, slots=True)`` whose ``__init__`` stores each
+    field through its slot descriptor, which costs less than the dataclass's
+    ``object.__setattr__``; its parameters and ``__post_init__`` call, and
+    every other method, are the dataclass's. Raises TypeError for a field with
+    a ``default_factory``, ``init=False`` or ``kw_only``, a ClassVar or an InitVar."""
+    doc = cls.__doc__
+    cls.__doc__ = doc or cls.__name__  # spares dataclass parsing object.__init__'s signature
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    flds = fields(cls)
+    if len(flds) != len(cls.__dataclass_fields__) or any(
+            f.default_factory is not MISSING or not f.init or f.kw_only for f in flds):
+        raise TypeError(f"frozen_value takes plain fields only: {cls.__name__}")
+    env = {f"_set_{f.name}": cls.__dict__[f.name].__set__ for f in flds}
+    env |= {f"_default_{f.name}": f.default for f in flds if f.default is not MISSING}
+    params = [f.name if f.default is MISSING else f"{f.name}=_default_{f.name}" for f in flds]
+    body = [f"_set_{f.name}(self, {f.name})" for f in flds]
+    body += ["self.__post_init__()"] if hasattr(cls, "__post_init__") else []
+    exec(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(body), env)
+    cls.__init__ = init = env["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = {f.name: f.type for f in flds} | {"return": None}
+    if not doc:  # the text dataclass gives a class without a docstring
+        cls.__doc__ = cls.__name__ + str(inspect.signature(cls)).replace(" -> None", "")
+    return cls
+
+
+@frozen_value
 class BBoxPx:
     """Axis-aligned box in pixel units, (x_min, y_min, x_max, y_max)."""
 
@@ -111,7 +141,7 @@ class BBoxPx:
         return (self.x_min, self.y_min, self.x_max, self.y_max)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class BBoxNorm:
     """Axis-aligned box with coordinates normalized to [0, 100]."""
 
@@ -127,7 +157,7 @@ class BBoxNorm:
         return ", ".join(fmt3(v) for v in self.as_tuple())
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class PointPx:
     """Region center in pixel units."""
 
@@ -138,7 +168,7 @@ class PointPx:
         return (self.x_center, self.y_center)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class PointNorm:
     """Region center with coordinates normalized to [0, 100]."""
 
@@ -155,7 +185,7 @@ class PointNorm:
 Geometry = BBoxPx | BBoxNorm | PointPx | PointNorm
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class ObjectRef:
     """A referenced scene object, parsed out of an embedded QA token.
 
@@ -173,7 +203,7 @@ class ObjectRef:
         return isinstance(self.geometry, (BBoxNorm, PointNorm))
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class MediaRef:
     """Metadata for one visual input; no pixel data is ever loaded."""
 
@@ -202,7 +232,7 @@ def video_ref(camera: CameraId, frames: int, width: int, height: int, uri: str) 
     return MediaRef(MediaKind.VIDEO, camera, frames, width, height, uri)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class QAPair:
     question: str
     answer: str
@@ -211,7 +241,7 @@ class QAPair:
     options: tuple[tuple[str, str], ...] | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class Sample:
     """One training/eval record: media references plus a QA conversation."""
 
@@ -222,7 +252,7 @@ class Sample:
     task_tags: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class Violation:
     field: str
     rule: str

@@ -22,6 +22,7 @@ from .core import (
     PointNorm,
     _CAMERAS,
     _member,
+    frozen_value,
     json_key,
     json_list,
     json_number,
@@ -231,7 +232,7 @@ def center_match_score(preds: Sequence[CameraPoint], gts: Sequence[CameraPoint],
 TASKS = ("classification", "caption", "regression", "detection", "grounding")
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class PredictionRecord:
     sample_id: str
     task: str

@@ -14,9 +14,8 @@ later turns are not counted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import CameraId, MediaKind, MediaRef, QAStyle, Sample
+from .core import CameraId, MediaKind, MediaRef, QAStyle, Sample, frozen_value
 from .errors import SchemaError
 
 SEQUENCE_LIMIT = 8192
@@ -73,7 +72,7 @@ def estimate_text_tokens(text: str) -> int:
     return math.ceil(words * 1.3)
 
 
-@dataclass(frozen=True)
+@frozen_value
 class BudgetReport:
     text_tokens: int
     visual_tokens: int
@@ -90,9 +89,5 @@ def check_budget(sample: Sample) -> BudgetReport:
     stripped = prompt  # the media block's come first; a question's own stay counted
     for placeholder in placeholders:
         stripped = stripped.replace(placeholder, "", 1)
-    return BudgetReport(
-        text_tokens=estimate_text_tokens(stripped),
-        visual_tokens=sample_visual_tokens(sample),
-        prompt=prompt,
-        placeholders=placeholders,
-    )
+    return BudgetReport(estimate_text_tokens(stripped), sample_visual_tokens(sample),
+                        prompt, placeholders)

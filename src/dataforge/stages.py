@@ -41,8 +41,8 @@ from typing import Any, BinaryIO, Callable, ContextManager, Iterator, Sequence, 
 
 from .augment import (DEFAULT_FACTORS, MC_FRACTION, Rewriter, SeededRng, expand_dataset,
                       plan_expansion)
-from .core import (DatasetId, MediaKind, Provenance, QAStyle, Sample, assert_unique_ids,
-                   atomic_writer, decode_line, sample_to_json)
+from .core import (DatasetId, MediaKind, Sample, assert_unique_ids, atomic_writer,
+                   decode_line, sample_to_json)
 from .errors import DataforgeError, SchemaError
 from .ingest import (_ADAPTERS, _array_items, _checked, build_samples, decode_manifest,
                      write_manifest)
@@ -466,32 +466,38 @@ def build_prompts(infile: str, out: str) -> tuple[int, int]:
     return sum(p for p, _ in counts), sum(o for _, o in counts)
 
 
+_IMAGES, _VIDEOS = {MediaKind.IMAGE.value}, {MediaKind.VIDEO.value}
+
+
 def _modality(sample: Sample) -> str:
-    kinds = {m.kind for m in sample.media}
-    if kinds == {MediaKind.IMAGE}:
+    kinds = {m.kind._value_ for m in sample.media}
+    if kinds == _IMAGES:
         return "single_image" if len(sample.media) == 1 else "multi_image"
-    if kinds == {MediaKind.VIDEO}:
+    if kinds == _VIDEOS:
         return "single_video" if len(sample.media) == 1 else "multi_video"
     return "mixed"
 
 
 def _counts(samples: Iterator[Sample], write: None) -> tuple[int, int, dict, dict, dict, dict]:
     """(samples, QA pairs, by dataset, by modality, by provenance, by style);
-    the enum sections are counted by member."""
-    by_dataset: dict[DatasetId, int] = {}
+    the enum sections are counted by value string (``_value_``), whose hash
+    runs in C where a member's runs ``Enum.__hash__``."""
+    by_dataset: dict[str, int] = {}
     by_modality: dict[str, int] = {}
-    by_provenance: dict[Provenance, int] = {}
-    by_style: dict[QAStyle, int] = {}
+    by_provenance: dict[str, int] = {}
+    by_style: dict[str, int] = {}
     sample_total = qa_total = 0
     for sample in samples:
         sample_total += 1
-        by_dataset[sample.dataset] = by_dataset.get(sample.dataset, 0) + 1
+        dataset = sample.dataset._value_
+        by_dataset[dataset] = by_dataset.get(dataset, 0) + 1
         modality = _modality(sample)
         by_modality[modality] = by_modality.get(modality, 0) + 1
         for qa in sample.qa:
             qa_total += 1
-            by_provenance[qa.provenance] = by_provenance.get(qa.provenance, 0) + 1
-            by_style[qa.style] = by_style.get(qa.style, 0) + 1
+            provenance, style = qa.provenance._value_, qa.style._value_
+            by_provenance[provenance] = by_provenance.get(provenance, 0) + 1
+            by_style[style] = by_style.get(style, 0) + 1
     return sample_total, qa_total, by_dataset, by_modality, by_provenance, by_style
 
 
@@ -502,18 +508,14 @@ def stats(infile: str) -> dict[str, Any]:
         results = run(src, src.spans(), None, _counts)
     sample_total, qa_total, *sections = zip(*results)
     by_dataset, by_modality, by_provenance, by_style = (
-        sum(map(Counter, section), Counter()) for section in sections)
-
-    def by_value(counts: Counter) -> dict[str, int]:
-        return dict(sorted((member.value, n) for member, n in counts.items()))
-
+        dict(sorted(sum(map(Counter, section), Counter()).items())) for section in sections)
     return {
         "samples": sum(sample_total),
         "qa_pairs": sum(qa_total),
-        "by_dataset": by_value(by_dataset),
-        "by_modality": dict(sorted(by_modality.items())),
-        "by_provenance": by_value(by_provenance),
-        "by_style": by_value(by_style),
+        "by_dataset": by_dataset,
+        "by_modality": by_modality,
+        "by_provenance": by_provenance,
+        "by_style": by_style,
     }
 
 
@@ -537,13 +539,15 @@ def evaluate(infile: str, dataset: DatasetId) -> MetricReport:
     """The report on the predictions file ``infile``. The main process scores
     the first range and a forked worker each other one; a fault in any range
     or a dead worker makes the whole file run again as one range, so each
-    fault is the first in file order, named by its line in the file."""
+    fault is the first in file order, named by its line in the file. The
+    report is made once, from the scores in file order."""
     with Manifest(infile) as src:
         spans = src.spans()
+        scores = None
         if len(spans) > 1:
             try:
-                scores = _shares([partial(_scores, src, span) for span in spans])
-                return report_from_scores(chain.from_iterable(scores), dataset)
+                scores = chain.from_iterable(
+                    _shares([partial(_scores, src, span) for span in spans]))
             except Exception:
                 pass  # reported by the one-range run
-        return report_from_scores(_scores(src), dataset)
+        return report_from_scores(_scores(src) if scores is None else scores, dataset)

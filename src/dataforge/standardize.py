@@ -8,7 +8,6 @@ All operations are pure.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from decimal import ROUND_HALF_UP, Decimal
 
 from . import tokens as tok
@@ -158,4 +157,4 @@ def standardize_sample(sample: Sample) -> Sample:
 
     if failures:
         raise DataforgeError(f"sample {sample.id}: {'; '.join(failures)}")
-    return replace(sample, qa=tuple(new_qa))
+    return Sample(sample.id, sample.dataset, sample.media, tuple(new_qa), sample.task_tags)

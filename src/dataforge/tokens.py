@@ -18,7 +18,6 @@ A category written into a token must read back as itself (``is_category``).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable
 
 from .core import (
@@ -29,6 +28,7 @@ from .core import (
     ObjectRef,
     PointNorm,
     PointPx,
+    frozen_value,
 )
 from .errors import DataforgeError
 
@@ -64,7 +64,7 @@ _CAMERA_NAMES = {c.value for c in CameraId}
 PLACEHOLDER_CATEGORY = "object"
 
 
-@dataclass(frozen=True)
+@frozen_value
 class TokenMatch:
     """One candidate token found in text: its span plus parse outcome."""
 

@@ -1,7 +1,11 @@
 import ast
 import importlib
+import inspect
+import pickle
 import random
 import re
+from dataclasses import (MISSING, FrozenInstanceError, InitVar, dataclass, field, fields,
+                         make_dataclass, replace)
 from pathlib import Path
 from typing import NamedTuple
 
@@ -15,13 +19,17 @@ from dataforge.core import (
     DatasetId,
     MediaKind,
     MediaRef,
+    ObjectRef,
+    PointNorm,
     PointPx,
     Provenance,
     QAPair,
     QAStyle,
     Sample,
+    Violation,
     _CAMERAS,
     _member,
+    frozen_value,
     image_ref,
     json_bool,
     json_int,
@@ -36,13 +44,19 @@ from dataforge.core import (
     validate_sample,
 )
 from dataforge.errors import SchemaError
+from dataforge.metrics import PredictionRecord
+from dataforge.promptkit import BudgetReport
+from dataforge.tokens import TokenMatch
 
 from helpers import plain_sample, random_mixed_sample, surround_media
 
 
 def test_image_media_rejects_multiframe():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="image media must have frame_count 1, got 5"):
         MediaRef(MediaKind.IMAGE, CameraId.CAM_FRONT, 5, 1600, 900, "a.jpg")
+    with pytest.raises(ValueError, match="image media must have frame_count 1, got 2"):
+        MediaRef(MediaKind.IMAGE, CameraId.CAM_FRONT, frame_count=2, width=1600,
+                 height=900, uri="a.jpg")
 
 
 def test_camera_id_round_trip():
@@ -58,6 +72,91 @@ def test_media_sizes_must_be_positive():
             MediaRef(MediaKind.VIDEO, CameraId.CAM_FRONT, *fields, "a.mp4")
     with pytest.raises(ValueError, match="image media must have frame_count 1, got 0"):
         MediaRef(MediaKind.IMAGE, CameraId.CAM_FRONT, 0, 1600, 900, "a.jpg")
+
+
+
+_MEDIA = MediaRef(MediaKind.VIDEO, CameraId.CAM_BACK, 3, 640, 480, "v.mp4")
+_QA = QAPair("Where?", "Left.")
+
+# Each class declared with frozen_value, with two sets of field values: the
+# first leaves every defaulted field out, the second gives every field.
+FROZEN_VALUES = {
+    BBoxPx: ((1.0, 2.0, 3.0, 4.0), (0.0, 0.5, 9.0, 9.5)),
+    BBoxNorm: ((1.0, 2.0, 3.0, 4.0), (0.0, 0.5, 9.0, 9.5)),
+    PointPx: ((1.0, 2.0), (3.0, 4.0)),
+    PointNorm: ((1.0, 2.0), (3.0, 4.0)),
+    ObjectRef: (("car", CameraId.CAM_FRONT, PointNorm(1.0, 2.0)),
+                ("bus", None, BBoxPx(1.0, 2.0, 3.0, 4.0), "c2")),
+    MediaRef: ((MediaKind.IMAGE, CameraId.CAM_FRONT, 1, 1600, 900, "a.jpg"),
+               (MediaKind.VIDEO, CameraId.CAM_BACK, 3, 640, 480, "v.mp4")),
+    QAPair: (("Where?", "Left."),
+             ("Which?", "A", QAStyle.MULTIPLE_CHOICE, Provenance.MC_TRANSFORM,
+              (("A", "left"), ("B", "right")))),
+    Sample: (("s/1", DatasetId.GENERIC, (_MEDIA,), (_QA,)),
+             ("s/2", DatasetId.CODA_LM, (_MEDIA, _MEDIA), (_QA,), frozenset({"t"}))),
+    Violation: (("id", "non_empty", "sample id is empty"), ("qa", "rule", "detail")),
+    PredictionRecord: (("s/1", "regression", 1.0, 2.0), ("s/2", "caption", "a", "b")),
+    TokenMatch: ((0, 3, "<x>"), (2, 9, "car[1, 2]", None, "bad body")),
+    BudgetReport: ((1, 729, "<image>\nWhere?", ("<image>",)), (0, 0, "", ())),
+}
+
+
+def _dataclass_twin(cls):
+    """``dataclass(frozen=True, slots=True)`` with the fields of ``cls``."""
+    return make_dataclass(cls.__name__, [
+        (f.name, f.type) if f.default is MISSING else (f.name, f.type, f.default)
+        for f in fields(cls)], frozen=True, slots=True)
+
+
+@pytest.mark.parametrize("cls", FROZEN_VALUES, ids=lambda cls: cls.__name__)
+def test_frozen_value_classes_behave_as_their_dataclass_twins(cls):
+    twin = _dataclass_twin(cls)
+    assert inspect.signature(cls) == inspect.signature(twin)
+    assert cls.__match_args__ == twin.__match_args__
+    assert cls.__slots__ == twin.__slots__
+    (short, full), names = FROZEN_VALUES[cls], [f.name for f in fields(cls)]
+    for args in (short, full):
+        value, same = cls(*args), twin(*args)
+        assert value == cls(*args) == cls(**dict(zip(names, args)))
+        assert (hash(value), repr(value)) == (hash(same), repr(same))
+        assert not hasattr(value, "__dict__")
+        for name in names:
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(value, name)
+        assert pickle.loads(pickle.dumps(value)) == value
+        assert replace(value, **dict(zip(names, full))) == cls(*full)
+    assert cls(*short) != cls(*full)
+
+
+def test_frozen_value_keeps_the_dataclass_docstring_and_post_init():
+    class Pair:
+        x: int
+        y: str = "a"
+
+        def __post_init__(self):
+            if self.x < 0:
+                raise ValueError(f"x must be >= 0, got {self.x}")
+
+    twin = dataclass(frozen=True, slots=True)(type("Pair", (), dict(Pair.__dict__)))
+    made = frozen_value(Pair)
+    assert made.__doc__ == twin.__doc__ == "Pair(x: int, y: str = 'a')"
+    assert made.__init__.__qualname__ == f"{made.__qualname__}.__init__"
+    with pytest.raises(ValueError, match="x must be >= 0, got -1"):
+        made(-1)
+
+
+@pytest.mark.parametrize("annotation, value", [
+    (list, field(default_factory=list)),
+    (int, field(default=0, init=False)),
+    (int, field(default=0, kw_only=True)),
+    (InitVar[int], 0),
+], ids=["default_factory", "init=False", "kw_only", "InitVar"])
+def test_frozen_value_refuses_a_field_it_does_not_build(annotation, value):
+    cls = type("Odd", (), {"__annotations__": {"x": annotation}, "x": value})
+    with pytest.raises(TypeError, match="frozen_value takes plain fields only: Odd"):
+        frozen_value(cls)
 
 
 class Fails(NamedTuple):

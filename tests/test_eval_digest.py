@@ -1,13 +1,17 @@
-"""evaluate's report on the benchmark's eval-mix file is byte for byte the one
-the benchmark expects, so a scoring change that moves one float bit fails
-here and not only in a benchmark run. The workload generator and the
-expected digests are read from ``perfbench/``, never written."""
+"""The outputs of two benchmark chains at seed 0 are byte for byte the ones the
+benchmark expects: evaluate's report on eval-mix, so a scoring change that
+moves one float bit fails here and not only in a benchmark run, and every
+output of surround-mix's six stages, which build and encode every value type.
+The workload generator and the expected digests are read from
+``perfbench/``, never written."""
 
 import hashlib
 import importlib.util
 import json
 import sys
 from pathlib import Path
+
+import pytest
 
 from dataforge import cli
 
@@ -24,15 +28,17 @@ def _workloads():
     return module
 
 
-def test_evaluate_on_eval_mix_seed_0_gives_the_benchmark_digest(tmp_path, capsys):
+@pytest.mark.parametrize("name", ["eval-mix", "surround-mix"])
+def test_the_benchmark_chain_at_seed_0_gives_the_benchmark_digests(tmp_path, capsys,
+                                                                    monkeypatch, name):
     in_dir, out_dir = tmp_path / "in", tmp_path / "out"
     out_dir.mkdir()
-    workload = _workloads().generate("eval-mix", 0, in_dir)
-    [(stage, argv)] = workload.stages
-    assert stage == "evaluate"
-    rc = cli.main([arg.replace("{in}", str(in_dir)).replace("{out}", str(out_dir))
-                   for arg in argv])
-    assert (rc, capsys.readouterr().err) == (0, "")
+    workload = _workloads().generate(name, 0, in_dir)
+    monkeypatch.chdir(in_dir)  # as the benchmark runs each stage
+    for stage, argv in workload.stages:
+        rc = cli.main([arg.replace("{in}", str(in_dir)).replace("{out}", str(out_dir))
+                       for arg in argv])
+        assert (stage, rc, capsys.readouterr().err) == (stage, 0, "")
     expected = json.loads((BENCH / "expected_sha256.json").read_text(encoding="utf-8"))
-    assert {name: hashlib.sha256((out_dir / file).read_bytes()).hexdigest()
-            for name, file in workload.outputs.items()} == expected["eval-mix"]
+    assert {output: hashlib.sha256((out_dir / file).read_bytes()).hexdigest()
+            for output, file in workload.outputs.items()} == expected[name]

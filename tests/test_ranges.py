@@ -760,6 +760,24 @@ def test_evaluate_refuses_a_mean_error_that_overflows(tmp_path, capsys, split, p
     assert len(forks) >= cpus - 1
 
 
+def test_a_refused_split_evaluate_scores_each_range_once(tmp_path, capsys, split,
+                                                        monkeypatch):
+    # Ten lines of one length, each an absolute error of 1e308: two ranges of
+    # five records each, whose errors sum past the largest float.
+    preds = _write(tmp_path / "preds.jsonl", [
+        json.dumps({"sample_id": f"r/{i}", "task": "regression", "predicted": 1e308,
+                    "gold": 0}) for i in range(10)])
+    out = tmp_path / "report.json"
+    parent, scored, score = os.getpid(), [], stages.score_record
+    monkeypatch.setattr(stages, "score_record", lambda record: (
+        scored.append(record.sample_id) if os.getpid() == parent else None,
+        score(record))[1])
+    forks = split(2)
+    assert _run_outcome(["evaluate", "--dataset", "generic", "--in", preds, "--out", out],
+                        out, capsys) == (1, "", "error: mae is inf, not a finite number\n",
+                                         None)
+    assert (len(forks), scored) == (1, [f"r/{i}" for i in range(5)])
+
 def test_evaluate_refuses_an_empty_file(tmp_path, capsys, split):
     assert _evaluate_outcomes(tmp_path, capsys, split, b"") == (
         1, "", "error: no prediction records to evaluate\n", None)
