@@ -11,6 +11,7 @@ input, whole or in runs cut where the runs' outputs concatenate in id order.
 
 from __future__ import annotations
 
+import _random
 import hashlib
 import json
 import random
@@ -76,10 +77,13 @@ class SeededRng:
     global_seed: int = 0
 
     def stream(self, dataset: DatasetId | str, sample_id: str, step: str) -> random.Random:
-        name = dataset.value if isinstance(dataset, DatasetId) else dataset
+        name = dataset._value_ if isinstance(dataset, DatasetId) else dataset
         key = f"{self.global_seed}\x1f{name}\x1f{sample_id}\x1f{step}"
         digest = hashlib.sha256(key.encode("utf-8")).digest()
-        return random.Random(int.from_bytes(digest[:8], "big"))
+        stream = random.Random.__new__(random.Random)  # Random(n), seeded once
+        _random.Random.seed(stream, int.from_bytes(digest[:8], "big"))
+        stream.gauss_next = None
+        return stream
 
 
 # ---------------------------------------------------------------------------
@@ -116,23 +120,26 @@ def load_rules() -> ParaphraseRules:
     )
 
 
-_SENTINEL = "\x00{}\x00"
+# Token i reads "\x00{i}\x00" while the rules run, and a NUL of a text that
+# holds tokens reads "\x00\x00", so no NUL of the text is taken for a token.
+_SENTINEL_RE = re.compile("\x00([0-9]*)\x00")
 
 
 def _protect_tokens(text: str) -> tuple[str, list[str]]:
-    saved: list[str] = []
-
-    def protect(match: tok.TokenMatch) -> str:
-        saved.append(match.text)
-        return _SENTINEL.format(len(saved) - 1)
-
-    return tok.sub_tokens(text, protect), saved
+    matches = tok.scan_tokens(text)
+    if not matches:
+        return text, []
+    pieces, cursor = [], 0
+    for i, match in enumerate(matches):
+        pieces += text[cursor:match.start].replace("\x00", "\x00\x00"), f"\x00{i}\x00"
+        cursor = match.end
+    pieces.append(text[cursor:].replace("\x00", "\x00\x00"))
+    return "".join(pieces), [match.text for match in matches]
 
 
 def _restore_tokens(text: str, saved: list[str]) -> str:
-    for i, original in enumerate(saved):
-        text = text.replace(_SENTINEL.format(i), original, 1)
-    return text
+    return _SENTINEL_RE.sub(lambda m: saved[int(m[1])] if m[1] else "\x00",
+                            text) if saved else text
 
 
 def _rotate_lead_clause(text: str, rng: random.Random, rules: ParaphraseRules) -> str:
@@ -149,10 +156,12 @@ def _rotate_lead_clause(text: str, rng: random.Random, rules: ParaphraseRules) -
 
 
 def _apply_synonyms(text: str, rng: random.Random, rules: ParaphraseRules) -> str:
+    draw, choice, synonyms = rng.random, rng.choice, rules.synonyms
+
     def swap(m: re.Match) -> str:
         word = m.group(0)
-        if rng.random() < 0.5:
-            return rng.choice(rules.synonyms[word])
+        if draw() < 0.5:
+            return choice(synonyms[word])
         return word
 
     return rules.synonym_re.sub(swap, text)
@@ -170,7 +179,7 @@ def _lead_in(text: str, lead: str, decapitalize: bool) -> str:
 
 def _transform(text: str, rng: random.Random, lead_ins: Sequence[str],
                rules: ParaphraseRules, decapitalize: bool) -> str:
-    if len(text.split()) < 2:
+    if len(text.split(None, 1)) < 2:
         return text  # single token: nothing safe to vary
     protected, saved = _protect_tokens(text)
     out = _rotate_lead_clause(protected, rng, rules)

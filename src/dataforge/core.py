@@ -336,7 +336,7 @@ def validate_sample(sample: Sample) -> list[Violation]:
     if not sample.qa:
         out.append(Violation("qa", "non_empty", "sample carries no QA"))
 
-    sizes, uniform = media_sizes(sample)
+    sizes = None  # media_sizes(sample), once a token needs it
 
     for j, qa in enumerate(sample.qa):
         if qa.style is QAStyle.MULTIPLE_CHOICE:
@@ -367,8 +367,9 @@ def validate_sample(sample: Sample) -> list[Violation]:
                     out.append(Violation(where, "token_grammar",
                                          f"malformed token {match.text!r}: {match.error}"))
                     continue
+                sizes = sizes or media_sizes(sample)
                 out.extend(_check_object_ref(match.ref, match.text, where, sample.dataset,
-                                             sizes, uniform))
+                                             *sizes))
 
     return out
 

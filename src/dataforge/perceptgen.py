@@ -28,6 +28,7 @@ from .core import (
     Sample,
     _CAMERAS,
     _member,
+    frozen_value,
     json_bool,
     json_int,
     json_key,
@@ -47,14 +48,14 @@ VIDEO_TEMPLATE = "Detect all {category} in the last frame of each view."
 ANSWER_LEAD_IN = "Detected objects: "
 
 
-@dataclass(frozen=True)
+@frozen_value
 class DetectedObject:
     category: str
     box: BBoxPx
     frame_index: int = 0
 
 
-@dataclass(frozen=True)
+@frozen_value
 class DetectionAnnotation:
     media: MediaRef
     objects: tuple[DetectedObject, ...]

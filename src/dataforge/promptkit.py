@@ -6,9 +6,10 @@ training stack later expands into patch embeddings. The budget is fixed: an
 image encodes to a 27x27 patch grid (729 tokens), a video frame to the 2x2
 pooled 13x13 grid (169 tokens). The prompt is the media block plus the first
 QA's question, with its options when it is multiple-choice. ``text_tokens``
-counts only that text (placeholders stripped), and ``fits`` checks it plus the
-visual tokens against the 8,192-token training sequence length; answers and
-later turns are not counted.
+is its whitespace-separated words, less one per placeholder line of the media
+block (a placeholder in a question or option counts), x 1.3, rounded up;
+``fits`` checks it plus the visual tokens against the 8,192-token training
+sequence length. Answers and later turns are not counted.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .errors import SchemaError
 SEQUENCE_LIMIT = 8192
 IMAGE_TOKENS_PER_FRAME = 27 * 27
 VIDEO_TOKENS_PER_FRAME = (27 // 2) * (27 // 2)
+TEXT_TOKENS_PER_WORD = 1.3
 
 CAMERA_EXPLANATIONS: dict[CameraId, str] = {
     CameraId.CAM_FRONT: "the front camera",
@@ -32,6 +34,8 @@ CAMERA_EXPLANATIONS: dict[CameraId, str] = {
     CameraId.FRONT_ONLY: "the forward-facing camera",
     CameraId.LIDAR_BEV: "a bird's-eye-view projection of the LiDAR point cloud",
 }
+_VIEW_LABELS = {camera.value: f"({camera.value}): {text}."  # by value: no Enum hash
+                for camera, text in CAMERA_EXPLANATIONS.items()}
 
 
 def visual_token_count(media: MediaRef) -> int:
@@ -54,8 +58,7 @@ def assemble_prompt(sample: Sample) -> tuple[str, tuple[str, ...]]:
     placeholders: list[str] = []
     for i, media in enumerate(sample.media, start=1):
         placeholder = "<video>" if media.kind is MediaKind.VIDEO else "<image>"
-        lines.append(f"View {i} ({media.camera.value}): "
-                     f"{CAMERA_EXPLANATIONS[media.camera]}.")
+        lines.append(f"View {i} {_VIEW_LABELS[media.camera._value_]}")
         lines.append(placeholder)
         placeholders.append(placeholder)
     qa = sample.qa[0]
@@ -68,8 +71,7 @@ def assemble_prompt(sample: Sample) -> tuple[str, tuple[str, ...]]:
 
 def estimate_text_tokens(text: str) -> int:
     """Cheap stand-in for a real tokenizer: whitespace words x 1.3, ceiling."""
-    words = len(text.split())
-    return math.ceil(words * 1.3)
+    return math.ceil(len(text.split()) * TEXT_TOKENS_PER_WORD)
 
 
 @frozen_value
@@ -86,8 +88,7 @@ class BudgetReport:
 
 def check_budget(sample: Sample) -> BudgetReport:
     prompt, placeholders = assemble_prompt(sample)
-    stripped = prompt  # the media block's come first; a question's own stay counted
-    for placeholder in placeholders:
-        stripped = stripped.replace(placeholder, "", 1)
-    return BudgetReport(estimate_text_tokens(stripped), sample_visual_tokens(sample),
-                        prompt, placeholders)
+    # Each placeholder is a whole line of the media block: one word each.
+    words = len(prompt.split()) - len(placeholders)
+    return BudgetReport(math.ceil(words * TEXT_TOKENS_PER_WORD),
+                        sample_visual_tokens(sample), prompt, placeholders)

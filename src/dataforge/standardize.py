@@ -117,13 +117,14 @@ def standardize_sample(sample: Sample) -> Sample:
     Raises:
         DataforgeError: naming the sample and every token that could not be rewritten.
     """
-    sizes, uniform = media_sizes(sample)
+    sizes = None  # media_sizes(sample), once a token needs it
     failures: list[str] = []
 
     def rewrite_text(text: str, shapes: set[type]) -> str:
         """``text`` with its tokens rewritten; adds each token's geometry type
         to ``shapes``."""
         def rewrite(match: tok.TokenMatch) -> str:
+            nonlocal sizes
             ref = match.ref
             if ref is None:
                 failures.append(f"{match.text}: {match.error}")
@@ -131,9 +132,9 @@ def standardize_sample(sample: Sample) -> Sample:
             shapes.add(type(ref.geometry))
             if ref.is_normalized:
                 return match.text
+            sizes = sizes or media_sizes(sample)
             try:
-                camera, (width, height) = resolve_token_size(
-                    ref, sample.dataset, sizes, uniform)
+                camera, (width, height) = resolve_token_size(ref, sample.dataset, *sizes)
                 return _render_normalized(ref, camera, width, height)
             except DataforgeError as exc:
                 failures.append(f"{match.text}: {exc}")

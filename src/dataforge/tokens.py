@@ -132,6 +132,8 @@ def scan_tokens(text: str) -> list[TokenMatch]:
     Candidates that match a token shape but fail to parse are returned with
     ``error`` set so callers can report them at the right position.
     """
+    if "<" not in text:
+        return []  # both token forms start with "<"
     out: list[TokenMatch] = []
     for m in _TOKEN_RE.finditer(text):
         if m.group("cat") is not None:

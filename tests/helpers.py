@@ -152,6 +152,19 @@ def random_mixed_sample(rng: random.Random, idx: int) -> Sample:
     )
 
 
+def late_token_sample() -> Sample:
+    """A sample whose first QA holds no object token and whose later texts
+    hold four faulty tokens, over two images of different sizes."""
+    return Sample("generic/1", DatasetId.GENERIC, (
+        image_ref(CameraId.FRONT_ONLY, 1920, 1080, "f.jpg"),
+        image_ref(CameraId.CAM_BACK, 640, 480, "b.jpg")), (
+        QAPair("What is ahead?", "A car."),
+        QAPair("Is <x>[1, 2, 3] near <car>[CAM_BACK, 1, 2, 700, 4]?",
+               "It is <bus>[10, 20, 30, 40]."),
+        QAPair("Which one?", "B", QAStyle.MULTIPLE_CHOICE, options=(
+            ("A", "the <cone>[c9, 1, 2]"), ("B", "<y>[FRONT_ONLY, 1.000, 2.000]")))))
+
+
 def plain_sample(idx: int = 0, dataset: DatasetId = DatasetId.LINGOQA) -> Sample:
     return Sample(
         id=f"{dataset.value}/{idx:06d}",

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 import tracemalloc
 from collections import Counter
@@ -97,6 +98,19 @@ def test_seeded_rng_streams_are_stable_and_distinct():
                                 "para/1/0").random() != a1
 
 
+def test_a_stream_is_the_random_random_of_its_key_digest():
+    datasets = [*DatasetId, "perceptgen"]  # gen-perception names its stream by a str
+    for i in range(1200):
+        seed, dataset = (0, 7, 2**40, 31)[i % 4], datasets[i % len(datasets)]
+        sample_id, step = f"{dataset}/{i:05d}\u00e9", ("para", "mc", "grounding")[i % 3]
+        name = dataset if isinstance(dataset, str) else dataset.value
+        key = f"{seed}\x1f{name}\x1f{sample_id}\x1f{step}/{i}"
+        n = int.from_bytes(hashlib.sha256(key.encode("utf-8")).digest()[:8], "big")
+        stream = SeededRng(seed).stream(dataset, sample_id, f"{step}/{i}")
+        assert type(stream) is random.Random
+        assert stream.getstate() == random.Random(n).getstate()
+
+
 # --- local paraphrase -------------------------------------------------------------
 
 QA = QAPair("In the image, what should the driver do about the car ahead?",
@@ -133,6 +147,74 @@ def test_local_paraphrase_preserves_tokens_verbatim():
             matches = scan_tokens(text)
             assert len(matches) == 1
             assert matches[0].text == "<car>[CAM_FRONT, 8.688, 38.111, 94.438, 100.000]"
+
+
+_TOKEN = "<car>[FRONT_ONLY, 10.000, 20.000, 30.000, 40.000]"
+
+
+def _units(text):
+    """The object tokens and NUL characters of ``text``, in order."""
+    units, cursor = [], 0
+    for match in scan_tokens(text):
+        units += ["\x00"] * text.count("\x00", cursor, match.start) + [match.text]
+        cursor = match.end
+    return units + ["\x00"] * text.count("\x00", cursor)
+
+
+def test_local_paraphrase_keeps_tokens_in_place_in_a_text_holding_the_sentinel():
+    qa = QAPair(f"Is \x000\x00 left of {_TOKEN} on the road?",
+                f"Yes, {_TOKEN} is left of \x001\x00 and \x00\x00.")
+    for seed in range(40):
+        out = local_paraphrase(qa, random.Random(seed))
+        assert _units(out.question) == ["\x00", "\x00", _TOKEN]
+        assert _units(out.answer) == [_TOKEN, "\x00", "\x00", "\x00", "\x00"]
+        assert "\x000\x00 " in out.question and "\x001\x00 " in out.answer
+
+
+_PIECES = st.sampled_from(["\x00", "\x000\x00", "\x001", "0\x00", " ", ", ", "car",
+                           "road", "the", "ahead", "left", "In", "On the road,", "?", "0",
+                           _TOKEN, "<1, CAM_FRONT, 3, 4>", "<bus>[1, 2]"])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(_PIECES, min_size=2, max_size=14), st.integers(0, 2**32))
+def test_local_paraphrase_keeps_every_token_and_nul(pieces, seed):
+    text = " ".join(pieces)
+    out = local_paraphrase(QAPair(text, text), random.Random(seed))
+    # the rules see the protected text, whose lead clause may move
+    moves = augment.load_rules().clause_re.match(augment._protect_tokens(text)[0])
+    for new in (out.question, out.answer):
+        if moves:
+            assert sorted(_units(new)) == sorted(_units(text))
+        else:
+            assert _units(new) == _units(text)
+
+
+def _protect_before_nul_fix(text):
+    saved = []
+
+    def protect(match):
+        saved.append(match.text)
+        return f"\x00{len(saved) - 1}\x00"
+
+    return augment.tok.sub_tokens(text, protect), saved
+
+
+def _restore_before_nul_fix(text, saved):
+    for i, original in enumerate(saved):
+        text = text.replace(f"\x00{i}\x00", original, 1)
+    return text
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(_PIECES.filter(lambda piece: "\x00" not in piece), min_size=2,
+                max_size=14), st.integers(0, 2**32))
+def test_local_paraphrase_of_a_nul_free_text_is_the_one_before_the_nul_fix(pieces, seed):
+    qa = QAPair(" ".join(pieces), " ".join(reversed(pieces)))
+    out = local_paraphrase(qa, random.Random(seed))
+    with mock.patch.object(augment, "_protect_tokens", _protect_before_nul_fix), \
+            mock.patch.object(augment, "_restore_tokens", _restore_before_nul_fix):
+        assert local_paraphrase(qa, random.Random(seed)) == out
 
 
 def test_local_paraphrase_seed_collision_rate():

@@ -12,8 +12,8 @@ import dataforge
 
 from dataforge.cli import main
 from dataforge import cli, remote, stages
-from dataforge.core import (DatasetId, Provenance, QAPair, Sample, atomic_writer,
-                            sample_to_json)
+from dataforge.core import (CameraId, DatasetId, Provenance, QAPair, Sample, atomic_writer,
+                            image_ref, sample_to_json, validate_sample)
 from dataforge.ingest import read_manifest, write_manifest
 from dataforge.tokens import scan_object_refs
 
@@ -311,6 +311,25 @@ def test_augment_refuses_non_original_qa(workdir, capsys):
         "error: sample lingoqa/000001 carries paraphrase QA; "
         "augment only accepts original data"]
     assert not out.exists()
+
+
+def test_augment_keeps_a_token_in_place_beside_sentinel_text(workdir, capsys):
+    token = "<car>[FRONT_ONLY, 10.000, 20.000, 30.000, 40.000]"
+    question = f"Is \u00000\u0000 left of {token} on the road?"
+    sample = Sample("coda_lm/0000", DatasetId.CODA_LM,
+                    (image_ref(CameraId.FRONT_ONLY, 1920, 1080, "f.jpg"),),
+                    (QAPair(question, "No."),), frozenset({"general_perception"}))
+    assert validate_sample(sample) == []
+    manifest, out = workdir / "m.jsonl", workdir / "aug.jsonl"
+    _write_lines(manifest, [sample])
+    assert _run("augment", "--offline", "--in", manifest, "--out", out) == 0
+    assert capsys.readouterr().err == ""
+    copies = read_manifest(out)[1:]
+    assert len(copies) == 4
+    for copy in copies:
+        text = copy.qa[0].question
+        assert text.count("\x00") == 2 and text.count(token) == 1
+        assert text.index("\x000\x00") < text.index(token), text
 
 
 def test_augment_flag_position_irrelevant(workdir):

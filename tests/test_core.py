@@ -45,10 +45,11 @@ from dataforge.core import (
 )
 from dataforge.errors import SchemaError
 from dataforge.metrics import PredictionRecord
+from dataforge.perceptgen import DetectedObject, DetectionAnnotation
 from dataforge.promptkit import BudgetReport
 from dataforge.tokens import TokenMatch
 
-from helpers import plain_sample, random_mixed_sample, surround_media
+from helpers import late_token_sample, plain_sample, random_mixed_sample, surround_media
 
 
 def test_image_media_rejects_multiframe():
@@ -98,6 +99,10 @@ FROZEN_VALUES = {
     PredictionRecord: (("s/1", "regression", 1.0, 2.0), ("s/2", "caption", "a", "b")),
     TokenMatch: ((0, 3, "<x>"), (2, 9, "car[1, 2]", None, "bad body")),
     BudgetReport: ((1, 729, "<image>\nWhere?", ("<image>",)), (0, 0, "", ())),
+    DetectedObject: (("car", BBoxPx(1.0, 2.0, 3.0, 4.0)),
+                     ("bus", BBoxPx(0.0, 0.0, 5.0, 5.0), 2)),
+    DetectionAnnotation: ((_MEDIA, ()),
+                          (_MEDIA, (DetectedObject("bus", BBoxPx(0.0, 0.0, 5.0, 5.0), 2),))),
 }
 
 
@@ -403,3 +408,16 @@ def test_validate_does_not_mutate():
     before = sample_to_json(s)
     validate_sample(s)
     assert sample_to_json(s) == before
+
+
+def test_validate_sample_reports_tokens_after_token_free_texts_in_text_order():
+    assert validate_sample(late_token_sample()) == [
+        Violation("qa[1].question", "token_grammar",
+                  "malformed token '<x>[1, 2, 3]': expected 2 or 4 coordinates, got 3"),
+        Violation("qa[1].question", "pixel_bounds",
+                  "pixel geometry in '<car>[CAM_BACK, 1, 2, 700, 4]' exceeds 640x480 image"),
+        Violation("qa[1].answer", "token_camera_in_media",
+                  "token '<bus>[10, 20, 30, 40]': camera-less token over media of "
+                  "mixed resolutions"),
+        Violation("qa[2].options[0]", "token_camera_in_media",
+                  "token '<cone>[c9, 1, 2]': unknown camera id: 'c9'")]

@@ -1,7 +1,9 @@
-"""The outputs of two benchmark chains at seed 0 are byte for byte the ones the
-benchmark expects: evaluate's report on eval-mix, so a scoring change that
-moves one float bit fails here and not only in a benchmark run, and every
-output of surround-mix's six stages, which build and encode every value type.
+"""The outputs of the three benchmark chains at seed 0 are byte for byte the
+ones the benchmark expects: evaluate's report on eval-mix, so a scoring change
+that moves one float bit fails here and not only in a benchmark run; every
+output of surround-mix's six stages, which build and encode every value type;
+and every output of c10-coda's five stages, whose 40k paraphrased copies pin
+each seeded stream, synonym draw and prompt row of the paper's stage-4 recipe.
 The workload generator and the expected digests are read from
 ``perfbench/``, never written."""
 
@@ -28,7 +30,7 @@ def _workloads():
     return module
 
 
-@pytest.mark.parametrize("name", ["eval-mix", "surround-mix"])
+@pytest.mark.parametrize("name", ["eval-mix", "surround-mix", "c10-coda"])
 def test_the_benchmark_chain_at_seed_0_gives_the_benchmark_digests(tmp_path, capsys,
                                                                     monkeypatch, name):
     in_dir, out_dir = tmp_path / "in", tmp_path / "out"

@@ -3,6 +3,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dataforge.core import (
     CameraId,
@@ -175,6 +177,41 @@ def test_budget_counter_sees_prompt_without_placeholders():
     stripped = report.prompt.replace("<image>", "")
     assert report.text_tokens == estimate_text_tokens(stripped)
     assert report.text_tokens < estimate_text_tokens(report.prompt)
+
+
+def _check_budget_by_stripping(sample):
+    """``check_budget`` as it was written before it counted words: the prompt
+    with each placeholder's first occurrence removed in turn, then estimated.
+    Kept as the reference the word count must equal."""
+    prompt, placeholders = assemble_prompt(sample)
+    stripped = prompt
+    for placeholder in placeholders:
+        stripped = stripped.replace(placeholder, "", 1)
+    return BudgetReport(estimate_text_tokens(stripped), sample_visual_tokens(sample),
+                        prompt, placeholders)
+
+
+# Question and option text: placeholders, words glued to them, and ASCII and
+# Unicode whitespace (str.split splits on \x1c-\x1f, \x85 and \u2028 too).
+_TEXT = st.lists(st.sampled_from(
+    ["<image>", "<video>", "<image><video>", "x<image>", "<video>.", "car", "ahead?",
+     " ", "\n", "\t", "\x1c", "\x85", "\u00a0", "\u2028", "\u3000", ""]),
+    max_size=10).map("".join)
+_MEDIA = st.builds(
+    lambda video, camera, frames: (video_ref(camera, frames, 64, 48, "v.mp4") if video
+                                   else image_ref(camera, 64, 48, "a.jpg")),
+    st.booleans(), st.sampled_from(list(CameraId)), st.integers(1, 40))
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(st.lists(_MEDIA, max_size=7), _TEXT,
+       st.none() | st.lists(st.tuples(st.sampled_from("ABCD"), _TEXT), min_size=1,
+                            max_size=4).map(tuple))
+def test_check_budget_equals_stripping_the_media_placeholders(media, question, options):
+    style = QAStyle.OPEN if options is None else QAStyle.MULTIPLE_CHOICE
+    sample = Sample("s/1", DatasetId.GENERIC, tuple(media),
+                    (QAPair(question, "A", style, options=options),))
+    assert check_budget(sample) == _check_budget_by_stripping(sample)
 
 
 def test_default_counter_matches_hand_count():

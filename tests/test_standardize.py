@@ -28,7 +28,7 @@ from dataforge.standardize import (
 )
 from dataforge.tokens import parse_token
 
-from helpers import exactly, random_mixed_sample, surround_media
+from helpers import exactly, late_token_sample, random_mixed_sample, surround_media
 
 
 NUSC_FRAME = image_ref(CameraId.CAM_BACK_RIGHT, 1600, 900, "f.jpg")
@@ -268,3 +268,12 @@ def test_standardize_idempotent_on_random_samples():
         once = standardize_sample(s)
         twice = standardize_sample(once)
         assert sample_to_json(once) == sample_to_json(twice)
+
+
+def test_standardize_names_tokens_after_token_free_texts_in_text_order():
+    with pytest.raises(DataforgeError, match=exactly(
+            "sample generic/1: <x>[1, 2, 3]: expected 2 or 4 coordinates, got 3; "
+            "<car>[CAM_BACK, 1, 2, 700, 4]: box (1.0, 2.0, 700.0, 4.0) exceeds 640x480 "
+            "image; <bus>[10, 20, 30, 40]: camera-less token over media of mixed "
+            "resolutions; <cone>[c9, 1, 2]: unknown camera id: 'c9'")):
+        standardize_sample(late_token_sample())
