@@ -15,6 +15,7 @@ import inspect
 import json
 import math
 import os
+import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
@@ -307,13 +308,19 @@ def resolve_token_size(ref: ObjectRef, dataset: DatasetId,
     return None, uniform
 
 
+_MAX_SIDE = sys.float_info.max
+
+
 def pixel_inside(geometry: BBoxPx | PointPx, width: float, height: float) -> bool:
     """True if pixel geometry lies in a ``width`` x ``height`` image, edges
-    included; a box must also have x_min <= x_max and y_min <= y_max."""
+    included; a box must also have x_min <= x_max and y_min <= y_max. Nothing
+    lies in an image with a side above the largest float, which no coordinate
+    can be normalized against."""
     if isinstance(geometry, BBoxPx):
-        return (0 <= geometry.x_min <= geometry.x_max <= width
-                and 0 <= geometry.y_min <= geometry.y_max <= height)
-    return 0 <= geometry.x_center <= width and 0 <= geometry.y_center <= height
+        return (0 <= geometry.x_min <= geometry.x_max <= width <= _MAX_SIDE
+                and 0 <= geometry.y_min <= geometry.y_max <= height <= _MAX_SIDE)
+    return (0 <= geometry.x_center <= width <= _MAX_SIDE
+            and 0 <= geometry.y_center <= height <= _MAX_SIDE)
 
 
 def validate_sample(sample: Sample) -> list[Violation]:

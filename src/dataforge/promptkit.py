@@ -69,11 +69,6 @@ def assemble_prompt(sample: Sample) -> tuple[str, tuple[str, ...]]:
     return "\n".join(lines), tuple(placeholders)
 
 
-def estimate_text_tokens(text: str) -> int:
-    """Cheap stand-in for a real tokenizer: whitespace words x 1.3, ceiling."""
-    return math.ceil(len(text.split()) * TEXT_TOKENS_PER_WORD)
-
-
 @frozen_value
 class BudgetReport:
     text_tokens: int

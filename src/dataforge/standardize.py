@@ -9,6 +9,7 @@ All operations are pure.
 from __future__ import annotations
 
 from decimal import ROUND_HALF_UP, Decimal
+from functools import lru_cache
 
 from . import tokens as tok
 from .core import (
@@ -31,12 +32,17 @@ from .errors import DataforgeError
 _QUANTUM = Decimal("0.001")
 
 
+@lru_cache(maxsize=256)  # sizes come from the input: the cache stays bounded
+def _divisor(size: float) -> Decimal:
+    return Decimal(repr(float(size)))
+
+
 def _norm_component(value: float, size: float) -> float:
     # Decimal(repr(...)) treats the value as its decimal literal, so 1088.3
     # normalizes like the number printed in the source annotation, not like
     # its binary expansion. Adding 0.0 turns the -0.0 of a "-0" coordinate
     # into 0.0: "-0.000" would read as an un-normalized token.
-    scaled = Decimal(repr(float(value))) * 100 / Decimal(repr(float(size)))
+    scaled = Decimal(repr(float(value))) * 100 / _divisor(size)
     return float(scaled.quantize(_QUANTUM, ROUND_HALF_UP)) + 0.0
 
 

@@ -13,6 +13,11 @@ The unified output grammar is the bracket form with a canonical camera name
 and 3-decimal coordinates in [0, 100]. A category holds no ``<``, ``>``,
 ``[``, ``]`` or newline; the scanner strips it, and a blank one is malformed.
 A category written into a token must read back as itself (``is_category``).
+
+A bracket body in the canonical spelling (an optional camera name or raw id,
+then 2 or 4 ASCII numbers, separated by exactly ``", "``) is read in one
+match. Every other spelling is read field by field, which gives the same
+result on a canonical body; only that reader reports errors.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .core import (
     ObjectRef,
     PointNorm,
     PointPx,
+    _CAMERAS,
     frozen_value,
 )
 from .errors import DataforgeError
@@ -36,6 +42,14 @@ _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _NUMBER_RE = re.compile(r"-?(?:\d+\.\d*|\.\d+|\d+)")
 # A coordinate as emitted by the unified renderer: 3 decimals, no sign.
 _NORM_STYLE_RE = re.compile(r"\d{1,3}\.\d{3}")
+# The canonical bracket body: an optional camera field, then 2 or 4 ASCII
+# coordinates, all in the renderer's style (group ``norm``) or not (``px``).
+_ASCII_NUMBER = r"-?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)"
+_ASCII_NORM = r"[0-9]{1,3}\.[0-9]{3}"
+_CANONICAL_BODY_RE = re.compile(
+    rf"(?:(?P<cam>{_IDENT}), )?"
+    rf"(?:(?P<norm>{_ASCII_NORM}, {_ASCII_NORM}(?:, {_ASCII_NORM}, {_ASCII_NORM})?)"
+    rf"|(?P<px>{_ASCII_NUMBER}, {_ASCII_NUMBER}(?:, {_ASCII_NUMBER}, {_ASCII_NUMBER})?))")
 
 # One character of a category, or of a bracket token's field list.
 _FIELD_CHAR = r"[^<>\[\]\n]"
@@ -57,8 +71,6 @@ def is_category(name: str) -> bool:
     return name == name.strip() and _CATEGORY_RE.fullmatch(name) is not None
 
 
-_CAMERA_NAMES = {c.value for c in CameraId}
-
 # Category used when the source grammar carries no category name (angle form
 # class ids are opaque).
 PLACEHOLDER_CATEGORY = "object"
@@ -79,26 +91,33 @@ def _parse_bracket(cat: str, body: str) -> tuple[ObjectRef | None, str | None]:
     """Returns (ref, None) on success, (None, error) for a malformed token,
     and (None, None) when the bracket text is not an object token at all
     (e.g. the format-instruction template, whose fields are all symbolic)."""
+    category = cat.strip()
+    m = _CANONICAL_BODY_RE.fullmatch(body)
+    if m is None or not category:
+        return _parse_fields(category, body)
+    head, norm = m.group("cam", "norm")
+    camera = _CAMERAS.get(head)
+    raw_camera = head if camera is None else None
+    values = [float(c) for c in (norm or m.group("px")).split(", ")]
+    geometry = _geometry(values, norm is not None and raw_camera is None)
+    return ObjectRef(category, camera, geometry, raw_camera), None
+
+
+def _parse_fields(category: str, body: str) -> tuple[ObjectRef | None, str | None]:
+    """``_parse_bracket`` field by field, for any spelling of the body."""
     parts = [p.strip() for p in body.split(",")] if body.strip() else []
     if not any(_NUMBER_RE.fullmatch(p) for p in parts):
         return None, None
-    category = cat.strip()
     if not category:
         return None, "empty category"
 
-    camera: CameraId | None = None
-    raw_camera: str | None = None
-    if _NUMBER_RE.fullmatch(parts[0]):
-        coords = parts
-    else:
-        head = parts[0]
-        coords = parts[1:]
-        if head in _CAMERA_NAMES:
-            camera = CameraId(head)
-        elif re.fullmatch(_IDENT, head):
-            raw_camera = head
-        else:
+    camera, raw_camera, coords = None, None, parts
+    if not _NUMBER_RE.fullmatch(parts[0]):
+        head, *coords = parts
+        camera = _CAMERAS.get(head)
+        if camera is None and not re.fullmatch(_IDENT, head):
             return None, f"unrecognized camera field {head!r}"
+        raw_camera = head if camera is None else None
 
     if len(coords) not in (2, 4):
         return None, f"expected 2 or 4 coordinates, got {len(coords)}"
@@ -107,23 +126,24 @@ def _parse_bracket(cat: str, body: str) -> tuple[ObjectRef | None, str | None]:
             return None, f"bad coordinate {c!r}"
 
     values = [float(c) for c in coords]
-    normalized = (
-        raw_camera is None
-        and all(_NORM_STYLE_RE.fullmatch(c) for c in coords)
-        and all(v <= 100.0 for v in values)
-    )
+    norm_style = raw_camera is None and all(_NORM_STYLE_RE.fullmatch(c) for c in coords)
+    return ObjectRef(category, camera, _geometry(values, norm_style), raw_camera), None
+
+
+def _geometry(values: list[float], norm_style: bool) -> Geometry:
+    """A box for 4 values, a center for 2; normalized if they are written in
+    the renderer's style and none exceeds 100."""
+    normalized = norm_style and max(values) <= 100.0
     if len(values) == 4:
-        geometry = BBoxNorm(*values) if normalized else BBoxPx(*values)
-    else:
-        geometry = PointNorm(*values) if normalized else PointPx(*values)
-    return ObjectRef(category, camera, geometry, raw_camera), None
+        return BBoxNorm(*values) if normalized else BBoxPx(*values)
+    return PointNorm(*values) if normalized else PointPx(*values)
 
 
 def _parse_angle(cam: str, x: str, y: str) -> tuple[ObjectRef | None, str | None]:
-    if cam not in _CAMERA_NAMES:
+    camera = _CAMERAS.get(cam)
+    if camera is None:
         return None, f"unknown camera name {cam!r}"
-    geometry = PointPx(float(x), float(y))
-    return ObjectRef(PLACEHOLDER_CATEGORY, CameraId(cam), geometry), None
+    return ObjectRef(PLACEHOLDER_CATEGORY, camera, PointPx(float(x), float(y))), None
 
 
 def scan_tokens(text: str) -> list[TokenMatch]:
@@ -136,24 +156,20 @@ def scan_tokens(text: str) -> list[TokenMatch]:
         return []  # both token forms start with "<"
     out: list[TokenMatch] = []
     for m in _TOKEN_RE.finditer(text):
-        if m.group("cat") is not None:
-            ref, err = _parse_bracket(m.group("cat"), m.group("body"))
+        cat, body = m.group("cat", "body")
+        if cat is not None:
+            ref, err = _parse_bracket(cat, body)
             if ref is not None or err is not None:
-                out.append(TokenMatch(m.start(), m.end(), m.group(0), ref, err))
+                out.append(TokenMatch(*m.span(), m.group(), ref, err))
                 continue
             # Bracketed text, but not an object token: an angle token may
             # still start at the same "<".
             m = ANGLE_TOKEN_RE.match(text, m.start())
             if m is None:
                 continue
-        ref, err = _parse_angle(m.group("cam"), m.group("x"), m.group("y"))
-        out.append(TokenMatch(m.start(), m.end(), m.group(0), ref, err))
+        ref, err = _parse_angle(*m.group("cam", "x", "y"))
+        out.append(TokenMatch(*m.span(), m.group(), ref, err))
     return out
-
-
-def scan_object_refs(text: str) -> list[ObjectRef]:
-    """Successfully parsed object references only; grammar errors are skipped."""
-    return [m.ref for m in scan_tokens(text) if m.ref is not None]
 
 
 def parse_token(token: str) -> ObjectRef:
@@ -172,12 +188,15 @@ def parse_token(token: str) -> ObjectRef:
 
 
 def render_token(category: str, camera: CameraId | None, geometry: Geometry) -> str:
-    """Render normalized geometry in the unified grammar; pixel geometry
-    raises ValueError."""
-    if not isinstance(geometry, (BBoxNorm, PointNorm)):
-        raise ValueError(f"cannot render pixel-space geometry: {geometry!r}")
-    camera_part = f"{camera.value}, " if camera is not None else ""
-    return f"<{category}>[{camera_part}{geometry.render()}]"
+    """Render normalized geometry in the unified grammar, each coordinate as
+    ``fmt3`` writes it; pixel geometry raises ValueError."""
+    camera_part = f"{camera._value_}, " if camera is not None else ""
+    if isinstance(geometry, BBoxNorm):
+        return (f"<{category}>[{camera_part}{geometry.x_min:.3f}, {geometry.y_min:.3f}, "
+                f"{geometry.x_max:.3f}, {geometry.y_max:.3f}]")
+    if isinstance(geometry, PointNorm):
+        return f"<{category}>[{camera_part}{geometry.x_center:.3f}, {geometry.y_center:.3f}]"
+    raise ValueError(f"cannot render pixel-space geometry: {geometry!r}")
 
 
 def sub_tokens(text: str, repl: Callable[[TokenMatch], str]) -> str:

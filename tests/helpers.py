@@ -22,6 +22,7 @@ from dataforge.core import (
     Sample,
     image_ref,
 )
+from dataforge.tokens import scan_tokens
 
 
 def expand_all(samples, factors, mc_fraction, rng, rewriter=None):
@@ -29,6 +30,12 @@ def expand_all(samples, factors, mc_fraction, rng, rewriter=None):
     in id order, as a list."""
     pools, _ = plan_expansion(samples, factors)
     return list(expand_dataset(samples, factors, mc_fraction, rng, pools, rewriter))
+
+
+def object_refs(text: str):
+    """The object references ``scan_tokens`` parses in ``text``; malformed
+    tokens are skipped."""
+    return [match.ref for match in scan_tokens(text) if match.ref is not None]
 
 
 def exactly(message: str) -> str:

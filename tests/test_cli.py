@@ -15,9 +15,8 @@ from dataforge import cli, remote, stages
 from dataforge.core import (CameraId, DatasetId, Provenance, QAPair, Sample, atomic_writer,
                             image_ref, sample_to_json, validate_sample)
 from dataforge.ingest import read_manifest, write_manifest
-from dataforge.tokens import scan_object_refs
 
-from helpers import plain_sample, raw_reply_server, surround_media
+from helpers import object_refs, plain_sample, raw_reply_server, surround_media
 
 NUINSTRUCT_SOURCE = [{
     "sample_id": "42",
@@ -218,6 +217,59 @@ def test_standardize_reports_bad_tokens_with_sample_id(workdir, capsys):
     assert not (workdir / "std.jsonl").exists()
 
 
+HUGE = 10**400  # a media side too large for a float
+
+
+def test_ingest_refuses_pixel_token_over_media_too_large_for_a_float(workdir, capsys):
+    source = [dict(_coda_source(1)[0],
+                   image={"path": "a.jpg", "width": HUGE, "height": 720},
+                   qa=[{"question": "Is <car>[10, 20, 30, 40] ok?", "answer": "Yes."}])]
+    (workdir / "huge.json").write_text(json.dumps(source))
+    out = workdir / "raw.jsonl"
+    assert _run("ingest", "--adapter", "coda_lm", "--in", workdir / "huge.json",
+                "--out", out) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: invalid sample (pixel_bounds): pixel geometry in "
+        f"'<car>[10, 20, 30, 40]' exceeds {HUGE}x720 image (record 0, at qa[0].question)"]
+    assert not out.exists()
+
+
+def test_standardize_fails_on_pixel_token_over_media_too_large_for_a_float(workdir,
+                                                                          capsys):
+    media = (image_ref(CameraId.FRONT_ONLY, HUGE, 720, "a.jpg"),)
+    pixel = Sample("coda_lm/0", DatasetId.CODA_LM, media,
+                   (QAPair("Is <car>[10, 20, 30, 40] ok?", "Yes."),))
+    raw = workdir / "raw.jsonl"
+    raw.write_text(sample_to_json(pixel) + "\n", encoding="utf-8")
+    out = workdir / "std.jsonl"
+    assert _run("standardize", "--in", raw, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: sample coda_lm/0: <car>[10, 20, 30, 40]: box (10.0, 20.0, 30.0, 40.0) "
+        f"exceeds {HUGE}x720 image"]
+    assert "Traceback" not in err and not out.exists()
+    # A normalized token over the same media is valid and left as it is.
+    token = "<car>[FRONT_ONLY, 1.000, 2.000, 3.000, 4.000]"
+    normalized = Sample("coda_lm/1", DatasetId.CODA_LM, media,
+                        (QAPair(f"Is {token} ok?", "Yes."),))
+    assert validate_sample(normalized) == []
+    raw.write_text(sample_to_json(normalized) + "\n", encoding="utf-8")
+    assert _run("standardize", "--in", raw, "--out", out) == 0
+    [line] = out.read_text(encoding="utf-8").splitlines()
+    assert f'"question": "Is {token} ok? Objects are referred to as' in line
+
+
+def test_gen_perception_refuses_view_too_large_for_a_float(workdir, capsys):
+    record = {"id": "p", "annotations": [dict(_FRONT_VIEW, width=HUGE)]}
+    (workdir / "percept.json").write_text(json.dumps([record]))
+    out = workdir / "p.jsonl"
+    assert _run("gen-perception", "--in", workdir / "percept.json", "--out", out) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: bad detection annotation: box (100.0, 100.0, 400.0, 300.0) exceeds "
+        f"media bounds {HUGE}x720 (record 0, at annotations[0])"]
+    assert not out.exists()
+
+
 def test_standardize_nuinstruct_token_gets_its_views_camera(workdir):
     answer = " ".join(f"<car>[c{k}, 10, 20, 30, 40]" for k in range(1, 7))
     source = [dict(NUINSTRUCT_SOURCE[0],
@@ -231,7 +283,7 @@ def test_standardize_nuinstruct_token_gets_its_views_camera(workdir):
     [ingested] = read_manifest(raw)
     view_camera = {m.uri: m.camera for m in ingested.media}
     [out] = read_manifest(std)
-    cameras = [ref.camera for ref in scan_object_refs(out.qa[0].answer)]
+    cameras = [ref.camera for ref in object_refs(out.qa[0].answer)]
     assert cameras == [view_camera[f"v{k}.jpg"] for k in range(1, 7)]
     assert len(set(cameras)) == 6
 

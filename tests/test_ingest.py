@@ -24,9 +24,8 @@ from dataforge.ingest import (
     read_manifest,
     write_manifest,
 )
-from dataforge.tokens import scan_object_refs
 
-from helpers import plain_sample, random_mixed_sample
+from helpers import object_refs, plain_sample, random_mixed_sample
 
 
 # --- adapters ------------------------------------------------------------------
@@ -116,7 +115,7 @@ def test_drivelm_adapter_preserves_angle_token():
     assert s.id == "drivelm/scene-1"
     assert s.task_tags == {"perception", "planning"}
     assert [m.camera for m in s.media] == [CameraId.CAM_FRONT, CameraId.CAM_BACK]
-    [ref] = scan_object_refs(s.qa[0].question)
+    [ref] = object_refs(s.qa[0].question)
     assert ref.camera is CameraId.CAM_BACK
     assert ref.geometry.as_tuple() == (1088.3, 497.5)
     assert not ref.is_normalized
@@ -126,7 +125,7 @@ def test_nuinstruct_adapter_preserves_raw_token():
     [s] = parse_source(DatasetId.NUINSTRUCT, json.dumps([NUINSTRUCT_RECORD]))
     assert s.id == "nuinstruct/42"
     assert len(s.media) == 6
-    [ref] = scan_object_refs(s.qa[0].answer)
+    [ref] = object_refs(s.qa[0].answer)
     assert ref.raw_camera == "c6"
     assert ref.camera is None
     assert ref.geometry.as_tuple() == (139, 343, 1511, 900)

@@ -25,9 +25,8 @@ from dataforge.perceptgen import (
     annotation_from_dict,
     build_grounding_sample,
 )
-from dataforge.tokens import scan_object_refs
 
-from helpers import exactly
+from helpers import exactly, object_refs
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "grounding.json").read_text())
@@ -156,7 +155,7 @@ def test_multiview_order_matches_stable_sort_oracle():
         if not any(a.objects for a in anns):
             continue
         qa = _qa(anns, GroundingSpec(representation="box", with_camera_prefix=True), 5)
-        refs = scan_object_refs(qa.answer)
+        refs = object_refs(qa.answer)
         ranks = [cams.index(r.camera) for r in refs]
         assert ranks == sorted(ranks)
         # every annotated car appears exactly once
@@ -169,7 +168,7 @@ def test_tokens_only_from_populated_camera():
     anns.append(_ann(CameraId.CAM_BACK_RIGHT,
                      DetectedObject("car", BBoxPx(0, 0, 10, 10))))
     qa = _qa(anns, GroundingSpec(representation="box", with_camera_prefix=True), 1)
-    refs = scan_object_refs(qa.answer)
+    refs = object_refs(qa.answer)
     assert [r.camera for r in refs] == [CameraId.CAM_BACK_RIGHT]
 
 
@@ -177,7 +176,7 @@ def test_emitted_coordinates_are_normalized():
     spec = GroundingSpec(with_camera_prefix=True)
     for seed in range(50):
         qa = _qa(MULTI, spec, seed)
-        refs = scan_object_refs(qa.answer)
+        refs = object_refs(qa.answer)
         assert refs and all(r.is_normalized for r in refs)
 
 
@@ -195,7 +194,7 @@ def test_representation_flip_is_balanced():
     boxes = 0
     for seed in range(2_000):
         qa = _qa([SINGLE], GroundingSpec(), seed)
-        refs = scan_object_refs(qa.answer)
+        refs = object_refs(qa.answer)
         boxes += all(len(r.geometry.as_tuple()) == 4 for r in refs)
     assert abs(boxes - 1000) < 3 * math.sqrt(2000 * 0.25)
 

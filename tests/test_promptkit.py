@@ -19,10 +19,10 @@ from dataforge.core import (
 from dataforge.promptkit import (
     CAMERA_EXPLANATIONS,
     SEQUENCE_LIMIT,
+    TEXT_TOKENS_PER_WORD,
     BudgetReport,
     assemble_prompt,
     check_budget,
-    estimate_text_tokens,
     sample_visual_tokens,
     visual_token_count,
 )
@@ -158,6 +158,12 @@ def test_fits_is_exact_boundary():
 
 
 # ------------------------------------------------------------ text counter
+
+def estimate_text_tokens(text):
+    """The text-token rule ``check_budget`` applies to its word count:
+    whitespace words x 1.3, rounded up."""
+    return math.ceil(len(text.split()) * TEXT_TOKENS_PER_WORD)
+
 
 @pytest.mark.parametrize("text,expected", [
     ("", 0),

@@ -1,18 +1,26 @@
 import random
+import re
+from decimal import ROUND_HALF_UP, Decimal
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from dataforge.core import BBoxNorm, BBoxPx, CameraId, PointNorm, PointPx
+from dataforge.core import BBoxNorm, BBoxPx, CameraId, ObjectRef, PointNorm, PointPx
 from dataforge.errors import DataforgeError
+from dataforge.standardize import _norm_component
 from dataforge.tokens import (
+    _TOKEN_RE,
+    ANGLE_TOKEN_RE,
+    PLACEHOLDER_CATEGORY,
+    TokenMatch,
     parse_token,
     render_token,
-    scan_object_refs,
     scan_tokens,
     sub_tokens,
 )
 
-from helpers import exactly
+from helpers import exactly, object_refs
 
 
 def test_parse_raw_camera_id_box():
@@ -105,7 +113,7 @@ def test_scan_reports_malformed_candidates():
 
 def test_scan_object_refs_skips_errors():
     text = "<car>[CAM_FRONT, 1, 2, 3] and <bus>[CAM_BACK, 1, 2, 3, 4]"
-    refs = scan_object_refs(text)
+    refs = object_refs(text)
     assert len(refs) == 1 and refs[0].category == "bus"
 
 
@@ -181,3 +189,161 @@ def test_sub_tokens_without_tokens_returns_text():
 
     for text in ("", "plain text", "a <b> and [1, 2] apart"):
         assert sub_tokens(text, repl) == text
+
+
+# --------------------------------------------------- reference token reader
+
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+_NUMBER_RE = re.compile(r"-?(?:\d+\.\d*|\.\d+|\d+)")
+_NORM_STYLE_RE = re.compile(r"\d{1,3}\.\d{3}")
+_CAMERA_NAMES = {c.value for c in CameraId}
+
+
+def _reference_parse_bracket(cat, body):
+    """``_parse_bracket`` as it was before it read the canonical body in one
+    match: every body field by field. Kept as the reference the one-match
+    reader must equal."""
+    parts = [p.strip() for p in body.split(",")] if body.strip() else []
+    if not any(_NUMBER_RE.fullmatch(p) for p in parts):
+        return None, None
+    category = cat.strip()
+    if not category:
+        return None, "empty category"
+
+    camera = None
+    raw_camera = None
+    if _NUMBER_RE.fullmatch(parts[0]):
+        coords = parts
+    else:
+        head = parts[0]
+        coords = parts[1:]
+        if head in _CAMERA_NAMES:
+            camera = CameraId(head)
+        elif re.fullmatch(_IDENT, head):
+            raw_camera = head
+        else:
+            return None, f"unrecognized camera field {head!r}"
+
+    if len(coords) not in (2, 4):
+        return None, f"expected 2 or 4 coordinates, got {len(coords)}"
+    for c in coords:
+        if not _NUMBER_RE.fullmatch(c):
+            return None, f"bad coordinate {c!r}"
+
+    values = [float(c) for c in coords]
+    normalized = (
+        raw_camera is None
+        and all(_NORM_STYLE_RE.fullmatch(c) for c in coords)
+        and all(v <= 100.0 for v in values)
+    )
+    if len(values) == 4:
+        geometry = BBoxNorm(*values) if normalized else BBoxPx(*values)
+    else:
+        geometry = PointNorm(*values) if normalized else PointPx(*values)
+    return ObjectRef(category, camera, geometry, raw_camera), None
+
+
+def _reference_parse_angle(cam, x, y):
+    if cam not in _CAMERA_NAMES:
+        return None, f"unknown camera name {cam!r}"
+    return ObjectRef(PLACEHOLDER_CATEGORY, CameraId(cam), PointPx(float(x), float(y))), None
+
+
+def _reference_scan(text):
+    """``scan_tokens`` built on the reference readers."""
+    out = []
+    for m in _TOKEN_RE.finditer(text):
+        if m.group("cat") is not None:
+            ref, err = _reference_parse_bracket(m.group("cat"), m.group("body"))
+            if ref is not None or err is not None:
+                out.append(TokenMatch(m.start(), m.end(), m.group(0), ref, err))
+                continue
+            m = ANGLE_TOKEN_RE.match(text, m.start())
+            if m is None:
+                continue
+        ref, err = _reference_parse_angle(m.group("cam"), m.group("x"), m.group("y"))
+        out.append(TokenMatch(m.start(), m.end(), m.group(0), ref, err))
+    return out
+
+
+_FULLWIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+_norm_text = st.integers(0, 100_001).map(lambda n: f"{n / 1000:.3f}")
+_coordinate = st.one_of(
+    _norm_text,
+    st.integers(-20, 5000).map(str),
+    st.floats(-10, 2000, allow_nan=False).map(lambda x: f"{x:.1f}"),
+    st.floats(0, 100, allow_nan=False).map(lambda x: f"{x:.2f}"),
+    _norm_text.map(lambda s: s.translate(_FULLWIDTH)),
+    _norm_text.map(lambda s: s.translate(_ARABIC_INDIC)),
+    st.tuples(st.sampled_from("-+"), _norm_text).map("".join),
+    st.sampled_from(["100.000", "100.001", "1000.000", "0.000", "-0", "-0.000", "+5",
+                     "1.", ".5", "-.5", "007", "12..5", "x_min"]))
+_camera_field = st.sampled_from(
+    [c.value for c in CameraId] + [f"c{i}" for i in range(1, 8)]
+    + ["CAM_TOP", "car", "_x", "cam-1", "CAM FRONT", "１"])
+_separator = st.sampled_from([", "] * 6 + [" , ", ",", ",\t", ", \u00a0", ",\u3000", ",  "])
+
+
+@st.composite
+def _bracket_token(draw):
+    """A bracket token in the canonical spelling or a near miss of it."""
+    fields = [draw(_coordinate) for _ in range(draw(st.sampled_from([1, 2, 2, 3, 4, 4, 5])))]
+    if draw(st.booleans()):
+        fields.insert(0, draw(_camera_field))
+    body = draw(_separator).join(fields)
+    if draw(st.integers(0, 9)) == 0:
+        body = draw(st.sampled_from([" ", "\u2003", "\t"])) + body
+    if draw(st.integers(0, 9)) == 0:
+        body += draw(st.sampled_from([" ", "\u00a0"]))
+    category = draw(st.sampled_from(["car", "traffic cone", " car ", "  ", "\u3000"]))
+    return f"<{category}>[{body}]"
+
+
+_INSTRUCTION = ("Objects are referred to as <category>[CAMERA, x_min, y_min, x_max, "
+                "y_max] with coordinates from 0 to 100.")
+_token_text = st.lists(st.one_of(
+    _bracket_token(), _bracket_token(),
+    st.sampled_from([_INSTRUCTION, " and ", "? ", "<c3, CAM_BACK, 10.5, 20.5>",
+                     "<c3, CAM_TOP, 1, 2>", "<", "[1, 2]"])),
+    max_size=5).map("".join)
+
+
+@settings(derandomize=True, deadline=None, max_examples=1500)
+@given(_token_text)
+@example("<car>[c6, 1.000, 2.000]")  # a raw id keeps the token in pixels
+@example("<car>[CAM_FRONT, 100.000, 100.001]")
+@example("<car>[1.50, 2.25]")
+@example("<car>[１.０００, 2.000]")
+@example("<car>[12, 3, 4]")
+@example("<car>[-0.000, 1.000] <car>[+5, 6]")
+@example("<car>[CAM_FRONT, 1.000, 2.000, 3.000]")
+@example("<car>[CAM_FRONT, 1.000, 2.000, 3.000, 4.000, 5.000]")
+@example("<  >[CAM_FRONT, 1.000, 2.000]")
+def test_scan_tokens_equals_the_field_by_field_reference(text):
+    assert scan_tokens(text) == _reference_scan(text)
+
+
+_geometry_value = st.one_of(st.integers(0, 100_000).map(lambda n: n / 1000),
+                            st.floats(-1e6, 1e6, allow_nan=False), st.just(-0.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.sampled_from(["car", "traffic cone"]), st.sampled_from([*CameraId, None]),
+       st.one_of(st.builds(BBoxNorm, *[_geometry_value] * 4),
+                 st.builds(PointNorm, *[_geometry_value] * 2)))
+def test_render_token_equals_the_geometry_render(category, camera, geometry):
+    camera_part = f"{camera.value}, " if camera is not None else ""
+    assert (render_token(category, camera, geometry)
+            == f"<{category}>[{camera_part}{geometry.render()}]")
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(st.one_of(st.floats(0, 1e5, allow_nan=False), st.integers(0, 10**5),
+                 st.sampled_from([-0, -0.0, 0.0, 1088.3, 0.0005, 2.5e-4])),
+       st.one_of(st.integers(1, 10**6), st.floats(1e-3, 1e6, allow_nan=False),
+                 st.sampled_from([1600, 1600.0, 900, 7, 3.3])))
+def test_norm_component_equals_the_decimal_expression(value, size):
+    scaled = Decimal(repr(float(value))) * 100 / Decimal(repr(float(size)))
+    want = float(scaled.quantize(Decimal("0.001"), ROUND_HALF_UP)) + 0.0
+    assert repr(_norm_component(value, size)) == repr(want)
