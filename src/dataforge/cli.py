@@ -227,9 +227,9 @@ def _cmd_build_prompts(args: argparse.Namespace, cfg: PipelineConfig) -> int:
 def _cmd_plan_curriculum(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     out_dir = cfg.out_dir if args.out is None else Path(args.out)
     plans = build_all_plans()
+    paths = write_stage_plans(out_dir, plans)
     for plan in plans:
         print(f"stage {plan.stage}: {plan.total_samples} samples")
-    paths = write_stage_plans(out_dir, plans)
     print(f"wrote {len(paths)} plans under {out_dir / 'plans'}")
     return 0
 

@@ -97,11 +97,6 @@ class Provenance(Enum):
         return self.value
 
 
-def fmt3(value: float) -> str:
-    """Render a normalized coordinate with exactly three decimals."""
-    return f"{value:.3f}"
-
-
 def frozen_value(cls: type) -> type:
     """``dataclass(frozen=True, slots=True)`` whose ``__init__`` stores each
     field through its slot descriptor, which costs less than the dataclass's
@@ -154,9 +149,6 @@ class BBoxNorm:
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x_min, self.y_min, self.x_max, self.y_max)
 
-    def render(self) -> str:
-        return ", ".join(fmt3(v) for v in self.as_tuple())
-
 
 @frozen_value
 class PointPx:
@@ -178,9 +170,6 @@ class PointNorm:
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.x_center, self.y_center)
-
-    def render(self) -> str:
-        return ", ".join(fmt3(v) for v in self.as_tuple())
 
 
 Geometry = BBoxPx | BBoxNorm | PointPx | PointNorm

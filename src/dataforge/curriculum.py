@@ -9,9 +9,11 @@ the stage and serialize to stable JSON; no trainer runs here.
 from __future__ import annotations
 
 import enum
+import errno
+import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Sequence
 
 from .core import write_json
 from .promptkit import SEQUENCE_LIMIT
@@ -132,12 +134,13 @@ def plan_to_dict(plan: StagePlan) -> dict:
     }
 
 
-def write_stage_plans(out_dir: str | Path, plans: Iterable[StagePlan]) -> list[Path]:
-    """Write each plan as plans/stage<N>.json under out_dir; returns the paths."""
-    plans_dir = Path(out_dir) / "plans"
-    paths = []
-    for plan in plans:
-        path = plans_dir / f"stage{plan.stage}.json"
+def write_stage_plans(out_dir: str | Path, plans: Sequence[StagePlan]) -> list[Path]:
+    """Write each plan as plans/stage<N>.json under out_dir; returns the paths.
+    A target that is a directory fails the call before any plan is written."""
+    paths = [Path(out_dir) / "plans" / f"stage{plan.stage}.json" for plan in plans]
+    for path in paths:
+        if path.is_dir() and not path.is_symlink():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    for plan, path in zip(plans, paths):
         write_json(path, plan_to_dict(plan))
-        paths.append(path)
     return paths

@@ -9,6 +9,7 @@ and group tokens by camera rank, then annotation order.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Any, Sequence
@@ -78,13 +79,19 @@ class GroundingSpec:
     frames_per_view: int = 1
 
 
+def _mid(a: float, b: float) -> float:
+    """(a + b) / 2, or a / 2 + b / 2 where the sum overflows to inf."""
+    total = a + b
+    return total / 2 if math.isfinite(total) else a / 2 + b / 2
+
+
 def _token(obj: DetectedObject, media: MediaRef, representation: str,
            camera: CameraId | None) -> str:
     b = obj.box
     if representation == "box":
         norm = normalize_bbox(b, media.width, media.height)
     else:
-        center = PointPx((b.x_min + b.x_max) / 2, (b.y_min + b.y_max) / 2)
+        center = PointPx(_mid(b.x_min, b.x_max), _mid(b.y_min, b.y_max))
         norm = normalize_point(center, media.width, media.height)
     return render_token(obj.category, camera, norm)
 

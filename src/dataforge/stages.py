@@ -2,24 +2,24 @@
 (``os.sched_getaffinity``) with the output bytes, messages and exit code of
 one process.
 
+Every stage splits through one driver, ``_split(jobs, join, reference)``:
+``_shares`` runs the first job in process and each other one in a forked
+worker (``fork`` hands it the stage's state without sending it; the CLI runs
+no threads, so forking is safe), and ``join`` makes the stage's result from
+theirs. If a job raises, a worker does not end clean or ``join`` raises, the
+stage's one-process reference runs instead and meets the first fault.
+
 The manifest stages standardize, augment, build-prompts and stats hand
 ``run`` their per-range work: a function of one range's samples and of the
 function that writes a row to the output. ``Manifest`` cuts the input into
-byte ranges at line ends, one per usable CPU; the main process runs the
-first range and a forked worker each other one, writing its rows to a part
-file next to the output, and the main process appends the parts in file
-order into the one ``atomic_writer`` output. An input not a regular file
-runs as one range in process, and so does augment with a rewriter, whose
-breaker and call order are serial.
-
-evaluate scores the byte ranges of its predictions file the same way, and
-the main process sums the ranges' scores in file order. ingest and
-gen-perception deal the records of their JSON arrays round-robin into
-shares; the main process merges the shares' sorted rows by id. Any input
-shorter than two _MIN_RANGE blocks runs in process. ``_shares`` is the one
-fork helper: ``fork`` hands a worker the stage's state without sending it;
-the CLI runs no threads, so forking is safe. ``cli`` imports this module
-when a stage runs.
+byte ranges at line ends, one per usable CPU; the reference runs the work on
+the whole file. An input not a regular file is one range, and so is augment's
+with a rewriter, whose breaker and call order are serial. evaluate scores its
+ranges the same way and chains their scores in file order; the reference
+scores the whole file. ingest and gen-perception deal the records of their
+JSON arrays round-robin into shares, merged by id; the reference reads each
+array whole. Any input shorter than two _MIN_RANGE blocks is one range or
+share. ``cli`` imports this module when a stage runs.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from functools import partial
 from itertools import chain, islice
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, ContextManager, Iterator, Sequence, TextIO
+from typing import Any, BinaryIO, Callable, Iterator, Sequence, TextIO
 
 from .augment import (DEFAULT_FACTORS, MC_FRACTION, Rewriter, SeededRng, expand_dataset,
                       plan_expansion)
@@ -145,10 +145,6 @@ class Manifest:
         return decode_manifest(self.text(span))
 
 
-def _writer(path: str | None) -> ContextManager[TextIO | None]:
-    return nullcontext() if path is None else atomic_writer(path)
-
-
 def _edges(samples: Iterator[Sample], edges: list[str]) -> Iterator[Sample]:
     """``samples``; ``edges`` gets the first id and, at the end, the last."""
     sample = None
@@ -165,28 +161,18 @@ def run(src: Manifest, spans: list[tuple[int, int]], out: str | None,
     """``work`` over each span of ``src``, its rows written to ``out`` in file
     order through ``atomic_writer``; the spans' summaries, in file order.
 
-    One span runs in process, on the whole file. A range that does not finish
-    clean (a fault in its lines, a worker that dies) or an id across a cut
-    not above the one before it makes the stage run again that way, so every
-    fault is the one the one-range reader meets first in file order.
+    The first span writes to ``out``, each other one to a part file next to
+    it, appended in file order; an id across a cut not above the one before
+    it fails the join. The reference is ``work`` on the whole file, written
+    to ``out`` emptied. Every path out of here has deleted the part files.
     """
-    if len(spans) > 1:
-        try:
-            return _run_split(src, spans, out, work)
-        except Exception:
-            pass  # reported by the one-range run
-    with _writer(out) as fh:
-        return [work(src.samples(), fh and fh.write)]
-
-
-def _run_split(src: Manifest, spans: list[tuple[int, int]], out: str | None,
-               work: Work) -> list[Any]:
-    """``run`` with the first span in process and each other one in a forked
-    worker that writes its rows to a part file next to ``out``. Every path
-    out of here has reaped the workers and deleted the part files."""
     parts = [None if out is None else os.path.join(
         os.path.dirname(out), f".{os.path.basename(out)}.{os.getpid()}.{k}.tmp")
         for k in range(1, len(spans))]
+
+    def drop() -> None:
+        for part in filter(None, parts):
+            Path(part).unlink(missing_ok=True)
 
     def share(span: tuple[int, int], write: Callable[[str], Any] | None
               ) -> tuple[list[str], Any]:
@@ -194,15 +180,12 @@ def _run_split(src: Manifest, spans: list[tuple[int, int]], out: str | None,
         return edges, work(_edges(src.samples(span), edges), write)
 
     def worker(span: tuple[int, int], part: str | None) -> tuple[list[str], Any]:
-        with (nullcontext() if part is None
-              else open(part, "w", encoding="utf-8", newline="\n")) as fh:
+        with open(part, "w", encoding="utf-8", newline="\n") if part else nullcontext() as fh:
             return share(span, fh and fh.write)
 
-    with _writer(out) as fh:  # the part files go first: a fault then leaves no directory
-        try:
-            results = _shares([partial(share, spans[0], fh and fh.write)]
-                              + [partial(worker, span, part)
-                                 for span, part in zip(spans[1:], parts)])
+    # The part files go inside the output's block: a fault then leaves no directory.
+    with nullcontext() if out is None else atomic_writer(out) as fh:
+        def join(results: list[tuple[list[str], Any]]) -> list[Any]:
             for (before, _), (after, _) in zip(results, results[1:]):
                 if after[0] <= before[-1]:
                     raise ValueError(f"{after[0]!r} follows {before[-1]!r} across a cut")
@@ -212,10 +195,32 @@ def _run_split(src: Manifest, spans: list[tuple[int, int]], out: str | None,
                     with open(part, "rb") as rows:
                         shutil.copyfileobj(rows, fh.buffer)
             return [summary for _, summary in results]
+
+        def reference() -> list[Any]:
+            drop()
+            if fh is not None:
+                fh.truncate(fh.seek(0))  # no row of the split is kept
+            return [work(src.samples(), fh and fh.write)]
+
+        jobs = [partial(share, span, fh and fh.write) for span in spans[:1]] + [
+            partial(worker, span, part) for span, part in zip(spans[1:], parts)]
+        try:
+            return _split(jobs if len(jobs) > 1 else [], join, reference)
         finally:
-            for part in parts:
-                if part is not None:
-                    Path(part).unlink(missing_ok=True)
+            drop()
+
+
+def _split(jobs: Sequence[Callable[[], Any]], join: Callable[[list[Any]], Any],
+           reference: Callable[[], Any]) -> Any:
+    """``join`` of what ``_shares`` returns for ``jobs``; ``reference()``, the
+    stage's one-process run, if there are no jobs or a job, a worker or
+    ``join`` fails. The reference then meets the first fault and reports it."""
+    if jobs:
+        try:
+            return join(_shares(jobs))
+        except Exception:
+            pass  # reported by the reference
+    return reference()
 
 
 def _shares(jobs: Sequence[Callable[[], Any]]) -> list[Any]:
@@ -293,8 +298,8 @@ def _write_records(arrays: list[tuple[Build, str]], out: str) -> int:
     the first share and a worker each other one; a fault, a dead worker or
     an id met twice makes ``_samples`` build them again and report it."""
     n = _width(sum(len(text) for _, text in arrays))
-    try:
-        shares = _shares([partial(_rows, arrays, k, n) for k in range(n)])
+
+    def join(shares: list[list[tuple[str, str]]]) -> int:
         count, last = 0, None
         with atomic_writer(out) as fh:
             for sample_id, line in heapq.merge(*shares):
@@ -303,11 +308,13 @@ def _write_records(arrays: list[tuple[Build, str]], out: str) -> int:
                 fh.write(line)
                 count, last = count + 1, sample_id
         return count
-    except Exception:
-        pass  # raised again by the reference
-    samples = _samples(arrays)
-    write_manifest(samples, out)
-    return len(samples)
+
+    def reference() -> int:
+        samples = _samples(arrays)
+        write_manifest(samples, out)
+        return len(samples)
+
+    return _split([partial(_rows, arrays, k, n) for k in range(n)], join, reference)
 
 
 def ingest(sources: Sequence[tuple[DatasetId, Path]], out: str) -> int:
@@ -536,18 +543,10 @@ def _scores(src: Manifest, span: tuple[int, int] | None = None) -> list[tuple[st
 
 
 def evaluate(infile: str, dataset: DatasetId) -> MetricReport:
-    """The report on the predictions file ``infile``. The main process scores
-    the first range and a forked worker each other one; a fault in any range
-    or a dead worker makes the whole file run again as one range, so each
-    fault is the first in file order, named by its line in the file. The
-    report is made once, from the scores in file order."""
+    """The report on the predictions file ``infile``, made once from the
+    scores in file order; a fault is named by its line in the file."""
     with Manifest(infile) as src:
         spans = src.spans()
-        scores = None
-        if len(spans) > 1:
-            try:
-                scores = chain.from_iterable(
-                    _shares([partial(_scores, src, span) for span in spans]))
-            except Exception:
-                pass  # reported by the one-range run
-        return report_from_scores(_scores(src) if scores is None else scores, dataset)
+        jobs = [partial(_scores, src, span) for span in spans] if len(spans) > 1 else []
+        scores = _split(jobs, chain.from_iterable, partial(_scores, src))
+        return report_from_scores(scores, dataset)

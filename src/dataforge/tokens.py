@@ -188,8 +188,8 @@ def parse_token(token: str) -> ObjectRef:
 
 
 def render_token(category: str, camera: CameraId | None, geometry: Geometry) -> str:
-    """Render normalized geometry in the unified grammar, each coordinate as
-    ``fmt3`` writes it; pixel geometry raises ValueError."""
+    """Render normalized geometry in the unified grammar, each coordinate
+    with exactly three decimals; pixel geometry raises ValueError."""
     camera_part = f"{camera._value_}, " if camera is not None else ""
     if isinstance(geometry, BBoxNorm):
         return (f"<{category}>[{camera_part}{geometry.x_min:.3f}, {geometry.y_min:.3f}, "

@@ -270,6 +270,19 @@ def test_gen_perception_refuses_view_too_large_for_a_float(workdir, capsys):
     assert not out.exists()
 
 
+def test_gen_perception_centers_a_box_whose_coordinate_sum_overflows(workdir, capsys):
+    # x_min + x_max is past the largest float, though the box lies in the view.
+    view = dict(_FRONT_VIEW, width=17 * 10**307, height=900,
+                objects=[{"category": "car", "bbox": [1e308, 0, 1.5e308, 10]}])
+    record = {"id": "p", "representation": "center", "annotations": [view]}
+    (workdir / "percept.json").write_text(json.dumps([record]))
+    out = workdir / "p.jsonl"
+    assert _run("gen-perception", "--in", workdir / "percept.json", "--out", out) == 0
+    assert capsys.readouterr().err == ""
+    (sample,) = read_manifest(out)
+    assert sample.qa[0].answer == "Detected objects: <car>[73.529, 0.556]"
+
+
 def test_standardize_nuinstruct_token_gets_its_views_camera(workdir):
     answer = " ".join(f"<car>[c{k}, 10, 20, 30, 40]" for k in range(1, 7))
     source = [dict(NUINSTRUCT_SOURCE[0],
@@ -740,6 +753,17 @@ def test_plan_curriculum_emits_four_plans(workdir, capsys):
         "stage 3: 2906000 samples", "stage 4: 1515631 samples",
         f"wrote 4 plans under {workdir / 'plans'}"]
     assert err == ""
+
+
+def test_a_failed_plan_curriculum_writes_no_plan(workdir, capsys):
+    plans = workdir / "plans"
+    (plans / "stage3.json").mkdir(parents=True)
+    (plans / "stage1.json").write_bytes(b"previous\n")
+    assert _run("plan-curriculum", "--out", workdir) == 2
+    assert capsys.readouterr() == (
+        "", f"error: [Errno 21] Is a directory: '{plans / 'stage3.json'}'\n")
+    assert sorted(p.name for p in plans.iterdir()) == ["stage1.json", "stage3.json"]
+    assert (plans / "stage1.json").read_bytes() == b"previous\n"
 
 
 def test_plan_curriculum_empty_out_is_current_directory(workdir, monkeypatch, capsys):

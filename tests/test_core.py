@@ -47,7 +47,7 @@ from dataforge.errors import SchemaError
 from dataforge.metrics import PredictionRecord
 from dataforge.perceptgen import DetectedObject, DetectionAnnotation
 from dataforge.promptkit import BudgetReport
-from dataforge.tokens import TokenMatch
+from dataforge.tokens import TokenMatch, render_token
 
 from helpers import late_token_sample, plain_sample, random_mixed_sample, surround_media
 
@@ -270,12 +270,13 @@ def test_every_exception_class_is_caught_by_name():
 
 def test_bbox_norm_render_pattern():
     rng = random.Random(7)
-    pat = re.compile(r"^\d{1,3}\.\d{3}(, \d{1,3}\.\d{3}){3}$")
+    pat = re.compile(r"^<car>\[\d{1,3}\.\d{3}(, \d{1,3}\.\d{3}){3}\]$")
     for _ in range(200):
         vals = sorted(rng.uniform(0, 100) for _ in range(2))
         vals += sorted(rng.uniform(0, 100) for _ in range(2))
         box = BBoxNorm(vals[0], vals[2], vals[1], vals[3])
-        assert pat.match(box.render()), box.render()
+        token = render_token("car", None, box)
+        assert pat.match(token), token
 
 
 def test_serialization_round_trip_random_samples():

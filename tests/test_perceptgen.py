@@ -1,11 +1,14 @@
 import json
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dataforge.core import (
     BBoxPx,
@@ -22,6 +25,7 @@ from dataforge.perceptgen import (
     DetectedObject,
     DetectionAnnotation,
     GroundingSpec,
+    _mid,
     annotation_from_dict,
     build_grounding_sample,
 )
@@ -254,6 +258,23 @@ def test_annotation_invariants():
     with pytest.raises(ValueError):
         DetectionAnnotation(media, (DetectedObject("car", BBoxPx(0, 0, 5, 5),
                                                    frame_index=1),))
+
+
+_coordinate = st.floats(0, sys.float_info.max) | st.just(-0.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(_coordinate, _coordinate)
+@example(1e308, 1.5e308)
+@example(sys.float_info.max, sys.float_info.max)
+@example(-0.0, -0.0)
+@example(5e-324, 5e-324)
+def test_a_center_is_the_halved_sum_wherever_the_sum_is_finite(a, b):
+    mid = _mid(a, b)
+    if math.isfinite(a + b):
+        assert mid.hex() == ((a + b) / 2).hex()
+    else:
+        assert min(a, b) <= mid <= max(a, b)
 
 
 def test_annotation_from_dict():

@@ -334,8 +334,9 @@ _geometry_value = st.one_of(st.integers(0, 100_000).map(lambda n: n / 1000),
                  st.builds(PointNorm, *[_geometry_value] * 2)))
 def test_render_token_equals_the_geometry_render(category, camera, geometry):
     camera_part = f"{camera.value}, " if camera is not None else ""
+    coordinates = ", ".join(f"{v:.3f}" for v in geometry.as_tuple())
     assert (render_token(category, camera, geometry)
-            == f"<{category}>[{camera_part}{geometry.render()}]")
+            == f"<{category}>[{camera_part}{coordinates}]")
 
 
 @settings(derandomize=True, deadline=None, max_examples=500)
