@@ -42,7 +42,7 @@ from .core import (
     json_str,
     write_json,
 )
-from .curriculum import build_all_plans, write_stage_plans
+from .curriculum import stage_plans, write_stage_plans
 from .errors import DataforgeError, SchemaError
 # No stage writes or reads a manifest through these bindings any more;
 # perfbench/tests/test_tracer.py still checks that the tracer wraps them.
@@ -226,10 +226,10 @@ def _cmd_build_prompts(args: argparse.Namespace, cfg: PipelineConfig) -> int:
 
 def _cmd_plan_curriculum(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     out_dir = cfg.out_dir if args.out is None else Path(args.out)
-    plans = build_all_plans()
+    plans = stage_plans()
     paths = write_stage_plans(out_dir, plans)
     for plan in plans:
-        print(f"stage {plan.stage}: {plan.total_samples} samples")
+        print(f"stage {plan['stage']}: {sum(e['count'] for e in plan['mix'])} samples")
     print(f"wrote {len(paths)} plans under {out_dir / 'plans'}")
     return 0
 

@@ -98,11 +98,20 @@ def bleu(candidate: str, references: Sequence[str]) -> float:
 
 # ----------------------------------------------------------------------- MAE
 
+def _mean(values: Sequence[float]) -> float:
+    """``values`` added left to right, over their count. Not ``sum``: from
+    Python 3.12 it compensates float rounding, which changes the bits."""
+    total = 0
+    for value in values:
+        total += value
+    return total / len(values)
+
+
 def mae(pairs: Iterable[tuple[float, float]]) -> float:
     pairs = list(pairs)
     if not pairs:
         raise DataforgeError("mae needs at least one (predicted, gold) pair")
-    return sum(abs(p - g) for p, g in pairs) / len(pairs)
+    return _mean([abs(p - g) for p, g in pairs])
 
 
 # ------------------------------------------------------------------ detection
@@ -358,7 +367,7 @@ def report_from_scores(scores: Iterable[tuple[str, float | None]],
             by_task[task].append(score)
     if not records:
         raise DataforgeError("no prediction records to evaluate")
-    entries = {_SCORES[task][0]: (sum(s) / len(s), len(s)) for task, s in by_task.items() if s}
+    entries = {_SCORES[task][0]: (_mean(s), len(s)) for task, s in by_task.items() if s}
     for name, (value, _n) in entries.items():
         if not math.isfinite(value):
             raise DataforgeError(f"{name} is {value}, not a finite number")

@@ -23,7 +23,7 @@ from dataforge.core import (
     image_ref,
     video_ref,
 )
-from dataforge.curriculum import build_all_plans
+from dataforge.curriculum import stage_plans
 from dataforge.ingest import BevGridConfig, LidarPoint, project_lidar_bev, read_manifest, write_manifest
 from dataforge.metrics import accuracy, average_precision, bleu, mae
 from dataforge.promptkit import check_budget, sample_visual_tokens
@@ -129,18 +129,19 @@ def test_c03_expansion_ratios_and_determinism(tmp_path):
 # -------------------------------------------------------------- criterion 4
 
 def test_c04_curriculum_totals():
-    plans = {p.stage: p for p in build_all_plans()}
+    plans = {p["stage"]: p for p in stage_plans()}
+    totals = {stage: sum(e["count"] for e in p["mix"]) for stage, p in plans.items()}
     s1 = plans[1]
-    assert (s1.flags.vision_encoder.value, s1.flags.projector.value,
-            s1.flags.llm.value) == ("frozen", "trainable", "frozen")
-    assert s1.lr_projector == 1e-3 and s1.batch_size == 512
-    assert plans[1].total_samples == 558_000
-    assert plans[2].total_samples == 3_000_000 + 143_000
-    assert {e.count for e in plans[3].mix} == {1_500_000, 760_000, 501_000,
-                                               145_000}
-    assert plans[3].total_samples == 2_906_000
-    assert plans[4].total_samples == 1_515_631
-    assert abs(plans[4].total_samples - 1_500_000) <= 0.02 * 1_500_000
+    assert s1["flags"] == {"vision_encoder": "frozen", "projector": "trainable",
+                           "llm": "frozen"}
+    assert s1["lr_projector"] == 1e-3 and s1["batch_size"] == 512
+    assert totals[1] == 558_000
+    assert totals[2] == 3_000_000 + 143_000
+    assert {e["count"] for e in plans[3]["mix"]} == {1_500_000, 760_000, 501_000,
+                                                     145_000}
+    assert totals[3] == 2_906_000
+    assert totals[4] == 1_515_631
+    assert abs(totals[4] - 1_500_000) <= 0.02 * 1_500_000
     _passed(4, "stage totals incl. 1,515,631 within 2% of 1.5M")
 
 

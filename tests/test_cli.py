@@ -1,6 +1,8 @@
+import errno
 import functools
 import gc
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -764,6 +766,28 @@ def test_a_failed_plan_curriculum_writes_no_plan(workdir, capsys):
         "", f"error: [Errno 21] Is a directory: '{plans / 'stage3.json'}'\n")
     assert sorted(p.name for p in plans.iterdir()) == ["stage1.json", "stage3.json"]
     assert (plans / "stage1.json").read_bytes() == b"previous\n"
+
+
+def test_a_plan_write_that_fails_after_the_first_plan_leaves_no_plan(tmp_path):
+    # The child alone may not write a file past stage 1's size, so stage 2's
+    # write fails (EFBIG, with SIGXFSZ ignored) after stage 1 was written. The
+    # limit is set after the imports, and -B writes no bytecode: a cache file
+    # cut at the limit would be left behind for later runs to load.
+    assert _run("plan-curriculum", "--out", tmp_path / "full") == 0
+    limit = (tmp_path / "full" / "plans" / "stage1.json").stat().st_size
+    child = ("import resource, signal, sys; from dataforge.cli import main; "
+             "signal.signal(signal.SIGXFSZ, signal.SIG_IGN); "
+             f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit})); "
+             "sys.exit(main(sys.argv[1:]))")
+    result = subprocess.run(
+        [sys.executable, "-B", "-c", child, "plan-curriculum", "--out", "out"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=60,
+        env={"PYTHONPATH": str(Path(dataforge.__file__).resolve().parents[1])})
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.splitlines() == [
+        f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["full"]  # no out/, no plan
+    assert _temp_files(tmp_path) == []
 
 
 def test_plan_curriculum_empty_out_is_current_directory(workdir, monkeypatch, capsys):

@@ -245,6 +245,15 @@ def test_mae_cases():
         mae([])
 
 
+def test_means_add_left_to_right_on_every_interpreter():
+    # A left fold loses each 1.0 next to 1e16; a compensated sum, which
+    # ``sum`` is from Python 3.12, keeps them: 1.0 / 3 and 2.0 / 3 more.
+    assert mae([(1e16, 0.0), (1.0, 0.0), (0.0, 1.0)]) == 1e16 / 3
+    scores = [("regression", 1e16), ("regression", 1.0), ("regression", -1e16)]
+    report = report_from_scores(scores, DatasetId.GENERIC)
+    assert report.entries == {"mae": (0.0, 3)}
+
+
 # ------------------------------------------------------------------------ AP
 
 def _box(x0, y0, x1, y1):

@@ -9,6 +9,7 @@ minimum range size to one byte and set the CPU count, so a small input splits
 into as many ranges or shares as the test asks for.
 """
 
+import errno
 import io
 import json
 import os
@@ -893,3 +894,40 @@ def _predictions(draw):
 def test_any_predictions_file_gives_the_same_report_for_one_two_and_three_ranges(
         tmp_path, capsys, split, lines):
     _evaluate_outcomes(tmp_path, capsys, split, _text(lines))
+
+
+# ------------------------------------------------------------ fork-layer faults
+
+def _stage_argv(stage, tmp_path, out):
+    """The argv of ``stage`` (a manifest stage, ingest or evaluate) on a small
+    input written under ``tmp_path``."""
+    if stage == "build-prompts":
+        return [stage, "--in", _write(tmp_path / "m.jsonl", _mixed_lines(9)), "--out", out]
+    if stage == "ingest":
+        (tmp_path / "source.json").write_text(json.dumps(_records("nuinstruct")))
+        return _array_argv("nuinstruct", tmp_path / "source.json", out)
+    (tmp_path / "preds.jsonl").write_bytes(_text(_prediction_lines(3)))
+    return [stage, "--dataset", "generic", "--in", tmp_path / "preds.jsonl", "--out", out]
+
+
+@pytest.mark.parametrize("fault, forked", [("fork-first", 0), ("fork-later", 1), ("pipe", 0)])
+@pytest.mark.parametrize("stage", ["build-prompts", "ingest", "evaluate"])
+def test_a_worker_that_cannot_start_leaves_the_output_as_one_range_makes_it(
+        tmp_path, capsys, split, monkeypatch, stage, fault, forked):
+    out = tmp_path / "o.jsonl"
+    argv = _stage_argv(stage, tmp_path, out)
+    split(1)
+    want = _run_outcome(argv, out, capsys)
+    forks, faults, fork = split(3), [], os.fork
+
+    def refused(err):
+        faults.append(err)
+        raise OSError(err, os.strerror(err))
+
+    if fault == "pipe":
+        monkeypatch.setattr(os, "pipe", lambda: refused(errno.EMFILE))
+    else:
+        monkeypatch.setattr(os, "fork", lambda: fork() if len(forks) < forked
+                            else refused(errno.EAGAIN))
+    assert _run_outcome(argv, out, capsys) == want  # no .tmp file, no child left
+    assert (len(forks), len(faults)) == (forked, 1)
