@@ -5,8 +5,9 @@ online path) and a deterministic rule-table paraphraser used offline and as
 the fallback when the service misbehaves or changes an object token.
 Expansion derives every random decision from (global_seed, dataset,
 sample_id, step), and reads its input twice: ``plan_expansion`` checks every
-sample and builds the distractor pools, then ``expand_dataset`` expands the
-input, whole or in runs cut where the runs' outputs concatenate in id order.
+sample and builds the distractor pools, whole or in runs that ``join_pools``
+joins, then ``expand_dataset`` expands the input, whole or in runs cut where
+the runs' outputs concatenate in id order.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from itertools import islice
 from operator import attrgetter
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import tokens as tok
 from .core import DatasetId, Provenance, QAPair, QAStyle, Sample
@@ -316,24 +318,18 @@ def expand_sample(sample: Sample, factor: int, mc_fraction: float, rng: SeededRn
     return out
 
 
-def plan_expansion(samples: Iterable[Sample], factors: Mapping[DatasetId, int],
-                   splits: Collection[str] = ()) -> tuple[Pools, list[str]]:
-    """The first of augment's two passes over its input: check every sample
-    and build the distractor pools ``expand_dataset`` draws from.
-
-    Also returns those of ``splits`` (sample ids) before which the input may
-    be cut into runs that expand on their own: a cut before a sample is
-    allowed if its id sorts above every copy id of the samples before it, so
-    the runs' outputs, each in id order, concatenate in id order.
+def plan_expansion(samples: Iterable[Sample], factors: Mapping[DatasetId, int]
+                   ) -> tuple[Pools, str]:
+    """The first of augment's two passes over its input, or over one run of
+    it: check every sample; the distractor pools ``expand_dataset`` draws
+    from, and the highest copy id the samples make ("" for none).
 
     Raises:
         DataforgeError: for an id not above the one before it, an expansion
             copy, or a sample with non-original QA; augment does not
             re-expand its own output.
     """
-    splits = set(splits)
     pools: Pools = {}
-    cuts: list[str] = []
     # The copy number whose id sorts last, per expanded dataset: "4" for x5,
     # "9" for x12.
     last_copy = {dataset: max(map(str, range(1, factor)))
@@ -341,8 +337,6 @@ def plan_expansion(samples: Iterable[Sample], factors: Mapping[DatasetId, int],
     top_copy = ""  # the highest copy id so far
     previous = None
     for sample in samples:
-        if sample.id in splits and sample.id > top_copy:
-            cuts.append(sample.id)
         if previous is not None and sample.id <= previous:
             raise DataforgeError(
                 f"augment needs samples in increasing id order: {sample.id!r} "
@@ -364,7 +358,18 @@ def plan_expansion(samples: Iterable[Sample], factors: Mapping[DatasetId, int],
                         bucket.setdefault(qa.answer)
         if sample.dataset in last_copy:
             top_copy = max(top_copy, f"{sample.id}{_COPY_MARK}{last_copy[sample.dataset]}")
-    return pools, cuts
+    return pools, top_copy
+
+
+def join_pools(runs: Iterable[Pools]) -> Pools:
+    """The pools of the runs' concatenation, from each run's pools in input
+    order: an answer among the first _POOL_CAP of the whole input is among
+    the first _POOL_CAP of its own run."""
+    pools: Pools = {}
+    for run in runs:
+        for key, answers in run.items():
+            pools[key] = dict.fromkeys(islice({**pools.get(key, {}), **answers}, _POOL_CAP))
+    return pools
 
 
 def expand_dataset(samples: Iterable[Sample], factors: Mapping[DatasetId, int],
@@ -373,12 +378,13 @@ def expand_dataset(samples: Iterable[Sample], factors: Mapping[DatasetId, int],
     """Expand each sample by its dataset's factor (1 if absent), yielding
     each original, bit-for-bit, and every copy, all in id order.
 
-    ``samples`` are those ``plan_expansion`` checked, or a run of them
-    starting at one of its cuts, in the same increasing id order, and
-    ``pools`` is what it built: a copy draws the same distractors whichever
-    run it expands in. Samples expand, and call the rewriter, in input order;
-    the outputs come out at the end of each block of _BLOCK inputs, but for
-    those that sort above the block's last input, which wait for the next.
+    ``samples`` are those ``plan_expansion`` checked, or a run of them whose
+    first id sorts above every copy id before it, in the same increasing id
+    order, and ``pools`` are those of them all: a copy draws the same
+    distractors whichever run it expands in. Samples expand, and call the
+    rewriter, in input order; the outputs come out at the end of each block
+    of _BLOCK inputs, but for those that sort above the block's last input,
+    which wait for the next.
     """
     pending: list[Sample] = []
     pool_of: dict[tuple[DatasetId, frozenset[str]], list[str]] = {}

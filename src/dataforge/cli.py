@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import gc
 import os
+import signal
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -333,14 +334,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Terminated(BaseException):
+    """SIGTERM, raised as SIGINT raises KeyboardInterrupt: the cleanup runs."""
+
+
+def _terminate(signum: int, frame: Any) -> None:
+    raise _Terminated
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     gc_was_enabled = gc.isenabled()
     gc.disable()
+    on_term = signal.getsignal(signal.SIGTERM) is signal.SIG_DFL  # not if ignored
+    if on_term:
+        signal.signal(signal.SIGTERM, _terminate)
     try:
         cfg = load_config(getattr(args, "config", None))
         return args.func(args, _apply_overrides(cfg, args))
+    except _Terminated:  # cleaned up: now end as SIGTERM ends a process
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.raise_signal(signal.SIGTERM)
+        raise
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -357,6 +373,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
+        if on_term:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
         if gc_was_enabled:
             gc.enable()
 

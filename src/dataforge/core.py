@@ -266,19 +266,19 @@ def map_camera_id(raw: str, dataset: DatasetId) -> CameraId:
         raise DataforgeError(f"unknown camera id: {raw!r}") from None
 
 
-def media_sizes(sample: Sample) -> tuple[dict[CameraId, tuple[int, int]],
+def media_sizes(sample: Sample) -> tuple[dict[str, tuple[int, int]],
                                          tuple[int, int] | None]:
-    """Each camera's (width, height), taken from its first media, and the one
-    size every media shares (None if the sizes differ)."""
-    sizes: dict[CameraId, tuple[int, int]] = {}
+    """Each camera's (width, height) by camera value, from its first media,
+    and the one size every media shares (None if the sizes differ)."""
+    sizes: dict[str, tuple[int, int]] = {}
     for m in sample.media:
-        sizes.setdefault(m.camera, (m.width, m.height))
+        sizes.setdefault(m.camera._value_, (m.width, m.height))
     shared = {(m.width, m.height) for m in sample.media}
     return sizes, (next(iter(shared)) if len(shared) == 1 else None)
 
 
 def resolve_token_size(ref: ObjectRef, dataset: DatasetId,
-                       sizes: Mapping[CameraId, tuple[int, int]],
+                       sizes: Mapping[str, tuple[int, int]],
                        uniform: tuple[int, int] | None
                        ) -> tuple[CameraId | None, tuple[int, int]]:
     """The camera a token names, a raw id resolved for ``dataset``, and the
@@ -289,9 +289,9 @@ def resolve_token_size(ref: ObjectRef, dataset: DatasetId,
     if camera is None and ref.raw_camera is not None:
         camera = map_camera_id(ref.raw_camera, dataset)
     if camera is not None:
-        if camera not in sizes:
+        if camera._value_ not in sizes:
             raise DataforgeError(f"camera {camera} not present in sample media")
-        return camera, sizes[camera]
+        return camera, sizes[camera._value_]
     if uniform is None:
         raise DataforgeError("camera-less token over media of mixed resolutions")
     return None, uniform
@@ -371,7 +371,7 @@ def validate_sample(sample: Sample) -> list[Violation]:
 
 
 def _check_object_ref(ref: ObjectRef, text: str, where: str, dataset: DatasetId,
-                      sizes: Mapping[CameraId, tuple[int, int]],
+                      sizes: Mapping[str, tuple[int, int]],
                       uniform: tuple[int, int] | None) -> list[Violation]:
     """The first rule one token, written as ``text``, breaks, if any."""
     geom = ref.geometry

@@ -13,10 +13,10 @@ The manifest stages standardize, augment, build-prompts and stats hand
 ``run`` their per-range work: a function of one range's samples and of the
 function that writes a row to the output. ``Manifest`` cuts the input into
 byte ranges at line ends, one per usable CPU; the reference runs the work on
-the whole file. An input not a regular file is one range, and so is augment's
-with a rewriter, whose breaker and call order are serial. evaluate scores its
-ranges the same way and chains their scores in file order; the reference
-scores the whole file. ingest and gen-perception deal the records of their
+the whole file. augment plans its ranges in a round of its own first. An
+input not a regular file is one range, and so is augment's with a rewriter.
+evaluate scores its ranges the same way and chains their scores in file
+order; the reference scores the whole file. ingest and gen-perception deal the records of their
 JSON arrays round-robin into shares, merged by id; the reference reads each
 array whole. Any input shorter than two _MIN_RANGE blocks is one range or
 share. ``cli`` imports this module when a stage runs.
@@ -39,8 +39,8 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterator, Sequence, TextIO
 
-from .augment import (DEFAULT_FACTORS, MC_FRACTION, Rewriter, SeededRng, expand_dataset,
-                      plan_expansion)
+from .augment import (DEFAULT_FACTORS, MC_FRACTION, Pools, Rewriter, SeededRng,
+                      expand_dataset, join_pools, plan_expansion)
 from .core import (DatasetId, MediaKind, Sample, assert_unique_ids, atomic_writer,
                    decode_line, sample_to_json)
 from .errors import DataforgeError, SchemaError
@@ -391,38 +391,43 @@ def standardize(infile: str, out: str) -> int:
         return sum(run(src, src.spans(), out, _standardize_rows))
 
 
-def _first_id(src: Manifest, span: tuple[int, int]) -> str | None:
-    """The id on the first line of ``span``; None if that line does not
-    decode, in which case the first pass reports it."""
-    try:
-        return next(src.samples(span)).id
-    except (DataforgeError, ValueError):  # ValueError: bytes not UTF-8
-        return None
-
-
 def augment(infile: str, out: str, rng: SeededRng, rewriter: Rewriter | None
             ) -> tuple[int, int]:
     """Expand the manifest ``infile`` into ``out`` by the shipped recipe;
     (samples read, samples written).
 
-    The first pass (``plan_expansion``) reads the whole input in process and
-    keeps only the ranges whose first id it allows a cut before; a rewriter
-    keeps state (its breaker) and is called in input order, so with one the
-    input is one range.
+    Both passes split; the first (``plan_expansion``) checks every sample
+    before any output or rewriter call. A run of the second starts at each
+    range whose first id sorts above every copy id before it. A stateful
+    rewriter is called in input order, so with one the input is one range.
     """
     with Manifest(infile) as src:
         if not src.regular:
             raise OSError(f"augment reads its input twice, so --in must be a regular "
                           f"file: {infile}")
         spans = src.spans() if rewriter is None else []
-        firsts = [_first_id(src, span) for span in spans[1:]]
-        pools, cuts = plan_expansion(src.samples(), DEFAULT_FACTORS, set(firsts) - {None})
-        runs = spans[:1]
-        for span, first in zip(spans[1:], firsts):
-            if first in cuts:
-                runs.append(span)
-            else:
-                runs[-1] = (runs[-1][0], span[1])
+
+        def plan(span: tuple[int, int]) -> tuple[list[str], Pools, str]:
+            edges: list[str] = []
+            return (edges, *plan_expansion(_edges(src.samples(span), edges), DEFAULT_FACTORS))
+
+        def join(plans: list[tuple[list[str], Pools, str]]) -> tuple[Pools, list[Any]]:
+            starts: list[int] = []
+            last = top = ""
+            for (start, _), (edges, _, top_copy) in zip(spans, plans):
+                if starts and edges[0] <= last:
+                    raise ValueError(f"{edges[0]!r} follows {last!r} across a cut")
+                if not starts or edges[0] > top:
+                    starts.append(start)
+                last, top = edges[-1], max(top, top_copy)
+            runs = list(zip(starts, starts[1:] + [spans[-1][1]]))
+            return join_pools(pools for _, pools, _ in plans), runs
+
+        def reference() -> tuple[Pools, list[Any]]:
+            return plan_expansion(src.samples(), DEFAULT_FACTORS)[0], spans[:1]
+
+        jobs = [partial(plan, span) for span in spans] if len(spans) > 1 else []
+        pools, runs = _split(jobs, join, reference)
 
         def expand(samples: Iterator[Sample], write: Callable[[str], Any]) -> tuple[int, int]:
             read = written = 0

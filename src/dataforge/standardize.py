@@ -23,6 +23,7 @@ from .core import (
     PointPx,
     QAPair,
     Sample,
+    _CAMERAS,
     media_sizes,
     pixel_inside,
     resolve_token_size,
@@ -110,7 +111,7 @@ def rewrite_object_token(raw_token: str, dataset: DatasetId, media: MediaRef) ->
         return raw_token
     size = (media.width, media.height)
     camera, (width, height) = resolve_token_size(
-        ref, dataset, dict.fromkeys(CameraId, size), size)
+        ref, dataset, dict.fromkeys(_CAMERAS, size), size)
     return _render_normalized(ref, camera, width, height)
 
 

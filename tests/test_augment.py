@@ -17,6 +17,7 @@ from dataforge.augment import (
     build_rewriter_request,
     expand_dataset,
     expand_sample,
+    join_pools,
     plan_expansion,
     local_paraphrase,
     parse_rewriter_response,
@@ -500,17 +501,44 @@ class _RecordingRewriter:
         return f"Question: Rewritten {len(self.requests)}? Answer: Rewritten."
 
 
+def _plan_ranges(samples, factors, splits):
+    """Both halves of augment's split first pass over ``samples`` cut into
+    ranges before the indices ``splits``: the ranges' plans joined, and the
+    index of each run's first sample. A range starts a run if its first id
+    sorts above the top copy id of every range before it; every other range
+    extends the run before it."""
+    cuts = sorted(i for i in set(splits) if 0 < i < len(samples))
+    starts = [0] + cuts
+    plans = [plan_expansion(samples[start:end], factors)
+             for start, end in zip(starts, cuts + [len(samples)])]
+    runs, top = [0], ""
+    for start, (_, top_copy) in zip(starts, plans):
+        if start and samples[start].id > top:
+            runs.append(start)
+        top = max(top, top_copy)
+    return join_pools(pools for pools, _ in plans), runs
+
+
+def _cut_allowed(samples, factors, i):
+    """Whether sample ``i``'s id sorts above every copy id of the samples
+    before it: the rule for a cut before it."""
+    return all(samples[i].id > f"{s.id}#aug{k}" for s in samples[:i]
+               for k in range(1, factors.get(s.dataset, 1)))
+
+
+def _listed(pools):
+    return [(key, list(answers)) for key, answers in pools.items()]
+
+
 def _assert_same_as_reference(samples, factors, mc_fraction, splits=(), seed=5):
-    """Both passes equal the reference when the input is cut into runs, each
-    expanded on its own, before each sample at the indices ``splits`` whose
-    id ``plan_expansion`` allows a cut before."""
+    """Both passes equal the reference when the first pass plans the input
+    in ranges cut before the indices ``splits`` and the second expands each
+    run the joined plans allow on its own."""
     rewriter, reference_rewriter = _RecordingRewriter(), _RecordingRewriter()
-    split_ids = {samples[i].id for i in splits if i < len(samples)}
-    pools, cuts = plan_expansion(samples, factors, split_ids)
-    assert set(cuts) <= split_ids
-    starts = [i for i, sample in enumerate(samples) if sample.id in cuts]
+    pools, runs = _plan_ranges(samples, factors, splits)
+    assert _listed(pools) == _listed(plan_expansion(samples, factors)[0])
     got = []
-    for start, end in zip([0] + starts, starts + [len(samples)]):
+    for start, end in zip(runs, runs[1:] + [len(samples)]):
         got += expand_dataset(iter(samples[start:end]), factors, mc_fraction,
                               SeededRng(seed), pools, rewriter)
     want = _reference_expand(samples, factors, mc_fraction, SeededRng(seed),
@@ -583,19 +611,41 @@ def test_streaming_expansion_equals_reference_over_blocks():
                                 ["only"]))
     splits = range(1, len(samples), 97)
     _assert_same_as_reference(samples, _FACTORS, 1.0, splits)
-    split_ids = [samples[i].id for i in splits]
-    assert len(plan_expansion(samples, _FACTORS, split_ids)[1]) > 10
+    assert len(_plan_ranges(samples, _FACTORS, splits)[1]) > 11
 
 
 def test_plan_expansion_cuts_only_before_an_id_above_every_copy_id():
     # "a!" and "b " sort below the copies of the sample before them, so no
-    # cut goes before either; "a~" and "b" sort above every copy before them.
+    # run starts at either; "a~" and "b" sort above every copy before them.
     ids = ["a", "a!", "a~", "b", "b ", "c"]
     samples = [_sample(sample_id, DatasetId.CODA_LM, (), ["p"]) for sample_id in ids]
-    assert plan_expansion(samples, DEFAULT_FACTORS, ids[1:])[1] == ["a~", "b", "c"]
-    # A dataset expanded x1 makes no copies, so every cut holds; an id that
-    # is no sample's is never a cut.
-    assert plan_expansion(samples, {}, ids[1:] + ["a0"])[1] == ids[1:]
+    assert plan_expansion(samples[:2], DEFAULT_FACTORS)[1] == "a#aug4"  # above "a!#aug4"
+    assert _plan_ranges(samples, DEFAULT_FACTORS, range(1, 6))[1] == [0, 2, 3, 5]
+    # A dataset expanded x1 makes no copies, so every range starts a run.
+    assert plan_expansion(samples, {})[1] == ""
+    assert _plan_ranges(samples, {}, range(1, 6))[1] == [0, 1, 2, 3, 4, 5]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(samples=_streams(), cap=st.sampled_from([1, 3, 4]),
+       splits=st.sets(st.integers(1, 23), max_size=5))
+def test_joined_range_plans_equal_the_plan_of_the_whole_input(samples, cap, splits):
+    # 1 to 6 ranges; with few answers per bucket, buckets fill across cuts.
+    with mock.patch.object(augment, "_POOL_CAP", cap):
+        pools, runs = _plan_ranges(samples, _FACTORS, splits)
+        assert _listed(pools) == _listed(plan_expansion(samples, _FACTORS)[0])
+    cuts = sorted(i for i in splits if i < len(samples))
+    assert runs == [0] + [i for i in cuts if _cut_allowed(samples, _FACTORS, i)]
+
+
+def test_a_bucket_that_fills_across_a_cut_keeps_the_first_answers_in_input_order():
+    samples = [_sample(f"s{i}", DatasetId.CODA_LM, {"near"}, answers)
+               for i, answers in enumerate([["p", "q"], ["q"], ["r", "s"], ["t"]])]
+    with mock.patch.object(augment, "_POOL_CAP", 3):
+        plans = [plan_expansion(samples[:2], _FACTORS)[0],
+                 plan_expansion(samples[2:], _FACTORS)[0]]
+        assert _listed(plans[1]) == [((DatasetId.CODA_LM, "near"), ["r", "s", "t"])]
+        assert _listed(join_pools(plans)) == [((DatasetId.CODA_LM, "near"), ["p", "q", "r"])]
 
 
 def test_expand_refuses_ids_out_of_order():

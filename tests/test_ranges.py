@@ -15,6 +15,8 @@ import json
 import os
 import random
 import signal
+import subprocess
+import sys
 import time
 from dataclasses import replace
 
@@ -23,7 +25,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dataforge import cli, stages
-from dataforge.core import DatasetId, QAPair, Sample, decode_json, sample_to_json
+from dataforge.core import (DatasetId, Provenance, QAPair, Sample, decode_json,
+                            sample_to_json)
 from dataforge.errors import SchemaError
 from dataforge.metrics import record_from_dict
 
@@ -53,6 +56,23 @@ def split(monkeypatch):
         return forks
 
     return use
+
+
+def _rounds(monkeypatch, forks):
+    """The forks of each round, one list entry per call of ``stages._shares``;
+    ``forks`` is what ``split`` returns."""
+    rounds = []
+    shares = stages._shares
+
+    def counted(jobs):
+        before = len(forks)
+        try:
+            return shares(jobs)
+        finally:
+            rounds.append(len(forks) - before)
+
+    monkeypatch.setattr(stages, "_shares", counted)
+    return rounds
 
 
 def _no_children_left():
@@ -126,15 +146,15 @@ def test_spans_tile_the_file_and_start_after_a_line_end(tmp_path, split, cpus):
 
 @pytest.mark.parametrize("stage", STAGES)
 def test_stage_output_is_the_same_for_one_two_and_three_ranges(tmp_path, capsys, split,
-                                                               stage):
+                                                               monkeypatch, stage):
     manifest = _write(tmp_path / "m.jsonl", _mixed_lines(12))
     rc, out, err, data = _same_for_one_two_and_three_ranges(
         stage, manifest, tmp_path / "out" / "o.jsonl", capsys, split)
     assert (rc, err) == (0, "")
     assert out.startswith("wrote" if stage != "stats" else "samples: 24\n")
-    forks = split(3)
+    rounds = _rounds(monkeypatch, split(3))
     _outcome(stage, manifest, tmp_path / "out" / "o.jsonl", capsys)
-    assert len(forks) == 2
+    assert rounds == ([2, 2] if stage == "augment" else [2])  # augment: plan, expand
 
 
 @pytest.mark.parametrize("stage", ["standardize", "build-prompts", "stats"])
@@ -234,12 +254,13 @@ def test_ids_out_of_order_across_a_cut_are_caught(tmp_path, capsys, split):
 @pytest.mark.parametrize("after_p,after_bang", [("\n", "\n"), ("\r\n", "\r\n"),
                                                ("\n", "\r")])
 def test_augment_cuts_only_before_an_id_above_every_copy_before_it(tmp_path, capsys,
-                                                                   split, after_p,
-                                                                   after_bang):
+                                                                   split, monkeypatch,
+                                                                   after_p, after_bang):
     # Each sample "p" is followed by "p!", which sorts below p's copies, so a
     # cut before "p!" would put p's copies after it. Ranges start after a
     # "\n", so when "p!" ends in a bare "\r" (a line end to a text reader)
-    # every range starts with a "p!" line, and augment runs as one range.
+    # every range starts with a "p!" line: the first pass plans every range,
+    # and the expansion runs as one range.
     text = ""
     for i in range(8):
         base = replace(plain_sample(i, DatasetId.CODA_LM), task_tags=frozenset({"hazards"}),
@@ -252,12 +273,13 @@ def test_augment_cuts_only_before_an_id_above_every_copy_before_it(tmp_path, cap
     split(1)
     want = _outcome("augment", manifest, out, capsys)
     assert want[0] == 0
-    forked = 0
+    expanded = 0
     for cpus in range(2, 6):
-        forks = split(cpus)
+        rounds = _rounds(monkeypatch, split(cpus))
         assert _outcome("augment", manifest, out, capsys) == want
-        forked += len(forks)
-    assert (forked > 0) == (after_bang != "\r")
+        assert rounds[0] == cpus - 1
+        expanded += sum(rounds[1:])
+    assert (expanded > 0) == (after_bang != "\r")
 
 
 class _Recorder:
@@ -298,6 +320,68 @@ def test_augment_refuses_an_input_it_cannot_read_twice(tmp_path, capsys):
         f"error: augment reads its input twice, so --in must be a regular file: "
         f"/dev/fd/{read_end}\n")
     assert not (tmp_path / "o.jsonl").exists()
+
+
+def _augment_faults():
+    """Manifest lines by fault name: 21 samples, the fault on the last line."""
+    samples = [plain_sample(i) for i in range(21)]
+    copy = replace(samples[-1], id=samples[-1].id + "#aug1")
+    paraphrased = replace(samples[-1], qa=(QAPair("Where?", "Here.",
+                                                  provenance=Provenance.PARAPHRASE),))
+    lines = [sample_to_json(s) for s in samples]
+    return {"undecodable": lines[:-1] + ["{"],
+            "copy": lines[:-1] + [sample_to_json(copy)],
+            "paraphrase": lines[:-1] + [sample_to_json(paraphrased)]}
+
+
+@pytest.mark.parametrize("fault", ["undecodable", "copy", "paraphrase", "order"])
+def test_augment_meets_a_fault_in_a_later_range_as_one_range_does(tmp_path, capsys, split,
+                                                                  monkeypatch, fault):
+    # A fault only in the last range of 2, 3 or 5; "order" puts an id below
+    # the one before it exactly at the last cut, which only the join sees.
+    # Each stops the first pass: no expansion round runs.
+    manifest, out = tmp_path / "m.jsonl", tmp_path / "o.jsonl"
+    errors = {
+        "undecodable": "error: invalid JSON: Expecting property name enclosed in double "
+                       "quotes (line 21)\n",
+        "copy": "error: sample lingoqa/000020#aug1 is already an expansion copy; augment "
+                "refuses to re-expand its own output\n",
+        "paraphrase": "error: sample lingoqa/000020 carries paraphrase QA; augment only "
+                      "accepts original data\n"}
+    for cpus in (1, 2, 3, 5):
+        if fault == "order":
+            lines = [sample_to_json(plain_sample(i)) for i in range(20)]
+            _write(manifest, lines)
+            split(cpus)
+            with stages.Manifest(str(manifest)) as src:
+                at = src.spans()[-1][0] // len(lines[0] + "\n") or 10  # one range: no cut
+            lines[at - 1:at + 1] = lines[at:at + 1] + lines[at - 1:at]
+            errors[fault] = (f"error: manifest not sorted by id: {plain_sample(at - 1).id!r} "
+                             f"follows {plain_sample(at).id!r} (line {at + 1})\n")
+        else:
+            lines = _augment_faults()[fault]
+        _write(manifest, lines)
+        rounds = _rounds(monkeypatch, split(cpus))
+        assert _outcome("augment", manifest, out, capsys) == (1, "", errors[fault], None)
+        assert rounds == ([cpus - 1] if cpus > 1 else [])
+
+
+def test_a_plan_worker_that_ends_unclean_leaves_the_output_as_one_range_makes_it(
+        tmp_path, capsys, split, monkeypatch):
+    manifest = _write(tmp_path / "m.jsonl", _mixed_lines(9))
+    split(1)
+    want = _outcome("augment", manifest, tmp_path / "o.jsonl", capsys)
+    parent, plan = os.getpid(), stages.plan_expansion
+
+    def unclean(samples, factors):
+        if os.getpid() != parent:
+            os._exit(1)
+        return plan(samples, factors)
+
+    monkeypatch.setattr(stages, "plan_expansion", unclean)
+    rounds = _rounds(monkeypatch, split(3))
+    assert _outcome("augment", manifest, tmp_path / "o.jsonl", capsys) == want
+    assert rounds == [2]  # the reference plans the whole input, which expands as one run
 
 
 @pytest.mark.parametrize("stage", ["standardize", "build-prompts", "stats"])
@@ -931,3 +1015,61 @@ def test_a_worker_that_cannot_start_leaves_the_output_as_one_range_makes_it(
                             else refused(errno.EAGAIN))
     assert _run_outcome(argv, out, capsys) == want  # no .tmp file, no child left
     assert (len(forks), len(faults)) == (forked, 1)
+
+
+# A stage run in a child process that believes it has 3 CPUs, with the
+# function named by argv[1] stalled in each range or share: each process that
+# calls it first leaves a file named by its pid in the directory argv[2].
+_STALLED = """\
+import os, sys, time
+from dataforge import cli, stages
+stages._MIN_RANGE = 1
+os.sched_getaffinity = lambda pid: set(range(3))
+name, ready = sys.argv[1:3]
+run = getattr(stages, name)
+
+def stalled(*args):
+    open(os.path.join(ready, str(os.getpid())), "w").close()
+    time.sleep(60)
+    return run(*args)
+
+setattr(stages, name, stalled)
+sys.exit(cli.main(sys.argv[3:]))
+"""
+
+
+@pytest.mark.parametrize("stage, stalled", [("build-prompts", "check_budget"),
+                                            ("ingest", "_checked"),
+                                            ("evaluate", "score_record")])
+def test_a_sigterm_in_mid_stage_reaps_the_workers_and_leaves_no_file(tmp_path, stage,
+                                                                     stalled):
+    argv = _stage_argv(stage, tmp_path, tmp_path / "out" / "o.jsonl")
+    inputs = sorted(p.name for p in tmp_path.iterdir())
+    ready = tmp_path / "ready"
+    ready.mkdir()
+    src = os.path.dirname(os.path.dirname(stages.__file__))
+    proc = subprocess.Popen([sys.executable, "-B", "-c", _STALLED, stalled, str(ready),
+                             *map(str, argv)], env={"PYTHONPATH": src})
+    try:
+        deadline = time.monotonic() + 30
+        while len(os.listdir(ready)) < 3:  # the main process and two workers
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == -signal.SIGTERM
+    finally:
+        proc.kill()
+        proc.wait()
+        workers = {int(name) for name in os.listdir(ready)} - {proc.pid}
+        left = [pid for pid in workers if _killed(pid)]
+    assert len(workers) == 2 and left == []  # each worker was reaped
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs + ["ready"])
+
+
+def _killed(pid):
+    """Kill process ``pid``; whether it was there to kill."""
+    try:
+        os.kill(pid, signal.SIGKILL)
+    except ProcessLookupError:
+        return False
+    return True

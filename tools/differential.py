@@ -4,6 +4,7 @@
 Usage (from anywhere):
 
     python3 tools/differential.py PARENT_TREE --seed N [--workload W] [--python PATH]...
+                                  [--width N]...
 
 For each benchmark workload (all of them, or only ``W``) it writes the
 inputs with ``perfbench/workloads.generate`` for seed ``N``, then runs the
@@ -17,11 +18,16 @@ code, stdout and stderr, then the sha256 of every file the chain wrote.
 Each workload is checked in two passes: with every usable CPU, and with
 each stage pinned to one CPU (``os.sched_setaffinity`` in the child only),
 so the stages' one-range and one-share paths are compared too. Each
-``--python PATH`` (repeatable) adds a check to each pass: this tree's chain
-run by that interpreter against this tree's chain run by the interpreter
-running this script. At the first difference, or at a stage that fails on
-both sides, it prints what it found and exits 1; otherwise it exits 0. A tree
-without ``src/dataforge`` exits 2.
+``--width N`` (repeatable) adds a pass in which each child's
+``os.sched_getaffinity`` reports N CPUs: the child alone is patched, and no
+real affinity changes, so the split paths of N ranges and shares run at full
+scale on a machine with fewer CPUs. This tree's chain in every pass after the
+first is also compared with its chain in the first. Each ``--python PATH``
+(repeatable) adds a check to each pass: this tree's chain run by that
+interpreter against this tree's chain run by the interpreter running this
+script. At the first difference, or at a stage that fails on both sides, it
+prints what it found and exits 1; otherwise it exits 0. A tree without
+``src/dataforge`` exits 2.
 """
 
 from __future__ import annotations
@@ -41,20 +47,32 @@ sys.path.insert(0, str(HERE / "perfbench"))
 
 from workloads import GENERATORS, generate  # noqa: E402
 
+# Runs dataforge.cli as ``-m`` does, with os.sched_getaffinity reporting
+# argv[1] CPUs in this process only.
+_WIDTH = """\
+import os, runpy, sys
+width = int(sys.argv.pop(1))
+os.sched_getaffinity = lambda pid: set(range(width))
+runpy.run_module("dataforge.cli", run_name="__main__", alter_sys=True)
+"""
+
 
 def _run_chain(python: str, tree: Path, stages: list[tuple[str, list[str]]], in_dir: Path,
-               cpu: int | None) -> tuple[list[tuple[str, int, str, str]], dict[str, str]]:
+               cpu: int | None, width: int | None = None
+               ) -> tuple[list[tuple[str, int, str, str]], dict[str, str]]:
     """Each stage's (name, exit code, stdout, stderr) under the interpreter
     ``python``, then the sha256 of every file the chain wrote, by its path
     under the output directory. Each stage runs on ``cpu`` alone, or on every
-    usable CPU if it is None. The output directory is removed afterwards."""
+    usable CPU if it is None; with a ``width``, it sees that many CPUs. The
+    output directory is removed afterwards."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     pin = None if cpu is None else partial(os.sched_setaffinity, 0, {cpu})
+    run = ["-m", "dataforge.cli"] if width is None else ["-c", _WIDTH, str(width)]
     out_dir = in_dir.parent / "out"
     results = []
     for name, argv in stages:
         args = [a.replace("{in}", ".").replace("{out}", "../out") for a in argv]
-        proc = subprocess.run([python, "-m", "dataforge.cli", *args],
+        proc = subprocess.run([python, *run, *args],
                               cwd=in_dir, env=env, capture_output=True, text=True,
                               preexec_fn=pin)
         results.append((name, proc.returncode, proc.stdout, proc.stderr))
@@ -88,7 +106,11 @@ def main() -> int:
     parser.add_argument("--workload", choices=sorted(GENERATORS))
     parser.add_argument("--python", action="append", default=[], metavar="PATH",
                         help="also compare this tree's chain under this interpreter")
+    parser.add_argument("--width", action="append", default=[], type=int, metavar="N",
+                        help="add a pass in which each child sees N CPUs")
     args = parser.parse_args()
+    if any(width < 1 for width in args.width):
+        parser.error("--width must be at least 1")
     trees = {"parent": args.parent_tree.resolve(), "change": HERE}
     for side, tree in trees.items():
         if not (tree / "src" / "dataforge").is_dir():
@@ -97,19 +119,28 @@ def main() -> int:
     # Each side the change is compared with: (label, interpreter, tree).
     others = [("parent", sys.executable, trees["parent"])] + [
         (f"python {python}", python, HERE) for python in args.python]
-    passes = {"all CPUs": None, "one CPU": min(os.sched_getaffinity(0))}
+    # Each pass: (label, pinned CPU, width).
+    passes = [("all CPUs", None, None), ("one CPU", min(os.sched_getaffinity(0)), None)]
+    passes += [(f"width {width}", None, width) for width in args.width]
     for name in [args.workload] if args.workload else list(GENERATORS):
         with tempfile.TemporaryDirectory(prefix="differential-") as tmp:
             root = Path(tmp)
             workload = generate(name, args.seed, root / "in")
-            for label, cpu in passes.items():
-                change = _run_chain(sys.executable, HERE, workload.stages, root / "in", cpu)
+            first = None
+            for label, cpu, width in passes:
+                change = _run_chain(sys.executable, HERE, workload.stages, root / "in", cpu,
+                                    width)
                 for side, python, tree in others:
-                    other = _run_chain(python, tree, workload.stages, root / "in", cpu)
+                    other = _run_chain(python, tree, workload.stages, root / "in", cpu, width)
                     difference = _first_difference(side, other, change)
                     if difference is not None:
                         print(f"{name} seed {args.seed} ({label}, {side}): {difference}")
                         return 1
+                first = first or (label, change)
+                difference = _first_difference(f"change, {first[0]}", first[1], change)
+                if difference is not None:
+                    print(f"{name} seed {args.seed} ({label}, change): {difference}")
+                    return 1
                 stages, files = change
                 print(f"{name} seed {args.seed} ({label}): {len(stages)} stages and "
                       f"{len(files)} outputs, no difference")

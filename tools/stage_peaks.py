@@ -17,9 +17,16 @@ for the floor. A process's ``VmHWM`` starts afresh at ``exec``, unlike the
 process that spawned it. The workers a stage forks to split its work are
 processes of their own, so after the stage the process also reads
 ``getrusage(RUSAGE_CHILDREN).ru_maxrss``: the peak resident set of the
-largest worker it waited for (0 if it forked none). Prints one line per stage: name, exit code,
-``VmHWM`` and the workers' peak in MiB. Exits 1 if a stage exits non-zero.
-Linux only.
+largest worker it waited for (0 if it forked none). Prints one line per
+stage: name, exit code, ``VmHWM`` and the workers' peak in MiB. Exits 1 if a
+stage exits non-zero. Linux only.
+
+Every child reads its bytecode from one temporary ``PYTHONPYCACHEPREFIX``
+and writes none, so no reading depends on a ``__pycache__`` some other run
+left in the tree (compiling a module costs time and memory). Before the
+first child, one process fills that prefix: it imports every ``dataforge``
+module with bytecode writing on, which compiles ``TREE/src`` and the
+standard-library modules they load (a prefix hides their ``__pycache__``).
 """
 
 from __future__ import annotations
@@ -43,16 +50,32 @@ _CHILD = """\
 import resource, sys
 from dataforge.cli import main
 rc = main(sys.argv[1:]) if sys.argv[1:] else 0
-with open("/proc/self/status", encoding="ascii") as fh:
+with open("/proc/self/status", encoding="utf-8") as fh:  # "ascii" would load a module
     kib = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
 print(rc, kib, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
 
+# Fills the bytecode prefix: imports every module of the package.
+_COMPILE = """\
+import importlib, pkgutil
+import dataforge
+for module in pkgutil.iter_modules(dataforge.__path__, "dataforge."):
+    importlib.import_module(module.name)
+"""
 
-def _peak(tree: Path, argv: list[str], cwd: Path) -> tuple[int, float, float]:
+
+def _pinned_env(tree: Path, prefix: str) -> dict[str, str]:
+    """The environment of every child: ``TREE/src`` on the path, its
+    bytecode read from ``prefix``, which ``_COMPILE`` fills first."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONPYCACHEPREFIX=prefix)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    subprocess.run([sys.executable, "-c", _COMPILE], env=env, check=True)
+    return dict(env, PYTHONDONTWRITEBYTECODE="1")
+
+
+def _peak(env: dict[str, str], argv: list[str], cwd: Path) -> tuple[int, float, float]:
     """(exit code, VmHWM in MiB, workers' peak in MiB) of one fresh process
     running ``argv``."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     proc = subprocess.run([sys.executable, "-c", _CHILD, *argv], cwd=cwd, env=env,
                           capture_output=True, text=True)
     if proc.returncode != 0:
@@ -77,13 +100,14 @@ def main() -> int:
     for name in [args.workload] if args.workload else list(GENERATORS):
         with tempfile.TemporaryDirectory(prefix="stage-peaks-") as tmp:
             in_dir = Path(tmp) / "in"
+            env = _pinned_env(tree, str(Path(tmp) / "pycache"))
             workload = generate(name, args.seed, in_dir)
             print(f"{name} seed {args.seed} ({tree}):")
             rows = [("(import only)", [])] + [
                 (stage, [a.replace("{in}", ".").replace("{out}", "../out") for a in argv])
                 for stage, argv in workload.stages]
             for stage, argv in rows:
-                rc, mib, workers_mib = _peak(tree, argv, in_dir)
+                rc, mib, workers_mib = _peak(env, argv, in_dir)
                 failed |= rc != 0
                 print(f"  {stage:<16} exit {rc}  VmHWM {mib:6.1f} MiB  "
                       f"workers {workers_mib:6.1f} MiB")
