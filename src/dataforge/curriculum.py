@@ -4,7 +4,7 @@ Stage 1 warms up the projector alone on LCS-558K; stage 2 pretrains on large
 single-image data and language; stage 3 mixes images and videos; stage 4 is
 the final mix of the six driving-QA datasets. ``stage_plans`` gives each plan
 as its plan file holds it, key order included, and ``write_stage_plans``
-writes the four files or none. No trainer runs here.
+writes the four files in stage order. No trainer runs here.
 """
 
 from __future__ import annotations
@@ -60,15 +60,17 @@ def write_stage_plans(out_dir: str | Path, plans: list[dict[str, Any]]) -> list[
 
     A target that is a directory fails the call before any file is written.
     Every plan is written and flushed to its temp file before the first is
-    moved into place, so a failed write leaves no plan behind.
+    moved into place, so a failed write leaves no plan behind. The plans are
+    then moved in stage order, so a failed move leaves those already moved:
+    stages 1..k-1 when stage k's move fails.
     """
     paths = [Path(out_dir) / "plans" / f"stage{plan['stage']}.json" for plan in plans]
     for path in paths:
         if path.is_dir() and not path.is_symlink():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-    with ExitStack() as stack:
-        for plan, path in zip(plans, paths):
-            fh = stack.enter_context(atomic_writer(path))
+    with ExitStack() as stack:  # moves the plans last entered first: stage 1 first
+        files = [stack.enter_context(atomic_writer(path)) for path in reversed(paths)]
+        for plan, fh in zip(plans, reversed(files)):
             fh.write(json.dumps(plan, ensure_ascii=False, indent=2) + "\n")
             fh.flush()  # a write error is raised here, before any plan is moved
     return paths

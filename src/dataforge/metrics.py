@@ -52,8 +52,9 @@ def accuracy(pairs: Iterable[tuple[str, str]]) -> float:
 
 # ---------------------------------------------------------------------- BLEU
 
-def _ngrams(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(zip(*[tokens[i:] for i in range(n)]))
+def _ngrams(tokens: list[str], n: int) -> Iterable:
+    """The n-grams of ``tokens`` in order: its words for n = 1, n-word tuples above."""
+    return tokens if n == 1 else zip(*[tokens[i:] for i in range(n)])
 
 
 def bleu(candidate: str, references: Sequence[str]) -> float:
@@ -62,7 +63,9 @@ def bleu(candidate: str, references: Sequence[str]) -> float:
     Uniform weights over n=1..BLEU_MAX_N, brevity penalty against the closest
     reference length (ties go to the shorter), and add-one smoothing on the
     n>1 precisions. An empty candidate, or one sharing no unigram with any
-    reference, scores exactly 0.
+    reference, scores exactly 0. With one reference and no repeated candidate
+    n-gram, each n-gram clips to 1 exactly when the reference holds it, so one
+    set intersection gives the same int clipped count, and the same bits.
     """
     if not references:
         raise DataforgeError("need at least one reference")
@@ -75,19 +78,19 @@ def bleu(candidate: str, references: Sequence[str]) -> float:
 
     log_sum = 0.0
     for n in range(1, BLEU_MAX_N + 1):
-        cand_counts = _ngrams(cand, n)
         total = max(len(cand) - n + 1, 0)
-        max_ref, *others = [_ngrams(ref, n) for ref in refs]
-        for other in others:
-            max_ref |= other
-        clipped = sum(map(min, cand_counts.values(),
-                          map(max_ref.get, cand_counts, repeat(0))))
-        if n == 1:
-            if clipped == 0:
-                return 0.0
-            precision = clipped / total
+        if len(refs) == 1 and len(distinct := set(_ngrams(cand, n))) == total:
+            clipped = len(distinct.intersection(_ngrams(refs[0], n)))
         else:
-            precision = (clipped + 1) / (total + 1)
+            cand_counts = Counter(_ngrams(cand, n))
+            max_ref, *others = [Counter(_ngrams(ref, n)) for ref in refs]
+            for other in others:
+                max_ref |= other
+            clipped = sum(map(min, cand_counts.values(),
+                              map(max_ref.get, cand_counts, repeat(0))))
+        if n == 1 and clipped == 0:
+            return 0.0
+        precision = clipped / total if n == 1 else (clipped + 1) / (total + 1)
         log_sum += math.log(precision) / BLEU_MAX_N
 
     c = len(cand)
@@ -142,11 +145,13 @@ def average_precision(dets: Sequence[tuple[BBoxNorm, float]], gts: Sequence[BBox
     the ground truth is sorted by x_min once, a matched box leaves that list,
     and each detection scans only the slice with x_min in
     ``[x_min - W, x_max)``, W being the widest ground-truth box plus a
-    margin for the rounding of each width; the IoU expression decides every
-    box in the slice. The result equals the plain scan over every box bit
-    for bit. When every box overlaps every other the slice is the whole
-    list, and matching stays O(D*G) for D detections and G ground-truth
-    boxes.
+    margin for the rounding of each width. One pass keeps the slice's boxes
+    whose x_max is above the detection's x_min and whose y range meets its
+    own: a box dropped has an intersection <= 0 or a NaN IoU, so it can never
+    be the best, and the IoU expression decides every box kept. The result
+    equals the plain scan over every box bit for bit. When every box overlaps
+    every other the slice is the whole list, and matching stays O(D*G) for D
+    detections and G ground-truth boxes.
 
     Returns None when there is no ground truth (AP undefined; callers report
     the group as skipped).
@@ -172,7 +177,9 @@ def average_precision(dets: Sequence[tuple[BBoxNorm, float]], gts: Sequence[BBox
         # The same expression, in the same order, as `iou`; a box whose
         # IoU would be 0 or NaN can never be the best, so it is skipped.
         best_iou, best_j, best_pos = 0.0, -1, -1
-        for pos in range(bisect_left(x_mins, ax0 - reach), bisect_left(x_mins, ax1)):
+        lo, hi = bisect_left(x_mins, ax0 - reach), bisect_left(x_mins, ax1)
+        for pos in [pos for pos, (_, _, by0, bx1, by1, _) in enumerate(rows[lo:hi], lo)
+                    if bx1 > ax0 and by0 < ay1 and by1 > ay0]:
             bx0, j, by0, bx1, by1, area_b = rows[pos]
             ix = (bx1 if bx1 < ax1 else ax1) - (bx0 if bx0 > ax0 else ax0)
             if not ix > 0.0:

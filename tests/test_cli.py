@@ -790,6 +790,32 @@ def test_a_plan_write_that_fails_after_the_first_plan_leaves_no_plan(tmp_path):
     assert _temp_files(tmp_path) == []
 
 
+def test_a_failed_plan_move_leaves_the_stages_before_it_moved(workdir, monkeypatch,
+                                                               capsys):
+    plans = workdir / "plans"
+    assert _run("plan-curriculum", "--out", workdir) == 0
+    new = {p.name: p.read_bytes() for p in plans.iterdir()}
+    for name in new:
+        (plans / name).write_bytes(b"previous\n")
+    moves, replace_file = [], os.replace
+
+    def refuse_second(src, dst):
+        moves.append(Path(dst).name)
+        if len(moves) == 2:
+            raise OSError("replace refused")
+        replace_file(src, dst)
+
+    monkeypatch.setattr("os.replace", refuse_second)
+    capsys.readouterr()
+    assert _run("plan-curriculum", "--out", workdir) == 2
+    assert capsys.readouterr() == ("", "error: replace refused\n")
+    assert moves == ["stage1.json", "stage2.json"]
+    assert {p.name: p.read_bytes() for p in plans.iterdir()} == {
+        "stage1.json": new["stage1.json"], "stage2.json": b"previous\n",
+        "stage3.json": b"previous\n", "stage4.json": b"previous\n"}
+    assert _temp_files(workdir) == []
+
+
 def test_plan_curriculum_empty_out_is_current_directory(workdir, monkeypatch, capsys):
     monkeypatch.chdir(workdir)
     assert _run("plan-curriculum", "--out", "") == 0

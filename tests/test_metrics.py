@@ -154,6 +154,16 @@ def _texts(draw, max_words):
 @example("a b", ["a b", "a b a b"])
 @example("a a a", ["a a", "a a a a"])
 @example("猫 é\u3000猫", ["猫\té 猫 b"])
+# One reference and no repeated n-gram: every order takes the set count.
+@example("a car stops here", ["a car waits here now"])
+# "a" repeats, so unigrams are counted; no bigram or longer gram repeats.
+@example("a b a car", ["a car b a"])
+# Three references: every order is counted.
+@example("a car b", ["a car", "car b b", "a b car a"])
+# Orders above the candidate's length have no n-gram at all.
+@example("car", ["car a b"])
+@example("a b", ["a b"])
+@example("car a b", ["car a b car"])
 def test_bleu_equals_the_counting_reference(candidate, references):
     try:
         want = _counting_bleu(candidate, references)
@@ -436,6 +446,18 @@ def _grid_record(seed, n_gts, n_dets):
           [_box(15, 0, 25, 10), _box(5, 0, 15, 10)]), 0.3)
 @example(([(_box(10, 0, 20, 10), 0.9), (_box(5, 0, 15, 10), 0.8)],
           [_box(5, 0, 15, 10), _box(15, 0, 25, 10)]), 0.3)
+# A ground-truth box of zero height.
+@example(([(_box(0, 0, 10, 10), 0.9)], [_box(0, 5, 10, 5), _box(0, 0, 10, 8)]), 0.5)
+# Four boxes each touch one edge of the first detection: its x_min, y_min,
+# x_max and y_max. The last box touches it at a corner only, and the second
+# detection matches it.
+@example(([(_box(10, 10, 20, 20), 0.9), (_box(0, 0, 10, 10), 0.8)],
+          [_box(0, 10, 10, 20), _box(10, 0, 20, 10), _box(20, 10, 30, 20),
+           _box(10, 20, 20, 30), _box(0, 0, 10, 10)]), 0.5)
+# ``BBoxNorm`` does not check its values, so a y bound may be NaN; that box's
+# IoU is then NaN or 0.
+@example(([(_box(0, 0, 10, 10), 0.9)],
+          [_box(0, math.nan, 10, 10), _box(0, 0, 10, math.nan), _box(0, 0, 10, 8)]), 0.5)
 def test_ap_equals_quadratic_reference(record, thr):
     dets, gts = record
     assert average_precision(dets, gts, thr) == _quadratic_ap(dets, gts, thr)

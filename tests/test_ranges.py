@@ -14,6 +14,7 @@ import io
 import json
 import os
 import random
+import resource
 import signal
 import subprocess
 import sys
@@ -1015,6 +1016,40 @@ def test_a_worker_that_cannot_start_leaves_the_output_as_one_range_makes_it(
                             else refused(errno.EAGAIN))
     assert _run_outcome(argv, out, capsys) == want  # no .tmp file, no child left
     assert (len(forks), len(faults)) == (forked, 1)
+
+
+def test_a_worker_whose_part_file_write_fails_leaves_the_output_as_one_range_makes_it(
+        tmp_path, capsys, split, monkeypatch):
+    # Each forked worker may write no file past 64 bytes (EFBIG, with SIGXFSZ
+    # ignored), so its part file write fails; the main process is not limited.
+    # Every module is imported before the fork, so no bytecode is written under
+    # the limit.
+    out = tmp_path / "o.jsonl"
+    argv = _stage_argv("build-prompts", tmp_path, out)
+    split(1)
+    want = _run_outcome(argv, out, capsys)
+    forks, fork = split(2), os.fork
+
+    def limited_fork():
+        pid = fork()
+        if pid == 0:
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            resource.setrlimit(resource.RLIMIT_FSIZE, (64, 64))
+        return pid
+
+    faults, shares = [], stages._shares
+
+    def watched(jobs):
+        try:
+            return shares(jobs)
+        except ChildProcessError as exc:
+            faults.append(exc)
+            raise
+
+    monkeypatch.setattr(os, "fork", limited_fork)
+    monkeypatch.setattr(stages, "_shares", watched)
+    assert _run_outcome(argv, out, capsys) == want  # no .tmp file, no child left
+    assert (len(forks), len(faults)) == (1, 1)  # the worker failed, the reference ran
 
 
 # A stage run in a child process that believes it has 3 CPUs, with the
