@@ -19,15 +19,14 @@ import random
 import re
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 from itertools import islice
 from operator import attrgetter
+from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import tokens as tok
-from .core import DatasetId, Provenance, QAPair, QAStyle, Sample
+from .core import DatasetId, Provenance, QAPair, QAStyle, Sample, frozen_value
 from .errors import DataforgeError, PoolTooSmall
 
 SYSTEM_TEXT = "You are an English improver."
@@ -72,7 +71,7 @@ def parse_rewriter_response(text: str) -> QAPair:
 # Seeded randomness
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen_value
 class SeededRng:
     """Derives an independent random stream per (dataset, sample, step) key."""
 
@@ -82,7 +81,8 @@ class SeededRng:
         name = dataset._value_ if isinstance(dataset, DatasetId) else dataset
         key = f"{self.global_seed}\x1f{name}\x1f{sample_id}\x1f{step}"
         digest = hashlib.sha256(key.encode("utf-8")).digest()
-        stream = random.Random.__new__(random.Random)  # Random(n), seeded once
+        # Random(n); 3.10's __new__ seeds first, from this 0, not from urandom
+        stream = random.Random.__new__(random.Random, 0)
         _random.Random.seed(stream, int.from_bytes(digest[:8], "big"))
         stream.gauss_next = None
         return stream
@@ -92,7 +92,7 @@ class SeededRng:
 # Deterministic local paraphraser
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen_value
 class ParaphraseRules:
     question_lead_ins: tuple[str, ...]
     answer_lead_ins: tuple[str, ...]
@@ -103,9 +103,8 @@ class ParaphraseRules:
 
 @lru_cache(maxsize=1)
 def load_rules() -> ParaphraseRules:
-    raw = json.loads(
-        resources.files("dataforge").joinpath("data/paraphrase_rules.json")
-        .read_text(encoding="utf-8"))
+    raw = json.loads((Path(__file__).parent / "data/paraphrase_rules.json")
+                     .read_text(encoding="utf-8"))
     synonyms = {e["match"]: tuple(e["alternatives"]) for e in raw["synonyms"]}
     # longest-first so multiword entries win over their prefixes
     words = sorted(synonyms, key=len, reverse=True)

@@ -26,7 +26,6 @@ import gc
 import os
 import signal
 import sys
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Sequence
 from urllib.parse import urlsplit
@@ -37,6 +36,7 @@ from .core import (
     _DATASETS,
     _member,
     decode_json,
+    frozen_value,
     json_bool,
     json_int,
     json_object,
@@ -65,12 +65,12 @@ class ConfigError(DataforgeError):
 # Config
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen_value
 class PipelineConfig:
     seed: int = 0
     offline: bool = False
     out_dir: Path = Path("out")
-    sources: dict[DatasetId, Path] = field(default_factory=dict)
+    sources: dict[DatasetId, Path] | None = None
     rewriter_url: str | None = None
 
     def __post_init__(self) -> None:
@@ -148,12 +148,9 @@ def load_config(path: str | Path | None) -> PipelineConfig:
 
 
 def _apply_overrides(cfg: PipelineConfig, args: argparse.Namespace) -> PipelineConfig:
-    updates: dict[str, Any] = {}
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "offline", False) or os.environ.get(OFFLINE_ENV) == "1":
-        updates["offline"] = True
-    return replace(cfg, **updates) if updates else cfg
+    seed = cfg.seed if getattr(args, "seed", None) is None else args.seed
+    offline = cfg.offline or getattr(args, "offline", False) or os.environ.get(OFFLINE_ENV) == "1"
+    return PipelineConfig(seed, offline, cfg.out_dir, cfg.sources, cfg.rewriter_url)
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,22 @@
 """Domain types shared by all pipeline stages, plus structural validation.
 
 Everything here is an immutable value object, declared with ``frozen_value``:
-a frozen, slotted dataclass whose ``__init__`` stores each field through its
-slot, since every manifest line builds several. The canonical on-disk form is
-JSON Lines with one sample per line (see ``sample_to_json`` for the key
-order). The decoders take parsed JSON: ``sample_from_dict`` accepts ``dict``
-objects, not arbitrary mappings.
+a frozen, slotted class, not a dataclass (``replace``, ``fields`` and
+``asdict`` do not apply; assigning a field raises AttributeError), whose
+``__init__`` stores each field through its slot, since every manifest line
+builds several. The canonical on-disk form is JSON Lines with one sample per
+line (see ``sample_to_json`` for the key order). The decoders take parsed
+JSON: ``sample_from_dict`` accepts ``dict`` objects, not arbitrary mappings.
 """
 
 from __future__ import annotations
 
 import errno
-import inspect
 import json
 import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from itertools import takewhile
 from json.encoder import encode_basestring
@@ -97,31 +96,53 @@ class Provenance(Enum):
         return self.value
 
 
+# The methods of a frozen_value class, made by one ``exec`` per class.
+_METHODS = """\
+def __init__(self, {params}):
+    {body}
+def __eq__(self, other):
+    return ({mine}) == ({theirs}) if other.__class__ is self.__class__ else NotImplemented
+def __hash__(self): return hash(({mine}))
+def __repr__(self): return self.__class__.__qualname__ + f"({shown})"
+def __reduce__(self): return self.__class__, ({mine})
+def __setattr__(self, name, value): raise AttributeError(f"cannot assign to field {{name!r}}")
+def __delattr__(self, name): raise AttributeError(f"cannot delete field {{name!r}}")
+"""
+
+
 def frozen_value(cls: type) -> type:
-    """``dataclass(frozen=True, slots=True)`` whose ``__init__`` stores each
-    field through its slot descriptor, which costs less than the dataclass's
-    ``object.__setattr__``; its parameters and ``__post_init__`` call, and
-    every other method, are the dataclass's. Raises TypeError for a field with
-    a ``default_factory``, ``init=False`` or ``kw_only``, a ClassVar or an InitVar."""
-    doc = cls.__doc__
-    cls.__doc__ = doc or cls.__name__  # spares dataclass parsing object.__init__'s signature
-    cls = dataclass(frozen=True, slots=True, init=False)(cls)
-    flds = fields(cls)
-    if len(flds) != len(cls.__dataclass_fields__) or any(
-            f.default_factory is not MISSING or not f.init or f.kw_only for f in flds):
+    """``cls`` rebuilt once as a frozen, slotted class with a frozen dataclass's
+    methods, error texts and docstring, without the dataclass module's import
+    and build cost, which every CLI call would pay. ``__init__`` stores each
+    field through its slot descriptor; ``__reduce__`` pickles through it. Raises
+    TypeError for a ClassVar or InitVar annotation or a ``field(...)`` default."""
+    ns = {k: v for k, v in cls.__dict__.items() if k not in ("__dict__", "__weakref__")}
+    fields = ns.get("__annotations__", {})  # name: annotation
+    names = tuple(fields)
+    defaults = {name: ns.pop(name) for name in names if name in ns}
+    kinds = {str(a).split("[")[0].split(".")[-1].strip(" '>") for a in fields.values()}
+    if {"ClassVar", "InitVar"} & kinds or any(  # "typing.ClassVar[int]", "<class 'x.InitVar'>"
+            type(default).__module__.startswith("dataclass") for default in defaults.values()):
         raise TypeError(f"frozen_value takes plain fields only: {cls.__name__}")
-    env = {f"_set_{f.name}": cls.__dict__[f.name].__set__ for f in flds}
-    env |= {f"_default_{f.name}": f.default for f in flds if f.default is not MISSING}
-    params = [f.name if f.default is MISSING else f"{f.name}=_default_{f.name}" for f in flds]
-    body = [f"_set_{f.name}(self, {f.name})" for f in flds]
+    body = [f"_set_{n}(self, {n})" for n in names]
     body += ["self.__post_init__()"] if hasattr(cls, "__post_init__") else []
-    exec(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(body), env)
-    cls.__init__ = init = env["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    init.__annotations__ = {f.name: f.type for f in flds} | {"return": None}
-    if not doc:  # the text dataclass gives a class without a docstring
-        cls.__doc__ = cls.__name__ + str(inspect.signature(cls)).replace(" -> None", "")
-    return cls
+    env = {f"_default_{n}": value for n, value in defaults.items()}
+    exec(_METHODS.format(
+        params=", ".join(f"{n}=_default_{n}" if n in defaults else n for n in names),
+        body="\n    ".join(body), mine="".join(f"self.{n}," for n in names),
+        theirs="".join(f"other.{n}," for n in names),
+        shown=", ".join(f"{n}={{self.{n}!r}}" for n in names)), env, methods := {})
+    for method in methods.values():
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+    methods["__init__"].__annotations__ = fields | {"return": None}
+    if not cls.__doc__:  # the signature; a class annotation is shown by its name
+        ns["__doc__"] = cls.__name__ + "(" + ", ".join(
+            f"{n}: {a.__qualname__ if isinstance(a, type) else repr(a)}"
+            + (f" = {defaults[n]!r}" if n in defaults else "") for n, a in fields.items()) + ")"
+    ns |= methods | {"__slots__": names, "__match_args__": names, "__qualname__": cls.__qualname__}
+    made = type(cls)(cls.__name__, cls.__bases__, ns)
+    env |= {f"_set_{n}": getattr(made, n).__set__ for n in names}
+    return made
 
 
 @frozen_value

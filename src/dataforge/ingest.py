@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -39,6 +38,7 @@ from .core import (
     assert_unique_ids,
     atomic_writer,
     decode_json,
+    frozen_value,
     image_ref,
     json_int,
     json_key,
@@ -267,7 +267,7 @@ def parse_source(adapter: DatasetId, payload: str) -> list[Sample]:
 # LiDAR bird's-eye-view rasterization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen_value
 class LidarPoint:
     x: float
     y: float
@@ -280,7 +280,7 @@ class LidarPoint:
                 raise ValueError(f"non-finite lidar point component: {v!r}")
 
 
-@dataclass(frozen=True)
+@frozen_value
 class BevGridConfig:
     x_range: float = 50.0
     y_range: float = 50.0

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 from typing import Any, Callable, Iterable, Sequence
 
@@ -256,7 +255,7 @@ class PredictionRecord:
     gold: object
 
 
-@dataclass(frozen=True)
+@frozen_value
 class MetricReport:
     dataset: DatasetId
     entries: dict[str, tuple[float, int]]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Any, Sequence
 
 from .core import (
@@ -72,7 +71,7 @@ class DetectionAnnotation:
                                  f"{self.media.width}x{self.media.height}")
 
 
-@dataclass(frozen=True)
+@frozen_value
 class GroundingSpec:
     representation: str | None = None  # box | center | None -> coin flip per QA
     with_camera_prefix: bool = False

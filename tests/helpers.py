@@ -32,6 +32,13 @@ def expand_all(samples, factors, mc_fraction, rng, rewriter=None):
     return list(expand_dataset(samples, factors, mc_fraction, rng, pools, rewriter))
 
 
+def replaced(value, **changes):
+    """A copy of the frozen value ``value`` with ``changes`` to its fields;
+    a name that is no field of its class is a TypeError."""
+    return type(value)(**{name: getattr(value, name) for name in value.__match_args__}
+                       | changes)
+
+
 def object_refs(text: str):
     """The object references ``scan_tokens`` parses in ``text``; malformed
     tokens are skipped."""

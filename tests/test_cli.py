@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -18,7 +17,7 @@ from dataforge.core import (CameraId, DatasetId, Provenance, QAPair, Sample, ato
                             image_ref, sample_to_json, validate_sample)
 from dataforge.ingest import read_manifest, write_manifest
 
-from helpers import object_refs, plain_sample, raw_reply_server, surround_media
+from helpers import object_refs, plain_sample, raw_reply_server, replaced, surround_media
 
 NUINSTRUCT_SOURCE = [{
     "sample_id": "42",
@@ -369,7 +368,7 @@ def test_augment_refuses_its_own_output(workdir, capsys):
 
 def test_augment_refuses_non_original_qa(workdir, capsys):
     manifest = workdir / "m.jsonl"
-    paraphrased = replace(plain_sample(1), qa=(
+    paraphrased = replaced(plain_sample(1), qa=(
         QAPair("Could you tell me what to do?", "Yield.", provenance=Provenance.PARAPHRASE),))
     _write_lines(manifest, [plain_sample(0), paraphrased])
     out = workdir / "aug.jsonl"
@@ -695,7 +694,7 @@ def test_build_prompts_flags_overflow(workdir):
 
 def test_build_prompts_sample_without_qa_is_one_error_line(workdir, capsys):
     manifest = workdir / "m.jsonl"
-    _write_lines(manifest, [plain_sample(0), replace(plain_sample(1), qa=())])
+    _write_lines(manifest, [plain_sample(0), replaced(plain_sample(1), qa=())])
     out = workdir / "prompts.jsonl"
     assert _run("build-prompts", "--in", manifest, "--out", out) == 1
     assert capsys.readouterr().err.splitlines() == [
@@ -1179,7 +1178,7 @@ def test_build_prompts_missing_input_creates_nothing(workdir, capsys):
 
 
 def _coda_samples(n):
-    return [replace(plain_sample(i, DatasetId.CODA_LM), qa=(
+    return [replaced(plain_sample(i, DatasetId.CODA_LM), qa=(
         QAPair("What happens next?", f"Yield to car {i}."),)) for i in range(n)]
 
 
@@ -1194,7 +1193,7 @@ def test_augment_fault_after_the_first_block_leaves_no_file(workdir, capsys, fau
     samples = _coda_samples(1600)
     lines = [sample_to_json(s) for s in samples]
     if fault == "copy":
-        lines[1499] = sample_to_json(replace(samples[1498], id="coda_lm/001498#aug1"))
+        lines[1499] = sample_to_json(replaced(samples[1498], id="coda_lm/001498#aug1"))
     else:
         lines[1499] = "{"
     manifest = workdir / "m.jsonl"
@@ -1208,7 +1207,7 @@ def test_augment_fault_after_the_first_block_leaves_no_file(workdir, capsys, fau
 def test_augment_reports_the_first_fault_in_file_order(workdir, capsys):
     # A refused sample at line 2 is reported, not the malformed line 3 after it.
     samples = _coda_samples(2)
-    copy = replace(samples[0], id="coda_lm/000000#aug1")
+    copy = replaced(samples[0], id="coda_lm/000000#aug1")
     manifest = workdir / "m.jsonl"
     manifest.write_text(f"{sample_to_json(samples[0])}\n{sample_to_json(copy)}\n{{\n",
                         encoding="utf-8")
@@ -1247,6 +1246,19 @@ def test_importing_the_cli_does_not_import_numpy():
         capture_output=True, text=True, check=True, timeout=60,
         env={"PYTHONPATH": src})
     assert result.stdout.strip() == "False"
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_importlib_resources():
+    # Every CLI call pays for what this import loads. -S keeps out the
+    # modules a .pth file in site-packages may import first.
+    src = str(Path(dataforge.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, dataforge.cli; print(*sorted({'dataclasses', 'inspect', "
+         "'importlib.resources'} & set(sys.modules)))"],
+        capture_output=True, text=True, check=True, timeout=60,
+        env={"PYTHONPATH": src})
+    assert result.stdout.split() == []
 
 
 def test_importing_the_cli_loads_only_the_modules_every_subcommand_needs():

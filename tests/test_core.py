@@ -4,14 +4,15 @@ import inspect
 import pickle
 import random
 import re
-from dataclasses import (MISSING, FrozenInstanceError, InitVar, dataclass, field, fields,
-                         make_dataclass, replace)
+from dataclasses import InitVar, dataclass, field, make_dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import pytest
 
 import dataforge
+from dataforge.augment import ParaphraseRules, SeededRng
+from dataforge.cli import PipelineConfig
 from dataforge.core import (
     BBoxNorm,
     BBoxPx,
@@ -44,12 +45,14 @@ from dataforge.core import (
     validate_sample,
 )
 from dataforge.errors import SchemaError
-from dataforge.metrics import PredictionRecord
-from dataforge.perceptgen import DetectedObject, DetectionAnnotation
+from dataforge.ingest import BevGridConfig, LidarPoint
+from dataforge.metrics import MetricReport, PredictionRecord
+from dataforge.perceptgen import DetectedObject, DetectionAnnotation, GroundingSpec
 from dataforge.promptkit import BudgetReport
 from dataforge.tokens import TokenMatch, render_token
 
-from helpers import late_token_sample, plain_sample, random_mixed_sample, surround_media
+from helpers import (exactly, late_token_sample, plain_sample, random_mixed_sample, replaced,
+                     surround_media)
 
 
 def test_image_media_rejects_multiframe():
@@ -103,14 +106,33 @@ FROZEN_VALUES = {
                      ("bus", BBoxPx(0.0, 0.0, 5.0, 5.0), 2)),
     DetectionAnnotation: ((_MEDIA, ()),
                           (_MEDIA, (DetectedObject("bus", BBoxPx(0.0, 0.0, 5.0, 5.0), 2),))),
+    SeededRng: ((), (7,)),
+    ParaphraseRules: ((("Well,",), ("So,",), {"car": ("vehicle",)}, re.compile("car"),
+                       re.compile("^(if), (.*)$")),
+                      ((), (), {}, re.compile("bus"), re.compile("x"))),
+    PipelineConfig: ((), (7, True, Path("o"), {DatasetId.CODA_LM: Path("c.json")},
+                          "http://127.0.0.1:8000/v1")),
+    LidarPoint: ((1.0, 2.0, 3.0), (1.0, 2.0, 3.0, 0.5)),
+    BevGridConfig: ((), (10.0, 20.0, 0.5, "max_intensity")),
+    MetricReport: ((DatasetId.GENERIC, {"accuracy": (1.0, 2)}, 0), (DatasetId.CODA_LM, {}, 3)),
+    GroundingSpec: ((), ("box", True, 3)),
 }
 
 
 def _dataclass_twin(cls):
-    """``dataclass(frozen=True, slots=True)`` with the fields of ``cls``."""
+    """``dataclass(frozen=True, slots=True)`` with the parameters of ``cls``."""
+    params = [inspect.signature(cls).parameters[name] for name in cls.__match_args__]
     return make_dataclass(cls.__name__, [
-        (f.name, f.type) if f.default is MISSING else (f.name, f.type, f.default)
-        for f in fields(cls)], frozen=True, slots=True)
+        (p.name, p.annotation) if p.default is p.empty else (p.name, p.annotation, p.default)
+        for p in params], frozen=True, slots=True)
+
+
+def _hashed(value):
+    """``hash(value)``, or the TypeError's text for a value with an unhashable field."""
+    try:
+        return hash(value)
+    except TypeError as exc:
+        return str(exc)
 
 
 @pytest.mark.parametrize("cls", FROZEN_VALUES, ids=lambda cls: cls.__name__)
@@ -119,19 +141,22 @@ def test_frozen_value_classes_behave_as_their_dataclass_twins(cls):
     assert inspect.signature(cls) == inspect.signature(twin)
     assert cls.__match_args__ == twin.__match_args__
     assert cls.__slots__ == twin.__slots__
-    (short, full), names = FROZEN_VALUES[cls], [f.name for f in fields(cls)]
+    (short, full), names = FROZEN_VALUES[cls], cls.__match_args__
     for args in (short, full):
         value, same = cls(*args), twin(*args)
         assert value == cls(*args) == cls(**dict(zip(names, args)))
-        assert (hash(value), repr(value)) == (hash(same), repr(same))
+        assert (_hashed(value), repr(value)) == (_hashed(same), repr(same))
         assert not hasattr(value, "__dict__")
-        for name in names:
-            with pytest.raises(FrozenInstanceError):
-                setattr(value, name, None)
-            with pytest.raises(FrozenInstanceError):
-                delattr(value, name)
+        for name in names:  # the twin raises FrozenInstanceError, an AttributeError
+            for frozen in (value, same):
+                with pytest.raises(AttributeError,
+                                   match=exactly(f"cannot assign to field {name!r}")):
+                    setattr(frozen, name, None)
+                with pytest.raises(AttributeError,
+                                   match=exactly(f"cannot delete field {name!r}")):
+                    delattr(frozen, name)
         assert pickle.loads(pickle.dumps(value)) == value
-        assert replace(value, **dict(zip(names, full))) == cls(*full)
+        assert replaced(value, **dict(zip(names, full))) == cls(*full)
     assert cls(*short) != cls(*full)
 
 
@@ -160,6 +185,16 @@ def test_frozen_value_keeps_the_dataclass_docstring_and_post_init():
 ], ids=["default_factory", "init=False", "kw_only", "InitVar"])
 def test_frozen_value_refuses_a_field_it_does_not_build(annotation, value):
     cls = type("Odd", (), {"__annotations__": {"x": annotation}, "x": value})
+    with pytest.raises(TypeError, match="frozen_value takes plain fields only: Odd"):
+        frozen_value(cls)
+
+
+@pytest.mark.parametrize("annotation", [
+    "ClassVar[int]", "typing.ClassVar[int]", ClassVar[int], ClassVar,
+    "InitVar[int]", "dataclasses.InitVar[int]", InitVar[int], InitVar,
+])
+def test_frozen_value_refuses_a_class_or_init_variable_written_as_text_or_object(annotation):
+    cls = type("Odd", (), {"__annotations__": {"x": annotation}})
     with pytest.raises(TypeError, match="frozen_value takes plain fields only: Odd"):
         frozen_value(cls)
 

@@ -19,7 +19,6 @@ import signal
 import subprocess
 import sys
 import time
-from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -31,7 +30,7 @@ from dataforge.core import (DatasetId, Provenance, QAPair, Sample, decode_json,
 from dataforge.errors import SchemaError
 from dataforge.metrics import record_from_dict
 
-from helpers import plain_sample, random_mixed_sample, surround_media
+from helpers import plain_sample, random_mixed_sample, replaced, surround_media
 from test_ingest import (CODA_RECORD, DRIVELM_RECORD, LINGO_RECORD, MAPLM_RECORD,
                          NUINSTRUCT_RECORD, OMNI_RECORD)
 
@@ -107,9 +106,9 @@ def _write(path, lines):
 def _mixed_lines(n, seed=0):
     rng = random.Random(seed)
     samples = [random_mixed_sample(rng, i) for i in range(n)]
-    samples += [replace(plain_sample(i, DatasetId.CODA_LM),
-                        task_tags=frozenset({"hazards"}),
-                        qa=(QAPair("What is ahead?", f"A cone in lane {i % 5}."),))
+    samples += [replaced(plain_sample(i, DatasetId.CODA_LM),
+                         task_tags=frozenset({"hazards"}),
+                         qa=(QAPair("What is ahead?", f"A cone in lane {i % 5}."),))
                 for i in range(n)]
     return [sample_to_json(s) for s in sorted(samples, key=lambda s: s.id)]
 
@@ -264,10 +263,10 @@ def test_augment_cuts_only_before_an_id_above_every_copy_before_it(tmp_path, cap
     # and the expansion runs as one range.
     text = ""
     for i in range(8):
-        base = replace(plain_sample(i, DatasetId.CODA_LM), task_tags=frozenset({"hazards"}),
-                       qa=(QAPair("What is ahead?", f"A cone in lane {i}."),))
+        base = replaced(plain_sample(i, DatasetId.CODA_LM), task_tags=frozenset({"hazards"}),
+                        qa=(QAPair("What is ahead?", f"A cone in lane {i}."),))
         text += (sample_to_json(base) + after_p
-                 + sample_to_json(replace(base, id=base.id + "!")) + after_bang)
+                 + sample_to_json(replaced(base, id=base.id + "!")) + after_bang)
     manifest = tmp_path / "m.jsonl"
     manifest.write_bytes(text.encode("utf-8"))
     out = tmp_path / "o.jsonl"
@@ -326,9 +325,9 @@ def test_augment_refuses_an_input_it_cannot_read_twice(tmp_path, capsys):
 def _augment_faults():
     """Manifest lines by fault name: 21 samples, the fault on the last line."""
     samples = [plain_sample(i) for i in range(21)]
-    copy = replace(samples[-1], id=samples[-1].id + "#aug1")
-    paraphrased = replace(samples[-1], qa=(QAPair("Where?", "Here.",
-                                                  provenance=Provenance.PARAPHRASE),))
+    copy = replaced(samples[-1], id=samples[-1].id + "#aug1")
+    paraphrased = replaced(samples[-1], qa=(QAPair("Where?", "Here.",
+                                                   provenance=Provenance.PARAPHRASE),))
     lines = [sample_to_json(s) for s in samples]
     return {"undecodable": lines[:-1] + ["{"],
             "copy": lines[:-1] + [sample_to_json(copy)],
