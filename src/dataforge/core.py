@@ -74,16 +74,10 @@ class MediaKind(Enum):
     IMAGE = "image"
     VIDEO = "video"
 
-    def __str__(self) -> str:
-        return self.value
-
 
 class QAStyle(Enum):
     OPEN = "open"
     MULTIPLE_CHOICE = "multiple_choice"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 class Provenance(Enum):
@@ -91,9 +85,6 @@ class Provenance(Enum):
     PARAPHRASE = "paraphrase"
     MC_TRANSFORM = "mc_transform"
     GENERATED_PERCEPTION = "generated_perception"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 # The methods of a frozen_value class, made by one ``exec`` per class.
@@ -689,25 +680,30 @@ def atomic_writer(path: str | Path) -> Iterator[TextIO]:
     created) and is moved onto ``path`` with ``os.replace``. If the block
     raises, the temp file is deleted and ``path`` keeps its old content, or
     stays absent, so a crash never leaves a short file behind; the parent
-    directories this call created are removed again, deepest first, while
-    they are empty.
+    directories this call made are removed again, deepest first, while they
+    are empty. So are those it made before a ``mkdir`` that fails.
     """
     text = os.fspath(path) or "."
     if os.path.basename(text) in ("", ".", ".."):  # "/", "sub/", "..": a directory
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), text)
     path = Path(text)
     created = list(takewhile(lambda d: not d.exists(), path.parents))  # deepest first
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            yield fh
-        os.replace(tmp, path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+                yield fh
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
     except BaseException:
-        tmp.unlink(missing_ok=True)
         for directory in created:
             try:
                 directory.rmdir()
+            except FileNotFoundError:  # never made: a mkdir failed before it
+                continue
             except OSError:  # something else was put there meanwhile
                 break
         raise

@@ -6,10 +6,11 @@ coordinate/token rewriting belongs to standardize. Also hosts the LiDAR
 bird's-eye-view rasterizer (the only user of numpy, imported there so that no
 CLI call pays for it) and JSONL manifest I/O.
 
-``stages`` builds a source's records in shares, decoding one record at a
-time with ``_array_items`` and checking it with ``_checked``; on any fault it
-falls back to ``build_samples``, which reads the text whole and so names the
-fault a whole-file read meets first.
+``share_samples`` is the one reader of a source's JSON array: it decodes one
+record at a time with ``_array_items`` and checks it with ``_checked``.
+``stages`` runs it in shares; on any fault the stage runs ``read_samples``,
+the same reader over each array in turn as one share, which names the fault a
+one-process read meets first (``parse_source`` is one call of it).
 
 Source schemas are documented in docs/source-schemas.md with one fixture each.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import math
 import re
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -59,7 +61,7 @@ if TYPE_CHECKING:
 
 
 # ---------------------------------------------------------------------------
-# Record field helpers. build_samples adds the record index to their errors.
+# Record field helpers. _checked adds the record index to their errors.
 # ---------------------------------------------------------------------------
 
 def _req(rec: dict[str, Any], key: str, read: Callable[..., Any] = json_str) -> Any:
@@ -225,7 +227,10 @@ def _array_items(text: str) -> Iterator[Any]:
         raise ValueError("extra data")
 
 
-def _checked(build: Callable[[dict[str, Any]], Sample], rec: Any, idx: int) -> Sample:
+Build = Callable[[dict[str, Any]], Sample]  # one decoded record's sample
+
+
+def _checked(build: Build, rec: Any, idx: int) -> Sample:
     """``build(rec)``, validated; a fault raises SchemaError naming record ``idx``."""
     try:
         sample = build(json_object(rec, "record"))
@@ -241,26 +246,40 @@ def _checked(build: Callable[[dict[str, Any]], Sample], rec: Any, idx: int) -> S
     return sample
 
 
-def build_samples(text: str, build: Callable[[dict[str, Any]], Sample]) -> list[Sample]:
-    """The sample ``build`` makes from each record of the JSON array
-    ``text``, each checked with ``validate_sample``.
+def share_samples(arrays: list[tuple[Build, str]], k: int, n: int) -> Iterator[Sample]:
+    """Share ``k`` of ``n`` of the records of ``arrays`` (JSON array texts,
+    each with its build function): every ``n``-th record from the ``k``-th,
+    counted across the arrays in turn, each decoded on its own, built and
+    checked, in record order. Raises at the first record or text fault met,
+    which need not be the one ``read_samples`` names."""
+    records = ((build, rec, idx) for build, text in arrays
+               for idx, rec in enumerate(_array_items(text)))
+    return (_checked(*record) for record in islice(records, k, None, n))
 
-    All-or-nothing: the first fault raises SchemaError naming its record;
-    invalid JSON anywhere in ``text`` comes before any record's fault, since
-    the text is decoded whole before the first record is built.
-    """
-    data = decode_json(text)
-    if type(data) is not list:
-        raise SchemaError("input must be a JSON array")
-    return [_checked(build, rec, idx) for idx, rec in enumerate(data)]
+
+def read_samples(arrays: list[tuple[Build, str]]) -> list[Sample]:
+    """Every sample of ``arrays``, each array read in turn as one share: the
+    reference that names the first fault. In each array, invalid JSON
+    anywhere (``decode_json`` decides, on a fault only) comes first, then a
+    text that is not an array, then the first bad record, then the first id
+    met twice in record order."""
+    samples: list[Sample] = []
+    for build, text in arrays:
+        try:
+            built = list(share_samples([(build, text)], 0, 1))
+        except Exception:  # any fault: invalid JSON later in the text comes first
+            if type(decode_json(text)) is not list:
+                raise SchemaError("input must be a JSON array") from None
+            raise
+        assert_unique_ids(built)
+        samples += built
+    return samples
 
 
 def parse_source(adapter: DatasetId, payload: str) -> list[Sample]:
-    """Parse one source annotation file, a JSON array of records, through
-    ``build_samples`` with ``adapter``; no id may repeat."""
-    samples = build_samples(payload, _ADAPTERS[adapter])
-    assert_unique_ids(samples)
-    return samples
+    """Parse one source annotation file, a JSON array of records, with
+    ``adapter``; no id may repeat."""
+    return read_samples([(_ADAPTERS[adapter], payload)])
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,11 @@ byte ranges at line ends, one per usable CPU; the reference runs the work on
 the whole file. augment plans its ranges in a round of its own first. An
 input not a regular file is one range, and so is augment's with a rewriter.
 evaluate scores its ranges the same way and chains their scores in file
-order; the reference scores the whole file. ingest and gen-perception deal the records of their
-JSON arrays round-robin into shares, merged by id; the reference reads each
-array whole. Any input shorter than two _MIN_RANGE blocks is one range or
-share. ``cli`` imports this module when a stage runs.
+order; the reference scores the whole file. ingest and gen-perception deal
+the records of their JSON arrays round-robin into shares, merged by id; the
+reference reads each array in turn as one share. Any input shorter than two
+_MIN_RANGE blocks is one range or share. ``cli`` imports this module when a
+stage runs.
 """
 
 from __future__ import annotations
@@ -34,18 +35,16 @@ import stat
 from collections import Counter
 from contextlib import nullcontext
 from functools import partial
-from itertools import chain, islice
+from itertools import chain
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterator, Sequence, TextIO
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO
 
 from .augment import (DEFAULT_FACTORS, MC_FRACTION, Pools, Rewriter, SeededRng,
                       expand_dataset, join_pools, plan_expansion)
-from .core import (DatasetId, MediaKind, Sample, assert_unique_ids, atomic_writer,
-                   decode_line, sample_to_json)
+from .core import DatasetId, MediaKind, Sample, atomic_writer, decode_line, sample_to_json
 from .errors import DataforgeError, SchemaError
-from .ingest import (_ADAPTERS, _array_items, _checked, build_samples, decode_manifest,
-                     write_manifest)
+from .ingest import _ADAPTERS, Build, decode_manifest, read_samples, share_samples
 from .metrics import MetricReport, record_from_dict, report_from_scores, score_record
 from .perceptgen import build_grounding_sample, grounding_record_from_dict
 from .promptkit import SEQUENCE_LIMIT, BudgetReport, check_budget
@@ -268,35 +267,18 @@ def _shares(jobs: Sequence[Callable[[], Any]]) -> list[Any]:
             os.close(read_end)
 
 
-Build = Callable[[dict[str, Any]], Sample]  # one decoded record's sample
-
-
-def _rows(arrays: list[tuple[Build, str]], k: int, n: int) -> list[tuple[str, str]]:
-    """Share ``k`` of ``n``: (id, line) of every ``n``-th record from the
-    ``k``-th, across every array, each checked as ``build_samples`` does."""
-    records = ((build, rec, idx) for build, text in arrays
-               for idx, rec in enumerate(_array_items(text)))
-    samples = (_checked(*record) for record in islice(records, k, None, n))
+def _rows(samples: Iterable[Sample]) -> list[tuple[str, str]]:
+    """(id, manifest line) of each of ``samples``, sorted by id."""
     return sorted((sample.id, sample_to_json(sample) + "\n") for sample in samples)
-
-
-def _samples(arrays: list[tuple[Build, str]]) -> list[Sample]:
-    """The samples of ``arrays``, each array read whole by
-    ``ingest.parse_source``'s checks in turn: the reference that names the
-    first fault."""
-    samples: list[Sample] = []
-    for build, text in arrays:
-        built = build_samples(text, build)
-        assert_unique_ids(built)
-        samples += built
-    return samples
 
 
 def _write_records(arrays: list[tuple[Build, str]], out: str) -> int:
     """Write the samples of ``arrays`` (JSON texts, each with its build
     function) to the manifest ``out``; the count. The main process builds
     the first share and a worker each other one; a fault, a dead worker or
-    an id met twice makes ``_samples`` build them again and report it."""
+    an id met twice makes ``ingest.read_samples`` build them again as one
+    share, which names the first fault, and the join then names the smallest
+    id in two arrays."""
     n = _width(sum(len(text) for _, text in arrays))
 
     def join(shares: list[list[tuple[str, str]]]) -> int:
@@ -304,17 +286,13 @@ def _write_records(arrays: list[tuple[Build, str]], out: str) -> int:
         with atomic_writer(out) as fh:
             for sample_id, line in heapq.merge(*shares):
                 if sample_id == last:
-                    raise ValueError(f"id {sample_id!r} twice")
+                    raise SchemaError(f"duplicate sample id {sample_id!r}")
                 fh.write(line)
                 count, last = count + 1, sample_id
         return count
 
-    def reference() -> int:
-        samples = _samples(arrays)
-        write_manifest(samples, out)
-        return len(samples)
-
-    return _split([partial(_rows, arrays, k, n) for k in range(n)], join, reference)
+    return _split([partial(_rows, share_samples(arrays, k, n)) for k in range(n)], join,
+                  lambda: join([_rows(read_samples(arrays))]))
 
 
 def ingest(sources: Sequence[tuple[DatasetId, Path]], out: str) -> int:
@@ -326,7 +304,7 @@ def ingest(sources: Sequence[tuple[DatasetId, Path]], out: str) -> int:
         try:
             arrays.append((_ADAPTERS[dataset], path.read_text(encoding="utf-8")))
         except (OSError, UnicodeDecodeError):
-            _samples(arrays)
+            read_samples(arrays)
             raise
     return _write_records(arrays, out)
 

@@ -218,6 +218,20 @@ def test_local_paraphrase_of_a_nul_free_text_is_the_one_before_the_nul_fix(piece
         assert local_paraphrase(qa, random.Random(seed)) == out
 
 
+def test_a_lead_clause_before_bare_punctuation_is_not_rotated():
+    # The clause matches and the draw rotates, but only "." follows it: there
+    # is no sentence to move the clause behind.
+    class Rotating:
+        def random(self):
+            return 0.0
+
+    rules = augment.load_rules()
+    assert augment._rotate_lead_clause("In the rain, stop.", Rotating(), rules) == (
+        "Stop in the rain.")
+    assert augment._rotate_lead_clause("In the rain, .", Rotating(), rules) == (
+        "In the rain, .")
+
+
 def test_local_paraphrase_seed_collision_rate():
     outs = [local_paraphrase(QA, random.Random(seed)) for seed in range(1000)]
     counts = Counter(outs)

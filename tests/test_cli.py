@@ -14,7 +14,7 @@ import dataforge
 from dataforge.cli import main
 from dataforge import cli, remote, stages
 from dataforge.core import (CameraId, DatasetId, Provenance, QAPair, Sample, atomic_writer,
-                            image_ref, sample_to_json, validate_sample)
+                            image_ref, sample_to_json, validate_sample, video_ref)
 from dataforge.ingest import read_manifest, write_manifest
 
 from helpers import object_refs, plain_sample, raw_reply_server, replaced, surround_media
@@ -156,6 +156,24 @@ def test_ingest_rejects_what_standardize_cannot_rewrite(workdir, capsys, record,
     assert line.startswith("error: invalid sample (")
     assert error in line
     assert line.endswith(f"(record 1, at {where})")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("options,error", [
+    (None, "invalid sample (mc_options_present): multiple_choice question has no options"),
+    ([["A", "A car."], ["A", "A bus."]],
+     "invalid sample (mc_labels_unique): duplicate option labels: ['A', 'A']"),
+], ids=["no_options", "label_twice"])
+def test_ingest_rejects_a_multiple_choice_question_without_distinct_options(
+        workdir, capsys, options, error):
+    qa = {"question": "Which one?", "answer": "A", "style": "multiple_choice"}
+    if options is not None:
+        qa["options"] = options
+    (workdir / "generic.json").write_text(json.dumps([_generic_record([qa])]))
+    out = workdir / "raw.jsonl"
+    assert _run("ingest", "--adapter", "generic", "--in", workdir / "generic.json",
+                "--out", out) == 1
+    assert capsys.readouterr() == ("", f"error: {error} (record 0, at qa[0].options)\n")
     assert not out.exists()
 
 
@@ -1127,6 +1145,17 @@ def test_evaluate_empty_caption_scores_zero(workdir, capsys):
 
 # --------------------------------------------------------------------- stats
 
+def test_stats_counts_an_image_and_a_video_as_mixed(workdir):
+    sample = replaced(plain_sample(0), media=(
+        image_ref(CameraId.CAM_FRONT, 1600, 900, "front.jpg"),
+        video_ref(CameraId.CAM_BACK, 4, 1600, 900, "back.mp4")))
+    manifest = workdir / "m.jsonl"
+    write_manifest([sample, plain_sample(1)], manifest)
+    assert _run("stats", "--in", manifest, "--out", workdir / "stats.json") == 0
+    stats = json.loads((workdir / "stats.json").read_text())
+    assert stats["by_modality"] == {"mixed": 1, "single_image": 1}
+
+
 def test_stats_sections(workdir, capsys):
     raw = _ingest_coda(workdir)
     out = workdir / "aug.jsonl"
@@ -1380,6 +1409,30 @@ def test_atomic_writer_keeps_old_file_on_error(tmp_path):
             raise RuntimeError("crash mid-write")
     assert not (tmp_path / "sub").exists()
     assert _temp_files(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [["plan-curriculum", "--out", "out"],
+                                  ["stats", "--in", "coda.jsonl", "--out", "out/plans/s.json"]])
+def test_a_mkdir_that_fails_partway_leaves_no_directory(workdir, monkeypatch, capsys, argv):
+    # out/ is made, then out/plans fails (a full disk): out/ is removed again.
+    _ingest_coda(workdir)
+    capsys.readouterr()
+    inputs = sorted(p.name for p in workdir.iterdir())
+    mkdir = os.mkdir
+
+    def full(path, *args):
+        path = Path(path)
+        if path.parts[-2:] == ("out", "plans") and path.parent.is_dir():
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), os.fspath(path))
+        return mkdir(path, *args)
+
+    monkeypatch.chdir(workdir)
+    monkeypatch.setattr(os, "mkdir", full)
+    assert _run(*argv) == 2
+    out, err = capsys.readouterr()
+    assert (out, err.splitlines()) == (
+        "", [f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: 'out/plans'"])
+    assert sorted(p.name for p in workdir.iterdir()) == inputs  # no out/
 
 
 _MANIFEST_WRITERS = ["ingest", "standardize", "augment", "gen-perception", "build-prompts"]

@@ -10,18 +10,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dataforge import stages
-from dataforge.core import (CameraId, DatasetId, MediaKind, decode_json, sample_from_dict,
-                            sample_to_json)
+from dataforge.core import (CameraId, DatasetId, MediaKind, assert_unique_ids, decode_json,
+                            sample_from_dict, sample_to_json)
 from dataforge.errors import SchemaError
 from dataforge.ingest import (
     _ADAPTERS,
+    _checked,
     BevGridConfig,
     LidarPoint,
-    build_samples,
     decode_manifest,
     parse_source,
     project_lidar_bev,
     read_manifest,
+    read_samples,
+    share_samples,
     write_manifest,
 )
 
@@ -208,12 +210,20 @@ def test_adapter_fuzz_never_partial(tmp_path):
 
 def _one_share(text, build):
     """The rows of the one-share reader, which decodes a record at a time."""
-    return stages._rows([(build, text)], 0, 1)
+    return stages._rows(share_samples([(build, text)], 0, 1))
+
+
+def _whole_text_samples(text, build):
+    """The samples of a reader that decodes the whole array, then checks each
+    record in turn."""
+    data = decode_json(text)
+    if type(data) is not list:
+        raise SchemaError("input must be a JSON array")
+    return [_checked(build, rec, idx) for idx, rec in enumerate(data)]
 
 
 def _whole_text_rows(text, build):
-    """The rows of the reference reader, which decodes the whole array."""
-    return sorted((s.id, sample_to_json(s) + "\n") for s in build_samples(text, build))
+    return stages._rows(_whole_text_samples(text, build))
 
 
 def _build_coda(rec):
@@ -286,9 +296,25 @@ def _mutated_arrays(draw):
 def test_streaming_reader_agrees_with_the_whole_text_loop(text):
     # The one-share reader faults exactly where the whole-text loop faults,
     # and builds the same rows where it does not; which fault to name is left
-    # to the whole-text loop, which ingest runs after any share fault.
+    # to the one-share run, which ingest runs after any share fault.
     got, want = _outcome(_one_share, text), _outcome(_whole_text_rows, text)
     assert got == want if isinstance(want, list) else not isinstance(got, list)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_mutated_arrays())
+@example(json.dumps([dict(CODA_RECORD, id=i) for i in "baba"]))
+@example(json.dumps([CODA_RECORD, CODA_RECORD, _OFF_FRAME]))
+def test_the_one_share_run_names_the_fault_the_whole_text_loop_names(text):
+    # Invalid JSON anywhere, then a text that is not an array, then the first
+    # bad record, then the first id met twice in record order.
+    def whole_text(text, build):
+        samples = _whole_text_samples(text, build)
+        assert_unique_ids(samples)
+        return samples
+
+    got = _outcome(lambda text, build: read_samples([(build, text)]), text)
+    assert got == _outcome(whole_text, text)
 
 
 @pytest.mark.parametrize("early", [_OFF_FRAME, _MISSING_IMAGE, 7])
@@ -311,10 +337,10 @@ def test_the_one_share_reader_holds_one_decoded_record_at_a_time():
                  {"question": "Is the road wet?", "answer": "No."}])
         for i in range(2000)])
     build = _ADAPTERS[DatasetId.CODA_LM]
-    stages._rows([(build, json.dumps([CODA_RECORD]))], 0, 1)  # warm-up: first-call caches
+    _one_share(json.dumps([CODA_RECORD]), build)  # warm-up: first-call caches
     tracemalloc.start()
     try:
-        rows = stages._rows([(build, text)], 0, 1)
+        rows = _one_share(text, build)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -288,6 +288,13 @@ def test_ap_single_zero_iou_detection():
                              [_box(50, 50, 60, 60)]) == 0.0
 
 
+def test_ap_of_a_box_whose_overlap_underflows_to_zero_is_zero():
+    # Each side is 1e-200, so the intersection and both areas are 0.0: the
+    # IoU would be 0 / 0, and the box is skipped instead.
+    box = BBoxNorm(0.0, 0.0, 1e-200, 1e-200)
+    assert average_precision([(box, 0.9)], [box]) == 0.0
+
+
 def test_ap_three_dets_two_gts_hand_value():
     gt1, gt2 = _box(0, 0, 10, 10), _box(50, 50, 60, 60)
     dets = [(gt1, 0.9),              # TP, precision 1/1, recall 1/2

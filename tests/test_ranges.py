@@ -24,7 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dataforge import cli, stages
+from dataforge import cli, ingest, stages
 from dataforge.core import (DatasetId, Provenance, QAPair, Sample, decode_json,
                             sample_to_json)
 from dataforge.errors import SchemaError
@@ -530,8 +530,8 @@ def test_every_adapter_and_gen_perception_give_the_same_output_for_any_share_cou
     assert (rc, err) == (0, "")
     assert out.startswith("wrote") and data.count(b"\n") == 12
     # One share or three, the shares write the output: the stage does not run
-    # its whole-text reference in process.
-    monkeypatch.setattr(stages, "build_samples", lambda *args: pytest.fail("ran in process"))
+    # its one-share reference in process.
+    monkeypatch.setattr(stages, "read_samples", lambda *args: pytest.fail("ran in process"))
     for cpus in (1, 3):
         forks = split(cpus)
         assert _run_outcome(_array_argv(kind, tmp_path / "source.json", tmp_path / "o.jsonl"),
@@ -641,8 +641,8 @@ def test_a_source_read_from_a_pipe_is_read_once(tmp_path, capsys, split, fault):
 
 
 def _checked_in_worker(parent, action):
-    """A stages._checked that runs ``action`` in a share worker only."""
-    checked = stages._checked
+    """An ingest._checked that runs ``action`` in a share worker only."""
+    checked = ingest._checked
 
     def check(build, rec, idx):
         if os.getpid() != parent:
@@ -657,7 +657,7 @@ def test_a_share_worker_that_dies_leaves_the_output_as_one_process_makes_it(
     text = json.dumps(_records("nuinstruct"))
     split(1)
     want = _array_outcomes(tmp_path, capsys, split, "nuinstruct", text)
-    monkeypatch.setattr(stages, "_checked", _checked_in_worker(
+    monkeypatch.setattr(ingest, "_checked", _checked_in_worker(
         os.getpid(), lambda: os.kill(os.getpid(), signal.SIGKILL)))
     forks = split(3)
     out = tmp_path / "o.jsonl"
@@ -672,7 +672,7 @@ def test_an_interrupt_in_a_share_reaps_the_workers_and_leaves_no_file(
     source = tmp_path / "source.json"
     source.write_text(json.dumps(_records(kind)))
     parent = os.getpid()
-    checked = stages._checked
+    checked = ingest._checked
 
     def interrupted(build, rec, idx):
         if os.getpid() == parent and idx == 6:
@@ -681,7 +681,7 @@ def test_an_interrupt_in_a_share_reaps_the_workers_and_leaves_no_file(
             time.sleep(0.05)
         return checked(build, rec, idx)
 
-    monkeypatch.setattr(stages, "_checked", interrupted)
+    monkeypatch.setattr(ingest, "_checked", interrupted)
     split(3)
     with pytest.raises(KeyboardInterrupt):
         cli.main([str(a) for a in _array_argv(kind, source, tmp_path / "out" / "o.jsonl")])
@@ -714,6 +714,64 @@ def _coda_sources(draw):
 def test_any_source_gives_the_same_outcome_for_one_two_and_three_shares(
         tmp_path, capsys, split, text):
     _array_outcomes(tmp_path, capsys, split, "coda_lm", text)
+
+
+# The one reader's precedence, at 1, 2 and 3 shares: in each source in turn,
+# invalid JSON or a text that is not an array, then the first bad record, then
+# the first id met twice in record order; then the smallest id in two arrays.
+
+def test_a_source_that_is_not_an_array_is_named_in_any_share(tmp_path, capsys, split):
+    text = json.dumps({"records": _records("coda_lm")})
+    assert _array_outcomes(tmp_path, capsys, split, "coda_lm", text) == (
+        1, "", "error: input must be a JSON array\n", None)
+
+
+@pytest.mark.parametrize("kind", ["coda_lm", "gen-perception"])
+def test_a_bad_record_beats_an_id_twice_in_the_same_array_in_any_share(
+        tmp_path, capsys, split, kind):
+    records = _records(kind)
+    records[1] = dict(records[1], **{_RECORDS[kind][1]: records[0][_RECORDS[kind][1]]})
+    del records[10][_RECORDS[kind][1]]
+    rc, out, err, data = _array_outcomes(tmp_path, capsys, split, kind, json.dumps(records))
+    assert (rc, out, data) == (1, "", None)
+    assert "record 10" in err and "duplicate" not in err and err.count("\n") == 1
+
+
+def test_the_first_id_met_twice_in_record_order_is_named_in_any_share(
+        tmp_path, capsys, split):
+    text = json.dumps([dict(CODA_RECORD, id=i) for i in "baba"])
+    assert _array_outcomes(tmp_path, capsys, split, "coda_lm", text) == (
+        1, "", "error: duplicate sample id 'coda_lm/b'\n", None)
+
+
+def test_an_id_twice_in_the_first_source_beats_a_bad_record_in_the_second(
+        tmp_path, capsys, split):
+    coda = _records("coda_lm")
+    coda[9] = dict(coda[9], id=coda[4]["id"])
+    maplm = _records("maplm")
+    maplm[0]["width"] = "wide"
+    paths = {"coda_lm": tmp_path / "coda.json", "maplm": tmp_path / "maplm.json"}
+    for name, records in (("coda_lm", coda), ("maplm", maplm)):
+        paths[name].write_text(json.dumps(records))
+    out = tmp_path / "o.jsonl"
+    argv = ["--config", _config(tmp_path, paths), "ingest", "--out", out]
+    assert _same_for_one_two_and_three_shares(argv, out, capsys, split) == (
+        1, "", f"error: duplicate sample id 'coda_lm/{coda[4]['id']}'\n", None)
+
+
+def test_an_id_in_two_arrays_names_the_smallest_such_id_in_any_share(tmp_path, split):
+    # No two configured sources share an adapter, so only a caller of
+    # _write_records can hand it two arrays whose ids meet.
+    build = stages._ADAPTERS[DatasetId.CODA_LM]
+    arrays = [(build, json.dumps([dict(CODA_RECORD, id=i) for i in ids]))
+              for ids in ("dce", "dc")]
+    out = tmp_path / "out" / "o.jsonl"
+    for cpus in (1, 2, 3):
+        split(cpus)
+        with pytest.raises(SchemaError) as exc_info:
+            stages._write_records(arrays, str(out))
+        assert str(exc_info.value) == "duplicate sample id 'coda_lm/c'"
+        assert list(tmp_path.iterdir()) == [] and _no_children_left()
 
 
 # ------------------------------------------------------------ evaluate
@@ -1053,21 +1111,24 @@ def test_a_worker_whose_part_file_write_fails_leaves_the_output_as_one_range_mak
 
 # A stage run in a child process that believes it has 3 CPUs, with the
 # function named by argv[1] stalled in each range or share: each process that
-# calls it first leaves a file named by its pid in the directory argv[2].
+# calls it first leaves a file named by its pid in the directory argv[2]. The
+# function is looked up where the stage calls it: ingest's share reader calls
+# _checked, and stages calls the others.
 _STALLED = """\
 import os, sys, time
-from dataforge import cli, stages
+from dataforge import cli, ingest, stages
 stages._MIN_RANGE = 1
 os.sched_getaffinity = lambda pid: set(range(3))
 name, ready = sys.argv[1:3]
-run = getattr(stages, name)
+module = ingest if name == "_checked" else stages
+run = getattr(module, name)
 
 def stalled(*args):
     open(os.path.join(ready, str(os.getpid())), "w").close()
     time.sleep(60)
     return run(*args)
 
-setattr(stages, name, stalled)
+setattr(module, name, stalled)
 sys.exit(cli.main(sys.argv[3:]))
 """
 

@@ -25,15 +25,25 @@ scale on a machine with fewer CPUs. This tree's chain in every pass after the
 first is also compared with its chain in the first. Each ``--python PATH``
 (repeatable) adds a check to each pass: this tree's chain run by that
 interpreter against this tree's chain run by the interpreter running this
-script. At the first difference, or at a stage that fails on both sides, it
-prints what it found and exits 1; otherwise it exits 0. A tree without
-``src/dataforge`` exits 2.
+script.
+
+Each pass also runs each ``ingest`` and ``gen-perception`` stage of a chain
+once more, on its source with one bad record (``{}``) appended: the last
+configured source for an ingest run from ``--config``. That run must fail on
+both sides with the same exit code, stdout and stderr, and write no file, so
+the stage's fallback to its one-process read is compared at full scale too.
+
+At the first difference, at a chain stage that fails on both sides, or at a
+faulty-source run that does not fail or writes a file, it prints what it
+found and exits 1; otherwise it exits 0. A tree without ``src/dataforge``
+exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -82,21 +92,48 @@ def _run_chain(python: str, tree: Path, stages: list[tuple[str, list[str]]], in_
     return results, digests
 
 
-def _first_difference(side: str, other: tuple, change: tuple) -> str | None:
+def _first_difference(side: str, other: tuple, change: tuple,
+                      faulty: bool = False) -> str | None:
     """The first difference between the chain run ``other``, labelled
-    ``side``, and this tree's run ``change``; None if they agree."""
+    ``side``, and this tree's run ``change``; None if they agree. A stage
+    must exit 0, or, on a ``faulty`` source, not 0 and write no file."""
     (other_stages, other_files), (change_stages, change_files) = other, change
     for (name, *old), (_, *new) in zip(other_stages, change_stages):
         for what, a, b in zip(("exit code", "stdout", "stderr"), old, new):
             if a != b:
                 return f"stage {name}: {what} differs\n  {side}: {a!r}\n  change: {b!r}"
-        if old[0] != 0:
+        if (old[0] != 0) != faulty:
             return f"stage {name}: exits {old[0]} on both sides\n  stderr: {old[2]!r}"
     for path in sorted(other_files.keys() | change_files.keys()):
         a, b = other_files.get(path), change_files.get(path)
+        if faulty:
+            return f"output {path}: written on a faulty source\n  {side}: {a}\n  change: {b}"
         if a != b:
             return f"output {path}: sha256 differs\n  {side}: {a}\n  change: {b}"
     return None
+
+
+def _faulty_runs(stages: list[tuple[str, list[str]]], in_dir: Path, faulty_dir: Path
+                 ) -> list[tuple[str, list[tuple[str, list[str]]]]]:
+    """A copy of ``in_dir`` at ``faulty_dir`` with a bad record appended to the
+    source of each ingest and gen-perception stage of ``stages``; each such
+    stage as a one-stage chain, with its label."""
+    shutil.copytree(in_dir, faulty_dir)
+    runs = []
+    for name, argv in stages:
+        if name not in ("ingest", "gen_perception"):
+            continue
+        args = [a.replace("{in}/", "") for a in argv]
+        if "--in" in args:
+            source = args[args.index("--in") + 1]
+        else:  # ingest from --config: its last source
+            config = json.loads((in_dir / args[args.index("--config") + 1]).read_text())
+            source = list(config["sources"].values())[-1]
+        path = faulty_dir / source
+        path.write_text(path.read_text(encoding="utf-8").rstrip()[:-1] + ", {}]",
+                        encoding="utf-8")
+        runs.append((f"{name} on a faulty source", [(name, argv)]))
+    return runs
 
 
 def main() -> int:
@@ -126,24 +163,31 @@ def main() -> int:
         with tempfile.TemporaryDirectory(prefix="differential-") as tmp:
             root = Path(tmp)
             workload = generate(name, args.seed, root / "in")
-            first = None
+            # Each run: (label, stages, input directory, faulty).
+            runs = [("chain", workload.stages, root / "in", False)] + [
+                (run_label, stages, root / "faulty", True) for run_label, stages
+                in _faulty_runs(workload.stages, root / "in", root / "faulty")]
+            first: dict[str, tuple] = {}
             for label, cpu, width in passes:
-                change = _run_chain(sys.executable, HERE, workload.stages, root / "in", cpu,
-                                    width)
-                for side, python, tree in others:
-                    other = _run_chain(python, tree, workload.stages, root / "in", cpu, width)
-                    difference = _first_difference(side, other, change)
+                for run_label, stages, in_dir, faulty in runs:
+                    change = _run_chain(sys.executable, HERE, stages, in_dir, cpu, width)
+                    for side, python, tree in others:
+                        other = _run_chain(python, tree, stages, in_dir, cpu, width)
+                        difference = _first_difference(side, other, change, faulty)
+                        if difference is not None:
+                            print(f"{name} seed {args.seed} ({label}, {side}, {run_label}): "
+                                  f"{difference}")
+                            return 1
+                    first_label, first_change = first.setdefault(run_label, (label, change))
+                    difference = _first_difference(f"change, {first_label}", first_change,
+                                                   change, faulty)
                     if difference is not None:
-                        print(f"{name} seed {args.seed} ({label}, {side}): {difference}")
+                        print(f"{name} seed {args.seed} ({label}, change, {run_label}): "
+                              f"{difference}")
                         return 1
-                first = first or (label, change)
-                difference = _first_difference(f"change, {first[0]}", first[1], change)
-                if difference is not None:
-                    print(f"{name} seed {args.seed} ({label}, change): {difference}")
-                    return 1
-                stages, files = change
-                print(f"{name} seed {args.seed} ({label}): {len(stages)} stages and "
-                      f"{len(files)} outputs, no difference")
+                    ran, files = change
+                    print(f"{name} seed {args.seed} ({label}): {run_label}, {len(ran)} "
+                          f"stages and {len(files)} outputs, no difference")
     return 0
 
 
