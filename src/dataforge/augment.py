@@ -318,10 +318,10 @@ def expand_sample(sample: Sample, factor: int, mc_fraction: float, rng: SeededRn
 
 
 def plan_expansion(samples: Iterable[Sample], factors: Mapping[DatasetId, int]
-                   ) -> tuple[Pools, str]:
-    """The first of augment's two passes over its input, or over one run of
-    it: check every sample; the distractor pools ``expand_dataset`` draws
-    from, and the highest copy id the samples make ("" for none).
+                   ) -> tuple[Pools, str, str]:
+    """The first of augment's two passes over its input, or over one range
+    of it: check every sample; the distractor pools ``expand_dataset`` draws
+    from, the first id and the highest copy id the samples make ("" for none).
 
     Raises:
         DataforgeError: for an id not above the one before it, an expansion
@@ -333,10 +333,12 @@ def plan_expansion(samples: Iterable[Sample], factors: Mapping[DatasetId, int]
     # "9" for x12.
     last_copy = {dataset: max(map(str, range(1, factor)))
                  for dataset, factor in factors.items() if factor > 1}
-    top_copy = ""  # the highest copy id so far
+    first = top_copy = ""  # top_copy: the highest copy id so far
     previous = None
     for sample in samples:
-        if previous is not None and sample.id <= previous:
+        if previous is None:
+            first = sample.id
+        elif sample.id <= previous:
             raise DataforgeError(
                 f"augment needs samples in increasing id order: {sample.id!r} "
                 f"follows {previous!r}")
@@ -357,7 +359,7 @@ def plan_expansion(samples: Iterable[Sample], factors: Mapping[DatasetId, int]
                         bucket.setdefault(qa.answer)
         if sample.dataset in last_copy:
             top_copy = max(top_copy, f"{sample.id}{_COPY_MARK}{last_copy[sample.dataset]}")
-    return pools, top_copy
+    return pools, first, top_copy
 
 
 def join_pools(runs: Iterable[Pools]) -> Pools:

@@ -320,19 +320,19 @@ class BevGridConfig:
 
 
 def project_lidar_bev(points: Sequence[LidarPoint],
-                      cfg: BevGridConfig = BevGridConfig(),
-                      uri: str = "lidar/bev") -> tuple[np.ndarray, MediaRef]:
+                      cfg: BevGridConfig = BevGridConfig()) -> tuple[np.ndarray, MediaRef]:
     """Rasterize ego-frame points onto a top-down grid.
 
     Cell (row, col) covers y ∈ [row·s − y_range, (row+1)·s − y_range) and the
     analogous x slab; the ego origin lands in the central cell. Values are in
-    [0, 1]: occupancy flags or per-cell max intensity.
+    [0, 1]: occupancy flags or per-cell max intensity. The media is the image
+    "lidar/bev".
     """
     import numpy as np
 
     rows, cols = cfg.dims
     raster = np.zeros((rows, cols), dtype=np.float64)
-    media = MediaRef(MediaKind.IMAGE, CameraId.LIDAR_BEV, 1, cols, rows, uri)
+    media = MediaRef(MediaKind.IMAGE, CameraId.LIDAR_BEV, 1, cols, rows, "lidar/bev")
     if not points:
         return raster, media
 

@@ -244,9 +244,6 @@ def center_match_score(preds: Sequence[CameraPoint], gts: Sequence[CameraPoint],
 
 # ----------------------------------------------------- records and reports
 
-TASKS = ("classification", "caption", "regression", "detection", "grounding")
-
-
 @frozen_value
 class PredictionRecord:
     sample_id: str
@@ -318,7 +315,7 @@ def record_from_dict(data: Any) -> PredictionRecord:
     task = json_key(data, "task")
     predicted = json_key(data, "predicted")
     gold = json_key(data, "gold")
-    if task not in TASKS:
+    if not isinstance(task, str) or task not in _SCORES:  # a list cannot be hashed
         raise SchemaError(f"unknown task {task!r}")
     if task in ("classification", "caption"):
         predicted, gold = json_str(predicted, "predicted"), json_str(gold, "gold")

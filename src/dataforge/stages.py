@@ -13,8 +13,9 @@ The manifest stages standardize, augment, build-prompts and stats hand
 ``run`` their per-range work: a function of one range's samples and of the
 function that writes a row to the output. ``Manifest`` cuts the input into
 byte ranges at line ends, one per usable CPU; the reference runs the work on
-the whole file. augment plans its ranges in a round of its own first. An
-input not a regular file is one range, and so is augment's with a rewriter.
+the whole file. augment plans its ranges in one round and expands them in
+another. An input not a regular file is one range, as is augment's with a
+rewriter.
 evaluate scores its ranges the same way and chains their scores in file
 order; the reference scores the whole file. ingest and gen-perception deal
 the records of their JSON arrays round-robin into shares, merged by id; the
@@ -33,15 +34,15 @@ import shutil
 import signal
 import stat
 from collections import Counter
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from functools import partial
 from itertools import chain
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO
 
-from .augment import (DEFAULT_FACTORS, MC_FRACTION, Pools, Rewriter, SeededRng,
-                      expand_dataset, join_pools, plan_expansion)
+from .augment import (DEFAULT_FACTORS, MC_FRACTION, Rewriter, SeededRng, expand_dataset,
+                      join_pools, plan_expansion)
 from .core import DatasetId, MediaKind, Sample, atomic_writer, decode_line, sample_to_json
 from .errors import DataforgeError, SchemaError
 from .ingest import _ADAPTERS, Build, decode_manifest, read_samples, share_samples
@@ -138,11 +139,6 @@ class Manifest:
             raw = io.BufferedReader(_Span(self._fd, *span))
         return io.TextIOWrapper(raw, encoding="utf-8")
 
-    def samples(self, span: tuple[int, int] | None = None) -> Iterator[Sample]:
-        """The samples of ``span``, or of the whole file, checked by
-        ``ingest.decode_manifest``."""
-        return decode_manifest(self.text(span))
-
 
 def _edges(samples: Iterator[Sample], edges: list[str]) -> Iterator[Sample]:
     """``samples``; ``edges`` gets the first id and, at the end, the last."""
@@ -163,7 +159,8 @@ def run(src: Manifest, spans: list[tuple[int, int]], out: str | None,
     The first span writes to ``out``, each other one to a part file next to
     it, appended in file order; an id across a cut not above the one before
     it fails the join. The reference is ``work`` on the whole file, written
-    to ``out`` emptied. Every path out of here has deleted the part files.
+    to ``out`` emptied. Every path out of here has deleted the part files,
+    but one the OS refuses to delete: cleanup never decides the outcome.
     """
     parts = [None if out is None else os.path.join(
         os.path.dirname(out), f".{os.path.basename(out)}.{os.getpid()}.{k}.tmp")
@@ -171,12 +168,13 @@ def run(src: Manifest, spans: list[tuple[int, int]], out: str | None,
 
     def drop() -> None:
         for part in filter(None, parts):
-            Path(part).unlink(missing_ok=True)
+            with suppress(OSError):
+                Path(part).unlink(missing_ok=True)
 
     def share(span: tuple[int, int], write: Callable[[str], Any] | None
               ) -> tuple[list[str], Any]:
         edges: list[str] = []
-        return edges, work(_edges(src.samples(span), edges), write)
+        return edges, work(_edges(decode_manifest(src.text(span)), edges), write)
 
     def worker(span: tuple[int, int], part: str | None) -> tuple[list[str], Any]:
         with open(part, "w", encoding="utf-8", newline="\n") if part else nullcontext() as fh:
@@ -199,7 +197,7 @@ def run(src: Manifest, spans: list[tuple[int, int]], out: str | None,
             drop()
             if fh is not None:
                 fh.truncate(fh.seek(0))  # no row of the split is kept
-            return [work(src.samples(), fh and fh.write)]
+            return [work(decode_manifest(src.text()), fh and fh.write)]
 
         jobs = [partial(share, span, fh and fh.write) for span in spans[:1]] + [
             partial(worker, span, part) for span, part in zip(spans[1:], parts)]
@@ -374,38 +372,27 @@ def augment(infile: str, out: str, rng: SeededRng, rewriter: Rewriter | None
     """Expand the manifest ``infile`` into ``out`` by the shipped recipe;
     (samples read, samples written).
 
-    Both passes split; the first (``plan_expansion``) checks every sample
-    before any output or rewriter call. A run of the second starts at each
-    range whose first id sorts above every copy id before it. A stateful
-    rewriter is called in input order, so with one the input is one range.
+    Both passes go through ``run``; the first (``plan_expansion``) checks
+    every sample before any output or rewriter call. A run of the second
+    starts at each range whose first id sorts above every copy id before
+    it (one run if the first fell back). A stateful rewriter is called in
+    input order, so with one the input is one range.
     """
     with Manifest(infile) as src:
         if not src.regular:
             raise OSError(f"augment reads its input twice, so --in must be a regular "
                           f"file: {infile}")
-        spans = src.spans() if rewriter is None else []
-
-        def plan(span: tuple[int, int]) -> tuple[list[str], Pools, str]:
-            edges: list[str] = []
-            return (edges, *plan_expansion(_edges(src.samples(span), edges), DEFAULT_FACTORS))
-
-        def join(plans: list[tuple[list[str], Pools, str]]) -> tuple[Pools, list[Any]]:
-            starts: list[int] = []
-            last = top = ""
-            for (start, _), (edges, _, top_copy) in zip(spans, plans):
-                if starts and edges[0] <= last:
-                    raise ValueError(f"{edges[0]!r} follows {last!r} across a cut")
-                if not starts or edges[0] > top:
-                    starts.append(start)
-                last, top = edges[-1], max(top, top_copy)
-            runs = list(zip(starts, starts[1:] + [spans[-1][1]]))
-            return join_pools(pools for _, pools, _ in plans), runs
-
-        def reference() -> tuple[Pools, list[Any]]:
-            return plan_expansion(src.samples(), DEFAULT_FACTORS)[0], spans[:1]
-
-        jobs = [partial(plan, span) for span in spans] if len(spans) > 1 else []
-        pools, runs = _split(jobs, join, reference)
+        # One span, as with a rewriter, is run's one-process path over the whole file.
+        spans = src.spans() if rewriter is None else src.spans()[:1]
+        plans = run(src, spans, None, lambda samples, _: plan_expansion(samples, DEFAULT_FACTORS))
+        starts: list[int] = []
+        top = ""
+        for (start, _), (_, first, top_copy) in zip(spans, plans):
+            if not starts or first > top:
+                starts.append(start)
+            top = max(top, top_copy)
+        runs = list(zip(starts, starts[1:] + [spans[-1][1]]))
+        pools = join_pools(pools for pools, _, _ in plans)
 
         def expand(samples: Iterator[Sample], write: Callable[[str], Any]) -> tuple[int, int]:
             read = written = 0

@@ -28,7 +28,7 @@ from dataforge.tokens import scan_tokens
 def expand_all(samples, factors, mc_fraction, rng, rewriter=None):
     """Both of augment's passes over the list ``samples``: the expansion,
     in id order, as a list."""
-    pools, _ = plan_expansion(samples, factors)
+    pools, _, _ = plan_expansion(samples, factors)
     return list(expand_dataset(samples, factors, mc_fraction, rng, pools, rewriter))
 
 

@@ -526,11 +526,11 @@ def _plan_ranges(samples, factors, splits):
     plans = [plan_expansion(samples[start:end], factors)
              for start, end in zip(starts, cuts + [len(samples)])]
     runs, top = [0], ""
-    for start, (_, top_copy) in zip(starts, plans):
+    for start, (_, _, top_copy) in zip(starts, plans):
         if start and samples[start].id > top:
             runs.append(start)
         top = max(top, top_copy)
-    return join_pools(pools for pools, _ in plans), runs
+    return join_pools(pools for pools, _, _ in plans), runs
 
 
 def _cut_allowed(samples, factors, i):
@@ -633,10 +633,10 @@ def test_plan_expansion_cuts_only_before_an_id_above_every_copy_id():
     # run starts at either; "a~" and "b" sort above every copy before them.
     ids = ["a", "a!", "a~", "b", "b ", "c"]
     samples = [_sample(sample_id, DatasetId.CODA_LM, (), ["p"]) for sample_id in ids]
-    assert plan_expansion(samples[:2], DEFAULT_FACTORS)[1] == "a#aug4"  # above "a!#aug4"
+    assert plan_expansion(samples[:2], DEFAULT_FACTORS)[2] == "a#aug4"  # above "a!#aug4"
     assert _plan_ranges(samples, DEFAULT_FACTORS, range(1, 6))[1] == [0, 2, 3, 5]
     # A dataset expanded x1 makes no copies, so every range starts a run.
-    assert plan_expansion(samples, {})[1] == ""
+    assert plan_expansion(samples, {})[2] == ""
     assert _plan_ranges(samples, {}, range(1, 6))[1] == [0, 1, 2, 3, 4, 5]
 
 

@@ -18,6 +18,7 @@ from dataforge.core import (CameraId, DatasetId, Provenance, QAPair, Sample, ato
 from dataforge.ingest import read_manifest, write_manifest
 
 from helpers import object_refs, plain_sample, raw_reply_server, replaced, surround_media
+from test_ingest import CODA_RECORD, MAPLM_RECORD, NUINSTRUCT_RECORD, OMNI_RECORD
 
 NUINSTRUCT_SOURCE = [{
     "sample_id": "42",
@@ -186,6 +187,28 @@ def test_ingest_generic_decoder_fault_is_one_error_line(workdir, capsys):
                 "--out", out) == 1
     assert capsys.readouterr().err.splitlines() == [
         "error: uri must be a string (record 0, at sample.media[0])"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("adapter,text,error", [
+    ("maplm", json.dumps([dict(MAPLM_RECORD, qa_pairs=[["q", "a", "x"]])]),
+     "qa_pairs entries must be [question, answer] (record 0, at qa_pairs[0])"),
+    ("omnidrive", json.dumps([dict(OMNI_RECORD, cameras=OMNI_RECORD["cameras"][:5])]),
+     "cameras must list six image paths in surround order (record 0, at cameras)"),
+    ("nuinstruct", json.dumps([dict(NUINSTRUCT_RECORD, views={"c9": "v9.jpg"})]),
+     "unknown view id 'c9' (record 0, at views)"),
+    ("coda_lm", json.dumps([dict(CODA_RECORD, task=5)]),
+     "tags must be a string or list of strings (record 0, at task)"),
+    ("coda_lm", f"[{json.dumps(CODA_RECORD)} {json.dumps(dict(CODA_RECORD, id='0002'))}]",
+     "invalid JSON: Expecting ',' delimiter (line 1)"),
+], ids=["maplm_triple", "omnidrive_five_cameras", "nuinstruct_view_c9", "coda_task_int",
+        "no_comma_between_records"])
+def test_ingest_bad_source_record_is_one_error_line(workdir, capsys, adapter, text, error):
+    (workdir / "source.json").write_text(text)
+    out = workdir / "raw.jsonl"
+    assert _run("ingest", "--adapter", adapter, "--in", workdir / "source.json",
+                "--out", out) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
     assert not out.exists()
 
 
@@ -601,13 +624,15 @@ def _with_object(**fields):
     ({"id": "p", "representation": "polygon", "annotations": [_FRONT_VIEW]},
      'representation must be "box" or "center", got \'polygon\' '
      "(record 0, at representation)"),
+    (_with_object(bbox=[1, 2, 3]),
+     "bbox must be four numbers, got [1, 2, 3] (record 0, at annotations[0].objects[0])"),
 ], ids=["front_only_prefixed", "two_views_unprefixed", "no_annotations",
         "prefix_string", "frames_per_view_float", "frames_per_view_zero",
         "width_float", "height_bool",
         "frames_string", "uri_int", "frame_index_float", "category_list",
         "bbox_string", "bbox_bool", "bbox_missing", "id_int", "id_empty", "no_objects",
         "mixed_view_sizes", "frame_count", "representation_int",
-        "representation_polygon"])
+        "representation_polygon", "bbox_three_numbers"])
 def test_gen_perception_bad_record_is_one_error_line(workdir, capsys, record, error):
     (workdir / "percept.json").write_text(json.dumps([record]))
     out = workdir / "p.jsonl"
@@ -1357,16 +1382,22 @@ def test_config_unknown_key_exits_two(workdir, capsys):
      "augment rewriter_url must be an http(s) URL, got 'http://a b/x'"),
     ({"augment": {"rewriter_url": "http://h:99999/x"}},
      "augment rewriter_url must be an http(s) URL, got 'http://h:99999/x'"),
+    ({"seed": 2**64}, "seed must fit in 64 bits"),
 ], ids=["promptkit", "metrics", "offline_string", "augment_typo", "augment_factors",
         "augment_mc_fraction", "registry", "sources_list",
         "sources_unknown_dataset", "out_dir_int", "rewriter_url_int",
         "rewriter_url_not_url", "rewriter_url_ftp", "rewriter_url_space",
-        "rewriter_url_port"])
+        "rewriter_url_port", "seed_65_bits"])
 def test_config_error_exits_two(workdir, capsys, config, error):
     bad = workdir / "bad.json"
     bad.write_text(json.dumps(config))
     assert _run("stats", "--config", bad, "--in", workdir / "x.jsonl") == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+
+
+def test_a_seed_flag_over_64_bits_exits_two(workdir, capsys):
+    assert _run("stats", "--seed", 2**64, "--in", workdir / "x.jsonl") == 2
+    assert capsys.readouterr().err.splitlines() == ["error: seed must fit in 64 bits"]
 
 
 def test_config_standardize_section_exits_two(workdir, capsys):

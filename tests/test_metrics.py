@@ -720,6 +720,8 @@ _REJECTED = [  # (record, message); the first eleven are the original cases
      "['CAM_FRONT'] is not a valid CameraId (at predicted[0])"),
     (_points([OrderedDict(point=[5.0, 5.0])]),
      "entry must be an object, got OrderedDict([('point', [5.0, 5.0])]) (at predicted[0])"),
+    ({"sample_id": "x", "task": ["caption"], "predicted": "a", "gold": "b"},
+     "unknown task ['caption']"),
 ]
 
 

@@ -19,6 +19,7 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -142,6 +143,15 @@ def test_spans_tile_the_file_and_start_after_a_line_end(tmp_path, split, cpus):
     assert all(end == start for (_, end), (start, _) in zip(spans, spans[1:]))
     assert all(data[start - 1:start] == b"\n" for start, _ in spans[1:])
     assert len(spans) == min(cpus, len(data.split(b"\n")))
+
+
+def test_a_manifest_cut_short_after_it_is_opened_is_one_range(tmp_path, split):
+    path = _write(tmp_path / "m.jsonl", _mixed_lines(6))
+    size = path.stat().st_size
+    split(3)
+    with stages.Manifest(str(path)) as src:
+        os.truncate(path, 0)  # every read past the start is now empty
+        assert src.spans() == [(0, size)]
 
 
 @pytest.mark.parametrize("stage", STAGES)
@@ -1107,6 +1117,58 @@ def test_a_worker_whose_part_file_write_fails_leaves_the_output_as_one_range_mak
     monkeypatch.setattr(stages, "_shares", watched)
     assert _run_outcome(argv, out, capsys) == want  # no .tmp file, no child left
     assert (len(forks), len(faults)) == (1, 1)  # the worker failed, the reference ran
+
+
+def _with_undeletable_part(stage, lines, tmp_path, capsys, split, monkeypatch):
+    """The outcome of ``stage`` on ``lines`` at one range, which it must
+    equal at two ranges with the OS refusing (ENOSPC) to delete range 1's
+    part file; what is then left in --out's directory."""
+    manifest = _write(tmp_path / "m.jsonl", lines)
+    out = tmp_path / "o" / "o.jsonl"
+    out.parent.mkdir()
+    argv = [stage, "--offline", "--in", manifest, "--out", out]
+    split(1)
+    want = _run_outcome(argv, out, capsys)
+    out.unlink(missing_ok=True)
+    split(2)
+    part, refused, unlink = f".{out.name}.{os.getpid()}.1.tmp", [], Path.unlink
+
+    def refusing(path, missing_ok=False):
+        if path.name == part:
+            refused.append(path.name)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+        return unlink(path, missing_ok=missing_ok)
+
+    monkeypatch.setattr(Path, "unlink", refusing)
+    rc = cli.main([str(arg) for arg in argv])
+    assert (rc, *capsys.readouterr(), out.read_bytes() if out.exists() else None) == want
+    assert refused and _no_children_left()
+    return want, sorted(p.name for p in out.parent.iterdir())
+
+
+@pytest.mark.parametrize("stage", ["standardize", "augment"])
+def test_a_part_file_the_os_will_not_delete_leaves_a_good_run_good(
+        tmp_path, capsys, split, monkeypatch, stage):
+    (rc, _, err, data), left = _with_undeletable_part(
+        stage, _mixed_lines(6), tmp_path, capsys, split, monkeypatch)
+    assert (rc, err) == (0, "") and data
+    assert left == [f".o.jsonl.{os.getpid()}.1.tmp", "o.jsonl"]
+
+
+@pytest.mark.parametrize("stage", ["standardize", "augment"])
+def test_a_part_file_the_os_will_not_delete_leaves_a_failure_its_own_message(
+        tmp_path, capsys, split, monkeypatch, stage):
+    # The last line, in range 1 of 2, cannot be written as UTF-8: it passes
+    # augment's plan round and fails range 1's expansion, so both stages run
+    # the whole input again in one process with range 1's part file on disk.
+    lines = _mixed_lines(6)
+    unwritable = lines[-1].replace('"question": "', '"question": "\\ud800', 1)
+    assert unwritable != lines[-1]
+    (rc, out, err, data), left = _with_undeletable_part(
+        stage, lines[:-1] + [unwritable], tmp_path, capsys, split, monkeypatch)
+    assert (rc, out, data) == (1, "", None)
+    assert err.startswith("error: text cannot be written as UTF-8") and err.count("\n") == 1
+    assert left == [f".o.jsonl.{os.getpid()}.1.tmp"]
 
 
 # A stage run in a child process that believes it has 3 CPUs, with the
