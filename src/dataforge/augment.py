@@ -13,7 +13,6 @@ the runs' outputs concatenate in id order.
 from __future__ import annotations
 
 import _random
-import hashlib
 import json
 import random
 import re
@@ -28,6 +27,10 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from . import tokens as tok
 from .core import DatasetId, Provenance, QAPair, QAStyle, Sample, frozen_value
 from .errors import DataforgeError, PoolTooSmall
+try:  # SeededRng.stream's hash
+    from _sha256 import sha256
+except ImportError:  # Python 3.12 and later name the module _sha2
+    from _sha2 import sha256
 
 SYSTEM_TEXT = "You are an English improver."
 
@@ -80,7 +83,8 @@ class SeededRng:
     def stream(self, dataset: DatasetId | str, sample_id: str, step: str) -> random.Random:
         name = dataset._value_ if isinstance(dataset, DatasetId) else dataset
         key = f"{self.global_seed}\x1f{name}\x1f{sample_id}\x1f{step}"
-        digest = hashlib.sha256(key.encode("utf-8")).digest()
+        # the built-in SHA-256, as random takes its SHA-512: hashlib loads OpenSSL
+        digest = sha256(key.encode("utf-8")).digest()
         # Random(n); 3.10's __new__ seeds first, from this 0, not from urandom
         stream = random.Random.__new__(random.Random, 0)
         _random.Random.seed(stream, int.from_bytes(digest[:8], "big"))

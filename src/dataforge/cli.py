@@ -15,8 +15,8 @@ would only re-walk a growing heap. Reference counting still frees everything.
 ingest, standardize, augment, gen-perception, build-prompts, stats and
 evaluate live in ``stages``, which splits their work across the usable CPUs
 with the same output bytes, messages and exit code as one process gives; each
-subcommand imports it when it runs. augment reads its input twice, so it
-refuses an ``--in`` that is not a regular file (exit 2).
+subcommand imports it when it runs, as plan-curriculum imports ``curriculum``.
+augment reads its input twice, so it refuses an ``--in`` that is not a regular file (exit 2).
 """
 
 from __future__ import annotations
@@ -43,16 +43,15 @@ from .core import (
     json_str,
     write_json,
 )
-from .curriculum import stage_plans, write_stage_plans
 from .errors import DataforgeError, SchemaError
 # No stage writes or reads a manifest through these bindings any more;
 # perfbench/tests/test_tracer.py still checks that the tracer wraps them.
 from .ingest import read_manifest, write_manifest  # noqa: F401
 from .metrics import report_to_dict
-# gen-perception runs in ``stages``; perfbench's tracer wraps the targets it
-# finds in the modules ``import dataforge.cli`` loads, so this loads
-# perceptgen (and through it standardize) as before.
-from . import perceptgen  # noqa: F401
+# gen-perception runs in ``stages``, plan-curriculum in ``curriculum``; perfbench's tracer
+# wraps the targets it finds in the modules ``import dataforge.cli`` loads, so this loads
+# perceptgen (and through it standardize) and promptkit as before.
+from . import perceptgen, promptkit  # noqa: F401
 
 OFFLINE_ENV = "DATAFORGE_OFFLINE"
 
@@ -223,6 +222,7 @@ def _cmd_build_prompts(args: argparse.Namespace, cfg: PipelineConfig) -> int:
 
 
 def _cmd_plan_curriculum(args: argparse.Namespace, cfg: PipelineConfig) -> int:
+    from .curriculum import stage_plans, write_stage_plans
     out_dir = cfg.out_dir if args.out is None else Path(args.out)
     plans = stage_plans()
     paths = write_stage_plans(out_dir, plans)

@@ -1,12 +1,12 @@
 """Domain types shared by all pipeline stages, plus structural validation.
 
 Everything here is an immutable value object, declared with ``frozen_value``:
-a frozen, slotted class, not a dataclass (``replace``, ``fields`` and
-``asdict`` do not apply; assigning a field raises AttributeError), whose
-``__init__`` stores each field through its slot, since every manifest line
-builds several. The canonical on-disk form is JSON Lines with one sample per
-line (see ``sample_to_json`` for the key order). The decoders take parsed
-JSON: ``sample_from_dict`` accepts ``dict`` objects, not arbitrary mappings.
+a frozen, slotted class, not a dataclass (``replace``, ``fields`` and ``asdict``
+do not apply; assigning a field raises AttributeError). Only its ``__init__``
+(one slot store per field: every manifest line builds several) and its field
+tuple are generated per class; the rest lives once, on ``_FrozenValue``. The
+canonical on-disk form is JSON Lines, one sample per line (``sample_to_json``
+fixes the key order). ``sample_from_dict`` takes a decoded ``dict``, not a mapping.
 """
 
 from __future__ import annotations
@@ -87,26 +87,34 @@ class Provenance(Enum):
     GENERATED_PERCEPTION = "generated_perception"
 
 
-# The methods of a frozen_value class, made by one ``exec`` per class.
+class _FrozenValue:
+    """The methods every frozen_value class shares, over its own ``_fields`` tuple."""
+    __slots__ = ()
+    def __eq__(self, o):
+        return self._fields() == o._fields() if o.__class__ is self.__class__ else NotImplemented
+    def __hash__(self): return hash(self._fields())
+    def __reduce__(self): return self.__class__, self._fields()
+    def __setattr__(self, name, value): raise AttributeError(f"cannot assign to field {name!r}")
+    def __delattr__(self, name): raise AttributeError(f"cannot delete field {name!r}")
+    def __repr__(self):
+        shown = ", ".join([f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields())])
+        return f"{self.__class__.__qualname__}({shown})"
+
+
+# The rest of a frozen_value class, made by one ``exec`` per class.
 _METHODS = """\
 def __init__(self, {params}):
     {body}
-def __eq__(self, other):
-    return ({mine}) == ({theirs}) if other.__class__ is self.__class__ else NotImplemented
-def __hash__(self): return hash(({mine}))
-def __repr__(self): return self.__class__.__qualname__ + f"({shown})"
-def __reduce__(self): return self.__class__, ({mine})
-def __setattr__(self, name, value): raise AttributeError(f"cannot assign to field {{name!r}}")
-def __delattr__(self, name): raise AttributeError(f"cannot delete field {{name!r}}")
+def _fields(self): return ({mine})
 """
 
 
 def frozen_value(cls: type) -> type:
-    """``cls`` rebuilt once as a frozen, slotted class with a frozen dataclass's
-    methods, error texts and docstring, without the dataclass module's import
-    and build cost, which every CLI call would pay. ``__init__`` stores each
-    field through its slot descriptor; ``__reduce__`` pickles through it. Raises
-    TypeError for a ClassVar or InitVar annotation or a ``field(...)`` default."""
+    """``cls`` rebuilt once as a frozen, slotted ``_FrozenValue`` with a frozen
+    dataclass's methods, error texts and docstring, without the dataclass module's
+    import and build cost, which every CLI call would pay. Only ``__init__``, which
+    stores each field through its slot descriptor, and ``_fields`` are made per
+    class. Raises TypeError for a ClassVar or InitVar annotation or ``field(...)`` default."""
     ns = {k: v for k, v in cls.__dict__.items() if k not in ("__dict__", "__weakref__")}
     fields = ns.get("__annotations__", {})  # name: annotation
     names = tuple(fields)
@@ -120,9 +128,7 @@ def frozen_value(cls: type) -> type:
     env = {f"_default_{n}": value for n, value in defaults.items()}
     exec(_METHODS.format(
         params=", ".join(f"{n}=_default_{n}" if n in defaults else n for n in names),
-        body="\n    ".join(body), mine="".join(f"self.{n}," for n in names),
-        theirs="".join(f"other.{n}," for n in names),
-        shown=", ".join(f"{n}={{self.{n}!r}}" for n in names)), env, methods := {})
+        body="\n    ".join(body), mine="".join(f"self.{n}," for n in names)), env, methods := {})
     for method in methods.values():
         method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
     methods["__init__"].__annotations__ = fields | {"return": None}
@@ -131,7 +137,7 @@ def frozen_value(cls: type) -> type:
             f"{n}: {a.__qualname__ if isinstance(a, type) else repr(a)}"
             + (f" = {defaults[n]!r}" if n in defaults else "") for n, a in fields.items()) + ")"
     ns |= methods | {"__slots__": names, "__match_args__": names, "__qualname__": cls.__qualname__}
-    made = type(cls)(cls.__name__, cls.__bases__, ns)
+    made = type(cls)(cls.__name__, (_FrozenValue, *cls.__bases__), ns)
     env |= {f"_set_{n}": getattr(made, n).__set__ for n in names}
     return made
 

@@ -1302,17 +1302,28 @@ def test_importing_the_cli_does_not_import_numpy():
     assert result.stdout.strip() == "False"
 
 
+# The modules of perfbench/tracer.py's TARGETS: Tracer.install reads each from
+# sys.modules right after ``import dataforge.cli``.
+_TRACER_TARGET_MODULES = ("dataforge.augment", "dataforge.core", "dataforge.ingest",
+                          "dataforge.metrics", "dataforge.perceptgen", "dataforge.promptkit",
+                          "dataforge.standardize", "dataforge.tokens")
+
+
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_importlib_resources():
     # Every CLI call pays for what this import loads. -S keeps out the
-    # modules a .pth file in site-packages may import first.
+    # modules a .pth file in site-packages may import first. hashlib would
+    # load OpenSSL; copy comes with curriculum, which plan-curriculum loads
+    # when it runs. Every tracer target module is loaded (second line).
     src = str(Path(dataforge.__file__).resolve().parents[1])
     result = subprocess.run(
         [sys.executable, "-S", "-c",
          "import sys, dataforge.cli; print(*sorted({'dataclasses', 'inspect', "
-         "'importlib.resources'} & set(sys.modules)))"],
+         "'importlib.resources', 'hashlib', '_hashlib', 'copy', 'dataforge.curriculum'} "
+         "& set(sys.modules))); print(*sorted(set(sys.argv[1:]) - set(sys.modules)))",
+         *_TRACER_TARGET_MODULES],
         capture_output=True, text=True, check=True, timeout=60,
         env={"PYTHONPATH": src})
-    assert result.stdout.split() == []
+    assert result.stdout.splitlines() == ["", ""]
 
 
 def test_importing_the_cli_loads_only_the_modules_every_subcommand_needs():
@@ -1328,7 +1339,7 @@ def test_importing_the_cli_loads_only_the_modules_every_subcommand_needs():
         env={"PYTHONPATH": src})
     assert result.stdout.split() == [
         "dataforge", "dataforge.augment", "dataforge.cli", "dataforge.core",
-        "dataforge.curriculum", "dataforge.errors", "dataforge.ingest", "dataforge.metrics",
+        "dataforge.errors", "dataforge.ingest", "dataforge.metrics",
         "dataforge.perceptgen", "dataforge.promptkit", "dataforge.standardize",
         "dataforge.tokens"]
 
@@ -1439,6 +1450,20 @@ def test_atomic_writer_keeps_old_file_on_error(tmp_path):
             fh.write("partial")
             raise RuntimeError("crash mid-write")
     assert not (tmp_path / "sub").exists()
+    assert _temp_files(tmp_path) == []
+
+
+def test_atomic_writer_keeps_a_directory_it_made_once_something_else_is_in_it(tmp_path):
+    # Removal stops at the first directory that is not empty: its parents stay too.
+    inner = tmp_path / "a" / "b"
+    with pytest.raises(RuntimeError, match="crash mid-write"):
+        with atomic_writer(inner / "out.txt") as fh:
+            fh.write("partial")
+            (inner / "other.txt").write_text("kept\n")
+            raise RuntimeError("crash mid-write")
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+        "a", "a/b", "a/b/other.txt"]
+    assert (inner / "other.txt").read_text() == "kept\n"
     assert _temp_files(tmp_path) == []
 
 
